@@ -49,8 +49,8 @@ class PointSet:
 
     def __init__(self, spec: RingSpec, points):
         self.spec = spec
-        idx = spec.index
-        self.points = tuple(sorted(set(points), key=lambda v: (idx(v[0]), idx(v[1]))))
+        # elements are their canonical indexes, so tuple order is index order
+        self.points = tuple(sorted(set(points)))
         self.members = frozenset(self.points)
 
     def __len__(self):
@@ -72,20 +72,24 @@ class PointSet:
     def to_csv(self) -> str:
         """Rows x1,x2 of canonical representatives (Galois field
         coefficients joined with ';')."""
-        def rep(a):
-            j = self.spec.element_to_json(a)
-            return ";".join(str(c) for c in j) if isinstance(j, list) else str(j)
-
+        spec = self.spec
         lines = ["x1,x2"]
-        lines.extend(f"{rep(x[0])},{rep(x[1])}" for x in self.points)
+        lines.extend(f"{_csv_rep(spec, x[0])},{_csv_rep(spec, x[1])}" for x in self.points)
         return "\n".join(lines) + "\n"
+
+
+def _csv_rep(spec: RingSpec, a) -> str:
+    """One CSV cell for an element: its JSON form, with Galois field
+    coefficients joined by ';'."""
+    j = spec.element_to_json(a)
+    return ";".join(str(c) for c in j) if isinstance(j, list) else str(j)
 
 
 def area_index_table(E: PointSet) -> list[list[int]]:
     """table[i][j] = canonical index of the area of (point i, point j)."""
     spec = E.spec
     pts = E.points
-    return [[spec.index(perp_dot(spec, x, y)) for y in pts] for x in pts]
+    return [[perp_dot(spec, x, y) for y in pts] for x in pts]
 
 
 def valuation_table(E: PointSet) -> list[list[int]]:
@@ -145,7 +149,7 @@ def key_badness(spec: RingSpec, key: bytes) -> int:
     m = spec.max_level
     for off in range(0, len(key), width):
         idx = int.from_bytes(key[off : off + width], "big")
-        v = spec.valuation(spec.element(idx))
+        v = spec.valuation(idx)
         if v < m:
             m = v
             if m == 0:
@@ -239,14 +243,10 @@ class NuHistogram:
         return sum(self.counts.values())
 
     def to_csv(self) -> str:
-        def rep(a):
-            j = self.spec.element_to_json(a)
-            return ";".join(str(c) for c in j) if isinstance(j, list) else str(j)
-
         lines = ["t,count"]
         for a in self.spec.elements():
             if a in self.counts:
-                lines.append(f"{rep(a)},{self.counts[a]}")
+                lines.append(f"{_csv_rep(self.spec, a)},{self.counts[a]}")
         return "\n".join(lines) + "\n"
 
 

@@ -22,7 +22,7 @@ from . import census as cn
 from . import constructions as cons
 from .configs import BothBad, NotEquivalent, apply_config, recover_g
 from .linalg import apply_mat, enumerate_sl2, identity, sl2_order
-from .rings import ModPrimePower, RingSpec, ring_from_json
+from .rings import ModPrimePower, RingSpec, checked_int, ring_from_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -54,6 +54,20 @@ def _frac_str(x) -> str:
     return str(Fraction(x))
 
 
+def _json_object(obj: dict, key: str, default: dict) -> dict:
+    value = obj.get(key, default)
+    if not isinstance(value, dict):
+        raise InvalidConfig(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _json_int(obj: dict, key: str, default: int) -> int:
+    try:
+        return checked_int(obj.get(key, default), key)
+    except ValueError as exc:
+        raise InvalidConfig(str(exc)) from exc
+
+
 @dataclass
 class ExperimentConfig:
     spec: RingSpec
@@ -72,18 +86,20 @@ class ExperimentConfig:
             spec = ring_from_json(obj["ring"])
         except (KeyError, ValueError, TypeError) as exc:
             raise InvalidConfig(f"bad ring spec: {exc}") from exc
-        construction = obj.get("construction", {"kind": "full-plane"})
-        k = int(obj.get("k", 1))
+        out = _json_object(obj, "output", {})
+        path = out.get("path")
+        if path is not None and not isinstance(path, str):
+            raise InvalidConfig(f"output path must be a string, got {path!r}")
         checks = obj.get("checks", [])
-        budget = int(obj.get("budget", cn.DEFAULT_BUDGET))
-        out = obj.get("output", {})
+        if not isinstance(checks, list):
+            raise InvalidConfig(f"checks must be a list, got {checks!r}")
         cfg = cls(
             spec=spec,
-            construction=construction,
-            k=k,
+            construction=_json_object(obj, "construction", {"kind": "full-plane"}),
+            k=_json_int(obj, "k", 1),
             checks=list(checks),
-            budget=budget,
-            output=out.get("path"),
+            budget=_json_int(obj, "budget", cn.DEFAULT_BUDGET),
+            output=path,
             fmt=out.get("format", "json"),
         )
         cfg.validate()
@@ -171,7 +187,7 @@ def _check_nu(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
     spec = cfg.spec
     counts = {
         json.dumps(spec.element_to_json(t)): str(c)
-        for t, c in sorted(hist.counts.items(), key=lambda kv: spec.index(kv[0]))
+        for t, c in sorted(hist.counts.items())
     }
     return {
         "check": "nu",

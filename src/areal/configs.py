@@ -45,7 +45,7 @@ class AreaSignature:
         size).  This is the census hash key; do not change it."""
         width = max(1, ((self.spec.size() - 1).bit_length() + 7) // 8)
         parts = [self.k.to_bytes(2, "big")]
-        parts.extend(self.spec.index(a).to_bytes(width, "big") for a in self.areas)
+        parts.extend(a.to_bytes(width, "big") for a in self.areas)
         return b"".join(parts)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .census import PointSet, full_plane_points
 from .linalg import Mat2
-from .rings import ModPrimePower, RingSpec, mod_prime_power
+from .rings import ModPrimePower, RingSpec, checked_int, mod_prime_power
 
 
 def circle(spec: RingSpec, r) -> PointSet:
@@ -94,9 +94,10 @@ class McgStream:
 def random_subset(spec: RingSpec, size: int, seed: int) -> PointSet:
     """Seed-deterministic uniform subset without replacement, chosen by
     a partial Fisher-Yates shuffle over the canonically ordered plane."""
+    plane_size = spec.size() ** 2
+    if not 0 <= size <= plane_size:
+        raise ValueError(f"random-subset size must be in [0, {plane_size}], got {size}")
     plane = list(full_plane_points(spec))
-    if size > len(plane):
-        raise ValueError(f"requested {size} points but the plane has {len(plane)}")
     rng = McgStream(seed)
     for i in range(size):
         j = i + rng.below(len(plane) - i)
@@ -116,10 +117,14 @@ def construction_from_json(spec: RingSpec, obj: dict) -> PointSet:
         return mod_sharpness_set(spec.p, spec.ell)
     if kind == "line-through-origin":
         d = obj["direction"]
+        if not isinstance(d, list) or len(d) != 2:
+            raise ValueError(f"direction must be a list of two elements, got {d!r}")
         direction = (spec.element_from_json(d[0]), spec.element_from_json(d[1]))
         return line_through_origin(spec, direction)
     if kind == "random-subset":
-        return random_subset(spec, int(obj["size"]), int(obj["seed"]))
+        return random_subset(
+            spec, checked_int(obj["size"], "size"), checked_int(obj["seed"], "seed")
+        )
     if kind == "full-plane":
         return full_plane(spec)
     raise ValueError(f"unknown construction kind: {kind!r}")

@@ -127,7 +127,3 @@ def enumerate_sl2(spec: RingSpec) -> Iterator[Mat2]:
                 for d in elems:
                     c = spec.mul(bi, spec.sub(spec.mul(a, d), one))
                     yield (a, b, c, d)
-
-
-def mat_to_json(spec: RingSpec, m: Mat2) -> list:
-    return [spec.element_to_json(x) for x in m]

@@ -2,20 +2,34 @@
 prime fields F_p, Galois fields F_{p^e}, and modular rings Z/p^l Z,
 always with p an odd prime.
 
-Element representations are canonical and carry no reference back to the
-ring: integer residues in [0, size) for F_p and Z/p^l Z, length-e
-coefficient tuples (constant term first, entries in [0, p)) for F_{p^e}.
-Two elements are equal iff their representations are equal, so elements
-can be used directly as dict keys during dense enumeration.  Every
-operation takes the ring as explicit context.
+Every element is a plain int, its canonical index in [0, size): the
+residue itself for F_p and Z/p^l Z, and for F_{p^e} the number
+sum c_i p^i whose base-p digits c_0, ..., c_{e-1} are the coefficients
+of the element's polynomial (constant term first).  So index() and
+element() are the identity, two elements are equal iff their ints are,
+and elements serve directly as dict keys and list indexes.  Every
+operation takes the ring as explicit context and raises TypeError for
+an operand that is not an element of it.
+
+F_p and Z/p^l Z compute residues modulo the cached size.  F_{p^e} reads
+add/sub/mul/neg/inv tables that are built on first use from the
+polynomial arithmetic (mul through a log/antilog table over a primitive
+element) and shared by every instance with the same (p, e, modulus).
+GF_MAX_ORDER caps the field size, so the q x q tables stay small.  JSON
+still spells F_{p^e} elements as coefficient lists.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator
+from functools import cache, cached_property
+from typing import Iterator, NamedTuple
+
+# Largest F_{p^e} with arithmetic tables: its three q x q tables hold
+# 8-byte references, at most 25 MB in all.
+GF_MAX_ORDER = 1024
 
 
 class RingError(Exception):
@@ -42,8 +56,16 @@ def _check_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
+def checked_int(value, what: str) -> int:
+    """value itself if it is a JSON integer (a bool is not one); raises
+    ValueError otherwise, with no coercion from strings or floats."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
-# Polynomials over F_p: ascending coefficient lists, used only to build and
+# Polynomials over F_p: ascending coefficient lists, used to build and
 # validate Galois field moduli.
 
 def _poly_trim(cs: list[int]) -> list[int]:
@@ -85,6 +107,15 @@ def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
     return True
 
 
+def _digits(n: int, p: int, e: int) -> tuple[int, ...]:
+    """The e base-p digits of n, least significant first."""
+    out = []
+    for _ in range(e):
+        n, c = divmod(n, p)
+        out.append(c)
+    return tuple(out)
+
+
 def find_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree e over F_p, where "smallest"
     orders the lower coefficient vectors (c_0,...,c_{e-1}) by the value
@@ -93,14 +124,23 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
     if e < 2:
         raise ValueError("find_irreducible requires degree e >= 2")
     for idx in range(p ** e):
-        lower, n = [], idx
-        for _ in range(e):
-            n, c = divmod(n, p)
-            lower.append(c)
-        poly = tuple(lower) + (1,)
+        poly = _digits(idx, p, e) + (1,)
         if is_irreducible(poly, p):
             return poly
     raise AssertionError("unreachable: an irreducible of every degree exists")
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -108,84 +148,28 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 class RingSpec:
     """Shared behavior; construct via prime_field / galois_field /
-    mod_prime_power or ring_from_json."""
+    mod_prime_power or ring_from_json.  Each family's __post_init__ sets
+    _q, the ring size."""
 
     family: str = ""
+    zero = 0
+    one = 1
+
+    # subclasses define: add, sub, mul, neg, is_unit, inv, valuation,
+    # max_level, to_json, element_to_json, element_from_json, label
 
     def size(self) -> int:
-        raise NotImplementedError
+        return self._q
 
-    # subclasses define: zero, one, add, sub, mul, neg, is_unit, inv,
-    # index, element, valuation, max_level, to_json, element_to_json,
-    # element_from_json, label
-
-    def elements(self) -> Iterator:
+    def elements(self) -> Iterator[int]:
         """All elements, ascending canonical order, each exactly once."""
-        return (self.element(i) for i in range(self.size()))
+        return iter(range(self._q))
 
-    def units(self) -> Iterator:
+    def units(self) -> Iterator[int]:
         return (a for a in self.elements() if self.is_unit(a))
 
     def unit_count(self) -> int:
         return sum(1 for _ in self.units())
-
-    def __repr__(self):
-        return self.label()
-
-
-@dataclass(frozen=True)
-class PrimeField(RingSpec):
-    p: int
-
-    family = "prime-field"
-
-    def __post_init__(self):
-        _check_odd_prime(self.p)
-
-    def size(self) -> int:
-        return self.p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    @property
-    def max_level(self) -> int:
-        return 1
-
-    def _chk(self, a):
-        if type(a) is not int or not 0 <= a < self.p:
-            raise TypeError(f"{a!r} is not an element of {self.label()}")
-
-    def add(self, a: int, b: int) -> int:
-        self._chk(a), self._chk(b)
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        self._chk(a), self._chk(b)
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        self._chk(a), self._chk(b)
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        self._chk(a)
-        return (-a) % self.p
-
-    def is_unit(self, a: int) -> bool:
-        self._chk(a)
-        return a != 0
-
-    def inv(self, a: int) -> int:
-        self._chk(a)
-        if a == 0:
-            raise NotInvertibleError(f"0 has no inverse in {self.label()}")
-        return pow(a, self.p - 2, self.p)
 
     def index(self, a: int) -> int:
         return a
@@ -193,9 +177,91 @@ class PrimeField(RingSpec):
     def element(self, i: int) -> int:
         return i
 
+    def _reject(self, *operands) -> TypeError:
+        """The error for the first operand that is not an element."""
+        q = self._q
+        bad = next(a for a in operands if type(a) is not int or not 0 <= a < q)
+        return TypeError(f"{bad!r} is not an element of {self.label()}")
+
+    def __repr__(self):
+        return self.label()
+
+
+class _Residues(RingSpec):
+    """Z/nZ arithmetic on residues in [0, n), with n = p^ell = _q."""
+
+    def add(self, a: int, b: int) -> int:
+        q = self._q
+        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
+            return (a + b) % q
+        raise self._reject(a, b)
+
+    def sub(self, a: int, b: int) -> int:
+        q = self._q
+        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
+            return (a - b) % q
+        raise self._reject(a, b)
+
+    def mul(self, a: int, b: int) -> int:
+        q = self._q
+        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
+            return (a * b) % q
+        raise self._reject(a, b)
+
+    def neg(self, a: int) -> int:
+        q = self._q
+        if type(a) is int and 0 <= a < q:
+            return -a % q
+        raise self._reject(a)
+
+    def is_unit(self, a: int) -> bool:
+        q = self._q
+        if type(a) is int and 0 <= a < q:
+            return a % self.p != 0
+        raise self._reject(a)
+
+    def inv(self, a: int) -> int:
+        q = self._q
+        if type(a) is not int or not 0 <= a < q:
+            raise self._reject(a)
+        if a % self.p == 0:
+            raise NotInvertibleError(f"{a} has no inverse in {self.label()}")
+        return pow(a, -1, q)
+
     def valuation(self, a: int) -> int:
-        """p-adic badness level: 0 for units, 1 (= max_level) for zero."""
-        return 0 if a != 0 else 1
+        """Largest m <= max_level with p^m | a (so valuation(0) = max_level)."""
+        return self._valuations[a]
+
+    @cached_property
+    def _valuations(self) -> list[int]:
+        vals = [0] * self._q
+        step = 1
+        for m in range(1, self.max_level + 1):
+            step *= self.p
+            for a in range(0, self._q, step):
+                vals[a] = m
+        return vals
+
+    def element_to_json(self, a: int) -> int:
+        return a
+
+    def element_from_json(self, obj) -> int:
+        a = checked_int(obj, "a ring element")
+        if not 0 <= a < self._q:
+            raise ValueError(f"{a} is not an element of {self.label()}")
+        return a
+
+
+@dataclass(frozen=True)
+class PrimeField(_Residues):
+    p: int
+
+    family = "prime-field"
+    max_level = 1
+
+    def __post_init__(self):
+        _check_odd_prime(self.p)
+        object.__setattr__(self, "_q", self.p)
 
     def label(self) -> str:
         return f"F_{self.p}"
@@ -203,13 +269,55 @@ class PrimeField(RingSpec):
     def to_json(self) -> dict:
         return {"family": self.family, "p": self.p}
 
-    def element_to_json(self, a: int) -> int:
-        return a
 
-    def element_from_json(self, obj) -> int:
-        a = int(obj)
-        self._chk(a)
-        return a
+@dataclass(frozen=True)
+class ModPrimePower(_Residues):
+    p: int
+    ell: int
+
+    family = "mod-prime-power"
+
+    def __post_init__(self):
+        _check_odd_prime(self.p)
+        if self.ell < 1:
+            raise ValueError("ell must be >= 1")
+        object.__setattr__(self, "_q", self.p ** self.ell)
+
+    @property
+    def max_level(self) -> int:
+        return self.ell
+
+    def label(self) -> str:
+        return f"Z/{self._q}Z"
+
+    def to_json(self) -> dict:
+        return {"family": self.family, "p": self.p, "ell": self.ell}
+
+
+def _galois_order(p: int, e: int) -> int:
+    """p^e for a valid F_{p^e}.  The size cap is checked before p is
+    tested for primality, so a huge p or e is refused at once."""
+    if e < 2:
+        raise ValueError("galois-field requires e >= 2; use prime_field for e = 1")
+    if p < 3:
+        raise ValueError(f"p must be an odd prime, got {p}")
+    q = 1
+    for _ in range(e):
+        q *= p
+        if q > GF_MAX_ORDER:
+            raise ValueError(
+                f"galois-field {p}^{e} has more than {GF_MAX_ORDER} elements"
+            )
+    _check_odd_prime(p)
+    return q
+
+
+class _GFTables(NamedTuple):
+    add: tuple[tuple[int, ...], ...]
+    sub: tuple[tuple[int, ...], ...]
+    mul: tuple[tuple[int, ...], ...]
+    neg: tuple[int, ...]
+    inv: tuple[int, ...]  # inv[0] is a placeholder; inv() refuses 0 first
 
 
 @dataclass(frozen=True)
@@ -219,31 +327,78 @@ class GaloisField(RingSpec):
     modulus: tuple[int, ...]  # ascending coefficients, length e+1, monic
 
     family = "galois-field"
+    max_level = 1
 
     def __post_init__(self):
-        _check_odd_prime(self.p)
-        if self.e < 2:
-            raise ValueError("galois-field requires e >= 2; use prime_field for e = 1")
+        q = _galois_order(self.p, self.e)
         m = self.modulus
-        if len(m) != self.e + 1 or m[-1] != 1 or any(not 0 <= c < self.p for c in m):
+        if (
+            len(m) != self.e + 1
+            or m[-1] != 1
+            or any(type(c) is not int or not 0 <= c < self.p for c in m)
+        ):
             raise ValueError(f"modulus must be monic of degree {self.e} over F_{self.p}")
         if not is_irreducible(m, self.p):
             raise ValueError(f"modulus {m} is reducible over F_{self.p}")
+        object.__setattr__(self, "_q", q)
 
-    def size(self) -> int:
-        return self.p ** self.e
+    # -- table-driven arithmetic on indexes --------------------------------
 
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.e
+    @cached_property
+    def _tables(self) -> _GFTables:
+        return _galois_tables(self)
 
-    @property
-    def one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.e - 1)
+    def add(self, a: int, b: int) -> int:
+        q = self._q
+        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
+            return self._tables.add[a][b]
+        raise self._reject(a, b)
 
-    @property
-    def max_level(self) -> int:
-        return 1
+    def sub(self, a: int, b: int) -> int:
+        q = self._q
+        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
+            return self._tables.sub[a][b]
+        raise self._reject(a, b)
+
+    def mul(self, a: int, b: int) -> int:
+        q = self._q
+        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
+            return self._tables.mul[a][b]
+        raise self._reject(a, b)
+
+    def neg(self, a: int) -> int:
+        q = self._q
+        if type(a) is int and 0 <= a < q:
+            return self._tables.neg[a]
+        raise self._reject(a)
+
+    def is_unit(self, a: int) -> bool:
+        q = self._q
+        if type(a) is int and 0 <= a < q:
+            return a != 0
+        raise self._reject(a)
+
+    def inv(self, a: int) -> int:
+        q = self._q
+        if type(a) is not int or not 0 <= a < q:
+            raise self._reject(a)
+        if a == 0:
+            raise NotInvertibleError(f"0 has no inverse in {self.label()}")
+        return self._tables.inv[a]
+
+    def valuation(self, a: int) -> int:
+        return 0 if a else 1
+
+    # -- polynomial reference: coefficient tuples, constant term first -----
+
+    def coeffs(self, a: int) -> tuple[int, ...]:
+        return _digits(a, self.p, self.e)
+
+    def from_coeffs(self, cs) -> int:
+        n = 0
+        for c in reversed(cs):
+            n = n * self.p + c
+        return n
 
     @cached_property
     def _reduction(self) -> list[tuple[int, ...]]:
@@ -262,28 +417,13 @@ class GaloisField(RingSpec):
             out.append(tuple(cur))
         return out
 
-    def _chk(self, a):
-        if (
-            type(a) is not tuple
-            or len(a) != self.e
-            or any(type(c) is not int or not 0 <= c < self.p for c in a)
-        ):
-            raise TypeError(f"{a!r} is not an element of {self.label()}")
-
-    def add(self, a, b):
-        self._chk(a), self._chk(b)
+    def poly_add(self, a: tuple, b: tuple) -> tuple[int, ...]:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        self._chk(a), self._chk(b)
+    def poly_sub(self, a: tuple, b: tuple) -> tuple[int, ...]:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
-    def neg(self, a):
-        self._chk(a)
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b):
-        self._chk(a), self._chk(b)
+    def poly_mul(self, a: tuple, b: tuple) -> tuple[int, ...]:
         p, e = self.p, self.e
         conv = [0] * (2 * e - 1)
         for i, x in enumerate(a):
@@ -300,44 +440,28 @@ class GaloisField(RingSpec):
                     out[i] += c * r[i]
         return tuple(c % p for c in out)
 
-    def is_unit(self, a) -> bool:
-        self._chk(a)
-        return any(a)
-
-    def _pow(self, a, n: int):
-        result, base = self.one, a
+    def poly_pow(self, a: tuple, n: int) -> tuple[int, ...]:
+        result, base = self.coeffs(1), a
         while n:
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self.poly_mul(result, base)
+            base = self.poly_mul(base, base)
             n >>= 1
         return result
 
-    def inv(self, a):
-        self._chk(a)
-        if not any(a):
-            raise NotInvertibleError(f"0 has no inverse in {self.label()}")
-        return self._pow(a, self.size() - 2)
-
-    def index(self, a) -> int:
-        self._chk(a)
-        n = 0
-        for c in reversed(a):
-            n = n * self.p + c
-        return n
-
-    def element(self, i: int):
-        coeffs, n = [], i
-        for _ in range(self.e):
-            n, c = divmod(n, self.p)
-            coeffs.append(c)
-        return tuple(coeffs)
-
-    def valuation(self, a) -> int:
-        return 0 if any(a) else 1
+    def _primitive_element(self) -> tuple[int, ...]:
+        """The smallest-index generator of the multiplicative group."""
+        n = self._q - 1
+        one = self.coeffs(1)
+        primes = _prime_factors(n)
+        for i in range(2, self._q):
+            g = self.coeffs(i)
+            if all(self.poly_pow(g, n // r) != one for r in primes):
+                return g
+        raise AssertionError("unreachable: the multiplicative group is cyclic")
 
     def label(self) -> str:
-        return f"F_{self.size()}"
+        return f"F_{self._q}"
 
     def to_json(self) -> dict:
         return {
@@ -347,101 +471,63 @@ class GaloisField(RingSpec):
             "modulus": list(self.modulus),
         }
 
-    def element_to_json(self, a) -> list[int]:
-        return list(a)
-
-    def element_from_json(self, obj):
-        a = tuple(int(c) for c in obj)
-        self._chk(a)
-        return a
-
-
-@dataclass(frozen=True)
-class ModPrimePower(RingSpec):
-    p: int
-    ell: int
-
-    family = "mod-prime-power"
-
-    def __post_init__(self):
-        _check_odd_prime(self.p)
-        if self.ell < 1:
-            raise ValueError("ell must be >= 1")
-
-    def size(self) -> int:
-        return self.p ** self.ell
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    @property
-    def max_level(self) -> int:
-        return self.ell
-
-    def _chk(self, a):
-        if type(a) is not int or not 0 <= a < self.size():
-            raise TypeError(f"{a!r} is not an element of {self.label()}")
-
-    def add(self, a, b):
-        self._chk(a), self._chk(b)
-        return (a + b) % self.size()
-
-    def sub(self, a, b):
-        self._chk(a), self._chk(b)
-        return (a - b) % self.size()
-
-    def mul(self, a, b):
-        self._chk(a), self._chk(b)
-        return (a * b) % self.size()
-
-    def neg(self, a):
-        self._chk(a)
-        return (-a) % self.size()
-
-    def is_unit(self, a) -> bool:
-        self._chk(a)
-        return a % self.p != 0
-
-    def inv(self, a):
-        self._chk(a)
-        if a % self.p == 0:
-            raise NotInvertibleError(f"{a} has no inverse in {self.label()}")
-        return pow(a, -1, self.size())
-
-    def index(self, a) -> int:
-        return a
-
-    def element(self, i: int) -> int:
-        return i
-
-    def valuation(self, a) -> int:
-        """Largest m <= ell with p^m | a (so valuation(0) = ell)."""
-        if a == 0:
-            return self.ell
-        v = 0
-        while a % self.p == 0:
-            a //= self.p
-            v += 1
-        return v
-
-    def label(self) -> str:
-        return f"Z/{self.size()}Z"
-
-    def to_json(self) -> dict:
-        return {"family": self.family, "p": self.p, "ell": self.ell}
-
-    def element_to_json(self, a) -> int:
-        return a
+    def element_to_json(self, a: int) -> list[int]:
+        return list(self.coeffs(a))
 
     def element_from_json(self, obj) -> int:
-        a = int(obj)
-        self._chk(a)
-        return a
+        """Exactly e coefficients, each an int (not a bool) in [0, p)."""
+        if (
+            not isinstance(obj, (list, tuple))
+            or len(obj) != self.e
+            or any(type(c) is not int or not 0 <= c < self.p for c in obj)
+        ):
+            raise ValueError(
+                f"{obj!r} is not a list of {self.e} coefficients in [0, {self.p})"
+            )
+        return self.from_coeffs(obj)
+
+
+@cache
+def _galois_tables(F: GaloisField) -> _GFTables:
+    """Every table of F from q - 1 polynomial multiplications: the powers
+    of a primitive element g give exp[i] = g^i and its inverse log, and
+    a*b = exp[log a + log b]; add and sub act digit by digit.  Cached by
+    field value (p, e, modulus), so equal specs share one set."""
+    p, e, q = F.p, F.e, F.size()
+    ints = list(range(q))  # share one int object per element
+    exp = []
+    power, g = F.coeffs(1), F._primitive_element()
+    for _ in range(q - 1):
+        exp.append(ints[F.from_coeffs(power)])
+        power = F.poly_mul(power, g)
+    log = [0] * q
+    for i, a in enumerate(exp):
+        log[a] = i
+    exp2 = exp + exp
+    nonzero_logs = log[1:]
+    mul = ((0,) * q,) + tuple(
+        (0,) + tuple(exp2[la + lb] for lb in nonzero_logs) for la in nonzero_logs
+    )
+    inv = (0,) + tuple(exp[-la % (q - 1)] for la in nonzero_logs)
+    add = _digitwise_table(p, e, operator.add, ints)
+    sub = _digitwise_table(p, e, operator.sub, ints)
+    return _GFTables(add=add, sub=sub, mul=mul, neg=sub[0], inv=inv)
+
+
+def _digitwise_table(p: int, e: int, op, ints: list[int]) -> tuple[tuple[int, ...], ...]:
+    """t[a][b] = the index whose base-p digits are op(a_i, b_i) mod p:
+    coefficient-wise addition or subtraction of F_{p^e} elements."""
+    digit = [[op(x, y) % p for y in range(p)] for x in range(p)]
+    rows, span = ((0,),), 1
+    for _ in range(e):
+        # indexes below span * p: one more (top) digit over the rows so far
+        rows = tuple(
+            tuple(ints[low[yl] + span * top[yt]] for yt in range(p) for yl in range(span))
+            for top in digit
+            for low in rows
+        )
+        span *= p
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +539,7 @@ def prime_field(p: int) -> PrimeField:
 
 def galois_field(p: int, e: int, modulus=None) -> GaloisField:
     if modulus is None:
+        _galois_order(p, e)  # refuse an oversized field before the modulus search
         modulus = find_irreducible(p, e)
     return GaloisField(p, e, tuple(modulus))
 
@@ -461,13 +548,15 @@ def mod_prime_power(p: int, ell: int) -> ModPrimePower:
     return ModPrimePower(p, ell)
 
 
-def ring_from_json(obj: dict) -> RingSpec:
+def ring_from_json(obj) -> RingSpec:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a ring must be a JSON object, got {obj!r}")
     family = obj.get("family")
     if family == "prime-field":
-        return prime_field(int(obj["p"]))
+        return prime_field(checked_int(obj["p"], "p"))
     if family == "galois-field":
         modulus = obj.get("modulus")
-        return galois_field(int(obj["p"]), int(obj["e"]), modulus)
+        return galois_field(checked_int(obj["p"], "p"), checked_int(obj["e"], "e"), modulus)
     if family == "mod-prime-power":
-        return mod_prime_power(int(obj["p"]), int(obj["ell"]))
+        return mod_prime_power(checked_int(obj["p"], "p"), checked_int(obj["ell"], "ell"))
     raise ValueError(f"unknown ring family: {family!r}")

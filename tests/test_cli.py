@@ -172,3 +172,72 @@ def test_run_experiment_flags_failing_check():
     report = run_experiment(cfg)
     assert report["ok"] == all(c["ok"] for c in report["checks"])
     assert [c["check"] for c in report["checks"]] == cfg.checks
+
+
+@pytest.mark.parametrize(
+    "patch", [{"output": "x"}, {"construction": "full-plane"}, {"ring": "F_3"}]
+)
+def test_run_rejects_non_object_sections(tmp_path, capsys, patch):
+    cfg = write_config(tmp_path, dict(F3_CENSUS, **patch))
+    assert main(["run", cfg]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "must be a JSON object" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "size", [-1, 10, True, 2.0, "4"], ids=["negative", "past-plane", "bool", "float", "string"]
+)
+def test_run_rejects_bad_random_subset_size(tmp_path, capsys, size):
+    obj = dict(F3_CENSUS, construction={"kind": "random-subset", "size": size, "seed": 1})
+    cfg = write_config(tmp_path, obj)
+    assert main(["run", cfg]) == EXIT_INVALID
+    assert "invalid config: bad construction" in capsys.readouterr().err
+
+
+def test_random_subset_size_bounds_are_inclusive(tmp_path, capsys):
+    for size in (0, 9):
+        obj = dict(F3_CENSUS, construction={"kind": "random-subset", "size": size, "seed": 1})
+        cfg = write_config(tmp_path, obj)
+        assert main(["run", cfg]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["set_size"] == str(size)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [{"k": True}, {"k": 1.0}, {"k": "2"}, {"budget": 1.5e3}, {"budget": True}, {"budget": "1000"}],
+    ids=["k-bool", "k-float", "k-string", "budget-float", "budget-bool", "budget-string"],
+)
+def test_run_rejects_non_integer_scalars(tmp_path, capsys, patch):
+    cfg = write_config(tmp_path, dict(F3_CENSUS, **patch))
+    assert main(["run", cfg]) == EXIT_INVALID
+    assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("direction", [[1], [1, 0, 0], 1, "10"])
+def test_run_rejects_malformed_direction(tmp_path, capsys, direction):
+    obj = dict(F3_CENSUS, construction={"kind": "line-through-origin", "direction": direction})
+    cfg = write_config(tmp_path, obj)
+    assert main(["run", cfg]) == EXIT_INVALID
+    assert "invalid config: bad construction" in capsys.readouterr().err
+
+
+def test_run_rejects_bool_galois_coefficient(tmp_path, capsys):
+    obj = {
+        "ring": {"family": "galois-field", "p": 3, "e": 2},
+        "construction": {"kind": "circle", "r": [1, True]},
+        "checks": ["census"],
+    }
+    cfg = write_config(tmp_path, obj)
+    assert main(["run", cfg]) == EXIT_INVALID
+    assert "invalid config: bad construction" in capsys.readouterr().err
+    obj["construction"]["r"] = [1, 1]
+    cfg = write_config(tmp_path, obj)
+    assert main(["run", cfg]) == EXIT_OK
+
+
+def test_run_rejects_oversized_galois_field(tmp_path, capsys):
+    obj = dict(F3_CENSUS, ring={"family": "galois-field", "p": 3, "e": 7})
+    cfg = write_config(tmp_path, obj)
+    assert main(["run", cfg]) == EXIT_INVALID
+    assert "more than 1024 elements" in capsys.readouterr().err

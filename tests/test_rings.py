@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from areal.rings import (
+    GF_MAX_ORDER,
     GaloisField,
     ModPrimePower,
     NotInvertibleError,
@@ -50,16 +51,16 @@ def test_unit_examples():
 
 def test_galois_mul_against_symbolic_reduction():
     # oracle: x * x = x^2 = -1 mod (x^2 + 1), i.e. 2 in characteristic 3
-    x = (0, 1)
-    assert F9.mul(x, x) == (2, 0)
+    x = F9.element_from_json([0, 1])
+    assert F9.element_to_json(F9.mul(x, x)) == [2, 0]
 
 
 def test_galois_inv_against_exhaustive_search():
-    x = (0, 1)
+    x = F9.element_from_json([0, 1])
     # oracle: scan all elements for the inverse
     inverses = [b for b in F9.elements() if F9.mul(x, b) == F9.one]
-    assert inverses == [(0, 2)]
-    assert F9.inv(x) == (0, 2)
+    assert [F9.element_to_json(b) for b in inverses] == [[0, 2]]
+    assert F9.element_to_json(F9.inv(x)) == [0, 2]
 
 
 def test_inv_of_nonunit_raises():
@@ -191,3 +192,49 @@ def test_valuations():
     assert Z27.valuation(9) == 2
     assert F3.valuation(0) == 1 and F3.valuation(2) == 0
     assert F9.valuation(F9.zero) == 1 and F9.valuation((0, 1)) == 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [galois_field(3, 2), galois_field(5, 2), galois_field(3, 3), galois_field(3, 4)],
+    ids=lambda s: s.label(),
+)
+def test_galois_tables_match_polynomial_reference(spec):
+    # the tables read by add/sub/mul/inv against polynomial arithmetic on
+    # coefficient tuples, on every pair and every unit
+    q = spec.size()
+    coeffs = [spec.coeffs(a) for a in range(q)]
+    assert [spec.from_coeffs(c) for c in coeffs] == list(range(q))
+    for a in range(q):
+        ca = coeffs[a]
+        for b in range(q):
+            cb = coeffs[b]
+            assert coeffs[spec.add(a, b)] == spec.poly_add(ca, cb)
+            assert coeffs[spec.sub(a, b)] == spec.poly_sub(ca, cb)
+            assert coeffs[spec.mul(a, b)] == spec.poly_mul(ca, cb)
+        assert coeffs[spec.neg(a)] == spec.poly_sub(coeffs[0], ca)
+        if a:
+            assert coeffs[spec.inv(a)] == spec.poly_pow(ca, q - 2)
+
+
+def test_galois_tables_are_lazy_and_shared():
+    spec = GaloisField(3, 3, (1, 2, 0, 1))
+    assert "_tables" not in vars(spec)
+    assert spec.mul(4, 5) == galois_field(3, 3).mul(4, 5)
+    assert GaloisField(3, 3, (1, 2, 0, 1))._tables is spec._tables
+
+
+def test_galois_field_size_cap():
+    assert galois_field(3, 6).size() == 729 <= GF_MAX_ORDER
+    for p, e in [(3, 7), (5, 5), (37, 2), (10 ** 40 + 1, 2), (3, 10 ** 12)]:
+        with pytest.raises(ValueError, match="more than 1024 elements"):
+            galois_field(p, e)
+    with pytest.raises(ValueError, match="more than 1024 elements"):
+        ring_from_json({"family": "galois-field", "p": 3, "e": 7})
+
+
+def test_galois_element_from_json_is_strict():
+    assert F9.element_from_json([1, 2]) == 7
+    for bad in ([1, True], [1], [1, 2, 0], [1, 3], [1, -1], [1, 1.0], ["1", 1], 4, "12"):
+        with pytest.raises(ValueError):
+            F9.element_from_json(bad)
