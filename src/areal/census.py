@@ -92,36 +92,19 @@ def area_index_table(E: PointSet) -> list[list[int]]:
     return [[perp_dot(spec, x, y) for y in pts] for x in pts]
 
 
-def valuation_table(E: PointSet) -> list[list[int]]:
-    spec = E.spec
-    pts = E.points
-    return [
-        [spec.valuation(perp_dot(spec, x, y)) for y in pts] for x in pts
-    ]
-
-
 def _key_width(spec: RingSpec) -> int:
     return max(1, ((spec.size() - 1).bit_length() + 7) // 8)
 
 
-def signature_counts(
-    E: PointSet, k: int, budget: int = DEFAULT_BUDGET, start: int = 0, stop=None
-) -> Counter:
+def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Counter:
     """Counter mapping signature keys (packed area indexes, i < j order)
-    to the number of tuples of E^{k+1} realizing them.
-
-    The tuple stream is ordered lexicographically by point index; start
-    and stop select a flat index range, so range partitions merge (by
-    counter addition) to exactly the serial result."""
+    to the number of tuples of E^{k+1} realizing them."""
     n = len(E)
-    total = n ** (k + 1)
-    if stop is None:
-        stop = total
-    _check_budget(stop - start, budget)
+    _check_budget(n ** (k + 1), budget)
     T = area_index_table(E)
     width = _key_width(E.spec)
     counts: Counter = Counter()
-    if k == 2 and start == 0 and stop == total and width == 1:
+    if k == 2 and width == 1:
         # hot path: census over triples dominates every verification run
         rng = range(n)
         for i in rng:
@@ -133,7 +116,7 @@ def signature_counts(
                     counts[bytes((a, Ti[l], Tj[l]))] += 1
         return counts
     pairs = pair_indices(k)
-    stream = itertools.islice(itertools.product(range(n), repeat=k + 1), start, stop)
+    stream = itertools.product(range(n), repeat=k + 1)
     if width == 1:
         for t in stream:
             counts[bytes(T[t[i]][t[j]] for i, j in pairs)] += 1
@@ -146,9 +129,10 @@ def signature_counts(
 def key_badness(spec: RingSpec, key: bytes) -> int:
     """Badness level of every tuple whose signature has this key."""
     width = _key_width(spec)
+    if width > 1:  # a width-1 key iterates as its area indexes already
+        key = [int.from_bytes(key[off : off + width], "big") for off in range(0, len(key), width)]
     m = spec.max_level
-    for off in range(0, len(key), width):
-        idx = int.from_bytes(key[off : off + width], "big")
+    for idx in key:
         v = spec.valuation(idx)
         if v < m:
             m = v
@@ -206,17 +190,9 @@ def count_classes(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> CensusRe
 
 
 def count_bad_tuples(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
-    """Tuple counts per badness level, via the precomputed valuation
-    table (fast route; see count_bad_tuples_naive for the oracle)."""
-    n = len(E)
-    _check_budget(n ** (k + 1), budget)
-    V = valuation_table(E)
-    pairs = pair_indices(k)
-    counts: dict[int, int] = {}
-    for t in itertools.product(range(n), repeat=k + 1):
-        m = min(V[t[i]][t[j]] for i, j in pairs)
-        counts[m] = counts.get(m, 0) + 1
-    return counts
+    """Tuple counts per badness level, read from the census (fast route;
+    see count_bad_tuples_naive for the oracle)."""
+    return dict(count_classes(E, k, budget).tuples_by_level)
 
 
 def count_bad_tuples_naive(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
@@ -391,19 +367,18 @@ class FlemmaReport:
         return self.cauchy_schwarz_ok and self.f_bound_ok
 
 
-def flemma_check(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> FlemmaReport:
+def flemma_check(census: CensusReport, profile: FProfile) -> FlemmaReport:
     """Both exact inequalities behind the class-count lower bound:
     |G|^2 <= (#good classes) * #{(x, y) in G x G : x ~ y}  and
     #{(x, y) in G x G : x ~ y} <= sum_g f(g)^{k+1},
-    where G is the set of good tuples of E^{k+1}."""
-    census = count_classes(E, k, budget)
+    where G is the set of good tuples of E^{k+1}, read from the census
+    of E at k and the f profile of E."""
     good_tuples = census.tuples_by_level.get(0, 0)
     good_classes = census.classes_by_level.get(0, 0)
     eq_pairs = sum(
         c * c for key, c in census.class_sizes.items() if census.class_levels[key] == 0
     )
-    prof = f_profile(E, budget)
-    f_power_sum = prof.sum_power(k + 1)
+    f_power_sum = profile.sum_power(census.k + 1)
     return FlemmaReport(
         good_tuples=good_tuples,
         good_classes=good_classes,
@@ -432,19 +407,21 @@ class MomentIdentityReport:
         )
 
 
-def moment_identity_check(E: PointSet, budget: int = DEFAULT_BUDGET) -> MomentIdentityReport:
+def moment_identity_check(
+    E: PointSet, profile: FProfile, budget: int = DEFAULT_BUDGET
+) -> MomentIdentityReport:
     """Exact identity sum_g f(g)^2 = sum over quadruples (x1,x2,y1,y2) of
-    #{g : gx1 = y1, gx2 = y2}, with the right side enumerated quadruple
-    by quadruple and decomposed into the part where (x1, x2) has unit
-    area (each such matched quadruple contributes exactly one g) and the
-    remaining non-unit-area part."""
+    #{g : gx1 = y1, gx2 = y2}, with the left side read from the f profile
+    of E and the right side enumerated quadruple by quadruple and
+    decomposed into the part where (x1, x2) has unit area (each such
+    matched quadruple contributes exactly one g) and the remaining
+    non-unit-area part."""
     spec = E.spec
     n = len(E)
     order = sl2_order(spec)
     _check_budget(max(n ** 4, order * n * n), budget)
     group = list(enumerate_sl2(spec))
-    prof = f_profile(E, budget)
-    lhs = prof.sum_power(2)
+    lhs = profile.sum_power(2)
     stabilizer_sum = 0
     matched_part = 0
     collinear_part = 0
@@ -510,16 +487,17 @@ class MBadReport:
         )
 
 
-def mbad_class_size_check(spec: ModPrimePower, k: int, budget: int = DEFAULT_BUDGET) -> MBadReport:
-    """Full-plane census over (Z/p^l Z)^2: good classes carry a free
-    SL_2 action (size exactly |SL_2|, count x order = tuple count), and
-    every m-bad class has at least p^{3l - 2m} members; per-m class
-    counts are compared against the shape p^{l(2k-1) + (2-k)m} with the
-    constant reported."""
+def mbad_class_size_check(census: CensusReport) -> MBadReport:
+    """From the census of the full plane over Z/p^l Z: good classes carry
+    a free SL_2 action (size exactly |SL_2|, count x order = tuple
+    count), and every m-bad class has at least p^{3l - 2m} members;
+    per-m class counts are compared against the shape
+    p^{l(2k-1) + (2-k)m} with the constant reported."""
+    spec, k = census.spec, census.k
     if not isinstance(spec, ModPrimePower):
         raise TypeError("m-badness analysis needs a mod-prime-power ring")
-    E = PointSet(spec, [(a, b) for a in spec.elements() for b in spec.elements()])
-    census = count_classes(E, k, budget)
+    if census.set_size != spec.size() ** 2:
+        raise ValueError("m-badness analysis needs the census of the full plane")
     order = sl2_order(spec)
     p, ell = spec.p, spec.ell
     good_classes = census.classes_by_level.get(0, 0)

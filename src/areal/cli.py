@@ -3,7 +3,7 @@ threshold sweeps (`areal sweep`), and the canonical verification matrix
 (`areal verify-all`).
 
 Reports carry every exact count as a decimal string and are byte
-identical across runs and thread counts.  Exit codes: 0 all checks pass,
+identical across runs.  Exit codes: 0 all checks pass,
 1 a check failed, 2 invalid configuration, 3 enumeration budget exceeded.
 """
 
@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import census as cn
@@ -43,15 +41,32 @@ CHECK_NAMES = (
     "sharpness",
 )
 
-DEFAULT_THREADS_ENV = "AREAL_THREADS"
-
-
 class InvalidConfig(Exception):
     pass
 
 
 def _frac_str(x) -> str:
     return str(Fraction(x))
+
+
+def _report_json(value):
+    """One spelling for result fields in reports: bools stay, ints become
+    decimal strings, Fractions go through _frac_str, lists recurse, and a
+    dataclass becomes one key per field except spec and k (which the
+    experiment reports)."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return _frac_str(value)
+    if isinstance(value, list):
+        return [_report_json(v) for v in value]
+    return {
+        f.name: _report_json(getattr(value, f.name))
+        for f in fields(value)
+        if f.name not in ("spec", "k")
+    }
 
 
 def _json_object(obj: dict, key: str, default: dict) -> dict:
@@ -133,11 +148,35 @@ class ExperimentConfig:
             raise InvalidConfig(f"bad construction: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# Individual checks.  Each returns a JSON-ready dict with an "ok" flag and
-# every exact quantity it computed (counts as decimal strings).
+class Memo:
+    """The counted quantities of one experiment, each computed at most
+    once: the census of every (point set, k) and the f profile of every
+    point set that a check asks for.  All point sets of an experiment
+    share its ring, so their points identify them."""
 
-def _check_lemma_4_2(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._censuses: dict = {}
+        self._profiles: dict = {}
+
+    def census(self, E: cn.PointSet, k: int) -> cn.CensusReport:
+        key = (E.points, k)
+        if key not in self._censuses:
+            self._censuses[key] = cn.count_classes(E, k, self.budget)
+        return self._censuses[key]
+
+    def profile(self, E: cn.PointSet) -> cn.FProfile:
+        if E.points not in self._profiles:
+            self._profiles[E.points] = cn.f_profile(E, self.budget)
+        return self._profiles[E.points]
+
+
+# ---------------------------------------------------------------------------
+# Individual checks.  Each takes the experiment's config, point set and
+# memo, and returns a JSON-ready dict with an "ok" flag and every exact
+# quantity it computed (counts as decimal strings).
+
+def _check_lemma_4_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     order = sl2_order(cfg.spec)
     cn._check_budget(order, cfg.budget)
     enumerated = sum(1 for _ in enumerate_sl2(cfg.spec))
@@ -149,7 +188,7 @@ def _check_lemma_4_2(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
     }
 
 
-def _check_lemma_4_1(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
+def _check_lemma_4_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     spec = cfg.spec
     orbit = cn.designated_orbit(spec)
     try:
@@ -169,20 +208,17 @@ def _check_lemma_4_1(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
     }
 
 
-def _check_census(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
-    report = cn.count_classes(E, cfg.k, cfg.budget)
+def _check_census(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+    report = memo.census(E, cfg.k)
     consistent = (
         sum(report.tuples_by_level.values()) == report.total_tuples
         and sum(report.classes_by_level.values()) == report.total_classes
         and all(c >= 1 for c in report.classes_by_level.values())
     )
-    out = report.to_json()
-    out["check"] = "census"
-    out["ok"] = consistent
-    return out
+    return {**report.to_json(), "check": "census", "ok": consistent}
 
 
-def _check_nu(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
+def _check_nu(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     hist = cn.nu_histogram(E, cfg.budget)
     spec = cfg.spec
     counts = {
@@ -198,9 +234,9 @@ def _check_nu(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
     }
 
 
-def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
+def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     spec = cfg.spec
-    prof = cn.f_profile(E, cfg.budget)
+    prof = memo.profile(E)
     ident = identity(spec)
     f_identity = next(
         v for g, v in zip(enumerate_sl2(spec), prof.values) if g == ident
@@ -227,7 +263,7 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
         out["order_times_size_sq"] = str(expected)
     n = len(E)
     if n ** 4 <= cfg.budget and sl2_order(spec) * n * n <= cfg.budget:
-        ident_report = cn.moment_identity_check(E, cfg.budget)
+        ident_report = cn.moment_identity_check(E, prof, cfg.budget)
         ok = ok and ident_report.ok
         out["moment_identity"] = {
             "f_square_sum": str(ident_report.f_square_sum),
@@ -240,7 +276,7 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
     return out
 
 
-def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
+def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     """Every pair of equivalent good tuples is related by exactly one
     group element, found both by full scan and by recover_g."""
     spec = cfg.spec
@@ -278,10 +314,10 @@ def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
     }
 
 
-def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
+def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     spec = cfg.spec
     k = cfg.k
-    fast = cn.count_bad_tuples(E, k, cfg.budget)
+    fast = memo.census(E, k).tuples_by_level
     oracle = cn.count_bad_tuples_naive(E, k, cfg.budget)
     bad_total = sum(c for m, c in fast.items() if m >= 1)
     if isinstance(spec, ModPrimePower):
@@ -315,22 +351,13 @@ def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
     }
 
 
-def _check_lemma_2_4(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
-    report = cn.flemma_check(E, cfg.k, cfg.budget)
-    return {
-        "check": "lemma-2.4",
-        "good_tuples": str(report.good_tuples),
-        "good_classes": str(report.good_classes),
-        "equivalent_good_pairs": str(report.equivalent_good_pairs),
-        "f_power_sum": str(report.f_power_sum),
-        "cauchy_schwarz_ok": report.cauchy_schwarz_ok,
-        "f_bound_ok": report.f_bound_ok,
-        "ok": report.ok,
-    }
+def _check_lemma_2_4(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+    report = cn.flemma_check(memo.census(E, cfg.k), memo.profile(E))
+    return {"check": "lemma-2.4", **_report_json(report), "ok": report.ok}
 
 
-def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
-    prof = cn.f_profile(E, cfg.budget)
+def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+    prof = memo.profile(E)
     result = cn.moment_lift_check(prof.values, cfg.k)
     return {
         "check": "lemma-3.1",
@@ -344,29 +371,10 @@ def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
     }
 
 
-def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
-    report = cn.mbad_class_size_check(cfg.spec, cfg.k, cfg.budget)
-    return {
-        "check": "theorem-6.1",
-        "good_classes": str(report.good_classes),
-        "good_tuples": str(report.good_tuples),
-        "group_order": str(report.group_order),
-        "good_free_action_ok": report.good_free_action_ok,
-        "levels": [
-            {
-                "m": str(lvl.m),
-                "class_count": str(lvl.class_count),
-                "tuple_count": str(lvl.tuple_count),
-                "min_class_size": str(lvl.min_class_size),
-                "size_bound": str(lvl.size_bound),
-                "count_shape": _frac_str(lvl.count_shape),
-                "count_constant": _frac_str(lvl.count_constant),
-                "size_ok": lvl.size_ok,
-            }
-            for lvl in report.levels
-        ],
-        "ok": report.ok,
-    }
+def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+    plane = cons.full_plane(cfg.spec)
+    report = cn.mbad_class_size_check(memo.census(plane, cfg.k))
+    return {"check": "theorem-6.1", **_report_json(report), "ok": report.ok}
 
 
 def min_rotation_orbit(E: cn.PointSet, k: int, rotations, budget: int) -> int:
@@ -382,11 +390,11 @@ def min_rotation_orbit(E: cn.PointSet, k: int, rotations, budget: int) -> int:
     return best or 0
 
 
-def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet) -> dict:
+def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     spec = cfg.spec
     kind = cfg.construction.get("kind")
     out: dict = {"check": "sharpness", "kind": kind, "set_size": str(len(E))}
-    report = cn.count_classes(E, cfg.k, cfg.budget)
+    report = memo.census(E, cfg.k)
     bad_tuples = sum(c for m, c in report.tuples_by_level.items() if m >= 1)
     out["total_tuples"] = str(report.total_tuples)
     out["bad_tuples"] = str(bad_tuples)
@@ -429,7 +437,8 @@ _CHECKS = {
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     E = cfg.point_set()
-    results = [_CHECKS[name](cfg, E) for name in cfg.checks]
+    memo = Memo(cfg.budget)
+    results = [_CHECKS[name](cfg, E, memo) for name in cfg.checks]
     return {
         "ring": cfg.spec.to_json(),
         "construction": cfg.construction,
@@ -499,16 +508,18 @@ def cmd_sweep(args) -> int:
     try:
         with open(args.config) as fh:
             obj = json.load(fh)
-        base = dict(obj["experiment"])
+        if not isinstance(obj, dict):
+            raise InvalidConfig("a sweep config must be a JSON object")
+        base = dict(_json_object(obj, "experiment", {}))
         base.setdefault("checks", ["census"])
-        variable = obj["variable"]
-        values = list(obj["values"])
-        seeds = list(obj.get("seeds", [0]))
+        variable = obj.get("variable")
+        values = obj.get("values")
+        seeds = obj.get("seeds", [0])
         if variable not in ("size", "k", "ell"):
             raise InvalidConfig(f"unknown sweep variable {variable!r}")
-        if not values or not seeds:
-            raise InvalidConfig("values and seeds must be nonempty")
-    except (OSError, json.JSONDecodeError, InvalidConfig, KeyError, ValueError) as exc:
+        if not (isinstance(values, list) and isinstance(seeds, list) and values and seeds):
+            raise InvalidConfig("values and seeds must be nonempty lists")
+    except (OSError, ValueError, InvalidConfig) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
@@ -518,18 +529,16 @@ def cmd_sweep(args) -> int:
         for value in values:
             for seed in seeds:
                 exp = json.loads(json.dumps(base))
+                default = {"kind": "random-subset" if variable == "size" else "full-plane"}
+                con = exp["construction"] = _json_object(exp, "construction", default)
                 if variable == "size":
-                    exp.setdefault("construction", {"kind": "random-subset"})
-                    exp["construction"]["size"] = value
-                    exp["construction"]["seed"] = seed
+                    con["size"] = value
                 elif variable == "k":
                     exp["k"] = value
-                    if exp.get("construction", {}).get("kind") == "random-subset":
-                        exp["construction"]["seed"] = seed
                 else:
-                    exp["ring"] = dict(exp["ring"], ell=value)
-                    if exp.get("construction", {}).get("kind") == "random-subset":
-                        exp["construction"]["seed"] = seed
+                    exp["ring"] = dict(_json_object(exp, "ring", {}), ell=value)
+                if con.get("kind") == "random-subset":
+                    con["seed"] = seed
                 cfg = ExperimentConfig.from_json(exp)
                 E = cfg.point_set()
                 classes = cn.count_classes(E, cfg.k, cfg.budget).total_classes
@@ -622,7 +631,6 @@ def canonical_matrix(budget: int) -> list[ExperimentConfig]:
 
 
 def cmd_verify_all(args) -> int:
-    threads = args.threads or int(os.environ.get(DEFAULT_THREADS_ENV, "1"))
     if args.budget <= 0:
         print(f"budget exceeded: no check fits in a budget of {args.budget}", file=sys.stderr)
         return EXIT_BUDGET
@@ -632,24 +640,16 @@ def cmd_verify_all(args) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_experiment, cfgs))
-        else:
-            results = [run_experiment(cfg) for cfg in cfgs]
+        results = [run_experiment(cfg) for cfg in cfgs]
     except cn.BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     report = {"experiments": results, "ok": all(r["ok"] for r in results)}
-    _emit(_report_text_verify(report), args.output)
+    _emit(_report_text(report, "json"), args.output)
     for cfg, res in zip(cfgs, results):
         label = f"{cfg.spec.label()} k={cfg.k} {cfg.construction['kind']} "
         _print_check_lines(res, label)
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
-
-
-def _report_text_verify(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def main(argv=None) -> int:
@@ -671,7 +671,6 @@ def main(argv=None) -> int:
 
     p_all = sub.add_parser("verify-all", help="run the canonical verification matrix")
     p_all.add_argument("--budget", type=int, default=cn.DEFAULT_BUDGET)
-    p_all.add_argument("--threads", type=int, default=None)
     p_all.add_argument("--output", default=None)
     p_all.set_defaults(func=cmd_verify_all)
 

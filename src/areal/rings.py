@@ -40,14 +40,34 @@ class NotInvertibleError(RingError):
     """Inversion was requested for an element with no inverse."""
 
 
+# Miller-Rabin over the first thirteen primes as bases decides every n
+# below PRIME_TEST_LIMIT exactly: the least strong pseudoprime to all of
+# them is that number (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin, O(log n) multiplications per base;
+    raises ValueError for n >= PRIME_TEST_LIMIT, where it is not exact."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"cannot test {n} for primality: it is not below {PRIME_TEST_LIMIT}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -230,7 +250,9 @@ class _Residues(RingSpec):
 
     def valuation(self, a: int) -> int:
         """Largest m <= max_level with p^m | a (so valuation(0) = max_level)."""
-        return self._valuations[a]
+        if type(a) is int and 0 <= a < self._q:
+            return self._valuations[a]
+        raise self._reject(a)
 
     @cached_property
     def _valuations(self) -> list[int]:
@@ -387,7 +409,7 @@ class GaloisField(RingSpec):
         return self._tables.inv[a]
 
     def valuation(self, a: int) -> int:
-        return 0 if a else 1
+        return 0 if self.is_unit(a) else 1
 
     # -- polynomial reference: coefficient tuples, constant term first -----
 

@@ -76,14 +76,6 @@ def test_budget_error_names_required_budget():
     assert "390625" in str(err.value)
 
 
-def test_census_partitions_merge_to_serial():
-    serial = signature_counts(PLANE3, 2)
-    merged = signature_counts(PLANE3, 2, start=0, stop=100)
-    for lo in range(100, 9 ** 3, 731):
-        merged += signature_counts(PLANE3, 2, start=lo, stop=min(lo + 731, 9 ** 3))
-    assert merged == serial
-
-
 def test_census_independent_of_point_order():
     pts = list(PLANE5.points)
     rng = random.Random(7)
@@ -105,10 +97,12 @@ def test_bad_tuple_counts_single_point():
 
 
 def test_bad_tuple_fast_matches_naive_on_random_subsets():
-    for seed in range(3):
-        E = random_subset(F5, 10, seed)
-        for k in (1, 2):
-            assert count_bad_tuples(E, k) == count_bad_tuples_naive(E, k)
+    # Z/343Z has two-byte census keys
+    for spec in (F5, mod_prime_power(7, 3)):
+        for seed in range(3):
+            E = random_subset(spec, 10, seed)
+            for k in (1, 2):
+                assert count_bad_tuples(E, k) == count_bad_tuples_naive(E, k)
 
 
 def test_bad_pair_bound_constant_small_fields():
@@ -213,9 +207,13 @@ def test_transitivity_detects_non_transitive_union():
     assert transitivity_constant(F3) * len(designated_orbit(F3)) == sl2_order(F3)
 
 
+def flemma(E, k):
+    return flemma_check(count_classes(E, k), f_profile(E))
+
+
 def test_flemma_full_plane_f3():
     for k in (1, 2):
-        report = flemma_check(PLANE3, k)
+        report = flemma(PLANE3, k)
         assert report.ok
         assert report.good_tuples ** 2 <= report.good_classes * report.equivalent_good_pairs
         assert report.equivalent_good_pairs <= report.f_power_sum
@@ -223,7 +221,7 @@ def test_flemma_full_plane_f3():
 
 def test_flemma_line_is_trivially_fine():
     E = line_through_origin(F3, (1, 0))
-    report = flemma_check(E, 2)
+    report = flemma(E, 2)
     assert report.good_tuples == 0
     assert report.ok
 
@@ -231,11 +229,11 @@ def test_flemma_line_is_trivially_fine():
 def test_flemma_random_subsets():
     for seed in range(3):
         E = random_subset(F5, 10, seed)
-        assert flemma_check(E, 2).ok
+        assert flemma(E, 2).ok
 
 
 def test_moment_identity_full_plane_f3():
-    report = moment_identity_check(PLANE3)
+    report = moment_identity_check(PLANE3, f_profile(PLANE3))
     assert report.f_square_sum == report.stabilizer_sum == 24 * 81  # f is constant 9
     assert report.unique_on_good
     assert report.matched_part == report.matched_quadruples
@@ -245,12 +243,13 @@ def test_moment_identity_full_plane_f3():
 
 def test_moment_identity_two_point_set():
     E = PointSet(F3, [(1, 0), (0, 1)])
-    report = moment_identity_check(E)
+    report = moment_identity_check(E, f_profile(E))
     assert report.ok
 
 
 def test_moment_identity_empty_set():
-    report = moment_identity_check(PointSet(F3, []))
+    E = PointSet(F3, [])
+    report = moment_identity_check(E, f_profile(E))
     assert report.f_square_sum == 0 and report.stabilizer_sum == 0
     assert report.ok
 
@@ -267,7 +266,7 @@ def test_nu_second_moment_equals_k1_equivalent_pairs():
 
 def test_mbad_class_sizes_z9():
     for k in (1, 2):
-        report = mbad_class_size_check(Z9, k)
+        report = mbad_class_size_check(count_classes(full_plane(Z9), k))
         assert report.good_free_action_ok
         assert report.good_classes * 648 == report.good_tuples
         for lvl in report.levels:
@@ -278,7 +277,12 @@ def test_mbad_class_sizes_z9():
 
 def test_mbad_requires_mod_prime_power():
     with pytest.raises(TypeError):
-        mbad_class_size_check(F3, 2)
+        mbad_class_size_check(count_classes(PLANE3, 2))
+
+
+def test_mbad_requires_full_plane_census():
+    with pytest.raises(ValueError):
+        mbad_class_size_check(count_classes(random_subset(Z9, 80, 1), 1))
 
 
 def test_good_class_members_f3_k1():

@@ -241,3 +241,71 @@ def test_run_rejects_oversized_galois_field(tmp_path, capsys):
     cfg = write_config(tmp_path, obj)
     assert main(["run", cfg]) == EXIT_INVALID
     assert "more than 1024 elements" in capsys.readouterr().err
+
+
+SWEEP_EXPERIMENT = {"ring": {"family": "prime-field", "p": 3}, "k": 1, "checks": ["census"]}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [1],
+        {"experiment": 5, "variable": "k", "values": [1]},
+        {"experiment": SWEEP_EXPERIMENT, "variable": "k", "values": 3},
+        {"experiment": SWEEP_EXPERIMENT, "variable": "k", "values": [1], "seeds": 0},
+        {"experiment": dict(SWEEP_EXPERIMENT, ring=7), "variable": "ell", "values": [1]},
+        {"experiment": dict(SWEEP_EXPERIMENT, construction=5), "variable": "size", "values": [2]},
+    ],
+    ids=["list", "experiment-int", "values-int", "seeds-int", "ring-int", "construction-int"],
+)
+def test_sweep_rejects_malformed_configs(tmp_path, capsys, obj):
+    cfg = write_config(tmp_path, obj)
+    assert main(["sweep", cfg]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("invalid config:")
+
+
+def test_run_rejects_prime_past_exact_test(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(F3_CENSUS, ring={"family": "prime-field", "p": 10 ** 25}))
+    assert main(["run", cfg]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "primality" in err
+
+
+@pytest.mark.parametrize(
+    "ring, k, checks, expected",
+    [
+        (
+            {"family": "prime-field", "p": 3},
+            1,
+            ["lemma-4.1", "f-moments", "lemma-3.1", "lemma-2.2", "lemma-2.3", "lemma-2.4"],
+            {"count_classes": 1, "f_profile": 1, "count_bad_tuples": 0},
+        ),
+        (
+            {"family": "mod-prime-power", "p": 3, "ell": 2},
+            2,
+            ["census", "lemma-2.3", "theorem-6.1"],
+            {"count_classes": 1, "f_profile": 0, "count_bad_tuples": 0},
+        ),
+    ],
+    ids=["F3-k1", "Z9-k2"],
+)
+def test_run_experiment_computes_each_quantity_once(monkeypatch, ring, k, checks, expected):
+    from areal import census as cn
+
+    calls = dict.fromkeys(expected, 0)
+    for name in expected:
+        def counted(*args, _name=name, _fn=getattr(cn, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cn, name, counted)
+    cfg = ExperimentConfig.from_json(
+        {"ring": ring, "k": k, "construction": {"kind": "full-plane"}, "checks": checks}
+    )
+    report = run_experiment(cfg)
+    assert report["ok"] is True
+    assert calls == expected

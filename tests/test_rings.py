@@ -1,16 +1,20 @@
 import itertools
+import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from areal.rings import (
     GF_MAX_ORDER,
+    PRIME_TEST_LIMIT,
     GaloisField,
     ModPrimePower,
     NotInvertibleError,
     find_irreducible,
     galois_field,
     is_irreducible,
+    is_prime,
     mod_prime_power,
     prime_field,
     ring_from_json,
@@ -191,7 +195,35 @@ def test_valuations():
     assert Z9.valuation(2) == 0
     assert Z27.valuation(9) == 2
     assert F3.valuation(0) == 1 and F3.valuation(2) == 0
-    assert F9.valuation(F9.zero) == 1 and F9.valuation((0, 1)) == 0
+    assert F9.valuation(F9.zero) == 1 and F9.valuation(F9.element_from_json([0, 1])) == 0
+    for spec, bad in ((F9, (0, 1)), (F9, "x"), (Z27, -27)):
+        with pytest.raises(TypeError):
+            spec.valuation(bad)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _is_prime_by_trial_division(n) for n in range(10 ** 5))
+
+
+def test_large_prime_field_is_built_at_once():
+    start = time.perf_counter()
+    spec = ring_from_json({"family": "prime-field", "p": 10 ** 18 + 9})
+    assert time.perf_counter() - start < 0.1
+    assert spec.size() == 10 ** 18 + 9
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    assert is_prime(PRIME_TEST_LIMIT - 1) is False
+    # the least strong pseudoprime to every prime base up to 37
+    assert is_prime(318_665_857_834_031_151_167_461) is False
+    with pytest.raises(ValueError):
+        is_prime(PRIME_TEST_LIMIT)
+    with pytest.raises(ValueError):
+        prime_field(10 ** 25)
 
 
 @pytest.mark.parametrize(
