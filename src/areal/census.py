@@ -24,9 +24,11 @@ DEFAULT_BUDGET = 10 ** 9
 
 class BudgetExceeded(Exception):
     def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"enumeration needs {required} tuple visits but the budget is {budget}"
-        )
+        try:
+            needed = str(required)
+        except ValueError:  # past the interpreter's limit on decimal digits
+            needed = f"over 2^{required.bit_length() - 1}"
+        super().__init__(f"enumeration needs {needed} tuple visits but the budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -97,32 +99,30 @@ def _key_width(spec: RingSpec) -> int:
 
 
 def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Counter:
-    """Counter mapping signature keys (packed area indexes, i < j order)
-    to the number of tuples of E^{k+1} realizing them."""
+    """Counter mapping census keys to the number of tuples of E^{k+1}
+    realizing them.
+
+    A key packs the area index of every pair (i, j), i < j, in column
+    order (by j, then by i), each in _key_width bytes big-endian.  The
+    key of (t_0 .. t_k) is then the key of its prefix (t_0 .. t_{k-1})
+    followed by the column T[t_0][t_k] .. T[t_{k-1}][t_k], so the loop
+    runs over the n^k prefixes and the n keys of each are joined in C."""
     n = len(E)
     _check_budget(n ** (k + 1), budget)
     T = area_index_table(E)
     width = _key_width(E.spec)
+    # rows become bytes cells in place, one shared object per distinct
+    # area, so the byte table takes no more memory than the int table
+    cell = {a: a.to_bytes(width, "big") for a in set(itertools.chain.from_iterable(T))}
+    for row in T:
+        row[:] = map(cell.__getitem__, row)
+    prefix_pairs = [(i, j) for j in range(k) for i in range(j)]
     counts: Counter = Counter()
-    if k == 2 and width == 1:
-        # hot path: census over triples dominates every verification run
-        rng = range(n)
-        for i in rng:
-            Ti = T[i]
-            for j in rng:
-                a = Ti[j]
-                Tj = T[j]
-                for l in rng:
-                    counts[bytes((a, Ti[l], Tj[l]))] += 1
-        return counts
-    pairs = pair_indices(k)
-    stream = itertools.product(range(n), repeat=k + 1)
-    if width == 1:
-        for t in stream:
-            counts[bytes(T[t[i]][t[j]] for i, j in pairs)] += 1
-    else:
-        for t in stream:
-            counts[b"".join(T[t[i]][t[j]].to_bytes(width, "big") for i, j in pairs)] += 1
+    update, repeat = counts.update, itertools.repeat
+    for t in itertools.product(range(n), repeat=k):
+        rows = [T[i] for i in t]
+        prefix = b"".join([rows[i][t[j]] for i, j in prefix_pairs])
+        update(map(b"".join, zip(repeat(prefix, n), *rows)))
     return counts
 
 

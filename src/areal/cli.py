@@ -13,7 +13,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from . import census as cn
@@ -142,6 +142,9 @@ class ExperimentConfig:
             raise InvalidConfig("sharpness requires a circle or mod-sharpness construction")
 
     def point_set(self) -> cn.PointSet:
+        """The construction's points.  A construction scans up to the
+        q^2 points of the plane, so q^2 is budgeted before it runs."""
+        cn._check_budget(self.spec.size() ** 2, self.budget)
         try:
             return cons.construction_from_json(self.spec, self.construction)
         except (KeyError, ValueError, TypeError) as exc:
@@ -543,8 +546,10 @@ def cmd_sweep(args) -> int:
                 E = cfg.point_set()
                 classes = cn.count_classes(E, cfg.k, cfg.budget).total_classes
                 cache_key = (cfg.spec, cfg.k)
+                if len(E) == cfg.spec.size() ** 2:  # E is the plane
+                    plane_cache[cache_key] = classes
                 if cache_key not in plane_cache:
-                    plane = cons.full_plane(cfg.spec)
+                    plane = replace(cfg, construction=FULL).point_set()
                     plane_cache[cache_key] = cn.count_classes(
                         plane, cfg.k, cfg.budget
                     ).total_classes

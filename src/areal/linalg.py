@@ -42,10 +42,6 @@ def det(spec: RingSpec, m: Mat2):
     return spec.sub(spec.mul(a, d), spec.mul(b, c))
 
 
-def mat_add(spec: RingSpec, m: Mat2, n: Mat2) -> Mat2:
-    return tuple(spec.add(x, y) for x, y in zip(m, n))
-
-
 def mat_mul(spec: RingSpec, m: Mat2, n: Mat2) -> Mat2:
     a, b, c, d = m
     e, f, g, h = n
@@ -78,20 +74,6 @@ def inverse(spec: RingSpec, m: Mat2) -> Mat2:
     di = spec.inv(dm)
     adj = adjugate(spec, m)
     return tuple(spec.mul(di, x) for x in adj)
-
-
-def det_bilinear(spec: RingSpec, m: Mat2, n: Mat2):
-    """The bilinear form B with det(M + N) = det(M) + det(N) + B(M, N);
-    explicitly B = a_m d_n + a_n d_m - b_m c_n - b_n c_m."""
-    a1, b1, c1, d1 = m
-    a2, b2, c2, d2 = n
-    pos = spec.add(spec.mul(a1, d2), spec.mul(a2, d1))
-    neg = spec.add(spec.mul(b1, c2), spec.mul(b2, c1))
-    return spec.sub(pos, neg)
-
-
-def is_sl2(spec: RingSpec, m: Mat2) -> bool:
-    return det(spec, m) == spec.one
 
 
 def sl2_order(spec: RingSpec) -> int:

@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from areal import census
 from areal.census import (
     BudgetExceeded,
     NotTransitive,
@@ -23,9 +25,10 @@ from areal.census import (
     signature_counts,
     transitivity_constant,
 )
+from areal.configs import signature
 from areal.constructions import full_plane, line_through_origin, random_subset
 from areal.linalg import sl2_order
-from areal.rings import mod_prime_power, prime_field
+from areal.rings import galois_field, mod_prime_power, prime_field
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -74,6 +77,52 @@ def test_budget_error_names_required_budget():
         count_classes(PLANE5, 3, budget=10)
     assert err.value.required == 25 ** 4
     assert "390625" in str(err.value)
+
+
+def _signature_oracle(E, k):
+    """Class sizes and per-level tuple and class counts of E^{k+1},
+    grouped by configs.signature, with no area table and no census keys."""
+    spec = E.spec
+    classes = Counter(signature(spec, t).areas for t in itertools.product(E.points, repeat=k + 1))
+    tuples_by_level, classes_by_level = Counter(), Counter()
+    for areas, size in classes.items():
+        m = min([spec.max_level] + [spec.valuation(a) for a in areas])
+        tuples_by_level[m] += size
+        classes_by_level[m] += 1
+    return sorted(classes.values()), dict(tuples_by_level), dict(classes_by_level)
+
+
+@pytest.mark.parametrize(
+    "E, k",
+    [
+        (PLANE3, 1),
+        (PLANE3, 2),
+        (PLANE3, 3),
+        (random_subset(galois_field(3, 2), 9, 4), 1),
+        (random_subset(galois_field(3, 2), 9, 4), 2),
+        (random_subset(galois_field(3, 2), 9, 4), 3),
+        (full_plane(Z9), 1),
+        (full_plane(Z9), 2),
+        (random_subset(mod_prime_power(7, 3), 14, 2), 2),  # two-byte keys
+    ],
+    ids=["F3-k1", "F3-k2", "F3-k3", "F9s-k1", "F9s-k2", "F9s-k3", "Z9-k1", "Z9-k2", "Z343s-k2"],
+)
+def test_count_classes_matches_signature_oracle(E, k):
+    report = count_classes(E, k)
+    sizes, tuples_by_level, classes_by_level = _signature_oracle(E, k)
+    assert sorted(report.class_sizes.values()) == sizes
+    assert report.tuples_by_level == tuples_by_level
+    assert report.classes_by_level == classes_by_level
+    assert report.total_classes == len(sizes)
+
+
+def test_budget_is_checked_before_the_area_table(monkeypatch):
+    def no_table(E):
+        raise AssertionError("area table built before the budget check")
+
+    monkeypatch.setattr(census, "area_index_table", no_table)
+    with pytest.raises(BudgetExceeded):
+        count_classes(PLANE5, 3, budget=10)
 
 
 def test_census_independent_of_point_order():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -309,3 +310,50 @@ def test_run_experiment_computes_each_quantity_once(monkeypatch, ring, k, checks
     report = run_experiment(cfg)
     assert report["ok"] is True
     assert calls == expected
+
+
+def test_sweep_reuses_the_census_of_a_full_plane_set(tmp_path, capsys, monkeypatch):
+    from areal import census as cn
+
+    calls = []
+    count_classes = cn.count_classes
+
+    def counted(E, k, budget=cn.DEFAULT_BUDGET):
+        calls.append((len(E), k))
+        return count_classes(E, k, budget)
+
+    monkeypatch.setattr(cn, "count_classes", counted)
+    obj = {"experiment": SWEEP_EXPERIMENT, "variable": "k", "values": [1, 2]}
+    assert main(["sweep", write_config(tmp_path, obj)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "variable,value,seed,set_size,classes,plane_classes,proportion\n"
+        "k,1,0,9,3,3,1.0\n"
+        "k,2,0,9,27,27,1.0\n"
+    )
+    assert calls == [(9, 1), (9, 2)]
+
+
+HUGE_RING = {"family": "mod-prime-power", "p": 3, "ell": 10000}
+
+
+@pytest.mark.parametrize(
+    "construction",
+    [{"kind": "full-plane"}, {"kind": "random-subset", "size": 3, "seed": 1}],
+    ids=["full-plane", "random-subset"],
+)
+def test_run_budgets_the_plane_before_enumerating_it(tmp_path, capsys, monkeypatch, construction):
+    from areal.rings import RingSpec
+
+    def no_scan(self):
+        raise AssertionError("the plane was enumerated before the budget check")
+
+    monkeypatch.setattr(RingSpec, "elements", no_scan)
+    obj = {"ring": HUGE_RING, "construction": construction, "checks": ["census"]}
+    start = time.monotonic()
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
+    assert time.monotonic() - start < 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("budget exceeded:")
+

@@ -8,12 +8,9 @@ from areal.linalg import (
     apply_mat,
     col_matrix,
     det,
-    det_bilinear,
     enumerate_sl2,
     identity,
     inverse,
-    is_sl2,
-    mat_add,
     mat_mul,
     perp_dot,
     sl2_order,
@@ -27,6 +24,24 @@ Z9 = mod_prime_power(3, 2)
 
 def all_mats(spec):
     return list(itertools.product(spec.elements(), repeat=4))
+
+
+def mat_add(spec, m, n):
+    return tuple(spec.add(x, y) for x, y in zip(m, n))
+
+
+def det_bilinear(spec, m, n):
+    """The bilinear form B with det(M + N) = det(M) + det(N) + B(M, N);
+    explicitly B = a_m d_n + a_n d_m - b_m c_n - b_n c_m."""
+    a1, b1, c1, d1 = m
+    a2, b2, c2, d2 = n
+    pos = spec.add(spec.mul(a1, d2), spec.mul(a2, d1))
+    neg = spec.add(spec.mul(b1, c2), spec.mul(b2, c1))
+    return spec.sub(pos, neg)
+
+
+def is_sl2(spec, m):
+    return det(spec, m) == spec.one
 
 
 def all_vecs(spec):
