@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .configs import pair_indices
-from .linalg import Vec2, apply_mat, enumerate_sl2, perp_dot, sl2_order
+from .linalg import Vec2, enumerate_sl2, sl2_order
 from .rings import ModPrimePower, RingSpec
 
 DEFAULT_BUDGET = 10 ** 9
@@ -89,9 +89,9 @@ def _csv_rep(spec: RingSpec, a) -> str:
 
 def area_index_table(E: PointSet) -> list[list[int]]:
     """table[i][j] = canonical index of the area of (point i, point j)."""
-    spec = E.spec
+    perp = E.spec.perp_dot
     pts = E.points
-    return [[perp_dot(spec, x, y) for y in pts] for x in pts]
+    return [[perp(x, y) for y in pts] for x in pts]
 
 
 def _key_width(spec: RingSpec) -> int:
@@ -127,7 +127,8 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Count
 
 
 def key_badness(spec: RingSpec, key: bytes) -> int:
-    """Badness level of every tuple whose signature has this key."""
+    """Badness level of every tuple whose signature has this key, decoded
+    area by area (the reference for key_levels)."""
     width = _key_width(spec)
     if width > 1:  # a width-1 key iterates as its area indexes already
         key = [int.from_bytes(key[off : off + width], "big") for off in range(0, len(key), width)]
@@ -139,6 +140,16 @@ def key_badness(spec: RingSpec, key: bytes) -> int:
             if m == 0:
                 return 0
     return m
+
+
+def key_levels(spec: RingSpec, keys) -> dict[bytes, int]:
+    """The badness level of each census key.  A width-1 key's level is
+    the least byte of key.translate(vt), where vt maps each area index to
+    its valuation; wider keys go through key_badness."""
+    if _key_width(spec) > 1:
+        return {key: key_badness(spec, key) for key in keys}
+    vt = bytes(map(spec.valuation, spec.elements())).ljust(256, b"\0")
+    return {key: min(key.translate(vt)) for key in keys}
 
 
 @dataclass
@@ -169,7 +180,7 @@ def count_classes(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> CensusRe
     """Exact census of distinct area signatures over E^{k+1}, split by
     badness level (a class invariant)."""
     counts = signature_counts(E, k, budget)
-    levels = {key: key_badness(E.spec, key) for key in counts}
+    levels = key_levels(E.spec, counts)
     tuples_by_level: dict[int, int] = {}
     classes_by_level: dict[int, int] = {}
     for key, c in counts.items():
@@ -184,7 +195,7 @@ def count_classes(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> CensusRe
         tuples_by_level=tuples_by_level,
         classes_by_level=classes_by_level,
         total_classes=len(counts),
-        class_sizes=dict(counts),
+        class_sizes=counts,
         class_levels=levels,
     )
 
@@ -202,10 +213,11 @@ def count_bad_tuples_naive(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) ->
     n = len(E)
     _check_budget(n ** (k + 1), budget)
     pairs = pair_indices(k)
+    perp, valuation, top = spec.perp_dot, spec.valuation, spec.max_level
     counts: dict[int, int] = {}
     for t in itertools.product(E.points, repeat=k + 1):
-        m = min(spec.valuation(perp_dot(spec, t[i], t[j])) for i, j in pairs)
-        m = min(m, spec.max_level)
+        m = min([valuation(perp(t[i], t[j])) for i, j in pairs])
+        m = min(m, top)
         counts[m] = counts.get(m, 0) + 1
     return counts
 
@@ -230,10 +242,11 @@ def nu_histogram(E: PointSet, budget: int = DEFAULT_BUDGET) -> NuHistogram:
     """nu(t) = #{(x, y) in E x E : x . y^perp = t}; sums to |E|^2."""
     spec = E.spec
     _check_budget(len(E) ** 2, budget)
+    perp = spec.perp_dot
     counts: dict = {}
     for x in E.points:
         for y in E.points:
-            t = perp_dot(spec, x, y)
+            t = perp(x, y)
             counts[t] = counts.get(t, 0) + 1
     return NuHistogram(spec, counts)
 
@@ -260,10 +273,10 @@ def f_profile(E: PointSet, budget: int = DEFAULT_BUDGET) -> FProfile:
     spec = E.spec
     order = sl2_order(spec)
     _check_budget(order * max(1, len(E)), budget)
-    members = E.members
+    members, points, apply = E.members, E.points, spec.apply_mat
     values = []
     for g in enumerate_sl2(spec):
-        values.append(sum(1 for x in E.points if apply_mat(spec, g, x) in members))
+        values.append(sum(1 for x in points if apply(g, x) in members))
     sum_f = sum(values)
     mean = Fraction(sum_f, order)
     excess = sum(v * v for v in values) - mean * mean * order
@@ -340,9 +353,10 @@ def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     index = {x: i for i, x in enumerate(X)}
     nx = len(X)
     phi = [0] * (nx * nx)
+    apply = spec.apply_mat
     for g in enumerate_sl2(spec):
         for x in X:
-            y = apply_mat(spec, g, x)
+            y = apply(g, x)
             phi[index[x] * nx + index[y]] += 1
     expected, rem = divmod(order, nx)
     if rem != 0:
@@ -422,6 +436,7 @@ def moment_identity_check(
     _check_budget(max(n ** 4, order * n * n), budget)
     group = list(enumerate_sl2(spec))
     lhs = profile.sum_power(2)
+    perp, apply = spec.perp_dot, spec.apply_mat
     stabilizer_sum = 0
     matched_part = 0
     collinear_part = 0
@@ -429,16 +444,16 @@ def moment_identity_check(
     unique_on_good = True
     for x1 in E.points:
         for y1 in E.points:
-            movers = [g for g in group if apply_mat(spec, g, x1) == y1]
+            movers = [g for g in group if apply(g, x1) == y1]
             for x2 in E.points:
-                t = perp_dot(spec, x1, x2)
+                t = perp(x1, x2)
                 good_pair = spec.is_unit(t)
                 for y2 in E.points:
-                    c = sum(1 for g in movers if apply_mat(spec, g, x2) == y2)
+                    c = sum(1 for g in movers if apply(g, x2) == y2)
                     stabilizer_sum += c
                     if good_pair:
                         matched_part += c
-                        if perp_dot(spec, y1, y2) == t:
+                        if perp(y1, y2) == t:
                             matched_quads += 1
                             if c != 1:
                                 unique_on_good = False

@@ -275,13 +275,18 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
             "collinear_part": str(ident_report.collinear_part),
             "unique_on_good": ident_report.unique_on_good,
         }
+    else:
+        out["moment_identity"] = "skipped: budget"
     out["ok"] = ok
     return out
 
 
 def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     """Every pair of equivalent good tuples is related by exactly one
-    group element, found both by full scan and by recover_g."""
+    group element, found both by full scan and by recover_g.  The scan
+    applies the whole group to each good tuple xs once and files every
+    g under its image, so the matches for (xs, ys) are images[ys], in
+    group order."""
     spec = cfg.spec
     classes = cn.good_class_members(E, cfg.k, cfg.budget)
     order = sl2_order(spec)
@@ -292,10 +297,11 @@ def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     ok = True
     for members in classes.values():
         for xs in members:
+            images: dict = {}
+            for g in group:
+                images.setdefault(apply_config(spec, g, xs), []).append(g)
             for ys in members:
-                matches = [
-                    g for g in group if apply_config(spec, g, xs) == ys
-                ]
+                matches = images.get(ys, [])
                 try:
                     g = recover_g(spec, xs, ys)
                 except (NotEquivalent, BothBad):

@@ -103,7 +103,8 @@ def recover_g(spec: RingSpec, xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> Mat
 
 
 def apply_config(spec: RingSpec, g: Mat2, points: tuple[Vec2, ...]) -> tuple[Vec2, ...]:
-    return tuple(apply_mat(spec, g, x) for x in points)
+    apply = spec.apply_mat
+    return tuple([apply(g, x) for x in points])
 
 
 def orbit(spec: RingSpec, points: tuple[Vec2, ...]) -> set:

@@ -25,7 +25,7 @@ def perp_dot(spec: RingSpec, x: Vec2, y: Vec2):
 
     Equals the determinant of the matrix with columns x, y, and is
     invariant under the SL_2 action on both arguments."""
-    return spec.sub(spec.mul(x[0], y[1]), spec.mul(x[1], y[0]))
+    return spec.perp_dot(x, y)
 
 
 def identity(spec: RingSpec) -> Mat2:
@@ -54,11 +54,7 @@ def mat_mul(spec: RingSpec, m: Mat2, n: Mat2) -> Mat2:
 
 
 def apply_mat(spec: RingSpec, m: Mat2, v: Vec2) -> Vec2:
-    a, b, c, d = m
-    return (
-        spec.add(spec.mul(a, v[0]), spec.mul(b, v[1])),
-        spec.add(spec.mul(c, v[0]), spec.mul(d, v[1])),
-    )
+    return spec.apply_mat(m, v)
 
 
 def adjugate(spec: RingSpec, m: Mat2) -> Mat2:

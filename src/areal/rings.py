@@ -9,7 +9,9 @@ of the element's polynomial (constant term first).  So index() and
 element() are the identity, two elements are equal iff their ints are,
 and elements serve directly as dict keys and list indexes.  Every
 operation takes the ring as explicit context and raises TypeError for
-an operand that is not an element of it.
+an operand that is not an element of it.  Besides the ring operations,
+each family computes the area form perp_dot(x, y) and the SL_2 action
+apply_mat(m, v) in one checked call, since every count reduces to them.
 
 F_p and Z/p^l Z compute residues modulo the cached size.  F_{p^e} reads
 add/sub/mul/neg/inv tables that are built on first use from the
@@ -176,7 +178,8 @@ class RingSpec:
     one = 1
 
     # subclasses define: add, sub, mul, neg, is_unit, inv, valuation,
-    # max_level, to_json, element_to_json, element_from_json, label
+    # perp_dot, apply_mat, max_level, to_json, element_to_json,
+    # element_from_json, label
 
     def size(self) -> int:
         return self._q
@@ -247,6 +250,32 @@ class _Residues(RingSpec):
         if a % self.p == 0:
             raise NotInvertibleError(f"{a} has no inverse in {self.label()}")
         return pow(a, -1, q)
+
+    def perp_dot(self, x: tuple, y: tuple) -> int:
+        """The area x1*y2 - x2*y1 of two plane vectors, in one call."""
+        q = self._q
+        x1, x2 = x
+        y1, y2 = y
+        if (
+            type(x1) is int and type(x2) is int and type(y1) is int and type(y2) is int
+            and 0 <= x1 < q and 0 <= x2 < q and 0 <= y1 < q and 0 <= y2 < q
+        ):
+            return (x1 * y2 - x2 * y1) % q
+        raise self._reject(x1, x2, y1, y2)
+
+    def apply_mat(self, m: tuple, v: tuple) -> tuple[int, int]:
+        """The vector [[a, b], [c, d]] (x, y) for m = (a, b, c, d), in one call."""
+        q = self._q
+        a, b, c, d = m
+        x, y = v
+        if (
+            type(a) is int and type(b) is int and type(c) is int and type(d) is int
+            and type(x) is int and type(y) is int
+            and 0 <= a < q and 0 <= b < q and 0 <= c < q and 0 <= d < q
+            and 0 <= x < q and 0 <= y < q
+        ):
+            return ((a * x + b * y) % q, (c * x + d * y) % q)
+        raise self._reject(a, b, c, d, x, y)
 
     def valuation(self, a: int) -> int:
         """Largest m <= max_level with p^m | a (so valuation(0) = max_level)."""
@@ -407,6 +436,36 @@ class GaloisField(RingSpec):
         if a == 0:
             raise NotInvertibleError(f"0 has no inverse in {self.label()}")
         return self._tables.inv[a]
+
+    def perp_dot(self, x: tuple, y: tuple) -> int:
+        """The area x1*y2 - x2*y1 of two plane vectors, in one call."""
+        q = self._q
+        x1, x2 = x
+        y1, y2 = y
+        if (
+            type(x1) is int and type(x2) is int and type(y1) is int and type(y2) is int
+            and 0 <= x1 < q and 0 <= x2 < q and 0 <= y1 < q and 0 <= y2 < q
+        ):
+            t = self._tables
+            mul = t.mul
+            return t.sub[mul[x1][y2]][mul[x2][y1]]
+        raise self._reject(x1, x2, y1, y2)
+
+    def apply_mat(self, m: tuple, v: tuple) -> tuple[int, int]:
+        """The vector [[a, b], [c, d]] (x, y) for m = (a, b, c, d), in one call."""
+        q = self._q
+        a, b, c, d = m
+        x, y = v
+        if (
+            type(a) is int and type(b) is int and type(c) is int and type(d) is int
+            and type(x) is int and type(y) is int
+            and 0 <= a < q and 0 <= b < q and 0 <= c < q and 0 <= d < q
+            and 0 <= x < q and 0 <= y < q
+        ):
+            t = self._tables
+            mul, add = t.mul, t.add
+            return (add[mul[a][x]][mul[b][y]], add[mul[c][x]][mul[d][y]])
+        raise self._reject(a, b, c, d, x, y)
 
     def valuation(self, a: int) -> int:
         return 0 if self.is_unit(a) else 1

@@ -18,6 +18,7 @@ from areal.census import (
     f_profile,
     flemma_check,
     good_class_members,
+    key_badness,
     mbad_class_size_check,
     moment_identity_check,
     moment_lift_check,
@@ -114,6 +115,21 @@ def test_count_classes_matches_signature_oracle(E, k):
     assert report.tuples_by_level == tuples_by_level
     assert report.classes_by_level == classes_by_level
     assert report.total_classes == len(sizes)
+
+
+@pytest.mark.parametrize(
+    "E, k",
+    [
+        (full_plane(prime_field(7)), 2),
+        (random_subset(mod_prime_power(3, 3), 20, 5), 3),
+        (random_subset(mod_prime_power(7, 3), 14, 2), 2),  # two-byte keys
+    ],
+    ids=["F7-k2", "Z27s-k3", "Z343s-k2"],
+)
+def test_census_key_levels_match_per_area_decode(E, k):
+    report = count_classes(E, k)
+    assert report.class_levels == {key: key_badness(E.spec, key) for key in report.class_sizes}
+    assert set(report.class_levels.values()) == set(range(E.spec.max_level + 1))
 
 
 def test_budget_is_checked_before_the_area_table(monkeypatch):

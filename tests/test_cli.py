@@ -357,3 +357,50 @@ def test_run_budgets_the_plane_before_enumerating_it(tmp_path, capsys, monkeypat
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("budget exceeded:")
 
+
+
+
+def test_lemma_2_2_scans_the_group_once_per_good_tuple(monkeypatch):
+    from areal import cli
+
+    calls = []
+    apply_config = cli.apply_config
+
+    def counted(spec, g, points):
+        calls.append(points)
+        return apply_config(spec, g, points)
+
+    monkeypatch.setattr(cli, "apply_config", counted)
+    report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"], k=2)))
+    (check,) = report["checks"]
+    assert check == {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14976", "ok": True}
+    # 26 classes of 24 good tuples each, one scan of the 24-element group per tuple
+    assert len(calls) == 26 * 24 * 24
+
+
+def test_lemma_2_2_cross_checks_recover_g(monkeypatch):
+    from areal import cli
+
+    recover_g = cli.recover_g
+
+    def negated(spec, xs, ys):  # -g is another element of SL_2, and g != -g
+        return tuple(spec.neg(a) for a in recover_g(spec, xs, ys))
+
+    monkeypatch.setattr(cli, "recover_g", negated)
+    report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"])))
+    assert report["checks"] == [
+        {"check": "lemma-2.2", "good_classes": "2", "pairs_checked": "0", "ok": False}
+    ]
+
+
+def test_f_moments_says_when_the_moment_identity_is_skipped(tmp_path, capsys):
+    # f_profile needs |SL_2| * 9 = 216 visits; the identity needs 9^4 = 6561
+    obj = dict(F3_CENSUS, checks=["f-moments"], budget=1000)
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_OK
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["moment_identity"] == "skipped: budget"
+    assert check["ok"] is True
+    obj["budget"] = 6561
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_OK
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["moment_identity"]["unique_on_good"] is True

@@ -1,10 +1,12 @@
 import itertools
 import math
+import random
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from areal.linalg import enumerate_sl2
 from areal.rings import (
     GF_MAX_ORDER,
     PRIME_TEST_LIMIT,
@@ -270,3 +272,63 @@ def test_galois_element_from_json_is_strict():
     for bad in ([1, True], [1], [1, 2, 0], [1, 3], [1, -1], [1, 1.0], ["1", 1], 4, "12"):
         with pytest.raises(ValueError):
             F9.element_from_json(bad)
+
+
+def _composed_perp_dot(spec, x, y):
+    return spec.sub(spec.mul(x[0], y[1]), spec.mul(x[1], y[0]))
+
+
+def _composed_apply_mat(spec, m, v):
+    a, b, c, d = m
+    return (
+        spec.add(spec.mul(a, v[0]), spec.mul(b, v[1])),
+        spec.add(spec.mul(c, v[0]), spec.mul(d, v[1])),
+    )
+
+
+def _plane(spec):
+    return list(itertools.product(spec.elements(), repeat=2))
+
+
+@pytest.mark.parametrize("spec", [F3, F7, F9, Z9, Z27], ids=lambda s: s.label())
+def test_perp_dot_matches_composed_ring_ops(spec):
+    plane = _plane(spec)
+    for x in plane:
+        for y in plane:
+            assert spec.perp_dot(x, y) == _composed_perp_dot(spec, x, y)
+
+
+@pytest.mark.parametrize("spec", [F3, F9], ids=lambda s: s.label())
+def test_apply_mat_matches_composed_ring_ops_on_all_of_sl2(spec):
+    plane = _plane(spec)
+    for g in enumerate_sl2(spec):
+        for x in plane:
+            assert spec.apply_mat(g, x) == _composed_apply_mat(spec, g, x)
+
+
+@pytest.mark.parametrize("spec", [Z27, galois_field(3, 4)], ids=lambda s: s.label())
+def test_apply_mat_matches_composed_ring_ops_on_samples(spec):
+    rng = random.Random(20190611)
+    elems = list(spec.elements())
+    units = [a for a in elems if spec.is_unit(a)]
+    for _ in range(5000):
+        a, b, c = rng.choice(units), rng.choice(elems), rng.choice(elems)
+        g = (a, b, c, spec.mul(spec.inv(a), spec.add(spec.one, spec.mul(b, c))))
+        x = (rng.choice(elems), rng.choice(elems))
+        assert spec.apply_mat(g, x) == _composed_apply_mat(spec, g, x)
+
+
+@pytest.mark.parametrize("spec", [F7, F9, Z27], ids=lambda s: s.label())
+def test_fused_kernels_reject_non_elements(spec):
+    good = [1, 2, 0, 1, 1, 2]
+    for bad in (True, spec.size(), -1, "1", 1.0, None):
+        for pos in range(4):
+            ops = good[:4]
+            ops[pos] = bad
+            with pytest.raises(TypeError):
+                spec.perp_dot(tuple(ops[:2]), tuple(ops[2:]))
+        for pos in range(6):
+            ops = list(good)
+            ops[pos] = bad
+            with pytest.raises(TypeError):
+                spec.apply_mat(tuple(ops[:4]), tuple(ops[4:]))
