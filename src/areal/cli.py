@@ -281,12 +281,24 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     return out
 
 
+def _images_in_class(spec, group: list, xs, member_set: set) -> dict:
+    """Map each tuple of member_set that some g sends xs to onto those g,
+    in group order.  Images outside the class are not kept, so the map
+    holds at most |class| entries however large the group is."""
+    images: dict = {}
+    for g in group:
+        img = apply_config(spec, g, xs)
+        if img in member_set:
+            images.setdefault(img, []).append(g)
+    return images
+
+
 def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     """Every pair of equivalent good tuples is related by exactly one
     group element, found both by full scan and by recover_g.  The scan
     applies the whole group to each good tuple xs once and files every
-    g under its image, so the matches for (xs, ys) are images[ys], in
-    group order."""
+    g whose image lies in the class of xs under that image, so the
+    matches for (xs, ys) are images[ys], in group order."""
     spec = cfg.spec
     classes = cn.good_class_members(E, cfg.k, cfg.budget)
     order = sl2_order(spec)
@@ -296,10 +308,9 @@ def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     pairs_checked = 0
     ok = True
     for members in classes.values():
+        member_set = set(members)
         for xs in members:
-            images: dict = {}
-            for g in group:
-                images.setdefault(apply_config(spec, g, xs), []).append(g)
+            images = _images_in_class(spec, group, xs, member_set)
             for ys in members:
                 matches = images.get(ys, [])
                 try:

@@ -358,8 +358,6 @@ def test_run_budgets_the_plane_before_enumerating_it(tmp_path, capsys, monkeypat
     assert err.startswith("budget exceeded:")
 
 
-
-
 def test_lemma_2_2_scans_the_group_once_per_good_tuple(monkeypatch):
     from areal import cli
 
@@ -376,6 +374,31 @@ def test_lemma_2_2_scans_the_group_once_per_good_tuple(monkeypatch):
     assert check == {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14976", "ok": True}
     # 26 classes of 24 good tuples each, one scan of the 24-element group per tuple
     assert len(calls) == 26 * 24 * 24
+
+
+def test_lemma_2_2_keeps_no_image_outside_the_class(monkeypatch):
+    from areal import cli
+
+    sizes = []
+    images_in_class = cli._images_in_class
+
+    def recorded(spec, group, xs, member_set):
+        images = images_in_class(spec, group, xs, member_set)
+        sizes.append((len(images), len(member_set), len(group)))
+        return images
+
+    monkeypatch.setattr(cli, "_images_in_class", recorded)
+    obj = {
+        "ring": {"family": "prime-field", "p": 7},
+        "construction": {"kind": "random-subset", "size": 4, "seed": 1},
+        "k": 1,
+        "checks": ["lemma-2.2"],
+    }
+    (check,) = run_experiment(ExperimentConfig.from_json(obj))["checks"]
+    assert check["ok"] is True
+    assert sizes
+    # classes of a few tuples against the 336 elements of SL_2(F_7)
+    assert all(kept <= members < group for kept, members, group in sizes)
 
 
 def test_lemma_2_2_cross_checks_recover_g(monkeypatch):
