@@ -10,9 +10,9 @@ import argparse
 import sys
 from fractions import Fraction
 
-from areal.census import count_bad_tuples
+from areal.census import bad_tuple_shape, count_bad_tuples
 from areal.constructions import full_plane
-from areal.rings import ModPrimePower, mod_prime_power, prime_field
+from areal.rings import mod_prime_power, prime_field
 
 RINGS = {
     "F3": prime_field(3),
@@ -35,13 +35,7 @@ def main() -> int:
         for k in range(1, args.max_k + 1):
             counts = count_bad_tuples(E, k)
             for m in sorted(counts):
-                if m == 0:
-                    shape = len(E) ** (k + 1)
-                elif isinstance(spec, ModPrimePower):
-                    p, ell = spec.p, spec.ell
-                    shape = p ** ((2 * ell - m) * (k + 1) + m)
-                else:
-                    shape = spec.size() ** k * len(E)
+                shape = bad_tuple_shape(spec, k, len(E), m)
                 const = Fraction(counts[m], shape)
                 print(f"{name},{k},{m},{counts[m]},{shape},{float(const)!r}")
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .configs import pair_indices
+from .configs import key_width, pair_indices
 from .linalg import Vec2, enumerate_sl2, sl2_order
 from .rings import ModPrimePower, RingSpec
 
@@ -94,23 +94,19 @@ def area_index_table(E: PointSet) -> list[list[int]]:
     return [[perp(x, y) for y in pts] for x in pts]
 
 
-def _key_width(spec: RingSpec) -> int:
-    return max(1, ((spec.size() - 1).bit_length() + 7) // 8)
-
-
 def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Counter:
     """Counter mapping census keys to the number of tuples of E^{k+1}
     realizing them.
 
     A key packs the area index of every pair (i, j), i < j, in column
-    order (by j, then by i), each in _key_width bytes big-endian.  The
+    order (by j, then by i), each in key_width bytes big-endian.  The
     key of (t_0 .. t_k) is then the key of its prefix (t_0 .. t_{k-1})
     followed by the column T[t_0][t_k] .. T[t_{k-1}][t_k], so the loop
     runs over the n^k prefixes and the n keys of each are joined in C."""
     n = len(E)
     _check_budget(n ** (k + 1), budget)
     T = area_index_table(E)
-    width = _key_width(E.spec)
+    width = key_width(E.spec)
     # rows become bytes cells in place, one shared object per distinct
     # area, so the byte table takes no more memory than the int table
     cell = {a: a.to_bytes(width, "big") for a in set(itertools.chain.from_iterable(T))}
@@ -129,7 +125,7 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Count
 def key_badness(spec: RingSpec, key: bytes) -> int:
     """Badness level of every tuple whose signature has this key, decoded
     area by area (the reference for key_levels)."""
-    width = _key_width(spec)
+    width = key_width(spec)
     if width > 1:  # a width-1 key iterates as its area indexes already
         key = [int.from_bytes(key[off : off + width], "big") for off in range(0, len(key), width)]
     m = spec.max_level
@@ -146,7 +142,7 @@ def key_levels(spec: RingSpec, keys) -> dict[bytes, int]:
     """The badness level of each census key.  A width-1 key's level is
     the least byte of key.translate(vt), where vt maps each area index to
     its valuation; wider keys go through key_badness."""
-    if _key_width(spec) > 1:
+    if key_width(spec) > 1:
         return {key: key_badness(spec, key) for key in keys}
     vt = bytes(map(spec.valuation, spec.elements())).ljust(256, b"\0")
     return {key: min(key.translate(vt)) for key in keys}
@@ -164,16 +160,9 @@ class CensusReport:
     class_sizes: dict[bytes, int] = field(repr=False, default_factory=dict)
     class_levels: dict[bytes, int] = field(repr=False, default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "ring": self.spec.to_json(),
-            "k": self.k,
-            "set_size": str(self.set_size),
-            "total_tuples": str(self.total_tuples),
-            "tuples_by_level": {str(m): str(c) for m, c in sorted(self.tuples_by_level.items())},
-            "classes_by_level": {str(m): str(c) for m, c in sorted(self.classes_by_level.items())},
-            "total_classes": str(self.total_classes),
-        }
+    def equivalent_good_pairs(self) -> int:
+        """#{(x, y) : x ~ y, both good} = sum of |class|^2 over good classes."""
+        return sum(c * c for key, c in self.class_sizes.items() if self.class_levels[key] == 0)
 
 
 def count_classes(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> CensusReport:
@@ -204,6 +193,18 @@ def count_bad_tuples(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> dict[
     """Tuple counts per badness level, read from the census (fast route;
     see count_bad_tuples_naive for the oracle)."""
     return dict(count_classes(E, k, budget).tuples_by_level)
+
+
+def bad_tuple_shape(spec: RingSpec, k: int, set_size: int, m: int) -> int:
+    """The shape of the bound on the number of tuples of E^{k+1} at
+    badness level m: p^{(2l - m)(k + 1) + m} over Z/p^l Z and q^k |E|
+    over F_q; at m = 0 it is |E|^{k+1}, every tuple."""
+    if m == 0:
+        return set_size ** (k + 1)
+    if isinstance(spec, ModPrimePower):
+        p, ell = spec.p, spec.ell
+        return p ** ((2 * ell - m) * (k + 1) + m)
+    return spec.size() ** k * set_size
 
 
 def count_bad_tuples_naive(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
@@ -389,9 +390,7 @@ def flemma_check(census: CensusReport, profile: FProfile) -> FlemmaReport:
     of E at k and the f profile of E."""
     good_tuples = census.tuples_by_level.get(0, 0)
     good_classes = census.classes_by_level.get(0, 0)
-    eq_pairs = sum(
-        c * c for key, c in census.class_sizes.items() if census.class_levels[key] == 0
-    )
+    eq_pairs = census.equivalent_good_pairs()
     f_power_sum = profile.sum_power(census.k + 1)
     return FlemmaReport(
         good_tuples=good_tuples,
@@ -409,7 +408,7 @@ class MomentIdentityReport:
     stabilizer_sum: int
     matched_part: int
     collinear_part: int
-    matched_quadruples: int
+    matched_quadruples: int = field(repr=False)
     unique_on_good: bool
 
     @property

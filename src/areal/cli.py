@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -27,46 +28,46 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
-CHECK_NAMES = (
-    "census",
-    "nu",
-    "f-moments",
-    "lemma-2.2",
-    "lemma-2.3",
-    "lemma-2.4",
-    "lemma-3.1",
-    "lemma-4.1",
-    "lemma-4.2",
-    "theorem-6.1",
-    "sharpness",
-)
 
 class InvalidConfig(Exception):
     pass
 
 
-def _frac_str(x) -> str:
-    return str(Fraction(x))
+@dataclass(frozen=True)
+class _Echo:
+    """A config value that a report repeats as the config spelled it."""
+
+    value: object
+
+
+def _fields(result) -> dict:
+    """A result dataclass's reported fields: those shown in its repr,
+    except spec and k (which the experiment reports)."""
+    shown = [f.name for f in fields(result) if f.repr and f.name not in ("spec", "k")]
+    return {name: getattr(result, name) for name in shown}
 
 
 def _report_json(value):
-    """One spelling for result fields in reports: bools stay, ints become
-    decimal strings, Fractions go through _frac_str, lists recurse, and a
-    dataclass becomes one key per field except spec and k (which the
-    experiment reports)."""
-    if isinstance(value, bool):
+    """The one spelling of report values: bools and strings stay, ints
+    and Fractions become decimal strings, lists and dicts recurse (dict
+    keys through str), a dataclass becomes its _fields, and an _Echo is
+    written as the config spelled it.  A number past the interpreter's
+    limit on decimal digits cannot be reported, so the config is refused."""
+    if isinstance(value, (bool, str)):
         return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return _frac_str(value)
+    if isinstance(value, (int, Fraction)):
+        try:
+            return str(value)
+        except ValueError:  # past the interpreter's limit on decimal digits
+            limit = sys.get_int_max_str_digits()
+            raise InvalidConfig(f"a report value has more than {limit} decimal digits") from None
+    if isinstance(value, _Echo):
+        return value.value
     if isinstance(value, list):
         return [_report_json(v) for v in value]
-    return {
-        f.name: _report_json(getattr(value, f.name))
-        for f in fields(value)
-        if f.name not in ("spec", "k")
-    }
+    if isinstance(value, dict):
+        return {str(key): _report_json(v) for key, v in value.items()}
+    return _report_json(_fields(value))
 
 
 def _json_object(obj: dict, key: str, default: dict) -> dict:
@@ -134,11 +135,8 @@ class ExperimentConfig:
             raise InvalidConfig(f"unknown output format {self.fmt!r}")
         if "theorem-6.1" in self.checks and not isinstance(self.spec, ModPrimePower):
             raise InvalidConfig("theorem-6.1 requires a mod-prime-power ring")
-        if "sharpness" in self.checks and self.construction.get("kind") not in (
-            "circle",
-            "union-circles",
-            "mod-sharpness",
-        ):
+        circles = ("circle", "union-circles", "mod-sharpness")
+        if "sharpness" in self.checks and self.construction.get("kind") not in circles:
             raise InvalidConfig("sharpness requires a circle or mod-sharpness construction")
 
     def point_set(self) -> cn.PointSet:
@@ -176,8 +174,8 @@ class Memo:
 
 # ---------------------------------------------------------------------------
 # Individual checks.  Each takes the experiment's config, point set and
-# memo, and returns a JSON-ready dict with an "ok" flag and every exact
-# quantity it computed (counts as decimal strings).
+# memo, and returns a dict with an "ok" flag and every exact quantity it
+# computed; run_experiment spells them all through _report_json.
 
 def _check_lemma_4_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     order = sl2_order(cfg.spec)
@@ -185,8 +183,8 @@ def _check_lemma_4_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     enumerated = sum(1 for _ in enumerate_sl2(cfg.spec))
     return {
         "check": "lemma-4.2",
-        "formula": str(order),
-        "enumerated": str(enumerated),
+        "formula": order,
+        "enumerated": enumerated,
         "ok": order == enumerated,
     }
 
@@ -197,16 +195,12 @@ def _check_lemma_4_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     try:
         phi = cn.transitivity_constant(spec, cfg.budget)
     except cn.NotTransitive as exc:
-        return {
-            "check": "lemma-4.1",
-            "ok": False,
-            "counterexample": repr(exc.pair),
-        }
+        return {"check": "lemma-4.1", "ok": False, "counterexample": repr(exc.pair)}
     return {
         "check": "lemma-4.1",
-        "phi": str(phi),
-        "group_order": str(sl2_order(spec)),
-        "orbit_size": str(len(orbit)),
+        "phi": phi,
+        "group_order": sl2_order(spec),
+        "orbit_size": len(orbit),
         "ok": phi * len(orbit) == sl2_order(spec),
     }
 
@@ -218,21 +212,23 @@ def _check_census(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         and sum(report.classes_by_level.values()) == report.total_classes
         and all(c >= 1 for c in report.classes_by_level.values())
     )
-    return {**report.to_json(), "check": "census", "ok": consistent}
+    return {
+        "check": "census",
+        "ring": _Echo(cfg.spec.to_json()),
+        "k": _Echo(cfg.k),
+        **_fields(report),
+        "ok": consistent,
+    }
 
 
 def _check_nu(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     hist = cn.nu_histogram(E, cfg.budget)
-    spec = cfg.spec
-    counts = {
-        json.dumps(spec.element_to_json(t)): str(c)
-        for t, c in sorted(hist.counts.items())
-    }
+    element_json = cfg.spec.element_to_json
     return {
         "check": "nu",
-        "histogram": counts,
-        "total": str(hist.total()),
-        "expected_total": str(len(E) ** 2),
+        "histogram": {json.dumps(element_json(t)): c for t, c in hist.counts.items()},
+        "total": hist.total(),
+        "expected_total": len(E) ** 2,
         "ok": hist.total() == len(E) ** 2,
     }
 
@@ -251,30 +247,24 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     )
     out = {
         "check": "f-moments",
-        "f_identity": str(f_identity),
-        "set_size": str(len(E)),
-        "sum_f": str(prof.sum_f),
-        "mean": _frac_str(prof.mean),
-        "max": str(prof.maximum),
-        "excess": _frac_str(prof.second_moment_excess),
+        "f_identity": f_identity,
+        "set_size": len(E),
+        "sum_f": prof.sum_f,
+        "mean": prof.mean,
+        "max": prof.maximum,
+        "excess": prof.second_moment_excess,
     }
     orbit = set(cn.designated_orbit(spec))
     if E.members <= orbit:
         expected = sl2_order(spec) * len(E) ** 2
         ok = ok and prof.sum_f * len(orbit) == expected
-        out["sum_f_times_orbit"] = str(prof.sum_f * len(orbit))
-        out["order_times_size_sq"] = str(expected)
+        out["sum_f_times_orbit"] = prof.sum_f * len(orbit)
+        out["order_times_size_sq"] = expected
     n = len(E)
     if n ** 4 <= cfg.budget and sl2_order(spec) * n * n <= cfg.budget:
         ident_report = cn.moment_identity_check(E, prof, cfg.budget)
         ok = ok and ident_report.ok
-        out["moment_identity"] = {
-            "f_square_sum": str(ident_report.f_square_sum),
-            "stabilizer_sum": str(ident_report.stabilizer_sum),
-            "matched_part": str(ident_report.matched_part),
-            "collinear_part": str(ident_report.collinear_part),
-            "unique_on_good": ident_report.unique_on_good,
-        }
+        out["moment_identity"] = ident_report
     else:
         out["moment_identity"] = "skipped: budget"
     out["ok"] = ok
@@ -298,40 +288,40 @@ def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     group element, found both by full scan and by recover_g.  The scan
     applies the whole group to each good tuple xs once and files every
     g whose image lies in the class of xs under that image, so the
-    matches for (xs, ys) are images[ys], in group order."""
+    matches for (xs, ys) are images[ys], in group order.  Its cost,
+    sum |class|^2 |SL_2| over the good classes, is read from the census
+    and charged before any good tuple is stored."""
     spec = cfg.spec
-    classes = cn.good_class_members(E, cfg.k, cfg.budget)
     order = sl2_order(spec)
-    scan_cost = sum(len(v) ** 2 for v in classes.values()) * order
-    cn._check_budget(scan_cost, cfg.budget)
-    group = list(enumerate_sl2(spec))
+    cn._check_budget(order * memo.census(E, cfg.k).equivalent_good_pairs(), cfg.budget)
+    classes = cn.good_class_members(E, cfg.k, cfg.budget)
+    group = list(enumerate_sl2(spec)) if classes else []
+    pairs_checked, ok = _scan_good_classes(spec, group, classes)
+    return {
+        "check": "lemma-2.2",
+        "good_classes": len(classes),
+        "pairs_checked": pairs_checked,
+        "ok": ok,
+    }
+
+
+def _scan_good_classes(spec, group: list, classes: dict) -> tuple[int, bool]:
+    """(pairs checked, ok), stopping at the first pair (xs, ys) whose
+    only match in the scan is not recover_g(xs, ys)."""
     pairs_checked = 0
-    ok = True
     for members in classes.values():
         member_set = set(members)
         for xs in members:
             images = _images_in_class(spec, group, xs, member_set)
             for ys in members:
-                matches = images.get(ys, [])
                 try:
                     g = recover_g(spec, xs, ys)
                 except (NotEquivalent, BothBad):
-                    ok = False
-                    break
-                if len(matches) != 1 or matches[0] != g:
-                    ok = False
-                    break
+                    return pairs_checked, False
+                if images.get(ys) != [g]:
+                    return pairs_checked, False
                 pairs_checked += 1
-            if not ok:
-                break
-        if not ok:
-            break
-    return {
-        "check": "lemma-2.2",
-        "good_classes": str(len(classes)),
-        "pairs_checked": str(pairs_checked),
-        "ok": ok,
-    }
+    return pairs_checked, True
 
 
 def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
@@ -340,20 +330,16 @@ def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     fast = memo.census(E, k).tuples_by_level
     oracle = cn.count_bad_tuples_naive(E, k, cfg.budget)
     bad_total = sum(c for m, c in fast.items() if m >= 1)
-    if isinstance(spec, ModPrimePower):
-        p, ell = spec.p, spec.ell
-        shape = p ** ((2 * ell - 1) * (k + 1) + 1)
-        level_shapes = {
-            m: p ** ((2 * ell - m) * (k + 1) + m) for m in range(1, ell + 1)
-        }
-    else:
-        q = spec.size()
-        shape = q ** k * len(E)
-        level_shapes = {1: shape}
-    constant = Fraction(bad_total, shape) if shape else Fraction(0)
-    level_constants = {
-        m: Fraction(fast.get(m, 0), level_shapes[m]) for m in level_shapes
+    level_shapes = {
+        m: cn.bad_tuple_shape(spec, k, len(E), m) for m in range(1, spec.max_level + 1)
     }
+    # an empty set has shape 0 over a field, and no bad tuple to bound
+    level_constants = {
+        m: Fraction(fast.get(m, 0), s) if s else Fraction(0)
+        for m, s in level_shapes.items()
+    }
+    shape = level_shapes[1]
+    constant = Fraction(bad_total, shape) if shape else Fraction(0)
     ok = (
         fast == oracle
         and constant <= 4
@@ -361,32 +347,34 @@ def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     )
     return {
         "check": "lemma-2.3",
-        "counts_by_level": {str(m): str(c) for m, c in sorted(fast.items())},
-        "oracle_by_level": {str(m): str(c) for m, c in sorted(oracle.items())},
-        "bad_total": str(bad_total),
-        "bound_shape": str(shape),
-        "constant": _frac_str(constant),
-        "level_constants": {str(m): _frac_str(c) for m, c in sorted(level_constants.items())},
+        "counts_by_level": fast,
+        "oracle_by_level": oracle,
+        "bad_total": bad_total,
+        "bound_shape": shape,
+        "constant": constant,
+        "level_constants": level_constants,
         "ok": ok,
     }
 
 
 def _check_lemma_2_4(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     report = cn.flemma_check(memo.census(E, cfg.k), memo.profile(E))
-    return {"check": "lemma-2.4", **_report_json(report), "ok": report.ok}
+    return {"check": "lemma-2.4", **_fields(report), "ok": report.ok}
 
 
 def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+    # c_k = 2^{k^2} is a k^2-bit integer, so k^2 is charged before it is built
+    cn._check_budget(cfg.k ** 2, cfg.budget)
     prof = memo.profile(E)
     result = cn.moment_lift_check(prof.values, cfg.k)
     return {
         "check": "lemma-3.1",
-        "c_k": str(result.c_k),
-        "lhs": _frac_str(result.lhs),
-        "rhs": _frac_str(result.rhs),
-        "mean": _frac_str(result.mean),
-        "max": _frac_str(result.maximum),
-        "excess": _frac_str(result.excess),
+        "c_k": result.c_k,
+        "lhs": result.lhs,
+        "rhs": result.rhs,
+        "mean": result.mean,
+        "max": result.maximum,
+        "excess": result.excess,
         "ok": result.ok and result.excess >= 0,
     }
 
@@ -394,34 +382,34 @@ def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
 def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     plane = cons.full_plane(cfg.spec)
     report = cn.mbad_class_size_check(memo.census(plane, cfg.k))
-    return {"check": "theorem-6.1", **_report_json(report), "ok": report.ok}
+    return {"check": "theorem-6.1", **_fields(report), "ok": report.ok}
 
 
 def min_rotation_orbit(E: cn.PointSet, k: int, rotations, budget: int) -> int:
     """Smallest orbit of a tuple of E^{k+1} under the rotation group."""
-    n = len(E)
-    cn._check_budget(n ** (k + 1) * len(rotations), budget)
-    spec = E.spec
-    best = None
-    for t in itertools.product(E.points, repeat=k + 1):
-        size = len({apply_config(spec, g, t) for g in rotations})
-        if best is None or size < best:
-            best = size
-    return best or 0
+    cn._check_budget(len(E) ** (k + 1) * len(rotations), budget)
+    tuples = itertools.product(E.points, repeat=k + 1)
+    return min(
+        (len({apply_config(E.spec, g, t) for g in rotations}) for t in tuples), default=0
+    )
 
 
 def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     spec = cfg.spec
     kind = cfg.construction.get("kind")
-    out: dict = {"check": "sharpness", "kind": kind, "set_size": str(len(E))}
     report = memo.census(E, cfg.k)
     bad_tuples = sum(c for m, c in report.tuples_by_level.items() if m >= 1)
-    out["total_tuples"] = str(report.total_tuples)
-    out["bad_tuples"] = str(bad_tuples)
-    out["total_classes"] = str(report.total_classes)
+    out = {
+        "check": "sharpness",
+        "kind": kind,
+        "set_size": len(E),
+        "total_tuples": report.total_tuples,
+        "bad_tuples": bad_tuples,
+        "total_classes": report.total_classes,
+    }
     if kind == "mod-sharpness":
         expected_size = spec.p ** (2 * spec.ell - 1)
-        out["expected_size"] = str(expected_size)
+        out["expected_size"] = expected_size
         out["ok"] = len(E) == expected_size and bad_tuples == report.total_tuples
         return out
     rotations = cons.rotation_group(spec)
@@ -429,8 +417,8 @@ def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         apply_mat(spec, g, x) in E.members for g in rotations for x in E.points
     )
     min_orbit = min_rotation_orbit(E, cfg.k, rotations, cfg.budget)
-    out["rotation_group_size"] = str(len(rotations))
-    out["min_orbit"] = str(min_orbit)
+    out["rotation_group_size"] = len(rotations)
+    out["min_orbit"] = min_orbit
     out["rotation_closed"] = closed
     out["ok"] = (
         closed
@@ -453,20 +441,21 @@ _CHECKS = {
     "theorem-6.1": _check_theorem_6_1,
     "sharpness": _check_sharpness,
 }
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     E = cfg.point_set()
     memo = Memo(cfg.budget)
     results = [_CHECKS[name](cfg, E, memo) for name in cfg.checks]
-    return {
-        "ring": cfg.spec.to_json(),
-        "construction": cfg.construction,
-        "k": cfg.k,
-        "set_size": str(len(E)),
+    return _report_json({
+        "ring": _Echo(cfg.spec.to_json()),
+        "construction": _Echo(cfg.construction),
+        "k": _Echo(cfg.k),
+        "set_size": len(E),
         "checks": results,
         "ok": all(r["ok"] for r in results),
-    }
+    })
 
 
 def _report_text(report: dict, fmt: str) -> str:
@@ -487,12 +476,30 @@ def _report_text(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, path: str | None) -> None:
+def _writable(path: str | None) -> str | None:
+    """The output path, checked before any work: it is opened for
+    appending, which leaves an existing file as it is, and a file the
+    probe created is removed again."""
     if path:
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except (OSError, ValueError) as exc:
+            raise InvalidConfig(f"cannot write output {path!r}: {exc}") from exc
+        if not existed:
+            os.remove(path)
+    return path
+
+
+def _emit(text: str, path: str | None) -> None:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except (OSError, ValueError) as exc:
+        raise InvalidConfig(f"cannot write output {path!r}: {exc}") from exc
 
 
 def _print_check_lines(report: dict, label: str = "") -> None:
@@ -501,101 +508,86 @@ def _print_check_lines(report: dict, label: str = "") -> None:
         print(f"{label}{chk['check']}: {status}", file=sys.stderr)
 
 
+def _load_config(path: str):
+    """The JSON value of a config file; an unreadable one is invalid."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InvalidConfig(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands.  Each returns EXIT_OK or EXIT_CHECK_FAILED; main turns an
+# InvalidConfig or BudgetExceeded raised anywhere into exit 2 or 3.
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json(json.load(fh))
-    except (OSError, json.JSONDecodeError, InvalidConfig, ValueError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        report = run_experiment(cfg)
-    except InvalidConfig as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except cn.BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    _emit(_report_text(report, cfg.fmt), args.output or cfg.output)
+    cfg = ExperimentConfig.from_json(_load_config(args.config))
+    path = _writable(args.output or cfg.output)
+    report = run_experiment(cfg)
+    _emit(_report_text(report, cfg.fmt), path)
     _print_check_lines(report)
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.config) as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise InvalidConfig("a sweep config must be a JSON object")
-        base = dict(_json_object(obj, "experiment", {}))
-        base.setdefault("checks", ["census"])
-        variable = obj.get("variable")
-        values = obj.get("values")
-        seeds = obj.get("seeds", [0])
-        if variable not in ("size", "k", "ell"):
-            raise InvalidConfig(f"unknown sweep variable {variable!r}")
-        if not (isinstance(values, list) and isinstance(seeds, list) and values and seeds):
-            raise InvalidConfig("values and seeds must be nonempty lists")
-    except (OSError, ValueError, InvalidConfig) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    obj = _load_config(args.config)
+    if not isinstance(obj, dict):
+        raise InvalidConfig("a sweep config must be a JSON object")
+    base = dict(_json_object(obj, "experiment", {}))
+    base.setdefault("checks", ["census"])
+    variable = obj.get("variable")
+    values = obj.get("values")
+    seeds = obj.get("seeds", [0])
+    if variable not in ("size", "k", "ell"):
+        raise InvalidConfig(f"unknown sweep variable {variable!r}")
+    if not (isinstance(values, list) and isinstance(seeds, list) and values and seeds):
+        raise InvalidConfig("values and seeds must be nonempty lists")
+    path = _writable(args.output)
 
     rows = ["variable,value,seed,set_size,classes,plane_classes,proportion"]
     plane_cache: dict = {}
-    try:
-        for value in values:
-            for seed in seeds:
-                exp = json.loads(json.dumps(base))
-                default = {"kind": "random-subset" if variable == "size" else "full-plane"}
-                con = exp["construction"] = _json_object(exp, "construction", default)
-                if variable == "size":
-                    con["size"] = value
-                elif variable == "k":
-                    exp["k"] = value
-                else:
-                    exp["ring"] = dict(_json_object(exp, "ring", {}), ell=value)
-                if con.get("kind") == "random-subset":
-                    con["seed"] = seed
-                cfg = ExperimentConfig.from_json(exp)
-                E = cfg.point_set()
-                classes = cn.count_classes(E, cfg.k, cfg.budget).total_classes
-                cache_key = (cfg.spec, cfg.k)
-                if len(E) == cfg.spec.size() ** 2:  # E is the plane
-                    plane_cache[cache_key] = classes
-                if cache_key not in plane_cache:
-                    plane = replace(cfg, construction=FULL).point_set()
-                    plane_cache[cache_key] = cn.count_classes(
-                        plane, cfg.k, cfg.budget
-                    ).total_classes
-                plane_classes = plane_cache[cache_key]
-                proportion = Fraction(classes, plane_classes)
-                rows.append(
-                    f"{variable},{value},{seed},{len(E)},{classes},"
-                    f"{plane_classes},{float(proportion)!r}"
-                )
-    except InvalidConfig as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except cn.BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    _emit("\n".join(rows) + "\n", args.output)
+    for value in values:
+        for seed in seeds:
+            exp = json.loads(json.dumps(base))
+            default = {"kind": "random-subset" if variable == "size" else "full-plane"}
+            con = exp["construction"] = _json_object(exp, "construction", default)
+            if variable == "size":
+                con["size"] = value
+            elif variable == "k":
+                exp["k"] = value
+            else:
+                exp["ring"] = dict(_json_object(exp, "ring", {}), ell=value)
+            if con.get("kind") == "random-subset":
+                con["seed"] = seed
+            cfg = ExperimentConfig.from_json(exp)
+            E = cfg.point_set()
+            classes = cn.count_classes(E, cfg.k, cfg.budget).total_classes
+            key = (cfg.spec, cfg.k)
+            if len(E) == cfg.spec.size() ** 2:  # E is the plane
+                plane_cache[key] = classes
+            if key not in plane_cache:
+                plane = replace(cfg, construction=FULL).point_set()
+                plane_cache[key] = cn.count_classes(plane, cfg.k, cfg.budget).total_classes
+            plane_classes = plane_cache[key]
+            proportion = Fraction(classes, plane_classes)
+            rows.append(
+                f"{variable},{value},{seed},{len(E)},{classes},"
+                f"{plane_classes},{float(proportion)!r}"
+            )
+    _emit("\n".join(rows) + "\n", path)
     return EXIT_OK
 
 
-def _ring_jsons() -> dict[str, dict]:
-    return {
-        "F3": {"family": "prime-field", "p": 3},
-        "F5": {"family": "prime-field", "p": 5},
-        "F7": {"family": "prime-field", "p": 7},
-        "F9": {"family": "galois-field", "p": 3, "e": 2},
-        "Z9": {"family": "mod-prime-power", "p": 3, "ell": 2},
-        "Z27": {"family": "mod-prime-power", "p": 3, "ell": 3},
-        "Z25": {"family": "mod-prime-power", "p": 5, "ell": 2},
-    }
+MATRIX_RINGS = {
+    "F3": {"family": "prime-field", "p": 3},
+    "F5": {"family": "prime-field", "p": 5},
+    "F7": {"family": "prime-field", "p": 7},
+    "F9": {"family": "galois-field", "p": 3, "e": 2},
+    "Z9": {"family": "mod-prime-power", "p": 3, "ell": 2},
+    "Z27": {"family": "mod-prime-power", "p": 3, "ell": 3},
+    "Z25": {"family": "mod-prime-power", "p": 5, "ell": 2},
+}
 
 
 FULL = {"kind": "full-plane"}
@@ -607,10 +599,8 @@ def canonical_matrix(budget: int) -> list[ExperimentConfig]:
     {F3,F5,F7,F9,Z9,Z27,Z25} x {1,2,3} runs at least one check, with the
     heavyweight full-plane censuses confined to cells where the tuple
     stream stays at desk scale; large rings get seeded random subsets."""
-    R = _ring_jsons()
-    cells: list[tuple[dict, int, dict, list[str]]] = []
-    for name in R:
-        cells.append((R[name], 1, FULL, ["lemma-4.2", "nu", "census"]))
+    R = MATRIX_RINGS
+    cells = [(ring, 1, FULL, ["lemma-4.2", "nu", "census"]) for ring in R.values()]
     cells += [
         (R["F3"], 1, FULL, ["lemma-4.1", "f-moments", "lemma-3.1", "lemma-2.2",
                             "lemma-2.3", "lemma-2.4"]),
@@ -656,18 +646,11 @@ def cmd_verify_all(args) -> int:
     if args.budget <= 0:
         print(f"budget exceeded: no check fits in a budget of {args.budget}", file=sys.stderr)
         return EXIT_BUDGET
-    try:
-        cfgs = canonical_matrix(args.budget)
-    except InvalidConfig as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        results = [run_experiment(cfg) for cfg in cfgs]
-    except cn.BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    path = _writable(args.output)
+    cfgs = canonical_matrix(args.budget)
+    results = [run_experiment(cfg) for cfg in cfgs]
     report = {"experiments": results, "ok": all(r["ok"] for r in results)}
-    _emit(_report_text(report, "json"), args.output)
+    _emit(_report_text(report, "json"), path)
     for cfg, res in zip(cfgs, results):
         label = f"{cfg.spec.label()} k={cfg.k} {cfg.construction['kind']} "
         _print_check_lines(res, label)
@@ -697,7 +680,14 @@ def main(argv=None) -> int:
     p_all.set_defaults(func=cmd_verify_all)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidConfig as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except cn.BudgetExceeded as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

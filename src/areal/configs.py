@@ -33,6 +33,11 @@ def pair_indices(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(k + 1) for j in range(i + 1, k + 1))
 
 
+def key_width(spec: RingSpec) -> int:
+    """Bytes per area in a signature key: just enough for the ring size."""
+    return max(1, ((spec.size() - 1).bit_length() + 7) // 8)
+
+
 @dataclass(frozen=True)
 class AreaSignature:
     spec: RingSpec
@@ -43,7 +48,7 @@ class AreaSignature:
         """Stable byte encoding: k as 2 bytes big-endian, then each area's
         canonical index in fixed width (just enough bytes for the ring
         size).  This is the census hash key; do not change it."""
-        width = max(1, ((self.spec.size() - 1).bit_length() + 7) // 8)
+        width = key_width(self.spec)
         parts = [self.k.to_bytes(2, "big")]
         parts.extend(a.to_bytes(width, "big") for a in self.areas)
         return b"".join(parts)

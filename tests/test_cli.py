@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -427,3 +428,178 @@ def test_f_moments_says_when_the_moment_identity_is_skipped(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, obj)]) == EXIT_OK
     (check,) = json.loads(capsys.readouterr().out)["checks"]
     assert check["moment_identity"]["unique_on_good"] is True
+
+
+def test_sweep_size_rows_over_the_f5_plane(tmp_path, capsys):
+    obj = {
+        "experiment": {"ring": {"family": "prime-field", "p": 5}, "k": 2, "checks": ["census"]},
+        "variable": "size",
+        "values": [4, 8, 12],
+        "seeds": [1, 2, 3],
+    }
+    assert main(["sweep", write_config(tmp_path, obj)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "variable,value,seed,set_size,classes,plane_classes,proportion\n"
+        "size,4,1,4,33,125,0.264\n"
+        "size,4,2,4,33,125,0.264\n"
+        "size,4,3,4,31,125,0.248\n"
+        "size,8,1,8,101,125,0.808\n"
+        "size,8,2,8,113,125,0.904\n"
+        "size,8,3,8,117,125,0.936\n"
+        "size,12,1,12,113,125,0.904\n"
+        "size,12,2,12,113,125,0.904\n"
+        "size,12,3,12,125,125,1.0\n"
+    )
+
+
+F5 = {"family": "prime-field", "p": 5}
+F9 = {"family": "galois-field", "p": 3, "e": 2}
+Z9 = {"family": "mod-prime-power", "p": 3, "ell": 2}
+PLANE = {"kind": "full-plane"}
+FIELD_CHECKS = [
+    "census", "nu", "f-moments", "lemma-2.2", "lemma-2.3", "lemma-2.4",
+    "lemma-3.1", "lemma-4.1", "lemma-4.2",
+]
+
+
+# Report shapes that verify-all does not reach, pinned by the sha256 of
+# the bytes written to stdout (together, every check name at least once).
+@pytest.mark.parametrize(
+    "command, obj, code, sha256",
+    [
+        (
+            "run",
+            dict(F3_CENSUS, checks=FIELD_CHECKS, output={"format": "csv"}),
+            EXIT_OK,
+            "c51fa7ca5f355a7f998a1174c5d2f927382c3ddcc09e314e5c246f27257a2dd2",
+        ),
+        (
+            "run",
+            {"ring": F5, "construction": {"kind": "circle", "r": 1},
+             "checks": ["f-moments", "sharpness", "lemma-3.1"]},
+            EXIT_OK,
+            "0bc792844eafe24992ae647e0f7f7c9f29b27e29d626da51b2d0c0930cb7d0fe",
+        ),
+        (
+            "run",
+            dict(F3_CENSUS, checks=["f-moments"], budget=1000),
+            EXIT_OK,
+            "22f26eb625f6a80d3e8f819974db1a57b90a07fc0ea4877ea77af14b9fd88cdb",
+        ),
+        (
+            "run",
+            {"ring": Z9, "construction": PLANE,
+             "checks": ["census", "nu", "lemma-2.3", "lemma-4.1", "theorem-6.1"]},
+            EXIT_OK,
+            "4aa838259e69c1201aa3a4a1c55eb1b2de91cdea1ccd4757a76ebbb872097c00",
+        ),
+        (
+            "run",
+            {"ring": Z9, "k": 2, "construction": {"kind": "mod-sharpness"},
+             "checks": ["sharpness", "census"], "output": {"format": "csv"}},
+            EXIT_OK,
+            "1907f306e9a57f938cf689084dd413033cf37594cac0e840421fbb395867ca64",
+        ),
+        (
+            "run",
+            {"ring": F9, "k": 2, "construction": {"kind": "random-subset", "size": 5, "seed": 3},
+             "checks": ["nu", "census", "lemma-2.2", "lemma-2.4"]},
+            EXIT_OK,
+            "b5e0080feaf1bc5167a3764d76019730e2a59f214eeca23a147fd63a75fe7db3",
+        ),
+        (
+            "run",
+            dict(F3_CENSUS, construction={"kind": "circle", "r": 0}, checks=["sharpness"]),
+            EXIT_CHECK_FAILED,
+            "0378fd3a7dd088342eaeaf028e9575fe7f37ef6c8a3d8b2bd521acca31a9da1b",
+        ),
+        (
+            "sweep",
+            {"experiment": {"ring": dict(Z9, ell=1), "construction": {"kind": "random-subset", "size": 5}},
+             "variable": "ell", "values": [1, 2], "seeds": [1, 2]},
+            EXIT_OK,
+            "59315422dbe34fecbb03b0ce574f2672326eac28d417947fc2deee7e78b0ed5b",
+        ),
+    ],
+    ids=[
+        "f3-every-field-check-csv", "f5-circle-orbit-branch", "f-moments-skipped-budget",
+        "z9-plane-theorem-6.1", "z9-mod-sharpness-csv", "f9-subset-galois-keys",
+        "sharpness-fails", "sweep-ell",
+    ],
+)
+def test_report_bytes_are_pinned(tmp_path, capsys, command, obj, code, sha256):
+    assert main([command, write_config(tmp_path, obj)]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify-all"])
+def test_unwritable_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    from areal import cli
+    from areal import census as cn
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(cli, "canonical_matrix", no_work)
+    monkeypatch.setattr(cn, "count_classes", no_work)
+    dest = str(tmp_path / "missing" / "report.json")
+    if command == "run":
+        argv = ["run", write_config(tmp_path, F3_CENSUS), "--output", dest]
+    elif command == "sweep":
+        obj = {"experiment": SWEEP_EXPERIMENT, "variable": "k", "values": [1]}
+        argv = ["sweep", write_config(tmp_path, obj), "--output", dest]
+    else:
+        argv = ["verify-all", "--output", dest]
+    assert main(argv) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("invalid config: cannot write output")
+
+
+def test_unwritable_config_output_path_exits_2(tmp_path, capsys):
+    obj = dict(F3_CENSUS, output={"path": str(tmp_path)})  # a directory
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("invalid config: cannot write output")
+
+
+def test_failed_run_leaves_an_existing_output_untouched(tmp_path, capsys):
+    dest = tmp_path / "report.json"
+    dest.write_text("previous report\n")
+    cfg = write_config(tmp_path, dict(F3_CENSUS, budget=5))
+    assert main(["run", cfg, "--output", str(dest)]) == EXIT_BUDGET
+    assert dest.read_text() == "previous report\n"
+    fresh = tmp_path / "fresh.json"
+    assert main(["run", cfg, "--output", str(fresh)]) == EXIT_BUDGET
+    assert not fresh.exists()
+
+
+def test_lemma_2_2_refuses_its_budget_before_enumerating(tmp_path, capsys, monkeypatch):
+    from areal import census as cn
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("good classes were enumerated before the budget check")
+
+    monkeypatch.setattr(cn, "good_class_members", no_enumeration)
+    # the census has 9^6 tuples; the scan needs |SL_2(F_3)| * sum c^2 = 304,432,128
+    obj = dict(F3_CENSUS, k=5, checks=["lemma-2.2"], budget=10 ** 6)
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert err == "budget exceeded: enumeration needs 304432128 tuple visits but the budget is 1000000\n"
+
+
+def test_lemma_3_1_charges_k_squared(tmp_path, capsys):
+    obj = dict(F3_CENSUS, k=2000, checks=["lemma-3.1"], budget=10 ** 6)
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
+    assert "needs 4000000 tuple visits" in capsys.readouterr().err
+
+
+def test_a_value_past_the_digit_limit_is_refused_in_one_line(tmp_path, capsys):
+    # c_k = 2^40000 fits the budget but not the interpreter's decimal conversion
+    obj = dict(F3_CENSUS, k=200, checks=["lemma-3.1"])
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_INVALID
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("invalid config: a report value has more than")
+    assert len(err.splitlines()) == 1
