@@ -556,8 +556,10 @@ def mbad_class_size_check(census: CensusReport) -> MBadReport:
 def good_class_members(
     E: PointSet, k: int, budget: int = DEFAULT_BUDGET
 ) -> dict[bytes, list[tuple]]:
-    """Good tuples of E^{k+1} grouped by signature key.  Memory is the
-    number of good tuples, so keep to small instances."""
+    """Good tuples of E^{k+1} grouped by signature key, built tuple by
+    tuple through configs.signature: the tests' reference grouping, which
+    no check uses.  Memory is the number of good tuples, so keep to small
+    instances."""
     from .configs import signature
 
     n = len(E)

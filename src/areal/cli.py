@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from . import census as cn
 from . import constructions as cons
-from .configs import BothBad, NotEquivalent, apply_config, recover_g
-from .linalg import apply_mat, enumerate_sl2, identity, sl2_order
+from .configs import NotEquivalent, apply_config, first_unit_pair, recover_g
+from .linalg import enumerate_sl2, identity, sl2_order
 from .rings import ModPrimePower, RingSpec, checked_int, ring_from_json
 
 EXIT_OK = 0
@@ -47,6 +47,11 @@ def _fields(result) -> dict:
     return {name: getattr(result, name) for name in shown}
 
 
+def _too_many_digits() -> InvalidConfig:
+    limit = sys.get_int_max_str_digits()
+    return InvalidConfig(f"a report value has more than {limit} decimal digits")
+
+
 def _report_json(value):
     """The one spelling of report values: bools and strings stay, ints
     and Fractions become decimal strings, lists and dicts recurse (dict
@@ -59,8 +64,7 @@ def _report_json(value):
         try:
             return str(value)
         except ValueError:  # past the interpreter's limit on decimal digits
-            limit = sys.get_int_max_str_digits()
-            raise InvalidConfig(f"a report value has more than {limit} decimal digits") from None
+            raise _too_many_digits() from None
     if isinstance(value, _Echo):
         return value.value
     if isinstance(value, list):
@@ -182,7 +186,6 @@ def _check_lemma_4_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     cn._check_budget(order, cfg.budget)
     enumerated = sum(1 for _ in enumerate_sl2(cfg.spec))
     return {
-        "check": "lemma-4.2",
         "formula": order,
         "enumerated": enumerated,
         "ok": order == enumerated,
@@ -195,9 +198,8 @@ def _check_lemma_4_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     try:
         phi = cn.transitivity_constant(spec, cfg.budget)
     except cn.NotTransitive as exc:
-        return {"check": "lemma-4.1", "ok": False, "counterexample": repr(exc.pair)}
+        return {"ok": False, "counterexample": repr(exc.pair)}
     return {
-        "check": "lemma-4.1",
         "phi": phi,
         "group_order": sl2_order(spec),
         "orbit_size": len(orbit),
@@ -213,7 +215,6 @@ def _check_census(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         and all(c >= 1 for c in report.classes_by_level.values())
     )
     return {
-        "check": "census",
         "ring": _Echo(cfg.spec.to_json()),
         "k": _Echo(cfg.k),
         **_fields(report),
@@ -225,7 +226,6 @@ def _check_nu(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     hist = cn.nu_histogram(E, cfg.budget)
     element_json = cfg.spec.element_to_json
     return {
-        "check": "nu",
         "histogram": {json.dumps(element_json(t)): c for t, c in hist.counts.items()},
         "total": hist.total(),
         "expected_total": len(E) ** 2,
@@ -246,7 +246,6 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         and prof.second_moment_excess >= 0
     )
     out = {
-        "check": "f-moments",
         "f_identity": f_identity,
         "set_size": len(E),
         "sum_f": prof.sum_f,
@@ -260,68 +259,63 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         ok = ok and prof.sum_f * len(orbit) == expected
         out["sum_f_times_orbit"] = prof.sum_f * len(orbit)
         out["order_times_size_sq"] = expected
-    n = len(E)
-    if n ** 4 <= cfg.budget and sl2_order(spec) * n * n <= cfg.budget:
+    try:
         ident_report = cn.moment_identity_check(E, prof, cfg.budget)
         ok = ok and ident_report.ok
         out["moment_identity"] = ident_report
-    else:
+    except cn.BudgetExceeded:
         out["moment_identity"] = "skipped: budget"
     out["ok"] = ok
     return out
 
 
-def _images_in_class(spec, group: list, xs, member_set: set) -> dict:
-    """Map each tuple of member_set that some g sends xs to onto those g,
-    in group order.  Images outside the class are not kept, so the map
-    holds at most |class| entries however large the group is."""
+def _images_in_class(spec, group: list, xs, members: frozenset) -> dict:
+    """Map each image of xs whose points all lie in members onto the g
+    that send xs there, in group order.  SL_2 keeps areas, so every kept
+    image is in the class of xs, and the map holds at most |class|
+    entries however large the group is."""
     images: dict = {}
     for g in group:
-        img = apply_config(spec, g, xs)
-        if img in member_set:
-            images.setdefault(img, []).append(g)
+        ys = apply_config(spec, g, xs)
+        if members.issuperset(ys):
+            images.setdefault(ys, []).append(g)
     return images
 
 
 def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     """Every pair of equivalent good tuples is related by exactly one
     group element, found both by full scan and by recover_g.  The scan
-    applies the whole group to each good tuple xs once and files every
-    g whose image lies in the class of xs under that image, so the
-    matches for (xs, ys) are images[ys], in group order.  Its cost,
-    sum |class|^2 |SL_2| over the good classes, is read from the census
-    and charged before any good tuple is stored."""
+    applies the whole group once to each good tuple xs of E^{k+1}, in
+    product order; the images that stay in E are the class of xs, and
+    the matches for (xs, ys) are images[ys].  A good class of c tuples
+    yields at most c^2 pairs, so every equivalent pair was reached only
+    when the pairs checked reach the census's sum of c^2.  That sum
+    times |SL_2| is charged before the scan."""
     spec = cfg.spec
-    order = sl2_order(spec)
-    cn._check_budget(order * memo.census(E, cfg.k).equivalent_good_pairs(), cfg.budget)
-    classes = cn.good_class_members(E, cfg.k, cfg.budget)
-    group = list(enumerate_sl2(spec)) if classes else []
-    pairs_checked, ok = _scan_good_classes(spec, group, classes)
+    census = memo.census(E, cfg.k)
+    equivalent_pairs = census.equivalent_good_pairs()
+    cn._check_budget(sl2_order(spec) * equivalent_pairs, cfg.budget)
+    group = list(enumerate_sl2(spec)) if equivalent_pairs else []
+    scan = (
+        (xs, ys, gs)
+        for xs in itertools.product(E.points, repeat=cfg.k + 1)
+        if first_unit_pair(spec, xs) is not None
+        for ys, gs in _images_in_class(spec, group, xs, E.members).items()
+    )
+    pairs_checked, matched = 0, True
+    for xs, ys, gs in scan:
+        try:
+            matched = gs == [recover_g(spec, xs, ys)]
+        except NotEquivalent:
+            matched = False
+        if not matched:
+            break
+        pairs_checked += 1
     return {
-        "check": "lemma-2.2",
-        "good_classes": len(classes),
+        "good_classes": census.classes_by_level.get(0, 0),
         "pairs_checked": pairs_checked,
-        "ok": ok,
+        "ok": matched and pairs_checked == equivalent_pairs,
     }
-
-
-def _scan_good_classes(spec, group: list, classes: dict) -> tuple[int, bool]:
-    """(pairs checked, ok), stopping at the first pair (xs, ys) whose
-    only match in the scan is not recover_g(xs, ys)."""
-    pairs_checked = 0
-    for members in classes.values():
-        member_set = set(members)
-        for xs in members:
-            images = _images_in_class(spec, group, xs, member_set)
-            for ys in members:
-                try:
-                    g = recover_g(spec, xs, ys)
-                except (NotEquivalent, BothBad):
-                    return pairs_checked, False
-                if images.get(ys) != [g]:
-                    return pairs_checked, False
-                pairs_checked += 1
-    return pairs_checked, True
 
 
 def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
@@ -346,7 +340,6 @@ def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         and all(c <= 4 for c in level_constants.values())
     )
     return {
-        "check": "lemma-2.3",
         "counts_by_level": fast,
         "oracle_by_level": oracle,
         "bad_total": bad_total,
@@ -359,16 +352,19 @@ def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
 
 def _check_lemma_2_4(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     report = cn.flemma_check(memo.census(E, cfg.k), memo.profile(E))
-    return {"check": "lemma-2.4", **_fields(report), "ok": report.ok}
+    return {**_fields(report), "ok": report.ok}
 
 
 def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
-    # c_k = 2^{k^2} is a k^2-bit integer, so k^2 is charged before it is built
+    # c_k = 2^{k^2} is a k^2-bit integer: k^2 is charged, and a c_k past
+    # the limit on decimal digits is refused, before it is built
     cn._check_budget(cfg.k ** 2, cfg.budget)
+    limit = sys.get_int_max_str_digits()
+    if limit and cfg.k ** 2 >= (10 ** limit).bit_length():
+        raise _too_many_digits()
     prof = memo.profile(E)
     result = cn.moment_lift_check(prof.values, cfg.k)
     return {
-        "check": "lemma-3.1",
         "c_k": result.c_k,
         "lhs": result.lhs,
         "rhs": result.rhs,
@@ -382,7 +378,7 @@ def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
 def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     plane = cons.full_plane(cfg.spec)
     report = cn.mbad_class_size_check(memo.census(plane, cfg.k))
-    return {"check": "theorem-6.1", **_fields(report), "ok": report.ok}
+    return {**_fields(report), "ok": report.ok}
 
 
 def min_rotation_orbit(E: cn.PointSet, k: int, rotations, budget: int) -> int:
@@ -400,7 +396,6 @@ def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     report = memo.census(E, cfg.k)
     bad_tuples = sum(c for m, c in report.tuples_by_level.items() if m >= 1)
     out = {
-        "check": "sharpness",
         "kind": kind,
         "set_size": len(E),
         "total_tuples": report.total_tuples,
@@ -414,7 +409,7 @@ def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         return out
     rotations = cons.rotation_group(spec)
     closed = all(
-        apply_mat(spec, g, x) in E.members for g in rotations for x in E.points
+        spec.apply_mat(g, x) in E.members for g in rotations for x in E.points
     )
     min_orbit = min_rotation_orbit(E, cfg.k, rotations, cfg.budget)
     out["rotation_group_size"] = len(rotations)
@@ -447,7 +442,7 @@ CHECK_NAMES = tuple(_CHECKS)
 def run_experiment(cfg: ExperimentConfig) -> dict:
     E = cfg.point_set()
     memo = Memo(cfg.budget)
-    results = [_CHECKS[name](cfg, E, memo) for name in cfg.checks]
+    results = [{"check": name, **_CHECKS[name](cfg, E, memo)} for name in cfg.checks]
     return _report_json({
         "ring": _Echo(cfg.spec.to_json()),
         "construction": _Echo(cfg.construction),

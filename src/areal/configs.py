@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Mat2, Vec2, apply_mat, col_matrix, enumerate_sl2, inverse, mat_mul, perp_dot
+from .linalg import Mat2, Vec2, col_matrix, enumerate_sl2, inverse, mat_mul
 from .rings import RingSpec
 
 
@@ -47,7 +47,8 @@ class AreaSignature:
     def encode(self) -> bytes:
         """Stable byte encoding: k as 2 bytes big-endian, then each area's
         canonical index in fixed width (just enough bytes for the ring
-        size).  This is the census hash key; do not change it."""
+        size).  census.good_class_members groups by it; the census
+        itself packs its keys from the area table in another order."""
         width = key_width(self.spec)
         parts = [self.k.to_bytes(2, "big")]
         parts.extend(a.to_bytes(width, "big") for a in self.areas)
@@ -58,7 +59,7 @@ def signature(spec: RingSpec, points: tuple[Vec2, ...]) -> AreaSignature:
     k = len(points) - 1
     if k < 1:
         raise ValueError("a configuration needs at least 2 points")
-    areas = tuple(perp_dot(spec, points[i], points[j]) for i, j in pair_indices(k))
+    areas = tuple(spec.perp_dot(points[i], points[j]) for i, j in pair_indices(k))
     return AreaSignature(spec, k, areas)
 
 
@@ -68,7 +69,7 @@ def badness_level(spec: RingSpec, points: tuple[Vec2, ...]) -> int:
     mod the full modulus.  Fields only have levels 0 and 1."""
     m = spec.max_level
     for i, j in pair_indices(len(points) - 1):
-        v = spec.valuation(perp_dot(spec, points[i], points[j]))
+        v = spec.valuation(spec.perp_dot(points[i], points[j]))
         if v < m:
             m = v
             if m == 0:
@@ -79,7 +80,7 @@ def badness_level(spec: RingSpec, points: tuple[Vec2, ...]) -> int:
 def first_unit_pair(spec: RingSpec, points: tuple[Vec2, ...]):
     """First (i, j) in lexicographic order whose area is a unit, or None."""
     for i, j in pair_indices(len(points) - 1):
-        if spec.is_unit(perp_dot(spec, points[i], points[j])):
+        if spec.is_unit(spec.perp_dot(points[i], points[j])):
             return (i, j)
     return None
 
@@ -102,7 +103,7 @@ def recover_g(spec: RingSpec, xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> Mat
     g = mat_mul(spec, col_matrix(ys[i], ys[j]), inverse(spec, col_matrix(xs[i], xs[j])))
     # cheap insurance against convention mismatches: never trust the algebra
     for x, y in zip(xs, ys):
-        if apply_mat(spec, g, x) != y:
+        if spec.apply_mat(g, x) != y:
             raise NotEquivalent(f"candidate {g} fails on point {x}")
     return g
 

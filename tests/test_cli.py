@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -378,14 +379,17 @@ def test_lemma_2_2_scans_the_group_once_per_good_tuple(monkeypatch):
 
 
 def test_lemma_2_2_keeps_no_image_outside_the_class(monkeypatch):
-    from areal import cli
+    import itertools
 
-    sizes = []
+    from areal import cli
+    from areal.configs import first_unit_pair, signature
+
+    kept = {}
     images_in_class = cli._images_in_class
 
-    def recorded(spec, group, xs, member_set):
-        images = images_in_class(spec, group, xs, member_set)
-        sizes.append((len(images), len(member_set), len(group)))
+    def recorded(spec, group, xs, members):
+        images = images_in_class(spec, group, xs, members)
+        kept[xs] = (len(images), len(group))
         return images
 
     monkeypatch.setattr(cli, "_images_in_class", recorded)
@@ -395,11 +399,19 @@ def test_lemma_2_2_keeps_no_image_outside_the_class(monkeypatch):
         "k": 1,
         "checks": ["lemma-2.2"],
     }
-    (check,) = run_experiment(ExperimentConfig.from_json(obj))["checks"]
+    cfg = ExperimentConfig.from_json(obj)
+    (check,) = run_experiment(cfg)["checks"]
     assert check["ok"] is True
-    assert sizes
+    # the classes, grouped here through configs.signature
+    spec, E = cfg.spec, cfg.point_set()
+    classes: dict = {}
+    for xs in itertools.product(E.points, repeat=cfg.k + 1):
+        if first_unit_pair(spec, xs) is not None:
+            classes.setdefault(signature(spec, xs), []).append(xs)
+    class_size = {xs: len(members) for members in classes.values() for xs in members}
+    assert set(kept) == set(class_size)
     # classes of a few tuples against the 336 elements of SL_2(F_7)
-    assert all(kept <= members < group for kept, members, group in sizes)
+    assert all(n <= class_size[xs] < group for xs, (n, group) in kept.items())
 
 
 def test_lemma_2_2_cross_checks_recover_g(monkeypatch):
@@ -414,6 +426,52 @@ def test_lemma_2_2_cross_checks_recover_g(monkeypatch):
     report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"])))
     assert report["checks"] == [
         {"check": "lemma-2.2", "good_classes": "2", "pairs_checked": "0", "ok": False}
+    ]
+
+
+LEMMA_2_2_CASES = {
+    # name: (ring, construction, k, good_classes, pairs_checked)
+    "F3-plane-k1": ({"family": "prime-field", "p": 3}, {"kind": "full-plane"}, 1, 2, 1152),
+    "F3-plane-k2": ({"family": "prime-field", "p": 3}, {"kind": "full-plane"}, 2, 26, 14976),
+    "F5-plane-k1": ({"family": "prime-field", "p": 5}, {"kind": "full-plane"}, 1, 4, 57600),
+    "F7-subset4-k1": ({"family": "prime-field", "p": 7},
+                      {"kind": "random-subset", "size": 4, "seed": 1}, 1, 4, 36),
+    "F5-circles-k2": ({"family": "prime-field", "p": 5},
+                      {"kind": "union-circles", "radii": [1, 4]}, 2, 48, 3072),
+}
+
+
+@pytest.mark.parametrize("case", LEMMA_2_2_CASES, ids=str)
+def test_lemma_2_2_reaches_every_equivalent_good_pair(case):
+    ring, construction, k, good_classes, pairs_checked = LEMMA_2_2_CASES[case]
+    obj = {"ring": ring, "construction": construction, "k": k, "checks": ["lemma-2.2"]}
+    (check,) = run_experiment(ExperimentConfig.from_json(obj))["checks"]
+    assert check == {"check": "lemma-2.2", "good_classes": str(good_classes),
+                     "pairs_checked": str(pairs_checked), "ok": True}
+
+
+def test_lemma_2_2_fails_when_the_group_misses_an_element(monkeypatch):
+    from areal import cli
+
+    enumerate_sl2 = cli.enumerate_sl2
+    monkeypatch.setattr(cli, "enumerate_sl2", lambda spec: list(enumerate_sl2(spec))[:-1])
+    report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"], k=2)))
+    # each of the 26 * 24 good tuples loses the one pair the dropped g gave it
+    assert report["checks"] == [
+        {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14352", "ok": False}
+    ]
+
+
+def test_lemma_2_2_fails_when_the_census_overcounts_its_pairs(monkeypatch):
+    from areal import census as cn
+
+    equivalent_good_pairs = cn.CensusReport.equivalent_good_pairs
+    monkeypatch.setattr(
+        cn.CensusReport, "equivalent_good_pairs", lambda self: equivalent_good_pairs(self) + 1
+    )
+    report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"], k=2)))
+    assert report["checks"] == [
+        {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14976", "ok": False}
     ]
 
 
@@ -577,11 +635,14 @@ def test_failed_run_leaves_an_existing_output_untouched(tmp_path, capsys):
 
 def test_lemma_2_2_refuses_its_budget_before_enumerating(tmp_path, capsys, monkeypatch):
     from areal import census as cn
+    from areal import cli
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("good classes were enumerated before the budget check")
 
     monkeypatch.setattr(cn, "good_class_members", no_enumeration)
+    monkeypatch.setattr(cli, "apply_config", no_enumeration)
+    monkeypatch.setattr(cli, "enumerate_sl2", no_enumeration)
     # the census has 9^6 tuples; the scan needs |SL_2(F_3)| * sum c^2 = 304,432,128
     obj = dict(F3_CENSUS, k=5, checks=["lemma-2.2"], budget=10 ** 6)
     assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
@@ -593,6 +654,60 @@ def test_lemma_3_1_charges_k_squared(tmp_path, capsys):
     obj = dict(F3_CENSUS, k=2000, checks=["lemma-3.1"], budget=10 ** 6)
     assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
     assert "needs 4000000 tuple visits" in capsys.readouterr().err
+
+
+DIGIT_LIMIT_MESSAGE = "invalid config: a report value has more than 4300 decimal digits\n"
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() != 4300, reason="needs the default digit limit")
+def test_lemma_3_1_refuses_a_c_k_past_the_digit_limit_before_computing(
+    tmp_path, capsys, monkeypatch
+):
+    from areal import census as cn
+
+    def no_computation(*args, **kwargs):
+        raise AssertionError("the lifting inequality was computed before the refusal")
+
+    monkeypatch.setattr(cn, "moment_lift_check", no_computation)
+    # k^2 = 256,000,000 fits the default budget; c_k = 2^{k^2} alone is 32 MB
+    obj = dict(F3_CENSUS, k=16000, checks=["lemma-3.1"])
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", DIGIT_LIMIT_MESSAGE)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() != 4300, reason="needs the default digit limit")
+@pytest.mark.parametrize("k, code", [(117, EXIT_OK), (119, EXIT_INVALID)])
+def test_lemma_3_1_below_the_c_k_bound_reaches_the_serializer(
+    tmp_path, capsys, monkeypatch, k, code
+):
+    from areal import census as cn
+
+    calls = []
+    moment_lift_check = cn.moment_lift_check
+
+    def counted(values, k):
+        calls.append(k)
+        return moment_lift_check(values, k)
+
+    monkeypatch.setattr(cn, "moment_lift_check", counted)
+    # c_k = 2^{k^2} has 4,263 digits at k = 119, but lhs and rhs have more
+    obj = dict(F3_CENSUS, k=k, checks=["lemma-3.1"])
+    assert main(["run", write_config(tmp_path, obj)]) == code
+    assert calls == [k]
+    if code == EXIT_INVALID:
+        assert capsys.readouterr() == ("", DIGIT_LIMIT_MESSAGE)
+
+
+def test_lemma_3_1_computes_every_k_without_a_digit_limit(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        obj = dict(F3_CENSUS, k=120, checks=["lemma-3.1"])
+        assert main(["run", write_config(tmp_path, obj)]) == EXIT_OK
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert check["c_k"] == str(2 ** 14400)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_a_value_past_the_digit_limit_is_refused_in_one_line(tmp_path, capsys):
