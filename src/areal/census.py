@@ -124,7 +124,8 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Count
 
 def key_badness(spec: RingSpec, key: bytes) -> int:
     """Badness level of every tuple whose signature has this key, decoded
-    area by area (the reference for key_levels)."""
+    area by area: the route key_levels takes for keys wider than one byte
+    per area, and the reference its width-1 route is tested against."""
     width = key_width(spec)
     if width > 1:  # a width-1 key iterates as its area indexes already
         key = [int.from_bytes(key[off : off + width], "big") for off in range(0, len(key), width)]
@@ -138,18 +139,22 @@ def key_badness(spec: RingSpec, key: bytes) -> int:
     return m
 
 
-def key_levels(spec: RingSpec, keys) -> dict[bytes, int]:
-    """The badness level of each census key.  A width-1 key's level is
-    the least byte of key.translate(vt), where vt maps each area index to
-    its valuation; wider keys go through key_badness."""
+def key_levels(spec: RingSpec, keys) -> Iterator[int]:
+    """The badness levels of census keys, yielded in key order.  A width-1
+    key's is the least byte of key.translate(vt), where vt maps each area
+    index to its valuation; wider keys go through key_badness."""
     if key_width(spec) > 1:
-        return {key: key_badness(spec, key) for key in keys}
+        return (key_badness(spec, key) for key in keys)
     vt = bytes(map(spec.valuation, spec.elements())).ljust(256, b"\0")
-    return {key: min(key.translate(vt)) for key in keys}
+    return (min(key.translate(vt)) for key in keys)
 
 
 @dataclass
 class CensusReport:
+    """The census of E^{k+1}.  Unreported: class_sizes (key -> tuples)
+    and size_tally (level -> {class size -> classes}), from which the
+    per-level counts and the composite checks' class statistics come."""
+
     spec: RingSpec
     k: int
     set_size: int
@@ -158,34 +163,30 @@ class CensusReport:
     classes_by_level: dict[int, int]
     total_classes: int
     class_sizes: dict[bytes, int] = field(repr=False, default_factory=dict)
-    class_levels: dict[bytes, int] = field(repr=False, default_factory=dict)
+    size_tally: dict[int, dict[int, int]] = field(repr=False, default_factory=dict)
 
     def equivalent_good_pairs(self) -> int:
         """#{(x, y) : x ~ y, both good} = sum of |class|^2 over good classes."""
-        return sum(c * c for key, c in self.class_sizes.items() if self.class_levels[key] == 0)
+        return sum(size * size * n for size, n in self.size_tally.get(0, {}).items())
 
 
 def count_classes(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> CensusReport:
     """Exact census of distinct area signatures over E^{k+1}, split by
-    badness level (a class invariant)."""
+    badness level (a class invariant), found once per key."""
     counts = signature_counts(E, k, budget)
-    levels = key_levels(E.spec, counts)
-    tuples_by_level: dict[int, int] = {}
-    classes_by_level: dict[int, int] = {}
-    for key, c in counts.items():
-        m = levels[key]
-        tuples_by_level[m] = tuples_by_level.get(m, 0) + c
-        classes_by_level[m] = classes_by_level.get(m, 0) + 1
+    tally: dict[int, dict[int, int]] = {}
+    for (m, size), n in Counter(zip(key_levels(E.spec, counts), counts.values())).items():
+        tally.setdefault(m, {})[size] = n
     return CensusReport(
         spec=E.spec,
         k=k,
         set_size=len(E),
         total_tuples=len(E) ** (k + 1),
-        tuples_by_level=tuples_by_level,
-        classes_by_level=classes_by_level,
+        tuples_by_level={m: sum(size * n for size, n in t.items()) for m, t in tally.items()},
+        classes_by_level={m: sum(t.values()) for m, t in tally.items()},
         total_classes=len(counts),
         class_sizes=counts,
-        class_levels=levels,
+        size_tally=tally,
     )
 
 
@@ -243,12 +244,10 @@ def nu_histogram(E: PointSet, budget: int = DEFAULT_BUDGET) -> NuHistogram:
     """nu(t) = #{(x, y) in E x E : x . y^perp = t}; sums to |E|^2."""
     spec = E.spec
     _check_budget(len(E) ** 2, budget)
-    perp = spec.perp_dot
-    counts: dict = {}
-    for x in E.points:
-        for y in E.points:
-            t = perp(x, y)
-            counts[t] = counts.get(t, 0) + 1
+    perp, pts = spec.perp_dot, E.points
+    counts: Counter = Counter()
+    for x in pts:
+        counts.update([perp(x, y) for y in pts])
     return NuHistogram(spec, counts)
 
 
@@ -517,29 +516,26 @@ def mbad_class_size_check(census: CensusReport) -> MBadReport:
     good_classes = census.classes_by_level.get(0, 0)
     good_tuples = census.tuples_by_level.get(0, 0)
     good_free = good_classes * order == good_tuples and all(
-        c == order
-        for key, c in census.class_sizes.items()
-        if census.class_levels[key] == 0
+        size == order for size in census.size_tally.get(0, {})
     )
     levels = []
     for m in range(1, ell + 1):
-        sizes = [
-            c for key, c in census.class_sizes.items() if census.class_levels[key] == m
-        ]
-        if not sizes:
+        tally = census.size_tally.get(m)
+        if not tally:
             continue
+        class_count, min_size = sum(tally.values()), min(tally)
         size_bound = p ** (3 * ell - 2 * m)
         shape = _power(p, ell * (2 * k - 1) + (2 - k) * m)
         levels.append(
             MBadLevelReport(
                 m=m,
-                class_count=len(sizes),
+                class_count=class_count,
                 tuple_count=census.tuples_by_level[m],
-                min_class_size=min(sizes),
+                min_class_size=min_size,
                 size_bound=size_bound,
                 count_shape=shape,
-                count_constant=Fraction(len(sizes)) / shape,
-                size_ok=min(sizes) >= size_bound,
+                count_constant=Fraction(class_count) / shape,
+                size_ok=min_size >= size_bound,
             )
         )
     return MBadReport(

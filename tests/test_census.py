@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from areal.census import (
     flemma_check,
     good_class_members,
     key_badness,
+    key_levels,
     mbad_class_size_check,
     moment_identity_check,
     moment_lift_check,
@@ -81,16 +83,18 @@ def test_budget_error_names_required_budget():
 
 
 def _signature_oracle(E, k):
-    """Class sizes and per-level tuple and class counts of E^{k+1},
-    grouped by configs.signature, with no area table and no census keys."""
+    """Class sizes, per-level tuple and class counts, and the per-level
+    tally level -> {class size -> number of classes} of E^{k+1}, grouped
+    by configs.signature, with no area table and no census keys."""
     spec = E.spec
     classes = Counter(signature(spec, t).areas for t in itertools.product(E.points, repeat=k + 1))
-    tuples_by_level, classes_by_level = Counter(), Counter()
+    tuples_by_level, classes_by_level, tally = Counter(), Counter(), {}
     for areas, size in classes.items():
         m = min([spec.max_level] + [spec.valuation(a) for a in areas])
         tuples_by_level[m] += size
         classes_by_level[m] += 1
-    return sorted(classes.values()), dict(tuples_by_level), dict(classes_by_level)
+        tally.setdefault(m, Counter())[size] += 1
+    return sorted(classes.values()), dict(tuples_by_level), dict(classes_by_level), tally
 
 
 @pytest.mark.parametrize(
@@ -110,11 +114,12 @@ def _signature_oracle(E, k):
 )
 def test_count_classes_matches_signature_oracle(E, k):
     report = count_classes(E, k)
-    sizes, tuples_by_level, classes_by_level = _signature_oracle(E, k)
+    sizes, tuples_by_level, classes_by_level, tally = _signature_oracle(E, k)
     assert sorted(report.class_sizes.values()) == sizes
     assert report.tuples_by_level == tuples_by_level
     assert report.classes_by_level == classes_by_level
     assert report.total_classes == len(sizes)
+    assert report.size_tally == tally
 
 
 @pytest.mark.parametrize(
@@ -127,9 +132,25 @@ def test_count_classes_matches_signature_oracle(E, k):
     ids=["F7-k2", "Z27s-k3", "Z343s-k2"],
 )
 def test_census_key_levels_match_per_area_decode(E, k):
-    report = count_classes(E, k)
-    assert report.class_levels == {key: key_badness(E.spec, key) for key in report.class_sizes}
-    assert set(report.class_levels.values()) == set(range(E.spec.max_level + 1))
+    keys = list(count_classes(E, k).class_sizes)
+    levels = list(key_levels(E.spec, keys))
+    assert levels == [key_badness(E.spec, key) for key in keys]
+    assert set(levels) == set(range(E.spec.max_level + 1))
+
+
+def test_count_classes_peak_memory_is_the_signature_counts():
+    # the per-level tally adds nothing that grows with the number of classes
+    E = random_subset(mod_prime_power(3, 3), 20, 1)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn(E, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(count_classes) <= 1.05 * peak(signature_counts)
 
 
 def test_budget_is_checked_before_the_area_table(monkeypatch):
@@ -183,6 +204,21 @@ def test_nu_histogram_f3():
     assert hist.counts == {0: 33, 1: 24, 2: 24}
     assert hist.total() == 81
     assert hist.to_csv() == "t,count\n0,33\n1,24\n2,24\n"
+
+
+@pytest.mark.parametrize(
+    "E",
+    [random_subset(galois_field(3, 2), 30, 3), random_subset(mod_prime_power(3, 3), 60, 3)],
+    ids=["F9s", "Z27s"],
+)
+def test_nu_histogram_matches_pairwise_loop(E):
+    spec = E.spec
+    expected = {}
+    for x in E.points:
+        for y in E.points:
+            t = spec.sub(spec.mul(x[0], y[1]), spec.mul(x[1], y[0]))
+            expected[t] = expected.get(t, 0) + 1
+    assert nu_histogram(E).counts == expected
 
 
 def test_nu_histogram_origin_only():
