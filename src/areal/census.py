@@ -13,9 +13,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterator
 
-from .configs import key_width, pair_indices
+from .configs import badness_level, key_width, signature
 from .linalg import Vec2, enumerate_sl2, sl2_order
 from .rings import ModPrimePower, RingSpec
 
@@ -209,19 +210,13 @@ def bad_tuple_shape(spec: RingSpec, k: int, set_size: int, m: int) -> int:
 
 
 def count_bad_tuples_naive(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
-    """Independent oracle: recompute every pairwise area from scratch,
-    no tables, no early exits shared with the fast route."""
-    spec = E.spec
-    n = len(E)
-    _check_budget(n ** (k + 1), budget)
-    pairs = pair_indices(k)
-    perp, valuation, top = spec.perp_dot, spec.valuation, spec.max_level
-    counts: dict[int, int] = {}
-    for t in itertools.product(E.points, repeat=k + 1):
-        m = min([valuation(perp(t[i], t[j])) for i, j in pairs])
-        m = min(m, top)
-        counts[m] = counts.get(m, 0) + 1
-    return counts
+    """Independent oracle: configs.badness_level counted over E^{k+1},
+    every area recomputed from the points; it reads no area table or
+    census key and calls no census routine.  badness_level stops at the
+    first unit area, which is exact because no level is below 0."""
+    _check_budget(len(E) ** (k + 1), budget)
+    level = partial(badness_level, E.spec)
+    return dict(Counter(map(level, itertools.product(E.points, repeat=k + 1))))
 
 
 @dataclass
@@ -556,10 +551,7 @@ def good_class_members(
     tuple through configs.signature: the tests' reference grouping, which
     no check uses.  Memory is the number of good tuples, so keep to small
     instances."""
-    from .configs import signature
-
-    n = len(E)
-    _check_budget(n ** (k + 1), budget)
+    _check_budget(len(E) ** (k + 1), budget)
     spec = E.spec
     out: dict[bytes, list[tuple]] = {}
     for t in itertools.product(E.points, repeat=k + 1):

@@ -538,6 +538,12 @@ def cmd_sweep(args) -> int:
         raise InvalidConfig(f"unknown sweep variable {variable!r}")
     if not (isinstance(values, list) and isinstance(seeds, list) and values and seeds):
         raise InvalidConfig("values and seeds must be nonempty lists")
+    # every other ring family ignores ell, every other construction size
+    if variable == "ell" and _json_object(base, "ring", {}).get("family") != "mod-prime-power":
+        raise InvalidConfig("sweeping ell needs a mod-prime-power ring")
+    if variable == "size":
+        if _json_object(base, "construction", {}).get("kind", "random-subset") != "random-subset":
+            raise InvalidConfig("sweeping size needs a random-subset construction")
     path = _writable(args.output)
 
     rows = ["variable,value,seed,set_size,classes,plane_classes,proportion"]

@@ -29,7 +29,7 @@ from areal.census import (
     transitivity_constant,
 )
 from areal.configs import signature
-from areal.constructions import full_plane, line_through_origin, random_subset
+from areal.constructions import full_plane, line_through_origin, mod_sharpness_set, random_subset
 from areal.linalg import sl2_order
 from areal.rings import galois_field, mod_prime_power, prime_field
 
@@ -187,8 +187,36 @@ def test_bad_tuple_fast_matches_naive_on_random_subsets():
     for spec in (F5, mod_prime_power(7, 3)):
         for seed in range(3):
             E = random_subset(spec, 10, seed)
-            for k in (1, 2):
+            for k in (1, 2, 3):
                 assert count_bad_tuples(E, k) == count_bad_tuples_naive(E, k)
+    # every tuple of the sharpness set is bad, so no unit area stops a scan
+    E = mod_sharpness_set(3, 2)
+    for k in (1, 2):
+        counts = count_bad_tuples_naive(E, k)
+        assert 0 not in counts
+        assert count_bad_tuples(E, k) == counts
+
+
+def test_bad_tuple_oracle_is_independent_of_the_census(monkeypatch):
+    E = random_subset(mod_prime_power(7, 3), 10, 4)  # two-byte census keys
+    expected = count_bad_tuples(E, 2)
+
+    def no_census(*args):
+        raise AssertionError("the oracle called the census")
+
+    for name in ("area_index_table", "signature_counts", "key_levels", "key_badness"):
+        monkeypatch.setattr(census, name, no_census)
+    assert count_bad_tuples_naive(PLANE3, 1) == {0: 48, 1: 33}
+    assert count_bad_tuples_naive(E, 2) == expected
+
+
+def test_bad_tuple_oracle_checks_its_budget_first(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("tuples scanned before the budget check")
+
+    monkeypatch.setattr(census, "badness_level", no_scan)
+    with pytest.raises(BudgetExceeded):
+        count_bad_tuples_naive(PLANE5, 3, budget=10)
 
 
 def test_bad_pair_bound_constant_small_fields():

@@ -258,8 +258,14 @@ SWEEP_EXPERIMENT = {"ring": {"family": "prime-field", "p": 3}, "k": 1, "checks":
         {"experiment": SWEEP_EXPERIMENT, "variable": "k", "values": [1], "seeds": 0},
         {"experiment": dict(SWEEP_EXPERIMENT, ring=7), "variable": "ell", "values": [1]},
         {"experiment": dict(SWEEP_EXPERIMENT, construction=5), "variable": "size", "values": [2]},
+        {"experiment": SWEEP_EXPERIMENT, "variable": "ell", "values": [1, 2, 3]},
+        {"experiment": dict(SWEEP_EXPERIMENT, construction={"kind": "full-plane"}),
+         "variable": "size", "values": [4, 6]},
     ],
-    ids=["list", "experiment-int", "values-int", "seeds-int", "ring-int", "construction-int"],
+    ids=[
+        "list", "experiment-int", "values-int", "seeds-int", "ring-int", "construction-int",
+        "ell-on-a-field", "size-on-the-full-plane",
+    ],
 )
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, obj):
     cfg = write_config(tmp_path, obj)
