@@ -154,10 +154,11 @@ class ExperimentConfig:
 
 
 class Memo:
-    """The counted quantities of one experiment, each computed at most
-    once: the census of every (point set, k) and the f profile of every
-    point set that a check asks for.  All point sets of an experiment
-    share its ring, so their points identify them."""
+    """The counted quantities of one command, each computed at most once:
+    the census of every (ring, points, k) and the f profile of every (ring,
+    points) that a check of any of its experiments asks for.  Two rings can
+    share points (the F_9 and Z/9Z planes), so the ring is in the key.  A
+    census is kept without its class_sizes Counter, which no check reads."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -165,15 +166,16 @@ class Memo:
         self._profiles: dict = {}
 
     def census(self, E: cn.PointSet, k: int) -> cn.CensusReport:
-        key = (E.points, k)
+        key = (E.spec, E.points, k)
         if key not in self._censuses:
-            self._censuses[key] = cn.count_classes(E, k, self.budget)
+            self._censuses[key] = replace(cn.count_classes(E, k, self.budget), class_sizes={})
         return self._censuses[key]
 
     def profile(self, E: cn.PointSet) -> cn.FProfile:
-        if E.points not in self._profiles:
-            self._profiles[E.points] = cn.f_profile(E, self.budget)
-        return self._profiles[E.points]
+        key = (E.spec, E.points)
+        if key not in self._profiles:
+            self._profiles[key] = cn.f_profile(E, self.budget)
+        return self._profiles[key]
 
 
 # ---------------------------------------------------------------------------
@@ -439,9 +441,9 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def run_experiment(cfg: ExperimentConfig) -> dict:
+def run_experiment(cfg: ExperimentConfig, *, memo: Memo | None = None) -> dict:
     E = cfg.point_set()
-    memo = Memo(cfg.budget)
+    memo = memo or Memo(cfg.budget)
     results = [{"check": name, **_CHECKS[name](cfg, E, memo)} for name in cfg.checks]
     return _report_json({
         "ring": _Echo(cfg.spec.to_json()),
@@ -530,7 +532,6 @@ def cmd_sweep(args) -> int:
     if not isinstance(obj, dict):
         raise InvalidConfig("a sweep config must be a JSON object")
     base = dict(_json_object(obj, "experiment", {}))
-    base.setdefault("checks", ["census"])
     variable = obj.get("variable")
     values = obj.get("values")
     seeds = obj.get("seeds", [0])
@@ -538,6 +539,11 @@ def cmd_sweep(args) -> int:
         raise InvalidConfig(f"unknown sweep variable {variable!r}")
     if not (isinstance(values, list) and isinstance(seeds, list) and values and seeds):
         raise InvalidConfig("values and seeds must be nonempty lists")
+    # a sweep runs only the census and writes only its CSV rows
+    if base.setdefault("checks", ["census"]) != ["census"]:
+        raise InvalidConfig("a sweep runs only the census check")
+    if "output" in base:
+        raise InvalidConfig("a sweep writes its rows to --output or stdout, not to output")
     # every other ring family ignores ell, every other construction size
     if variable == "ell" and _json_object(base, "ring", {}).get("family") != "mod-prime-power":
         raise InvalidConfig("sweeping ell needs a mod-prime-power ring")
@@ -547,7 +553,7 @@ def cmd_sweep(args) -> int:
     path = _writable(args.output)
 
     rows = ["variable,value,seed,set_size,classes,plane_classes,proportion"]
-    plane_cache: dict = {}
+    memo = Memo(_json_int(base, "budget", cn.DEFAULT_BUDGET))
     for value in values:
         for seed in seeds:
             exp = json.loads(json.dumps(base))
@@ -563,14 +569,9 @@ def cmd_sweep(args) -> int:
                 con["seed"] = seed
             cfg = ExperimentConfig.from_json(exp)
             E = cfg.point_set()
-            classes = cn.count_classes(E, cfg.k, cfg.budget).total_classes
-            key = (cfg.spec, cfg.k)
-            if len(E) == cfg.spec.size() ** 2:  # E is the plane
-                plane_cache[key] = classes
-            if key not in plane_cache:
-                plane = replace(cfg, construction=FULL).point_set()
-                plane_cache[key] = cn.count_classes(plane, cfg.k, cfg.budget).total_classes
-            plane_classes = plane_cache[key]
+            classes = memo.census(E, cfg.k).total_classes
+            plane = replace(cfg, construction=FULL).point_set()
+            plane_classes = memo.census(plane, cfg.k).total_classes
             proportion = Fraction(classes, plane_classes)
             rows.append(
                 f"{variable},{value},{seed},{len(E)},{classes},"
@@ -649,7 +650,8 @@ def cmd_verify_all(args) -> int:
         return EXIT_BUDGET
     path = _writable(args.output)
     cfgs = canonical_matrix(args.budget)
-    results = [run_experiment(cfg) for cfg in cfgs]
+    memo = Memo(args.budget)
+    results = [run_experiment(cfg, memo=memo) for cfg in cfgs]
     report = {"experiments": results, "ok": all(r["ok"] for r in results)}
     _emit(_report_text(report, "json"), path)
     for cfg, res in zip(cfgs, results):

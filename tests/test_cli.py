@@ -10,8 +10,11 @@ from areal.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
     EXIT_OK,
+    FULL,
+    SAMPLE20,
     ExperimentConfig,
     InvalidConfig,
+    Memo,
     canonical_matrix,
     main,
     run_experiment,
@@ -261,13 +264,18 @@ SWEEP_EXPERIMENT = {"ring": {"family": "prime-field", "p": 3}, "k": 1, "checks":
         {"experiment": SWEEP_EXPERIMENT, "variable": "ell", "values": [1, 2, 3]},
         {"experiment": dict(SWEEP_EXPERIMENT, construction={"kind": "full-plane"}),
          "variable": "size", "values": [4, 6]},
+        {"experiment": dict(SWEEP_EXPERIMENT, checks=["lemma-2.2"]),
+         "variable": "k", "values": [1, 2]},
+        {"experiment": dict(SWEEP_EXPERIMENT, output={"path": "sweep.csv", "format": "csv"}),
+         "variable": "k", "values": [1, 2]},
     ],
     ids=[
         "list", "experiment-int", "values-int", "seeds-int", "ring-int", "construction-int",
-        "ell-on-a-field", "size-on-the-full-plane",
+        "ell-on-a-field", "size-on-the-full-plane", "check-besides-census", "output-section",
     ],
 )
-def test_sweep_rejects_malformed_configs(tmp_path, capsys, obj):
+def test_sweep_rejects_malformed_configs(tmp_path, capsys, monkeypatch, obj):
+    monkeypatch.chdir(tmp_path)  # a relative output path would land here
     cfg = write_config(tmp_path, obj)
     assert main(["sweep", cfg]) == EXIT_INVALID
     out, err = capsys.readouterr()
@@ -339,6 +347,75 @@ def test_sweep_reuses_the_census_of_a_full_plane_set(tmp_path, capsys, monkeypat
         "k,2,0,9,27,27,1.0\n"
     )
     assert calls == [(9, 1), (9, 2)]
+
+
+F9_RING = {"family": "galois-field", "p": 3, "e": 2}
+Z9_RING = {"family": "mod-prime-power", "p": 3, "ell": 2}
+
+
+def test_memo_keys_include_the_ring():
+    memo = Memo(10 ** 9)
+    f9, z9 = (
+        ExperimentConfig.from_json({"ring": ring, "checks": ["census"]}).point_set()
+        for ring in (F9_RING, Z9_RING)
+    )
+    assert f9.points == z9.points  # the same pairs of ints 0..8
+    f9_census, z9_census = memo.census(f9, 1), memo.census(z9, 1)
+    assert 2 not in f9_census.tuples_by_level
+    assert z9_census.tuples_by_level[2] > 0
+    assert (memo.profile(f9).group_order, memo.profile(z9).group_order) == (720, 648)
+
+
+def test_verify_all_computes_each_quantity_once(tmp_path, monkeypatch):
+    """The F_9 and Z/9Z k=1 full-plane cells share point sets: across
+    them every census and f profile is computed once, and the report is
+    the one that a memo per cell gives."""
+    from areal import census as cn
+    from areal import cli
+
+    cells = [
+        cfg for cfg in canonical_matrix(cn.DEFAULT_BUDGET)
+        if cfg.spec.label() in ("F_9", "Z/9Z") and cfg.k == 1 and cfg.construction == FULL
+    ]
+    assert len(cells) == 4
+    monkeypatch.setattr(cli, "canonical_matrix", lambda budget: cells)
+    expected = {"experiments": [run_experiment(cfg) for cfg in cells]}
+    keys = {
+        "count_classes": lambda E, k, budget: (E.spec, E.points, k),
+        "f_profile": lambda E, budget: (E.spec, E.points),
+    }
+    calls = []
+    for name, key in keys.items():
+        def counted(*args, _fn=getattr(cn, name), _key=key):
+            calls.append(_key(*args))
+            return _fn(*args)
+
+        monkeypatch.setattr(cn, name, counted)
+    dest = tmp_path / "report.json"
+    assert main(["verify-all", "--output", str(dest)]) == EXIT_OK
+    assert len(calls) == len(set(calls)) == 4
+    report = json.loads(dest.read_text())
+    assert report == {**expected, "ok": True}
+
+
+def test_the_memo_holds_no_class_dict():
+    """The Z/27Z k=3 sample has 137,851 classes, a 10 MiB class dict;
+    the memo keeps only the census's per-level tallies."""
+    import tracemalloc
+
+    cfg = ExperimentConfig.from_json({
+        "ring": {"family": "mod-prime-power", "p": 3, "ell": 3}, "k": 3,
+        "construction": SAMPLE20, "checks": ["census"],
+    })
+    memo = Memo(cfg.budget)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, memo=memo)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert memo.census(cfg.point_set(), 3).total_classes == 137_851
+    assert held < 2 ** 20
 
 
 HUGE_RING = {"family": "mod-prime-power", "p": 3, "ell": 10000}

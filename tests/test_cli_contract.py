@@ -76,8 +76,14 @@ def experiments(draw):
 
 @st.composite
 def sweeps(draw):
+    experiment = draw(experiments())
+    # a sweep refuses any check but the census and any output section, so
+    # most drawn sweeps leave both out and reach the refusals after them
+    for key in ("checks", "output"):
+        if draw(st.integers(0, 3)):
+            del experiment[key]
     config = {
-        "experiment": draw(experiments()),
+        "experiment": experiment,
         "variable": draw(st.sampled_from(["size", "k", "ell", "temperature"])),
         "values": draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
         "seeds": draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)),
@@ -196,6 +202,17 @@ def test_run_exit_contract(config, flag):
 @example(
     config={"experiment": {"ring": F3, "budget": 10 ** 5}, "variable": "k", "values": [1]},
     flag="<missing-dir>",
+)
+@example(
+    config={"experiment": {"ring": F3, "checks": ["lemma-2.2"], "budget": 10 ** 5},
+            "variable": "k", "values": [1, 2]},
+    flag=None,
+)
+@example(
+    config={"experiment": {"ring": F3, "output": {"path": "<file>", "format": "csv"},
+                           "budget": 10 ** 5},
+            "variable": "k", "values": [1, 2]},
+    flag=None,
 )
 def test_sweep_exit_contract(config, flag):
     code, err = _invoke("sweep", config, flag)
