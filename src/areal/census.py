@@ -42,7 +42,9 @@ class NotTransitive(Exception):
         self.pair = pair
 
 
-def _check_budget(required: int, budget: int) -> None:
+def check_budget(required: int, budget: int) -> None:
+    """Raise BudgetExceeded when a count of visits passes the budget;
+    every engine calls it before it allocates or enumerates."""
     if required > budget:
         raise BudgetExceeded(required, budget)
 
@@ -88,11 +90,18 @@ def _csv_rep(spec: RingSpec, a) -> str:
     return ";".join(str(c) for c in j) if isinstance(j, list) else str(j)
 
 
-def area_index_table(E: PointSet) -> list[list[int]]:
-    """table[i][j] = canonical index of the area of (point i, point j)."""
-    perp = E.spec.perp_dot
-    pts = E.points
-    return [[perp(x, y) for y in pts] for x in pts]
+def area_index_table(E: PointSet) -> list[bytes]:
+    """Row i holds the area of (point i, point j) for every j, each as its
+    canonical index in key_width bytes big-endian; a row is one perp_row."""
+    perp_row, pts, width = E.spec.perp_row, E.points, key_width(E.spec)
+    if width == 1:
+        return [bytes(perp_row(x, pts)) for x in pts]
+    return [b"".join([a.to_bytes(width, "big") for a in perp_row(x, pts)]) for x in pts]
+
+
+# Ends every one-byte-per-area key in a census block.  Such keys hold
+# indexes below q, and q is odd, so q <= 255 and no area is this byte.
+_SEPARATOR = b"\xff"
 
 
 def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Counter:
@@ -101,25 +110,46 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Count
 
     A key packs the area index of every pair (i, j), i < j, in column
     order (by j, then by i), each in key_width bytes big-endian.  The
-    key of (t_0 .. t_k) is then the key of its prefix (t_0 .. t_{k-1})
-    followed by the column T[t_0][t_k] .. T[t_{k-1}][t_k], so the loop
-    runs over the n^k prefixes and the n keys of each are joined in C."""
+    tuples sharing (t_0 .. t_{k-2}) form a block of n^2 keys, written in
+    product order into one bytearray with one extended-slice assignment
+    per key byte: that byte is one area of the table's byte plane, fixed
+    over the block, or repeated or tiled over t_{k-1} and t_k.  One-
+    byte-per-area keys are cut from each row of n keys with one
+    bytes.split on the separator after each key; wider keys by slicing."""
     n = len(E)
-    _check_budget(n ** (k + 1), budget)
-    T = area_index_table(E)
-    width = key_width(E.spec)
-    # rows become bytes cells in place, one shared object per distinct
-    # area, so the byte table takes no more memory than the int table
-    cell = {a: a.to_bytes(width, "big") for a in set(itertools.chain.from_iterable(T))}
-    for row in T:
-        row[:] = map(cell.__getitem__, row)
-    prefix_pairs = [(i, j) for j in range(k) for i in range(j)]
+    check_budget(n ** (k + 1), budget)
     counts: Counter = Counter()
-    update, repeat = counts.update, itertools.repeat
-    for t in itertools.product(range(n), repeat=k):
-        rows = [T[i] for i in t]
-        prefix = b"".join([rows[i][t[j]] for i, j in prefix_pairs])
-        update(map(b"".join, zip(repeat(prefix, n), *rows)))
+    if n == 0:
+        return counts
+    width = key_width(E.spec)
+    T = area_index_table(E)
+    # planes[b][x][y]: byte b of the area of (x, y); at width 1 the table
+    planes = [T] if width == 1 else [[row[b::width] for row in T] for b in range(width)]
+    # each key byte's pair (i, j) and plane; t_inner and t_k vary in a block
+    sources = [(i, j, planes[b]) for j in range(1, k + 1) for i in range(j) for b in range(width)]
+    inner, n2 = k - 1, n * n
+    stride = len(sources) + (width == 1)  # one-byte-per-area keys end in the separator
+    runs = [bytes((v,)) * n for v in range(256)] if k > 1 else []
+    block = bytearray(_SEPARATOR * (n2 * stride))
+    row_len = n * stride
+    rows = [slice(off, off + row_len - 1) for off in range(0, n2 * stride, row_len)]
+    for t in itertools.product(range(n), repeat=k - 1):
+        for o, (i, j, plane) in enumerate(sources):
+            if j < inner:  # one area for the whole block
+                fill = bytes((plane[t[i]][t[j]],)) * n2
+            elif j == inner:  # the area of t_i with t_inner, each n times
+                fill = b"".join(map(runs.__getitem__, plane[t[i]]))
+            elif i < inner:  # the area of t_i with t_k, the row n times
+                fill = plane[t[i]] * n
+            else:  # the area of t_inner with t_k: the whole table
+                fill = b"".join(plane)
+            block[o::stride] = fill
+        keys = bytes(block)
+        if width == 1:
+            counts.update(itertools.chain.from_iterable(keys[r].split(_SEPARATOR) for r in rows))
+        else:
+            ends = range(stride, n2 * stride + 1, stride)
+            counts.update(map(keys.__getitem__, map(slice, range(0, n2 * stride, stride), ends)))
     return counts
 
 
@@ -214,7 +244,7 @@ def count_bad_tuples_naive(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) ->
     every area recomputed from the points; it reads no area table or
     census key and calls no census routine.  badness_level stops at the
     first unit area, which is exact because no level is below 0."""
-    _check_budget(len(E) ** (k + 1), budget)
+    check_budget(len(E) ** (k + 1), budget)
     level = partial(badness_level, E.spec)
     return dict(Counter(map(level, itertools.product(E.points, repeat=k + 1))))
 
@@ -238,11 +268,11 @@ class NuHistogram:
 def nu_histogram(E: PointSet, budget: int = DEFAULT_BUDGET) -> NuHistogram:
     """nu(t) = #{(x, y) in E x E : x . y^perp = t}; sums to |E|^2."""
     spec = E.spec
-    _check_budget(len(E) ** 2, budget)
-    perp, pts = spec.perp_dot, E.points
+    check_budget(len(E) ** 2, budget)
+    perp_row, pts = spec.perp_row, E.points
     counts: Counter = Counter()
     for x in pts:
-        counts.update([perp(x, y) for y in pts])
+        counts.update(perp_row(x, pts))
     return NuHistogram(spec, counts)
 
 
@@ -265,13 +295,42 @@ class FProfile:
 
 
 def f_profile(E: PointSet, budget: int = DEFAULT_BUDGET) -> FProfile:
+    """f(g) = #{x in E : gx in E} for every g, one AND and one popcount
+    each.
+
+    Point x_i of E owns field i of a bitset: whole bytes, one bit per
+    element.  A row r of g sends x_i to u_i = r . x_i; top(r) sets every
+    v with (u_i, v) in E in field i, and bottom(r) sets bit u_i of field
+    i.  So for g with rows r and s, top(r) & bottom(s) has one bit for
+    each x_i with g x_i in E.  One apply_mat pass over E with g gives
+    the bits of both its rows, so each distinct row costs at most one
+    pass; every row's two |E|-field ints are kept for the whole group."""
     spec = E.spec
     order = sl2_order(spec)
-    _check_budget(order * max(1, len(E)), budget)
-    members, points, apply = E.members, E.points, spec.apply_mat
+    check_budget(order * max(1, len(E)), budget)
+    q, points, apply = spec.size(), E.points, spec.apply_mat
+    field_bytes = (q + 7) // 8
+    columns = [0] * q  # columns[u]: bit v set iff (u, v) in E
+    for u, v in points:
+        columns[u] |= 1 << v
+    tops = [c.to_bytes(field_bytes, "little") for c in columns]
+    bottoms = [(1 << u).to_bytes(field_bytes, "little") for u in range(q)]
+
+    def bits(images: list[int]) -> tuple[int, int]:
+        return (
+            int.from_bytes(b"".join(map(tops.__getitem__, images)), "little"),
+            int.from_bytes(b"".join(map(bottoms.__getitem__, images)), "little"),
+        )
+
+    row_bits: dict[tuple, tuple[int, int]] = {}
     values = []
     for g in enumerate_sl2(spec):
-        values.append(sum(1 for x in points if apply(g, x) in members))
+        top_row, bottom_row = g[:2], g[2:]
+        if top_row not in row_bits or bottom_row not in row_bits:
+            images = [apply(g, x) for x in points]
+            row_bits[top_row] = bits([u for u, _ in images])
+            row_bits[bottom_row] = bits([v for _, v in images])
+        values.append((row_bits[top_row][0] & row_bits[bottom_row][1]).bit_count())
     sum_f = sum(values)
     mean = Fraction(sum_f, order)
     excess = sum(v * v for v in values) - mean * mean * order
@@ -344,7 +403,7 @@ def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     the designated orbit and returns its value |G| / |X|."""
     X = designated_orbit(spec)
     order = sl2_order(spec)
-    _check_budget(order * len(X), budget)
+    check_budget(order * len(X), budget)
     index = {x: i for i, x in enumerate(X)}
     nx = len(X)
     phi = [0] * (nx * nx)
@@ -426,7 +485,7 @@ def moment_identity_check(
     spec = E.spec
     n = len(E)
     order = sl2_order(spec)
-    _check_budget(max(n ** 4, order * n * n), budget)
+    check_budget(max(n ** 4, order * n * n), budget)
     group = list(enumerate_sl2(spec))
     lhs = profile.sum_power(2)
     perp, apply = spec.perp_dot, spec.apply_mat
@@ -551,7 +610,7 @@ def good_class_members(
     tuple through configs.signature: the tests' reference grouping, which
     no check uses.  Memory is the number of good tuples, so keep to small
     instances."""
-    _check_budget(len(E) ** (k + 1), budget)
+    check_budget(len(E) ** (k + 1), budget)
     spec = E.spec
     out: dict[bytes, list[tuple]] = {}
     for t in itertools.product(E.points, repeat=k + 1):

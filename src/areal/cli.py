@@ -146,7 +146,7 @@ class ExperimentConfig:
     def point_set(self) -> cn.PointSet:
         """The construction's points.  A construction scans up to the
         q^2 points of the plane, so q^2 is budgeted before it runs."""
-        cn._check_budget(self.spec.size() ** 2, self.budget)
+        cn.check_budget(self.spec.size() ** 2, self.budget)
         try:
             return cons.construction_from_json(self.spec, self.construction)
         except (KeyError, ValueError, TypeError) as exc:
@@ -185,7 +185,7 @@ class Memo:
 
 def _check_lemma_4_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     order = sl2_order(cfg.spec)
-    cn._check_budget(order, cfg.budget)
+    cn.check_budget(order, cfg.budget)
     enumerated = sum(1 for _ in enumerate_sl2(cfg.spec))
     return {
         "formula": order,
@@ -296,7 +296,7 @@ def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     spec = cfg.spec
     census = memo.census(E, cfg.k)
     equivalent_pairs = census.equivalent_good_pairs()
-    cn._check_budget(sl2_order(spec) * equivalent_pairs, cfg.budget)
+    cn.check_budget(sl2_order(spec) * equivalent_pairs, cfg.budget)
     group = list(enumerate_sl2(spec)) if equivalent_pairs else []
     scan = (
         (xs, ys, gs)
@@ -360,7 +360,7 @@ def _check_lemma_2_4(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
 def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     # c_k = 2^{k^2} is a k^2-bit integer: k^2 is charged, and a c_k past
     # the limit on decimal digits is refused, before it is built
-    cn._check_budget(cfg.k ** 2, cfg.budget)
+    cn.check_budget(cfg.k ** 2, cfg.budget)
     limit = sys.get_int_max_str_digits()
     if limit and cfg.k ** 2 >= (10 ** limit).bit_length():
         raise _too_many_digits()
@@ -385,7 +385,7 @@ def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dic
 
 def min_rotation_orbit(E: cn.PointSet, k: int, rotations, budget: int) -> int:
     """Smallest orbit of a tuple of E^{k+1} under the rotation group."""
-    cn._check_budget(len(E) ** (k + 1) * len(rotations), budget)
+    cn.check_budget(len(E) ** (k + 1) * len(rotations), budget)
     tuples = itertools.product(E.points, repeat=k + 1)
     return min(
         (len({apply_config(E.spec, g, t) for g in rotations}) for t in tuples), default=0

@@ -11,7 +11,9 @@ and elements serve directly as dict keys and list indexes.  Every
 operation takes the ring as explicit context and raises TypeError for
 an operand that is not an element of it.  Besides the ring operations,
 each family computes the area form perp_dot(x, y) and the SL_2 action
-apply_mat(m, v) in one checked call, since every count reduces to them.
+apply_mat(m, v) in one checked call, since every count reduces to them,
+and perp_row(x, ys), the areas of x with every point of ys, in one call
+that checks every operand before it computes the row.
 
 F_p and Z/p^l Z compute residues modulo the cached size.  F_{p^e} reads
 add/sub/mul/neg/inv tables that are built on first use from the
@@ -200,6 +202,16 @@ class RingSpec:
     def element(self, i: int) -> int:
         return i
 
+    def _check_row(self, x1, x2, ys) -> None:
+        """Raise TypeError unless x1, x2 and every coordinate of the points
+        ys are elements, checked in C-level passes over them all."""
+        coords = (x1, x2, *itertools.chain.from_iterable(ys))
+        if set(map(type, coords)) <= {int}:
+            values = set(coords)
+            if min(values) >= 0 and max(values) < self._q:
+                return
+        raise self._reject(*coords)
+
     def _reject(self, *operands) -> TypeError:
         """The error for the first operand that is not an element."""
         q = self._q
@@ -262,6 +274,13 @@ class _Residues(RingSpec):
         ):
             return (x1 * y2 - x2 * y1) % q
         raise self._reject(x1, x2, y1, y2)
+
+    def perp_row(self, x: tuple, ys) -> list[int]:
+        """[perp_dot(x, y) for y in ys] in one call, for a sequence ys."""
+        x1, x2 = x
+        self._check_row(x1, x2, ys)
+        q = self._q
+        return [(x1 * y2 - x2 * y1) % q for y1, y2 in ys]
 
     def apply_mat(self, m: tuple, v: tuple) -> tuple[int, int]:
         """The vector [[a, b], [c, d]] (x, y) for m = (a, b, c, d), in one call."""
@@ -450,6 +469,14 @@ class GaloisField(RingSpec):
             mul = t.mul
             return t.sub[mul[x1][y2]][mul[x2][y1]]
         raise self._reject(x1, x2, y1, y2)
+
+    def perp_row(self, x: tuple, ys) -> list[int]:
+        """[perp_dot(x, y) for y in ys] in one call, for a sequence ys."""
+        x1, x2 = x
+        self._check_row(x1, x2, ys)
+        t = self._tables
+        sub, by_x1, by_x2 = t.sub, t.mul[x1], t.mul[x2]
+        return [sub[by_x1[y2]][by_x2[y1]] for y1, y2 in ys]
 
     def apply_mat(self, m: tuple, v: tuple) -> tuple[int, int]:
         """The vector [[a, b], [c, d]] (x, y) for m = (a, b, c, d), in one call."""

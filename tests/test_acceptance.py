@@ -203,8 +203,8 @@ def test_criterion_10_nu_identities():
 VERIFY_ALL_SHA256 = "5d41d95ffe51360b838550d103e2e32da80c940e4504e06ebe088fb646ff75cb"
 
 
-def test_criterion_11_thread_determinism(tmp_path):
-    with criterion(11, "thread-determinism", 600):
+def test_criterion_11_verify_all_is_byte_identical(tmp_path):
+    with criterion(11, "byte-identical-report", 600):
         outs = []
         for run in ("first", "second"):
             path = tmp_path / f"report-{run}.json"

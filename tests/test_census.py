@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from areal import census
+from areal import census, rings
 from areal.census import (
     BudgetExceeded,
     NotTransitive,
@@ -30,7 +30,7 @@ from areal.census import (
 )
 from areal.configs import signature
 from areal.constructions import full_plane, line_through_origin, mod_sharpness_set, random_subset
-from areal.linalg import sl2_order
+from areal.linalg import enumerate_sl2, sl2_order
 from areal.rings import galois_field, mod_prime_power, prime_field
 
 F3 = prime_field(3)
@@ -153,6 +153,20 @@ def test_count_classes_peak_memory_is_the_signature_counts():
     assert peak(count_classes) <= 1.05 * peak(signature_counts)
 
 
+def test_signature_counts_peak_memory_is_a_few_bytes_per_block_key():
+    # a block of n^2 keys at one byte per area: the byte table, its flat
+    # copy, the block with its separators and the block's bytes copy
+    # take 6 n^2 bytes in all, and no row is kept repeated n times
+    E = full_plane(mod_prime_power(3, 3))
+    tracemalloc.start()
+    try:
+        signature_counts(E, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(E) ** 2
+
+
 def test_budget_is_checked_before_the_area_table(monkeypatch):
     def no_table(E):
         raise AssertionError("area table built before the budget check")
@@ -206,6 +220,9 @@ def test_bad_tuple_oracle_is_independent_of_the_census(monkeypatch):
 
     for name in ("area_index_table", "signature_counts", "key_levels", "key_badness"):
         monkeypatch.setattr(census, name, no_census)
+    # the oracle recomputes every area through badness_level -> perp_dot
+    for ring_class in (rings._Residues, rings.GaloisField):
+        monkeypatch.setattr(ring_class, "perp_row", no_census)
     assert count_bad_tuples_naive(PLANE3, 1) == {0: 48, 1: 33}
     assert count_bad_tuples_naive(E, 2) == expected
 
@@ -283,6 +300,27 @@ def test_f_identity_is_set_size():
 
     f_id = next(v for g, v in zip(enumerate_sl2(F5), prof.values) if g == identity(F5))
     assert f_id == len(E)
+
+
+@pytest.mark.parametrize(
+    "E",
+    [
+        PLANE3,
+        full_plane(galois_field(3, 2)),
+        full_plane(Z9),
+        random_subset(mod_prime_power(3, 3), 20, 1),
+        random_subset(mod_prime_power(5, 2), 20, 1),
+        random_subset(galois_field(3, 4), 3, 1),
+        PointSet(F3, []),
+    ],
+    ids=["F3", "F9", "Z9", "Z27s", "Z25s", "F81s", "empty"],
+)
+def test_f_profile_matches_pointwise_count(E):
+    spec = E.spec
+    values = f_profile(E).values
+    assert len(values) == sl2_order(spec)
+    for g, value in zip(enumerate_sl2(spec), values):
+        assert value == sum(spec.apply_mat(g, x) in E.members for x in E.points)
 
 
 def test_moment_lift_constant_table():

@@ -5,6 +5,7 @@ nothing escapes main as an exception."""
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -94,6 +95,47 @@ def sweeps(draw):
     return config
 
 
+# (ring, size of its plane's side) for the sweeps that run
+SWEEP_RINGS = [
+    ({"family": "prime-field", "p": 3}, 3),
+    ({"family": "prime-field", "p": 5}, 5),
+    ({"family": "galois-field", "p": 3, "e": 2}, 9),
+    ({"family": "mod-prime-power", "p": 3, "ell": 1}, 3),
+    ({"family": "mod-prime-power", "p": 3, "ell": 2}, 9),
+    ({"family": "mod-prime-power", "p": 5, "ell": 1}, 5),
+]
+
+
+@st.composite
+def valid_sweeps(draw):
+    """A sweep that no refusal stops: its variable is one the experiment
+    reads, every value and seed is in range, and the budget is at most
+    10^5, so it either writes its rows or runs out of budget."""
+    variable = draw(st.sampled_from(["size", "k", "ell"]))
+    rings = [r for r in SWEEP_RINGS if variable != "ell" or r[0]["family"] == "mod-prime-power"]
+    ring, q = draw(st.sampled_from(rings))
+    if variable == "ell":
+        q = ring["p"]  # ell = 1 has the smallest plane
+    experiment = {
+        "ring": ring,
+        "k": draw(st.integers(1, 3)),
+        "budget": draw(st.sampled_from([10 ** 4, 10 ** 5]) | st.integers(1, 10 ** 5)),
+    }
+    if variable != "size" and draw(st.booleans()):
+        experiment["construction"] = {"kind": "random-subset", "size": draw(st.integers(0, q * q))}
+    values = {
+        "size": st.integers(0, q * q),
+        "k": st.integers(1, 3),
+        "ell": st.integers(1, 3),
+    }[variable]
+    return {
+        "experiment": experiment,
+        "variable": variable,
+        "values": draw(st.lists(values, min_size=1, max_size=3)),
+        "seeds": draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)),
+    }
+
+
 FLAG = st.none() | PATH
 
 F3 = {"family": "prime-field", "p": 3}
@@ -129,12 +171,12 @@ def _invoke(command, config, flag):
         argv = [command, path]
         if flag is not None:
             argv += ["--output", _paths(flag, tmp)]
-        err = io.StringIO()
+        out, err = io.StringIO(), io.StringIO()
         # a relative output path drawn as text lands in the temporary directory
-        with contextlib.chdir(tmp), contextlib.redirect_stdout(io.StringIO()), \
+        with contextlib.chdir(tmp), contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
             code = main(argv)
-    return code, err.getvalue()
+    return code, err.getvalue(), out.getvalue()
 
 
 def _assert_contract(code, err, budget):
@@ -177,7 +219,7 @@ def _assert_contract(code, err, budget):
     flag=None,
 )
 def test_run_exit_contract(config, flag):
-    code, err = _invoke("run", config, flag)
+    code, err, _ = _invoke("run", config, flag)
     _assert_contract(code, err, config["budget"])
 
 
@@ -215,5 +257,18 @@ def test_run_exit_contract(config, flag):
     flag=None,
 )
 def test_sweep_exit_contract(config, flag):
-    code, err = _invoke("sweep", config, flag)
+    code, err, _ = _invoke("sweep", config, flag)
     _assert_contract(code, err, config["experiment"]["budget"])
+
+
+@SETTINGS
+@given(config=valid_sweeps())
+def test_valid_sweep_writes_one_row_per_value_and_seed(config):
+    code, err, out = _invoke("sweep", config, None)
+    _assert_contract(code, err, config["experiment"]["budget"])
+    assert code in (0, 3), err
+    if code == 0:
+        header, *rows = out.splitlines()
+        assert header == "variable,value,seed,set_size,classes,plane_classes,proportion"
+        expected = itertools.product([config["variable"]], config["values"], config["seeds"])
+        assert [row.split(",")[:3] for row in rows] == [[str(v) for v in e] for e in expected]

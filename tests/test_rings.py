@@ -332,3 +332,28 @@ def test_fused_kernels_reject_non_elements(spec):
             ops[pos] = bad
             with pytest.raises(TypeError):
                 spec.apply_mat(tuple(ops[:4]), tuple(ops[4:]))
+
+
+@pytest.mark.parametrize("spec", [F3, F7, F9, Z9, Z27], ids=lambda s: s.label())
+def test_perp_row_matches_perp_dot(spec):
+    plane = _plane(spec)
+    for x in plane:
+        assert spec.perp_row(x, plane) == [spec.perp_dot(x, y) for y in plane]
+    assert spec.perp_row((1, 0), []) == []
+
+
+@pytest.mark.parametrize("spec", [F7, F9, Z27], ids=lambda s: s.label())
+def test_perp_row_rejects_non_elements(spec):
+    ys = [(0, 1), (2, 1), (1, 1)]
+    for bad in (True, spec.size(), -1, "1", 1.0, None):
+        for pos in range(2):
+            x = [1, 2]
+            x[pos] = bad
+            with pytest.raises(TypeError):
+                spec.perp_row(tuple(x), ys)
+        for i in range(len(ys)):
+            for pos in range(2):
+                y = list(ys[i])
+                y[pos] = bad
+                with pytest.raises(TypeError):
+                    spec.perp_row((1, 2), ys[:i] + [tuple(y)] + ys[i + 1 :])
