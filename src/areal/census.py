@@ -177,7 +177,7 @@ def key_levels(spec: RingSpec, keys) -> Iterator[int]:
     if key_width(spec) > 1:
         return (key_badness(spec, key) for key in keys)
     vt = bytes(map(spec.valuation, spec.elements())).ljust(256, b"\0")
-    return (min(key.translate(vt)) for key in keys)
+    return map(min, map(bytes.translate, keys, itertools.repeat(vt)))
 
 
 @dataclass
