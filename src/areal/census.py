@@ -13,10 +13,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Iterator
 
-from .configs import badness_level, key_width, signature
+from .configs import key_width, signature
 from .linalg import Vec2, enumerate_sl2, sl2_order
 from .rings import ModPrimePower, RingSpec
 
@@ -92,11 +91,11 @@ def _csv_rep(spec: RingSpec, a) -> str:
 
 def area_index_table(E: PointSet) -> list[bytes]:
     """Row i holds the area of (point i, point j) for every j, each as its
-    canonical index in key_width bytes big-endian; a row is one perp_row."""
-    perp_row, pts, width = E.spec.perp_row, E.points, key_width(E.spec)
+    canonical index in key_width bytes big-endian, from one perp_rows."""
+    rows, width = E.spec.perp_rows(E.points, E.points), key_width(E.spec)
     if width == 1:
-        return [bytes(perp_row(x, pts)) for x in pts]
-    return [b"".join([a.to_bytes(width, "big") for a in perp_row(x, pts)]) for x in pts]
+        return list(map(bytes, rows))
+    return [b"".join([a.to_bytes(width, "big") for a in row]) for row in rows]
 
 
 # Ends every one-byte-per-area key in a census block.  Such keys hold
@@ -240,13 +239,36 @@ def bad_tuple_shape(spec: RingSpec, k: int, set_size: int, m: int) -> int:
 
 
 def count_bad_tuples_naive(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
-    """Independent oracle: configs.badness_level counted over E^{k+1},
-    every area recomputed from the points; it reads no area table or
-    census key and calls no census routine.  badness_level stops at the
-    first unit area, which is exact because no level is below 0."""
-    check_budget(len(E) ** (k + 1), budget)
-    level = partial(badness_level, E.spec)
-    return dict(Counter(map(level, itertools.product(E.points, repeat=k + 1))))
+    """Independent oracle: the badness levels of E^{k+1}, found by a walk
+    over tuple prefixes on an explicit stack.  Each prefix carries its
+    level, the least valuation of its pairwise areas; extending it by y
+    computes only the new areas valuation(perp_dot(t_i, y)), stopping at
+    the first unit.  A prefix at level 0 adds all its extensions to
+    level 0 at once, which is exact because no level is below 0.  Every
+    area is recomputed from the points through the checked ring methods;
+    it reads no area table or census key and calls no census routine."""
+    n, spec = len(E), E.spec
+    check_budget(n ** (k + 1), budget)
+    perp, val, pts = spec.perp_dot, spec.valuation, E.points
+    tally = [0] * (spec.max_level + 1)
+    stack = [((), spec.max_level)]
+    while stack:
+        prefix, m = stack.pop()
+        rest = n ** (k - len(prefix))  # extensions of each prefix + (y,)
+        last = len(prefix) == k
+        for y in pts:
+            level = m
+            for x in prefix:
+                v = val(perp(x, y))
+                if v < level:
+                    level = v
+                    if not v:
+                        break
+            if not level or last:
+                tally[level] += rest
+            else:
+                stack.append((prefix + (y,), level))
+    return {m: c for m, c in enumerate(tally) if c}
 
 
 @dataclass
@@ -269,10 +291,7 @@ def nu_histogram(E: PointSet, budget: int = DEFAULT_BUDGET) -> NuHistogram:
     """nu(t) = #{(x, y) in E x E : x . y^perp = t}; sums to |E|^2."""
     spec = E.spec
     check_budget(len(E) ** 2, budget)
-    perp_row, pts = spec.perp_row, E.points
-    counts: Counter = Counter()
-    for x in pts:
-        counts.update(perp_row(x, pts))
+    counts = Counter(itertools.chain.from_iterable(spec.perp_rows(E.points, E.points)))
     return NuHistogram(spec, counts)
 
 

@@ -336,20 +336,21 @@ def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     }
     shape = level_shapes[1]
     constant = Fraction(bad_total, shape) if shape else Fraction(0)
-    ok = (
-        fast == oracle
-        and constant <= 4
-        and all(c <= 4 for c in level_constants.values())
-    )
-    return {
+    conditions = {"fast == oracle": fast == oracle, "constant <= 4": constant <= 4}
+    conditions.update({f"level_constants[{m}] <= 4": c <= 4 for m, c in level_constants.items()})
+    failed = [name for name, holds in conditions.items() if not holds]
+    report = {
         "counts_by_level": fast,
         "oracle_by_level": oracle,
         "bad_total": bad_total,
         "bound_shape": shape,
         "constant": constant,
         "level_constants": level_constants,
-        "ok": ok,
+        "ok": not failed,
     }
+    if failed:  # a passing report gains no key
+        report["failed"] = failed
+    return report
 
 
 def _check_lemma_2_4(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:

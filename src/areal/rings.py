@@ -12,8 +12,8 @@ operation takes the ring as explicit context and raises TypeError for
 an operand that is not an element of it.  Besides the ring operations,
 each family computes the area form perp_dot(x, y) and the SL_2 action
 apply_mat(m, v) in one checked call, since every count reduces to them,
-and perp_row(x, ys), the areas of x with every point of ys, in one call
-that checks every operand before it computes the row.
+and perp_rows(xs, ys), the areas of each point of xs with every point of
+ys, which checks every coordinate once before it yields the first row.
 
 F_p and Z/p^l Z compute residues modulo the cached size.  F_{p^e} reads
 add/sub/mul/neg/inv tables that are built on first use from the
@@ -202,13 +202,14 @@ class RingSpec:
     def element(self, i: int) -> int:
         return i
 
-    def _check_row(self, x1, x2, ys) -> None:
-        """Raise TypeError unless x1, x2 and every coordinate of the points
-        ys are elements, checked in C-level passes over them all."""
-        coords = (x1, x2, *itertools.chain.from_iterable(ys))
+    def _check_points(self, xs, ys) -> None:
+        """Raise TypeError unless every coordinate of the points xs and ys
+        is an element, checked in C-level passes over them all."""
+        chain = itertools.chain.from_iterable
+        coords = (*chain(xs), *chain(ys))
         if set(map(type, coords)) <= {int}:
             values = set(coords)
-            if min(values) >= 0 and max(values) < self._q:
+            if not values or (min(values) >= 0 and max(values) < self._q):
                 return
         raise self._reject(*coords)
 
@@ -275,12 +276,13 @@ class _Residues(RingSpec):
             return (x1 * y2 - x2 * y1) % q
         raise self._reject(x1, x2, y1, y2)
 
-    def perp_row(self, x: tuple, ys) -> list[int]:
-        """[perp_dot(x, y) for y in ys] in one call, for a sequence ys."""
-        x1, x2 = x
-        self._check_row(x1, x2, ys)
+    def perp_rows(self, xs, ys) -> Iterator[list[int]]:
+        """[perp_dot(x, y) for y in ys] for each x of xs in turn, for
+        sequences xs and ys, every coordinate checked before the first row."""
+        self._check_points(xs, ys)
         q = self._q
-        return [(x1 * y2 - x2 * y1) % q for y1, y2 in ys]
+        for x1, x2 in xs:
+            yield [(x1 * y2 - x2 * y1) % q for y1, y2 in ys]
 
     def apply_mat(self, m: tuple, v: tuple) -> tuple[int, int]:
         """The vector [[a, b], [c, d]] (x, y) for m = (a, b, c, d), in one call."""
@@ -470,13 +472,15 @@ class GaloisField(RingSpec):
             return t.sub[mul[x1][y2]][mul[x2][y1]]
         raise self._reject(x1, x2, y1, y2)
 
-    def perp_row(self, x: tuple, ys) -> list[int]:
-        """[perp_dot(x, y) for y in ys] in one call, for a sequence ys."""
-        x1, x2 = x
-        self._check_row(x1, x2, ys)
+    def perp_rows(self, xs, ys) -> Iterator[list[int]]:
+        """[perp_dot(x, y) for y in ys] for each x of xs in turn, for
+        sequences xs and ys, every coordinate checked before the first row."""
+        self._check_points(xs, ys)
         t = self._tables
-        sub, by_x1, by_x2 = t.sub, t.mul[x1], t.mul[x2]
-        return [sub[by_x1[y2]][by_x2[y1]] for y1, y2 in ys]
+        sub, mul = t.sub, t.mul
+        for x1, x2 in xs:
+            by_x1, by_x2 = mul[x1], mul[x2]
+            yield [sub[by_x1[y2]][by_x2[y1]] for y1, y2 in ys]
 
     def apply_mat(self, m: tuple, v: tuple) -> tuple[int, int]:
         """The vector [[a, b], [c, d]] (x, y) for m = (a, b, c, d), in one call."""

@@ -28,7 +28,7 @@ from areal.census import (
     signature_counts,
     transitivity_constant,
 )
-from areal.configs import signature
+from areal.configs import badness_level, signature
 from areal.constructions import full_plane, line_through_origin, mod_sharpness_set, random_subset
 from areal.linalg import enumerate_sl2, sl2_order
 from areal.rings import galois_field, mod_prime_power, prime_field
@@ -220,20 +220,45 @@ def test_bad_tuple_oracle_is_independent_of_the_census(monkeypatch):
 
     for name in ("area_index_table", "signature_counts", "key_levels", "key_badness"):
         monkeypatch.setattr(census, name, no_census)
-    # the oracle recomputes every area through badness_level -> perp_dot
+    # the oracle recomputes every area from the points through perp_dot
     for ring_class in (rings._Residues, rings.GaloisField):
-        monkeypatch.setattr(ring_class, "perp_row", no_census)
+        monkeypatch.setattr(ring_class, "perp_rows", no_census)
     assert count_bad_tuples_naive(PLANE3, 1) == {0: 48, 1: 33}
     assert count_bad_tuples_naive(E, 2) == expected
 
 
 def test_bad_tuple_oracle_checks_its_budget_first(monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("tuples scanned before the budget check")
+    def no_area(*args):
+        raise AssertionError("an area computed before the budget check")
 
-    monkeypatch.setattr(census, "badness_level", no_scan)
+    for ring_class in (rings._Residues, rings.GaloisField):
+        monkeypatch.setattr(ring_class, "perp_dot", no_area)
     with pytest.raises(BudgetExceeded):
         count_bad_tuples_naive(PLANE5, 3, budget=10)
+
+
+def _oracle_cases():
+    planes = [(F3, 3), (F5, 3), (galois_field(3, 2), 2), (Z9, 2)]
+    for spec, top_k in planes:
+        E = full_plane(spec)
+        yield from ((f"{spec.label()}-plane-k{k}", E, k) for k in range(1, top_k + 1))
+    for spec in (mod_prime_power(3, 5), mod_prime_power(7, 3)):
+        for seed in (0, 1):
+            E = random_subset(spec, 10, seed)
+            yield from ((f"{spec.label()}-s{seed}-k{k}", E, k) for k in (1, 2, 3))
+    # every pairwise area is divisible by 3, so no prefix is ever cut
+    yield from ((f"mod-sharpness-k{k}", mod_sharpness_set(3, 2), k) for k in (1, 2))
+    for E in (PointSet(Z9, []), PointSet(Z9, [(3, 6)])):
+        yield from ((f"{len(E)}-point-k{k}", E, k) for k in (1, 2))
+
+
+ORACLE_CASES = list(_oracle_cases())
+
+
+@pytest.mark.parametrize("E, k", [c[1:] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES])
+def test_bad_tuple_oracle_matches_badness_level_tuple_by_tuple(E, k):
+    expected = Counter(badness_level(E.spec, t) for t in itertools.product(E.points, repeat=k + 1))
+    assert count_bad_tuples_naive(E, k) == dict(expected)
 
 
 def test_bad_pair_bound_constant_small_fields():

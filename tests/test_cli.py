@@ -558,6 +558,30 @@ def test_lemma_2_2_fails_when_the_census_overcounts_its_pairs(monkeypatch):
     ]
 
 
+def test_lemma_2_3_names_each_failed_condition(monkeypatch):
+    from areal import census as cn
+
+    cfg = ExperimentConfig.from_json(
+        {"ring": {"family": "mod-prime-power", "p": 3, "ell": 2},
+         "construction": {"kind": "full-plane"}, "checks": ["lemma-2.3"]}
+    )
+    (passing,) = run_experiment(cfg)["checks"]
+    assert passing["ok"] is True and "failed" not in passing
+    count_bad_tuples_naive = cn.count_bad_tuples_naive
+    monkeypatch.setattr(
+        cn, "count_bad_tuples_naive", lambda E, k, budget: {**count_bad_tuples_naive(E, k), 0: 0}
+    )
+    (report,) = run_experiment(cfg)["checks"]
+    assert report["ok"] is False and report["failed"] == ["fast == oracle"]
+    # a shape of 1 leaves every bad tuple in the constants
+    monkeypatch.setattr(cn, "bad_tuple_shape", lambda spec, k, size, m: 1)
+    (report,) = run_experiment(cfg)["checks"]
+    assert report["level_constants"] == {"1": "1728", "2": "945"}
+    assert report["failed"] == [
+        "fast == oracle", "constant <= 4", "level_constants[1] <= 4", "level_constants[2] <= 4"
+    ]
+
+
 def test_f_moments_says_when_the_moment_identity_is_skipped(tmp_path, capsys):
     # f_profile needs |SL_2| * 9 = 216 visits; the identity needs 9^4 = 6561
     obj = dict(F3_CENSUS, checks=["f-moments"], budget=1000)

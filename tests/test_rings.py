@@ -337,23 +337,31 @@ def test_fused_kernels_reject_non_elements(spec):
 @pytest.mark.parametrize("spec", [F3, F7, F9, Z9, Z27], ids=lambda s: s.label())
 def test_perp_row_matches_perp_dot(spec):
     plane = _plane(spec)
-    for x in plane:
-        assert spec.perp_row(x, plane) == [spec.perp_dot(x, y) for y in plane]
-    assert spec.perp_row((1, 0), []) == []
+    rows = list(spec.perp_rows(plane, plane))
+    assert rows == [[spec.perp_dot(x, y) for y in plane] for x in plane]
+    assert list(spec.perp_rows([(1, 0)], [])) == [[]]
+    assert list(spec.perp_rows([], plane)) == []
+
+
+def _with_bad_coordinate(points, i, pos, bad):
+    point = list(points[i])
+    point[pos] = bad
+    return points[:i] + [tuple(point)] + points[i + 1 :]
 
 
 @pytest.mark.parametrize("spec", [F7, F9, Z27], ids=lambda s: s.label())
 def test_perp_row_rejects_non_elements(spec):
+    # every coordinate of xs and ys is checked before the first row
+    xs = [(1, 2), (2, 0)]
     ys = [(0, 1), (2, 1), (1, 1)]
     for bad in (True, spec.size(), -1, "1", 1.0, None):
-        for pos in range(2):
-            x = [1, 2]
-            x[pos] = bad
-            with pytest.raises(TypeError):
-                spec.perp_row(tuple(x), ys)
+        for i in range(len(xs)):
+            for pos in range(2):
+                rows = spec.perp_rows(_with_bad_coordinate(xs, i, pos, bad), ys)
+                with pytest.raises(TypeError):
+                    next(rows)
         for i in range(len(ys)):
             for pos in range(2):
-                y = list(ys[i])
-                y[pos] = bad
+                rows = spec.perp_rows(xs, _with_bad_coordinate(ys, i, pos, bad))
                 with pytest.raises(TypeError):
-                    spec.perp_row((1, 2), ys[:i] + [tuple(y)] + ys[i + 1 :])
+                    next(rows)
