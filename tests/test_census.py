@@ -238,24 +238,24 @@ def test_bad_tuple_oracle_checks_its_budget_first(monkeypatch):
 
 
 def _oracle_cases():
-    planes = [(F3, 3), (F5, 3), (galois_field(3, 2), 2), (Z9, 2)]
-    for spec, top_k in planes:
+    for spec, top_k in ((F3, 3), (F5, 3), (galois_field(3, 2), 2), (Z9, 2)):
         E = full_plane(spec)
-        yield from ((f"{spec.label()}-plane-k{k}", E, k) for k in range(1, top_k + 1))
+        for k in range(1, top_k + 1):
+            yield pytest.param(E, k, id=f"{spec.label()}-plane-k{k}")
     for spec in (mod_prime_power(3, 5), mod_prime_power(7, 3)):
         for seed in (0, 1):
             E = random_subset(spec, 10, seed)
-            yield from ((f"{spec.label()}-s{seed}-k{k}", E, k) for k in (1, 2, 3))
+            for k in (1, 2, 3):
+                yield pytest.param(E, k, id=f"{spec.label()}-s{seed}-k{k}")
     # every pairwise area is divisible by 3, so no prefix is ever cut
-    yield from ((f"mod-sharpness-k{k}", mod_sharpness_set(3, 2), k) for k in (1, 2))
+    for k in (1, 2):
+        yield pytest.param(mod_sharpness_set(3, 2), k, id=f"mod-sharpness-k{k}")
     for E in (PointSet(Z9, []), PointSet(Z9, [(3, 6)])):
-        yield from ((f"{len(E)}-point-k{k}", E, k) for k in (1, 2))
+        for k in (1, 2):
+            yield pytest.param(E, k, id=f"{len(E)}-point-k{k}")
 
 
-ORACLE_CASES = list(_oracle_cases())
-
-
-@pytest.mark.parametrize("E, k", [c[1:] for c in ORACLE_CASES], ids=[c[0] for c in ORACLE_CASES])
+@pytest.mark.parametrize("E, k", _oracle_cases())
 def test_bad_tuple_oracle_matches_badness_level_tuple_by_tuple(E, k):
     expected = Counter(badness_level(E.spec, t) for t in itertools.product(E.points, repeat=k + 1))
     assert count_bad_tuples_naive(E, k) == dict(expected)
