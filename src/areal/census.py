@@ -10,7 +10,8 @@ than silently truncating.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import operator
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -98,9 +99,95 @@ def area_index_table(E: PointSet) -> list[bytes]:
     return [b"".join([a.to_bytes(width, "big") for a in row]) for row in rows]
 
 
-# Ends every one-byte-per-area key in a census block.  Such keys hold
-# indexes below q, and q is odd, so q <= 255 and no area is this byte.
+# Ends every one-byte-per-area key in a census block and in a pattern's
+# joined keys.  Such keys hold indexes below q, and q is odd, so q <= 255
+# and no area is this byte.
 _SEPARATOR = b"\xff"
+_BYTES = [bytes((v,)) for v in range(256)]
+_CHUNK = 4096  # keys re-keyed at once
+
+
+def _cut(keys: bytes, step: int, width: int) -> list[bytes]:
+    """The keys held every step bytes: split on the separator at one byte
+    per area (none follows the last key), sliced at wider keys."""
+    if width == 1:
+        return keys.split(_SEPARATOR)
+    ends = range(step, len(keys) + step, step)
+    return list(map(keys.__getitem__, map(slice, range(0, len(keys), step), ends)))
+
+
+def _orderings(same: tuple[bool, ...]) -> Iterator[list[int]]:
+    """Each distinct ordering of a nondecreasing tuple t with same[b] iff
+    t_b == t_{b+1}, as sigma: slot a of the ordered tuple is slot sigma[a]
+    of t, equal points in their order.  The slots' run labels step
+    through their lexicographic next permutations, identity first."""
+    word = list(itertools.accumulate(map(operator.not_, same), initial=0))
+    starts = [word.index(r) for r in range(word[-1] + 1)]
+    while True:
+        free, sigma = starts[:], []
+        for r in word:
+            sigma.append(free[r])
+            free[r] += 1
+        yield sigma
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = reversed(word[i + 1 :])
+
+
+def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counter]:
+    """Census keys of the nondecreasing tuples t_0 <= .. <= t_k of E^{k+1}
+    by point index, one Counter per equality pattern (see _orderings).
+    The tuples sharing (t_0 .. t_{k-2}), the last of them lo, form a block
+    of keys for lo <= u <= v, written into one bytearray with one
+    extended-slice assignment per key byte: the pairs u < v row by row,
+    then the pairs u = v.  An area is fixed over the block, or repeated
+    over v, or a table row from column u + 1 on, or taken at u."""
+    n = len(E)
+    T = area_index_table(E)
+    # planes[b][x][y]: byte b of the area of (x, y); at width 1 the table
+    planes = [T] if width == 1 else [[row[b::width] for row in T] for b in range(width)]
+    # each key byte's pair (i, j) and plane; t_inner = u and t_k = v
+    sources = [(i, j, planes[b]) for j in range(1, k + 1) for i in range(j) for b in range(width)]
+    inner, sep = k - 1, int(width == 1)
+    stride = len(sources) + sep  # one-byte-per-area keys end in the separator
+    block = bytearray(_SEPARATOR * (n * (n + 1) // 2 * stride))
+    view, tails = memoryview(block), [slice(u, None) for u in range(n + 1)]
+    patterns: dict[tuple, Counter] = defaultdict(Counter)
+    for t in itertools.combinations_with_replacement(range(n), k - 1):
+        lo = t[-1] if t else 0
+        m = n - lo
+        end = m * (m + 1) // 2 * stride
+        for o, (i, j, plane) in enumerate(sources):
+            if j < inner:  # one area for the whole block
+                fill = _BYTES[plane[t[i]][t[j]]] * (m * (m + 1) // 2)
+            elif j == inner:  # the area of t_i with u, once for each v
+                units = map(_BYTES.__getitem__, plane[t[i]][lo:])
+                fill = b"".join(map(operator.mul, units, range(m - 1, -1, -1))) + plane[t[i]][lo:]
+            elif i < inner:  # the area of t_i with v
+                fill = b"".join(map(plane[t[i]].__getitem__, tails[lo + 1 :])) + plane[t[i]][lo:]
+            else:  # the area of u with v: the table's upper triangle, then its diagonal
+                upper = b"".join(map(bytes.__getitem__, plane[lo:], tails[lo + 1 :]))
+                fill = upper + bytes(map(bytes.__getitem__, plane[lo:], range(lo, n)))
+            block[o:end:stride] = fill
+        keys = bytes(view[:end])
+        same = tuple(map(operator.eq, t, t[1:]))
+        first, rest = (same + (True,), same + (False,)) if t else (same, same)  # u == lo or not
+        first_row, diagonal = (m - 1) * stride, (m - 1) * m // 2 * stride
+        ends = list(itertools.accumulate(range(first_row, 0, -stride)))
+        rows = (_cut(keys[a : b - sep], stride, width) for a, b in zip([0] + ends, ends))
+        patterns[first + (False,)].update(next(rows, ()))
+        patterns[rest + (False,)].update(itertools.chain.from_iterable(rows))
+        lo_key, *others = _cut(keys[diagonal : end - sep], stride, width)
+        patterns[first + (True,)][lo_key] += 1
+        patterns[rest + (True,)].update(others)
+    return patterns
 
 
 def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Counter:
@@ -108,47 +195,74 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Count
     realizing them.
 
     A key packs the area index of every pair (i, j), i < j, in column
-    order (by j, then by i), each in key_width bytes big-endian.  The
-    tuples sharing (t_0 .. t_{k-2}) form a block of n^2 keys, written in
-    product order into one bytearray with one extended-slice assignment
-    per key byte: that byte is one area of the table's byte plane, fixed
-    over the block, or repeated or tiled over t_{k-1} and t_k.  One-
-    byte-per-area keys are cut from each row of n keys with one
-    bytes.split on the separator after each key; wider keys by slicing."""
+    order (by j, then by i), each in key_width bytes big-endian.  Only the
+    nondecreasing tuples are keyed, one Counter per equality pattern
+    (_nondecreasing_counts); each distinct ordering sigma of a pattern
+    (_orderings) then adds the pattern's counts under re-keyed keys.  Slot
+    (a, b) of a re-keyed key is slot (min(sigma a, sigma b), max(sigma a,
+    sigma b)) of the nondecreasing key, negated when sigma a > sigma b, as
+    y . x^perp = -x . y^perp.  An ordering is one bulk pass over up to
+    _CHUNK of the pattern's keys, joined: one extended-slice assignment per
+    key byte from them or from their negation, made once per chunk by
+    bytes.translate at one byte per area and through a map of the q area
+    encodings at wider keys.  A pattern's Counter is freed before its
+    orderings run, and one chunk's ordering is re-keyed at a time."""
     n = len(E)
     check_budget(n ** (k + 1), budget)
     counts: Counter = Counter()
     if n == 0:
         return counts
-    width = key_width(E.spec)
-    T = area_index_table(E)
-    # planes[b][x][y]: byte b of the area of (x, y); at width 1 the table
-    planes = [T] if width == 1 else [[row[b::width] for row in T] for b in range(width)]
-    # each key byte's pair (i, j) and plane; t_inner and t_k vary in a block
-    sources = [(i, j, planes[b]) for j in range(1, k + 1) for i in range(j) for b in range(width)]
-    inner, n2 = k - 1, n * n
-    stride = len(sources) + (width == 1)  # one-byte-per-area keys end in the separator
-    runs = [bytes((v,)) * n for v in range(256)] if k > 1 else []
-    block = bytearray(_SEPARATOR * (n2 * stride))
-    row_len = n * stride
-    rows = [slice(off, off + row_len - 1) for off in range(0, n2 * stride, row_len)]
-    for t in itertools.product(range(n), repeat=k - 1):
-        for o, (i, j, plane) in enumerate(sources):
-            if j < inner:  # one area for the whole block
-                fill = bytes((plane[t[i]][t[j]],)) * n2
-            elif j == inner:  # the area of t_i with t_inner, each n times
-                fill = b"".join(map(runs.__getitem__, plane[t[i]]))
-            elif i < inner:  # the area of t_i with t_k, the row n times
-                fill = plane[t[i]] * n
-            else:  # the area of t_inner with t_k: the whole table
-                fill = b"".join(plane)
-            block[o::stride] = fill
-        keys = bytes(block)
-        if width == 1:
-            counts.update(itertools.chain.from_iterable(keys[r].split(_SEPARATOR) for r in rows))
-        else:
-            ends = range(stride, n2 * stride + 1, stride)
-            counts.update(map(keys.__getitem__, map(slice, range(0, n2 * stride, stride), ends)))
+    spec, width = E.spec, key_width(E.spec)
+    patterns = _nondecreasing_counts(E, k, width)
+    pairs = [(i, j) for j in range(1, k + 1) for i in range(j)]
+    slot = {pair: o * width for o, pair in enumerate(pairs)}
+    step = len(pairs) * width + (width == 1)
+    if width == 1:
+        table = bytes(map(spec.neg, spec.elements())).ljust(256, _SEPARATOR)
+        negate = lambda keys: keys.translate(table)
+    else:
+        codes = {a.to_bytes(width, "big"): spec.neg(a).to_bytes(width, "big")
+                 for a in spec.elements()}
+        negate = lambda keys: b"".join(map(codes.__getitem__, _cut(keys, width, width)))
+    identity = list(range(k + 1))
+
+    def expand(same: tuple, keys: list[bytes], sizes: list[int] | None) -> None:
+        """Add keys of pattern same under each of its orderings: one tuple
+        each when sizes is None (counted in C), else sizes[i] for keys[i]."""
+        if not all(same):
+            joined = (_SEPARATOR if width == 1 else b"").join(keys)
+            negated = negate(joined)
+        for sigma in _orderings(same):
+            if sigma == identity:
+                ordered = keys
+            else:
+                out = bytearray(joined)
+                for (a, b), o in slot.items():
+                    s, t = sigma[a], sigma[b]
+                    src, p = (joined, slot[s, t]) if s < t else (negated, slot[t, s])
+                    for c in range(width):
+                        out[o + c :: step] = src[p + c :: step]
+                ordered = _cut(bytes(out), step, width)
+                del out
+            if sizes is None:
+                counts.update(ordered)
+            else:  # one ordering's keys are distinct, so get reads the count before it
+                totals = map(operator.add, map(counts.get, ordered, itertools.repeat(0)), sizes)
+                dict.update(counts, zip(ordered, totals))
+            del ordered  # before the next ordering is cut
+
+    # the largest pattern last, when the others are freed
+    for same in sorted(patterns, key=lambda same: len(patterns[same])):
+        tally = patterns.pop(same)
+        ones = [key for key, size in tally.items() if size == 1]
+        keys = [key for key, size in tally.items() if size > 1]
+        sizes = [size for size in tally.values() if size > 1]
+        del tally
+        # a chunk of keys at a time keeps one ordering's re-keyed copies small
+        for c in range(0, len(ones), _CHUNK):
+            expand(same, ones[c : c + _CHUNK], None)
+        for c in range(0, len(keys), _CHUNK):
+            expand(same, keys[c : c + _CHUNK], sizes[c : c + _CHUNK])
     return counts
 
 
@@ -449,9 +563,12 @@ class FlemmaReport:
     cauchy_schwarz_ok: bool
     f_bound_ok: bool
 
+    def conditions(self) -> dict[str, bool]:
+        return {"cauchy_schwarz_ok": self.cauchy_schwarz_ok, "f_bound_ok": self.f_bound_ok}
+
     @property
     def ok(self) -> bool:
-        return self.cauchy_schwarz_ok and self.f_bound_ok
+        return all(self.conditions().values())
 
 
 def flemma_check(census: CensusReport, profile: FProfile) -> FlemmaReport:
@@ -566,11 +683,17 @@ class MBadReport:
     good_free_action_ok: bool
     levels: list[MBadLevelReport]
 
+    def conditions(self) -> dict[str, bool]:
+        """Each term of ok, named by its field and the level m."""
+        out = {"good_free_action_ok": self.good_free_action_ok}
+        for lvl in self.levels:
+            out[f"levels[m={lvl.m}].size_ok"] = lvl.size_ok
+            out[f"levels[m={lvl.m}].count_constant <= 4"] = lvl.count_constant <= 4
+        return out
+
     @property
     def ok(self) -> bool:
-        return self.good_free_action_ok and all(
-            lvl.size_ok and lvl.count_constant <= 4 for lvl in self.levels
-        )
+        return all(self.conditions().values())
 
 
 def mbad_class_size_check(census: CensusReport) -> MBadReport:

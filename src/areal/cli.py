@@ -47,6 +47,16 @@ def _fields(result) -> dict:
     return {name: getattr(result, name) for name in shown}
 
 
+def _verdict(out: dict, conditions: dict[str, bool]) -> dict:
+    """Set out["ok"] from the named conditions.  A failing report also
+    lists the false ones under "failed"; a passing report gains no key."""
+    failed = [name for name, holds in conditions.items() if not holds]
+    out["ok"] = not failed
+    if failed:
+        out["failed"] = failed
+    return out
+
+
 def _too_many_digits() -> InvalidConfig:
     limit = sys.get_int_max_str_digits()
     return InvalidConfig(f"a report value has more than {limit} decimal digits")
@@ -338,7 +348,6 @@ def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     constant = Fraction(bad_total, shape) if shape else Fraction(0)
     conditions = {"fast == oracle": fast == oracle, "constant <= 4": constant <= 4}
     conditions.update({f"level_constants[{m}] <= 4": c <= 4 for m, c in level_constants.items()})
-    failed = [name for name, holds in conditions.items() if not holds]
     report = {
         "counts_by_level": fast,
         "oracle_by_level": oracle,
@@ -346,16 +355,13 @@ def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         "bound_shape": shape,
         "constant": constant,
         "level_constants": level_constants,
-        "ok": not failed,
     }
-    if failed:  # a passing report gains no key
-        report["failed"] = failed
-    return report
+    return _verdict(report, conditions)
 
 
 def _check_lemma_2_4(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     report = cn.flemma_check(memo.census(E, cfg.k), memo.profile(E))
-    return {**_fields(report), "ok": report.ok}
+    return _verdict(_fields(report), report.conditions())
 
 
 def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
@@ -381,7 +387,7 @@ def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
 def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     plane = cons.full_plane(cfg.spec)
     report = cn.mbad_class_size_check(memo.census(plane, cfg.k))
-    return {**_fields(report), "ok": report.ok}
+    return _verdict(_fields(report), report.conditions())
 
 
 def min_rotation_orbit(E: cn.PointSet, k: int, rotations, budget: int) -> int:
@@ -408,8 +414,10 @@ def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     if kind == "mod-sharpness":
         expected_size = spec.p ** (2 * spec.ell - 1)
         out["expected_size"] = expected_size
-        out["ok"] = len(E) == expected_size and bad_tuples == report.total_tuples
-        return out
+        return _verdict(out, {
+            "set_size == expected_size": len(E) == expected_size,
+            "bad_tuples == total_tuples": bad_tuples == report.total_tuples,
+        })
     rotations = cons.rotation_group(spec)
     closed = all(
         spec.apply_mat(g, x) in E.members for g in rotations for x in E.points
@@ -418,12 +426,12 @@ def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     out["rotation_group_size"] = len(rotations)
     out["min_orbit"] = min_orbit
     out["rotation_closed"] = closed
-    out["ok"] = (
-        closed
-        and 2 * min_orbit >= len(rotations)
-        and report.total_classes * min_orbit <= report.total_tuples
-    )
-    return out
+    return _verdict(out, {
+        "rotation_closed": closed,
+        "2 * min_orbit >= rotation_group_size": 2 * min_orbit >= len(rotations),
+        "total_classes * min_orbit <= total_tuples":
+            report.total_classes * min_orbit <= report.total_tuples,
+    })
 
 
 _CHECKS = {

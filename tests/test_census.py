@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -28,7 +29,7 @@ from areal.census import (
     signature_counts,
     transitivity_constant,
 )
-from areal.configs import badness_level, signature
+from areal.configs import badness_level, key_width, signature
 from areal.constructions import full_plane, line_through_origin, mod_sharpness_set, random_subset
 from areal.linalg import enumerate_sl2, sl2_order
 from areal.rings import galois_field, mod_prime_power, prime_field
@@ -177,10 +178,85 @@ def test_budget_is_checked_before_the_area_table(monkeypatch):
 
 
 def test_census_independent_of_point_order():
-    pts = list(PLANE5.points)
+    # the kernel keys the nondecreasing tuples by point index, so the
+    # index order must not reach the counts
     rng = random.Random(7)
-    rng.shuffle(pts)
-    assert signature_counts(PointSet(F5, pts), 2) == signature_counts(PLANE5, 2)
+    for E in (PLANE5, random_subset(mod_prime_power(3, 3), 24, 7)):
+        pts = list(E.points)
+        rng.shuffle(pts)
+        for k in (1, 2, 3):
+            assert signature_counts(PointSet(E.spec, pts), k) == signature_counts(E, k)
+
+
+def _column_keys(E, k):
+    """The column-order key of every ordered tuple of E^{k+1}, read from
+    the area table one tuple at a time."""
+    table, width = census.area_index_table(E), key_width(E.spec)
+
+    def area(x, y):
+        return table[x][y * width : (y + 1) * width]
+
+    return Counter(
+        b"".join(area(t[i], t[j]) for j in range(1, k + 1) for i in range(j))
+        for t in itertools.product(range(len(E)), repeat=k + 1)
+    )
+
+
+_DRAWN_RINGS = (
+    F3, F5, galois_field(3, 2), galois_field(5, 2), Z9,
+    mod_prime_power(5, 2), mod_prime_power(3, 3), mod_prime_power(7, 3),  # two-byte keys
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_census_matches_both_references_on_drawn_subsets(data):
+    spec = data.draw(st.sampled_from(_DRAWN_RINGS), label="ring")
+    element = st.integers(0, spec.size() - 1)
+    points = data.draw(st.sets(st.tuples(element, element), max_size=10), label="points")
+    k = data.draw(st.integers(1, 3), label="k")
+    E = PointSet(spec, points)
+    assert signature_counts(E, k) == _column_keys(E, k)
+    report = count_classes(E, k)
+    sizes, tuples_by_level, classes_by_level, tally = _signature_oracle(E, k)
+    assert sorted(report.class_sizes.values()) == sizes
+    assert report.tuples_by_level == tuples_by_level
+    assert report.classes_by_level == classes_by_level
+    assert report.size_tally == tally
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_patterns_and_orderings_count_every_ordered_tuple(k):
+    # a pattern of r runs has C(n, r) nondecreasing tuples, each with the
+    # pattern's distinct orderings, and together they are all n^{k+1}
+    orderings = {}
+    for same in itertools.product((True, False), repeat=k):
+        t = [sum(not s for s in same[:a]) for a in range(k + 1)]  # a tuple with this pattern
+        sigmas = [tuple(s) for s in census._orderings(same)]
+        assert sigmas[0] == tuple(range(k + 1))
+        assert all(sorted(s) == list(range(k + 1)) for s in sigmas)
+        images = [tuple(t[s] for s in sigma) for sigma in sigmas]
+        assert len(set(images)) == len(images)
+        assert set(images) == set(itertools.permutations(t))
+        orderings[same] = len(sigmas)
+    for n in range(7):
+        total = sum(math.comb(n, 1 + same.count(False)) * c for same, c in orderings.items())
+        assert total == n ** (k + 1)
+
+
+def test_count_classes_peak_memory_is_near_what_its_report_holds():
+    # one ordering of one equality pattern is re-keyed at a time (a peak
+    # of 1.08 times the report); keeping every ordering's re-keyed list
+    # to the end peaks at 1.18
+    E = random_subset(mod_prime_power(3, 3), 20, 1)
+    tracemalloc.start()
+    try:
+        report = count_classes(E, 3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.total_classes == 137851
+    assert peak <= 1.15 * held
 
 
 def test_bad_tuple_counts_f3_k1():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -582,6 +583,97 @@ def test_lemma_2_3_names_each_failed_condition(monkeypatch):
     ]
 
 
+def _one_check(obj):
+    (report,) = run_experiment(ExperimentConfig.from_json(obj))["checks"]
+    return report
+
+
+def test_lemma_2_4_names_each_failed_condition(monkeypatch):
+    from areal import census as cn
+
+    obj = {"ring": {"family": "prime-field", "p": 3}, "k": 2, "checks": ["lemma-2.4"]}
+    passing = _one_check(obj)
+    assert passing["ok"] is True and "failed" not in passing
+    monkeypatch.setattr(cn.FProfile, "sum_power", lambda self, exp: 0)
+    report = _one_check(obj)
+    assert report["ok"] is False and report["failed"] == ["f_bound_ok"]
+    # one equivalent pair cannot hold the 1,296 good tuples squared
+    monkeypatch.setattr(cn.CensusReport, "equivalent_good_pairs", lambda self: 1)
+    report = _one_check(obj)
+    assert report["failed"] == ["cauchy_schwarz_ok", "f_bound_ok"]
+
+
+def test_theorem_6_1_names_each_failed_condition(monkeypatch):
+    from areal import census as cn
+
+    obj = {"ring": {"family": "mod-prime-power", "p": 3, "ell": 2}, "checks": ["theorem-6.1"]}
+    passing = _one_check(obj)
+    assert passing["ok"] is True and "failed" not in passing
+    monkeypatch.setattr(cn, "sl2_order", lambda spec: 1)
+    report = _one_check(obj)
+    assert report["ok"] is False and report["failed"] == ["good_free_action_ok"]
+    count_classes = cn.count_classes
+
+    def with_a_lone_bad_tuple(E, k, budget):
+        # one more class of one tuple at every bad level: too small a class,
+        # and too many classes for a shape of 1/100
+        report = count_classes(E, k, budget)
+        for m in (1, 2):
+            report.size_tally[m][1] = report.size_tally[m].get(1, 0) + 1
+        return report
+
+    monkeypatch.setattr(cn, "count_classes", with_a_lone_bad_tuple)
+    monkeypatch.setattr(cn, "_power", lambda p, exponent: Fraction(1, 100))
+    report = _one_check(obj)
+    assert report["failed"] == [
+        "good_free_action_ok",
+        "levels[m=1].size_ok", "levels[m=1].count_constant <= 4",
+        "levels[m=2].size_ok", "levels[m=2].count_constant <= 4",
+    ]
+
+
+def test_sharpness_names_each_failed_condition(monkeypatch):
+    from areal import census as cn
+    from areal import cli
+
+    mod_sharpness = {"ring": {"family": "mod-prime-power", "p": 3, "ell": 2},
+                     "construction": {"kind": "mod-sharpness"}, "checks": ["sharpness"]}
+    passing = _one_check(mod_sharpness)
+    assert passing["ok"] is True and "failed" not in passing
+    point_set = ExperimentConfig.point_set
+    monkeypatch.setattr(
+        ExperimentConfig, "point_set", lambda cfg: cn.PointSet(cfg.spec, point_set(cfg).points[1:])
+    )
+    report = _one_check(mod_sharpness)
+    assert report["ok"] is False and report["failed"] == ["set_size == expected_size"]
+    count_classes = cn.count_classes
+
+    def one_more_tuple(E, k, budget):
+        report = count_classes(E, k, budget)
+        report.total_tuples += 1
+        return report
+
+    monkeypatch.setattr(cn, "count_classes", one_more_tuple)
+    report = _one_check(mod_sharpness)
+    assert report["failed"] == ["set_size == expected_size", "bad_tuples == total_tuples"]
+    monkeypatch.undo()
+
+    circle = {"ring": {"family": "prime-field", "p": 5}, "construction": {"kind": "circle", "r": 1},
+              "checks": ["sharpness"]}
+    passing = _one_check(circle)
+    assert passing["ok"] is True and "failed" not in passing
+    # a shear does not keep the circle, and with the orbit forced to 0 or
+    # to a huge size, each orbit condition fails in turn
+    rotation_group = cli.cons.rotation_group
+    monkeypatch.setattr(cli.cons, "rotation_group", lambda spec: rotation_group(spec) + [(1, 1, 0, 1)])
+    monkeypatch.setattr(cli, "min_rotation_orbit", lambda E, k, rotations, budget: 0)
+    report = _one_check(circle)
+    assert report["failed"] == ["rotation_closed", "2 * min_orbit >= rotation_group_size"]
+    monkeypatch.setattr(cli, "min_rotation_orbit", lambda E, k, rotations, budget: 10 ** 6)
+    report = _one_check(circle)
+    assert report["failed"] == ["rotation_closed", "total_classes * min_orbit <= total_tuples"]
+
+
 def test_f_moments_says_when_the_moment_identity_is_skipped(tmp_path, capsys):
     # f_profile needs |SL_2| * 9 = 216 visits; the identity needs 9^4 = 6561
     obj = dict(F3_CENSUS, checks=["f-moments"], budget=1000)
@@ -676,7 +768,7 @@ FIELD_CHECKS = [
             "run",
             dict(F3_CENSUS, construction={"kind": "circle", "r": 0}, checks=["sharpness"]),
             EXIT_CHECK_FAILED,
-            "0378fd3a7dd088342eaeaf028e9575fe7f37ef6c8a3d8b2bd521acca31a9da1b",
+            "5984eb4dcddf2d4357b41f3f3298ecbcfc5f4940de8f21014d7997a22bb9ddcd",
         ),
         (
             "sweep",
