@@ -353,35 +353,35 @@ def bad_tuple_shape(spec: RingSpec, k: int, set_size: int, m: int) -> int:
 
 
 def count_bad_tuples_naive(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
-    """Independent oracle: the badness levels of E^{k+1}, found by a walk
-    over tuple prefixes on an explicit stack.  Each prefix carries its
-    level, the least valuation of its pairwise areas; extending it by y
-    computes only the new areas valuation(perp_dot(t_i, y)), stopping at
-    the first unit.  A prefix at level 0 adds all its extensions to
-    level 0 at once, which is exact because no level is below 0.  Every
-    area is recomputed from the points through the checked ring methods;
-    it reads no area table or census key and calls no census routine."""
-    n, spec = len(E), E.spec
+    """Independent oracle: the badness levels of E^{k+1}, by a walk over
+    tuple prefixes on bitsets.  Each pair costs one checked
+    valuation(perp_dot(x_i, x_j)); bit j of at_least[m][i] says it is
+    >= m.  A prefix carries masks[m-1], the y that put prefix + (y,) at
+    level >= m; extending it by x_j ANDs each mask with at_least[m][j].
+    Popcounts count the level-0 extensions and the whole last slot.  It
+    calls no census routine and reads no area table or census key."""
+    n, spec, top, pts = len(E), E.spec, E.spec.max_level, E.points
     check_budget(n ** (k + 1), budget)
-    perp, val, pts = spec.perp_dot, spec.valuation, E.points
-    tally = [0] * (spec.max_level + 1)
-    stack = [((), spec.max_level)]
+    digits = [bytes(48 + (v >= m) for v in range(256)) for m in range(top + 1)]  # b"0"/b"1"
+    # each point's valuation row, reversed so that x_0 is bit 0, read as one int per level
+    rows = (bytes([spec.valuation(spec.perp_dot(x, y)) for y in pts[::-1]]) for x in pts)
+    levels = ([int(row.translate(d), 2) for d in digits] for row in rows)
+    at_least = list(zip(*levels)) or [()] * (top + 1)  # no points: nothing to transpose
+    tally = [0] * (top + 1)
+    stack = [(0, [(1 << n) - 1] * top)]  # the empty prefix: a 1-tuple is at level top
     while stack:
-        prefix, m = stack.pop()
-        rest = n ** (k - len(prefix))  # extensions of each prefix + (y,)
-        last = len(prefix) == k
-        for y in pts:
-            level = m
-            for x in prefix:
-                v = val(perp(x, y))
-                if v < level:
-                    level = v
-                    if not v:
-                        break
-            if not level or last:
-                tally[level] += rest
-            else:
-                stack.append((prefix + (y,), level))
+        depth, masks = stack.pop()
+        ones = [[j for j, bit in enumerate(reversed(f"{mask:b}")) if bit == "1"] for mask in masks]
+        if depth < k - 1:
+            tally[0] += (n - len(ones[0])) * n ** (k - depth)
+            for j in ones[0]:  # masks are nested: the child keeps those up to its own level
+                child = [mask & at_least[m][j] for m, mask in enumerate(masks, 1) if mask >> j & 1]
+                stack.append((depth + 1, child))
+        else:  # the last two slots: one popcount for each x_j of ones[m-1] and level m
+            sizes = [n * n, *(sum(map(int.bit_count, map(mask.__and__, map(row.__getitem__, js))))
+                              for mask, row, js in zip(masks, at_least[1:], ones)), 0]
+            for m in range(len(masks) + 1):
+                tally[m] += sizes[m] - sizes[m + 1]
     return {m: c for m, c in enumerate(tally) if c}
 
 

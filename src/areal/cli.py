@@ -252,11 +252,11 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     f_identity = next(
         v for g, v in zip(enumerate_sl2(spec), prof.values) if g == ident
     )
-    ok = (
-        f_identity == len(E)
-        and prof.maximum <= len(E)
-        and prof.second_moment_excess >= 0
-    )
+    conditions = {
+        "f_identity == set_size": f_identity == len(E),
+        "max <= set_size": prof.maximum <= len(E),
+        "excess >= 0": prof.second_moment_excess >= 0,
+    }
     out = {
         "f_identity": f_identity,
         "set_size": len(E),
@@ -267,18 +267,17 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     }
     orbit = set(cn.designated_orbit(spec))
     if E.members <= orbit:
-        expected = sl2_order(spec) * len(E) ** 2
-        ok = ok and prof.sum_f * len(orbit) == expected
-        out["sum_f_times_orbit"] = prof.sum_f * len(orbit)
+        orbit_sum, expected = prof.sum_f * len(orbit), sl2_order(spec) * len(E) ** 2
+        conditions["sum_f_times_orbit == order_times_size_sq"] = orbit_sum == expected
+        out["sum_f_times_orbit"] = orbit_sum
         out["order_times_size_sq"] = expected
     try:
         ident_report = cn.moment_identity_check(E, prof, cfg.budget)
-        ok = ok and ident_report.ok
+        conditions["moment_identity.ok"] = ident_report.ok
         out["moment_identity"] = ident_report
     except cn.BudgetExceeded:
         out["moment_identity"] = "skipped: budget"
-    out["ok"] = ok
-    return out
+    return _verdict(out, conditions)
 
 
 def _images_in_class(spec, group: list, xs, members: frozenset) -> dict:
@@ -323,11 +322,11 @@ def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         if not matched:
             break
         pairs_checked += 1
-    return {
-        "good_classes": census.classes_by_level.get(0, 0),
-        "pairs_checked": pairs_checked,
-        "ok": matched and pairs_checked == equivalent_pairs,
-    }
+    report = {"good_classes": census.classes_by_level.get(0, 0), "pairs_checked": pairs_checked}
+    return _verdict(report, {
+        "scan matches recover_g": matched,
+        "pairs_checked == equivalent_good_pairs": pairs_checked == equivalent_pairs,
+    })
 
 
 def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
@@ -373,15 +372,14 @@ def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         raise _too_many_digits()
     prof = memo.profile(E)
     result = cn.moment_lift_check(prof.values, cfg.k)
-    return {
+    return _verdict({
         "c_k": result.c_k,
         "lhs": result.lhs,
         "rhs": result.rhs,
         "mean": result.mean,
         "max": result.maximum,
         "excess": result.excess,
-        "ok": result.ok and result.excess >= 0,
-    }
+    }, {"lhs <= rhs": result.lhs <= result.rhs, "excess >= 0": result.excess >= 0})
 
 
 def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:

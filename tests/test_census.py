@@ -337,6 +337,58 @@ def test_bad_tuple_oracle_matches_badness_level_tuple_by_tuple(E, k):
     assert count_bad_tuples_naive(E, k) == dict(expected)
 
 
+def test_bad_tuple_oracle_computes_each_pair_area_once(monkeypatch):
+    E = full_plane(Z9)
+    expected = count_bad_tuples(E, 2)
+    calls = []
+    for ring_class in (rings._Residues, rings.GaloisField):
+        def counted(self, x, y, perp_dot=ring_class.perp_dot):
+            calls.append(None)
+            return perp_dot(self, x, y)
+
+        monkeypatch.setattr(ring_class, "perp_dot", counted)
+    assert count_bad_tuples_naive(E, 2) == expected
+    assert len(calls) <= len(E) ** 2 == 6561
+
+
+@pytest.mark.parametrize(
+    "spec, top_k",
+    [pytest.param(spec, top_k, id=spec.label()) for spec, top_k in (
+        *((prime_field(q), 3) for q in (3, 5, 7, 11, 13)), (galois_field(3, 2), 3), (galois_field(5, 2), 2)
+    )],
+)
+def test_bad_tuple_oracle_counts_one_line_through_the_origin(spec, top_k):
+    # over F_q a tuple is bad iff its points lie on one of the q + 1 lines
+    # through the origin, which share only 0: (q + 1) q^{k+1} - q tuples
+    q = spec.size()
+    E = full_plane(spec)
+    for k in range(1, top_k + 1):
+        bad = (q + 1) * q ** (k + 1) - q
+        assert count_bad_tuples_naive(E, k) == {1: bad, 0: q ** (2 * (k + 1)) - bad}
+
+
+_ORACLE_RINGS = (
+    galois_field(3, 2), galois_field(5, 2), mod_prime_power(5, 2), mod_prime_power(3, 5),
+    mod_prime_power(7, 3),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_bad_tuple_oracle_matches_badness_level_on_drawn_subsets(data):
+    spec = data.draw(st.sampled_from(_ORACLE_RINGS), label="ring")
+    q = spec.size()
+    # a point scaled by p^e has every area at level >= e over Z/p^l Z
+    scaled = st.builds(
+        lambda e, x, y: (x * spec.p ** e % q, y * spec.p ** e % q),
+        st.integers(0, spec.max_level), st.integers(0, q - 1), st.integers(0, q - 1),
+    )
+    E = PointSet(spec, data.draw(st.sets(scaled, max_size=8), label="points"))
+    k = data.draw(st.integers(1, 3), label="k")
+    expected = Counter(badness_level(spec, t) for t in itertools.product(E.points, repeat=k + 1))
+    assert count_bad_tuples_naive(E, k) == dict(expected)
+
+
 def test_bad_pair_bound_constant_small_fields():
     for q in (3, 5, 7):
         spec = prime_field(q)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -509,7 +510,8 @@ def test_lemma_2_2_cross_checks_recover_g(monkeypatch):
     monkeypatch.setattr(cli, "recover_g", negated)
     report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"])))
     assert report["checks"] == [
-        {"check": "lemma-2.2", "good_classes": "2", "pairs_checked": "0", "ok": False}
+        {"check": "lemma-2.2", "good_classes": "2", "pairs_checked": "0", "ok": False,
+         "failed": ["scan matches recover_g", "pairs_checked == equivalent_good_pairs"]}
     ]
 
 
@@ -542,7 +544,8 @@ def test_lemma_2_2_fails_when_the_group_misses_an_element(monkeypatch):
     report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"], k=2)))
     # each of the 26 * 24 good tuples loses the one pair the dropped g gave it
     assert report["checks"] == [
-        {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14352", "ok": False}
+        {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14352", "ok": False,
+         "failed": ["pairs_checked == equivalent_good_pairs"]}
     ]
 
 
@@ -555,7 +558,8 @@ def test_lemma_2_2_fails_when_the_census_overcounts_its_pairs(monkeypatch):
     )
     report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"], k=2)))
     assert report["checks"] == [
-        {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14976", "ok": False}
+        {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14976", "ok": False,
+         "failed": ["pairs_checked == equivalent_good_pairs"]}
     ]
 
 
@@ -672,6 +676,70 @@ def test_sharpness_names_each_failed_condition(monkeypatch):
     monkeypatch.setattr(cli, "min_rotation_orbit", lambda E, k, rotations, budget: 10 ** 6)
     report = _one_check(circle)
     assert report["failed"] == ["rotation_closed", "total_classes * min_orbit <= total_tuples"]
+
+
+def test_f_moments_names_each_failed_condition(monkeypatch):
+    from areal import census as cn
+
+    # every point of a circle is in the designated orbit, so the orbit sum is checked
+    obj = {"ring": {"family": "prime-field", "p": 5}, "construction": {"kind": "circle", "r": 1},
+           "checks": ["f-moments"]}
+    passing = _one_check(obj)
+    assert passing["ok"] is True and "failed" not in passing
+    assert "sum_f_times_orbit" in passing and "unique_on_good" in passing["moment_identity"]
+    f_profile = cn.f_profile
+
+    def one_more_everywhere(E, budget):
+        # f + 1 keeps the excess but breaks every other identity and bound
+        prof = f_profile(E, budget)
+        return replace(prof, values=tuple(v + 1 for v in prof.values),
+                       sum_f=prof.sum_f + prof.group_order, maximum=prof.maximum + 1)
+
+    monkeypatch.setattr(cn, "f_profile", one_more_everywhere)
+    report = _one_check(obj)
+    assert report["ok"] is False and report["failed"] == [
+        "f_identity == set_size", "max <= set_size",
+        "sum_f_times_orbit == order_times_size_sq", "moment_identity.ok",
+    ]
+    monkeypatch.setattr(cn, "f_profile", lambda E, budget: replace(
+        f_profile(E, budget), second_moment_excess=Fraction(-1)))
+    assert _one_check(obj)["failed"] == ["excess >= 0"]
+
+
+def test_lemma_2_2_names_each_failed_condition(monkeypatch):
+    from areal import census as cn
+    from areal import cli
+
+    obj = dict(F3_CENSUS, checks=["lemma-2.2"])
+    passing = _one_check(obj)
+    assert passing["ok"] is True and "failed" not in passing
+    monkeypatch.setattr(cn.CensusReport, "equivalent_good_pairs", lambda self: 10 ** 6)
+    report = _one_check(obj)
+    assert report["ok"] is False and report["failed"] == ["pairs_checked == equivalent_good_pairs"]
+    monkeypatch.undo()
+    # a scan that stops at its first pair reaches too few pairs as well
+    monkeypatch.setattr(cli, "recover_g", lambda spec, xs, ys: None)
+    assert _one_check(obj)["failed"] == [
+        "scan matches recover_g", "pairs_checked == equivalent_good_pairs"
+    ]
+
+
+def test_lemma_3_1_names_each_failed_condition(monkeypatch):
+    from areal import census as cn
+
+    obj = {"ring": {"family": "prime-field", "p": 3}, "k": 2, "checks": ["lemma-3.1"]}
+    passing = _one_check(obj)
+    assert passing["ok"] is True and "failed" not in passing
+    moment_lift_check = cn.moment_lift_check
+    for changes, failed in (
+        ({"rhs": Fraction(-1)}, ["lhs <= rhs"]),
+        ({"excess": Fraction(-1)}, ["excess >= 0"]),
+        ({"rhs": Fraction(-1), "excess": Fraction(-1)}, ["lhs <= rhs", "excess >= 0"]),
+    ):
+        monkeypatch.setattr(cn, "moment_lift_check", lambda values, k, changes=changes: replace(
+            moment_lift_check(values, k), **changes))
+        report = _one_check(obj)
+        assert report["ok"] is False and report["failed"] == failed
 
 
 def test_f_moments_says_when_the_moment_identity_is_skipped(tmp_path, capsys):
