@@ -9,6 +9,7 @@ than silently truncating.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter, defaultdict
@@ -50,7 +51,9 @@ def check_budget(required: int, budget: int) -> None:
 
 
 class PointSet:
-    """A deduplicated, canonically sorted subset of the ring's plane."""
+    """A deduplicated, canonically sorted subset of the ring's plane.  Its
+    area_table is built on first use and kept, so the census and nu of one
+    experiment read the same table."""
 
     def __init__(self, spec: RingSpec, points):
         self.spec = spec
@@ -66,6 +69,10 @@ class PointSet:
 
     def __iter__(self):
         return iter(self.points)
+
+    @functools.cached_property
+    def area_table(self) -> list[bytes]:
+        return area_index_table(self)
 
     def __eq__(self, other):
         return (
@@ -150,7 +157,7 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counte
     then the pairs u = v.  An area is fixed over the block, or repeated
     over v, or a table row from column u + 1 on, or taken at u."""
     n = len(E)
-    T = area_index_table(E)
+    T = E.area_table
     # planes[b][x][y]: byte b of the area of (x, y); at width 1 the table
     planes = [T] if width == 1 else [[row[b::width] for row in T] for b in range(width)]
     # each key byte's pair (i, j) and plane; t_inner = u and t_k = v
@@ -190,9 +197,27 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counte
     return patterns
 
 
-def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Counter:
+def _level_splits(spec: RingSpec, tally: Counter) -> dict[int, tuple[list, list, list]]:
+    """For each badness level m of tally's keys: its keys counted once, its
+    other keys and their counts, in tally's order.  The lists are cut by
+    itertools.compress over the keys' levels, with no tuple per key."""
+    levels, out = list(key_levels(spec, tally)), {}
+    for m in sorted(set(levels)):
+        keys, sizes = tally, tally.values()
+        if levels.count(m) < len(levels):
+            keys = list(itertools.compress(keys, map(m.__eq__, levels)))
+            sizes = list(itertools.compress(sizes, map(m.__eq__, levels)))
+        ones = list(itertools.compress(keys, map((1).__eq__, sizes)))
+        shared = list(itertools.compress(keys, map((1).__lt__, sizes)))
+        out[m] = ones, shared, list(filter((1).__lt__, sizes))
+    return out
+
+
+def signature_counts(
+    E: PointSet, k: int, budget: int = DEFAULT_BUDGET, level_ends: dict | None = None
+) -> Counter:
     """Counter mapping census keys to the number of tuples of E^{k+1}
-    realizing them.
+    realizing them, grouped by badness level in ascending order.
 
     A key packs the area index of every pair (i, j), i < j, in column
     order (by j, then by i), each in key_width bytes big-endian.  Only the
@@ -205,8 +230,18 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Count
     _CHUNK of the pattern's keys, joined: one extended-slice assignment per
     key byte from them or from their negation, made once per chunk by
     bytes.translate at one byte per area and through a map of the q area
-    encodings at wider keys.  A pattern's Counter is freed before its
-    orderings run, and one chunk's ordering is re-keyed at a time."""
+    encodings at wider keys.
+
+    Reordering a tuple permutes its areas and negates some, which keeps
+    every valuation, so a key's level is that of its nondecreasing key:
+    key_levels runs once per pattern key, C(n + k, k + 1) keys in all.
+    The levels are expanded in ascending order, so each level's keys are
+    one contiguous run of the Counter; level_ends, when given, receives
+    len(counts) after each level.  Each pattern's Counter is split into
+    per-level key lists (_level_splits) and freed.  Its level-0 lists run
+    at once, the largest pattern last; the higher levels' lists wait and
+    then run level by level.  Each list is freed after it runs, and one
+    chunk's ordering is re-keyed at a time."""
     n = len(E)
     check_budget(n ** (k + 1), budget)
     counts: Counter = Counter()
@@ -251,18 +286,30 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Count
                 dict.update(counts, zip(ordered, totals))
             del ordered  # before the next ordering is cut
 
-    # the largest pattern last, when the others are freed
-    for same in sorted(patterns, key=lambda same: len(patterns[same])):
-        tally = patterns.pop(same)
-        ones = [key for key, size in tally.items() if size == 1]
-        keys = [key for key, size in tally.items() if size > 1]
-        sizes = [size for size in tally.values() if size > 1]
-        del tally
+    def run(same: tuple, ones: list[bytes], keys: list[bytes], sizes: list[int]) -> None:
         # a chunk of keys at a time keeps one ordering's re-keyed copies small
         for c in range(0, len(ones), _CHUNK):
             expand(same, ones[c : c + _CHUNK], None)
         for c in range(0, len(keys), _CHUNK):
             expand(same, keys[c : c + _CHUNK], sizes[c : c + _CHUNK])
+
+    # level 0, the least, runs as each pattern is split, the largest
+    # pattern last when the others are freed; higher levels wait in order
+    waiting: dict[int, list] = defaultdict(list)
+    for same in sorted(patterns, key=lambda same: len(patterns[same])):
+        splits = _level_splits(spec, patterns.pop(same))
+        if 0 in splits:
+            run(same, *splits.pop(0))
+        for m, job in splits.items():
+            waiting[m].append((same, *job))
+    ends = {} if level_ends is None else level_ends
+    if counts:
+        ends[0] = len(counts)
+    for m in sorted(waiting):
+        queue = waiting.pop(m)[::-1]
+        while queue:
+            run(*queue.pop())
+        ends[m] = len(counts)
     return counts
 
 
@@ -316,11 +363,17 @@ class CensusReport:
 
 def count_classes(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> CensusReport:
     """Exact census of distinct area signatures over E^{k+1}, split by
-    badness level (a class invariant), found once per key."""
-    counts = signature_counts(E, k, budget)
+    badness level (a class invariant).  signature_counts finds the levels
+    once per nondecreasing key and hands back where each level's run of
+    classes ends, so each level's size tally is one Counter over a slice
+    of the class sizes."""
+    ends: dict[int, int] = {}
+    counts = signature_counts(E, k, budget, level_ends=ends)
+    sizes, start = iter(counts.values()), 0
     tally: dict[int, dict[int, int]] = {}
-    for (m, size), n in Counter(zip(key_levels(E.spec, counts), counts.values())).items():
-        tally.setdefault(m, {})[size] = n
+    for m, end in ends.items():
+        tally[m] = dict(Counter(itertools.islice(sizes, end - start)))
+        start = end
     return CensusReport(
         spec=E.spec,
         k=k,
@@ -402,11 +455,21 @@ class NuHistogram:
 
 
 def nu_histogram(E: PointSet, budget: int = DEFAULT_BUDGET) -> NuHistogram:
-    """nu(t) = #{(x, y) in E x E : x . y^perp = t}; sums to |E|^2."""
+    """nu(t) = #{(x, y) in E x E : x . y^perp = t}; sums to |E|^2.  Read
+    from E.area_table, the table the census of E uses: one bytes.count per
+    element over the joined rows at one byte per area, one Counter over
+    the area slices of every row at wider keys."""
     spec = E.spec
     check_budget(len(E) ** 2, budget)
-    counts = Counter(itertools.chain.from_iterable(spec.perp_rows(E.points, E.points)))
-    return NuHistogram(spec, counts)
+    table, width = E.area_table, key_width(spec)
+    if width == 1:
+        areas = b"".join(table)
+        tallies = ((a, areas.count(_BYTES[a])) for a in spec.elements())
+        return NuHistogram(spec, {a: c for a, c in tallies if c})
+    slices: Counter = Counter()
+    for row in table:
+        slices.update(_cut(row, width, width))
+    return NuHistogram(spec, {int.from_bytes(a, "big"): c for a, c in slices.items()})
 
 
 @dataclass

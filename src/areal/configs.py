@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Mat2, Vec2, col_matrix, enumerate_sl2, inverse, mat_mul
+from .linalg import Mat2, Vec2, col_matrix, enumerate_sl2, inverse
 from .rings import RingSpec
 
 
@@ -59,8 +59,13 @@ def signature(spec: RingSpec, points: tuple[Vec2, ...]) -> AreaSignature:
     k = len(points) - 1
     if k < 1:
         raise ValueError("a configuration needs at least 2 points")
-    areas = tuple(spec.perp_dot(points[i], points[j]) for i, j in pair_indices(k))
-    return AreaSignature(spec, k, areas)
+    return AreaSignature(spec, k, _areas(spec, points))
+
+
+def _areas(spec: RingSpec, points: tuple[Vec2, ...]) -> tuple:
+    """The pairwise areas of a signature, in pair_indices order."""
+    perp = spec.perp_dot
+    return tuple([perp(points[i], points[j]) for i, j in pair_indices(len(points) - 1)])
 
 
 def badness_level(spec: RingSpec, points: tuple[Vec2, ...]) -> int:
@@ -85,22 +90,40 @@ def first_unit_pair(spec: RingSpec, points: tuple[Vec2, ...]):
     return None
 
 
+@lru_cache(maxsize=1)
+def _recovery_base(spec: RingSpec, xs: tuple[Vec2, ...]):
+    """What recover_g needs of xs whatever ys is: None when xs is bad,
+    else its first unit-area pair (i, j), its areas and the inverse of
+    the column matrix (x^i x^j).  A scan hands recover_g every ys of one
+    xs in a row, so one cached xs is enough."""
+    pair = first_unit_pair(spec, xs)
+    if pair is None:
+        return None
+    i, j = pair
+    return pair, _areas(spec, xs), inverse(spec, col_matrix(xs[i], xs[j]))
+
+
 def recover_g(spec: RingSpec, xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> Mat2:
     """The unique g in SL_2 with g x^i = y^i for all i, for good xs with
     signature(xs) == signature(ys).
 
     g is built as (y^i y^j)(x^i x^j)^{-1} from the first unit-area index
     pair, then verified on every point; raises BothBad when xs is bad and
-    NotEquivalent when the signatures differ or verification fails."""
+    NotEquivalent when the signatures differ or verification fails.  The
+    pair, the areas of xs and the inverse come from _recovery_base, and
+    each column of the inverse is sent through (y^i y^j) by apply_mat;
+    xs is their cache key, so it must be hashable (a tuple of tuples)."""
     if len(xs) != len(ys):
         raise ValueError("configurations must have the same number of points")
-    pair = first_unit_pair(spec, xs)
-    if pair is None:
+    base = _recovery_base(spec, xs)
+    if base is None:
         raise BothBad("base configuration has no unit pairwise area")
-    if signature(spec, xs) != signature(spec, ys):
+    (i, j), areas, (a, b, c, d) = base
+    if _areas(spec, ys) != areas:
         raise NotEquivalent("signatures differ")
-    i, j = pair
-    g = mat_mul(spec, col_matrix(ys[i], ys[j]), inverse(spec, col_matrix(xs[i], xs[j])))
+    target = col_matrix(ys[i], ys[j])
+    left, right = spec.apply_mat(target, (a, c)), spec.apply_mat(target, (b, d))
+    g = (left[0], right[0], left[1], right[1])
     # cheap insurance against convention mismatches: never trust the algebra
     for x, y in zip(xs, ys):
         if spec.apply_mat(g, x) != y:

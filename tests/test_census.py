@@ -139,6 +139,47 @@ def test_census_key_levels_match_per_area_decode(E, k):
     assert set(levels) == set(range(E.spec.max_level + 1))
 
 
+def test_key_levels_runs_once_per_nondecreasing_key(monkeypatch):
+    # a level is the same for every ordering of a nondecreasing key, so
+    # the census finds it for C(n + k, k + 1) keys, not for each class
+    E = random_subset(mod_prime_power(3, 3), 20, 1)
+    seen = []
+    key_levels_ = census.key_levels
+
+    def counted(spec, keys):
+        keys = list(keys)
+        seen.append(len(keys))
+        return key_levels_(spec, keys)
+
+    monkeypatch.setattr(census, "key_levels", counted)
+    report = count_classes(E, 3)
+    assert report.total_classes == 137851
+    assert sum(seen) <= math.comb(20 + 3, 3 + 1) == 8855
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "E",
+    [
+        random_subset(galois_field(3, 2), 9, 4),
+        random_subset(Z9, 9, 4),
+        random_subset(mod_prime_power(7, 3), 12, 2),  # two-byte keys
+    ],
+    ids=["F9s", "Z9s", "Z343s"],
+)
+def test_size_tally_matches_the_per_class_level_tally(E, k):
+    # the tally read from each level's run of classes is the one that a
+    # level lookup per class gives, and the runs come in ascending level
+    report = count_classes(E, k)
+    sizes = report.class_sizes
+    levels = list(key_levels(E.spec, sizes))
+    reference = {}
+    for (m, size), n in Counter(zip(levels, sizes.values())).items():
+        reference.setdefault(m, {})[size] = n
+    assert report.size_tally == reference
+    assert levels == sorted(levels)
+
+
 def test_count_classes_peak_memory_is_the_signature_counts():
     # the per-level tally adds nothing that grows with the number of classes
     E = random_subset(mod_prime_power(3, 3), 20, 1)
@@ -175,6 +216,16 @@ def test_budget_is_checked_before_the_area_table(monkeypatch):
     monkeypatch.setattr(census, "area_index_table", no_table)
     with pytest.raises(BudgetExceeded):
         count_classes(PLANE5, 3, budget=10)
+
+
+def test_nu_histogram_checks_its_budget_before_the_area_table(monkeypatch):
+    def no_table(E):
+        raise AssertionError("area table built before the budget check")
+
+    monkeypatch.setattr(census, "area_index_table", no_table)
+    E = full_plane(F5)  # a fresh set, with no table built yet
+    with pytest.raises(BudgetExceeded):
+        nu_histogram(E, budget=len(E) ** 2 - 1)
 
 
 def test_census_independent_of_point_order():
@@ -406,8 +457,12 @@ def test_nu_histogram_f3():
 
 @pytest.mark.parametrize(
     "E",
-    [random_subset(galois_field(3, 2), 30, 3), random_subset(mod_prime_power(3, 3), 60, 3)],
-    ids=["F9s", "Z27s"],
+    [
+        random_subset(galois_field(3, 2), 30, 3),
+        random_subset(mod_prime_power(3, 3), 60, 3),
+        random_subset(mod_prime_power(7, 3), 40, 3),  # two-byte keys
+    ],
+    ids=["F9s", "Z27s", "Z343s"],
 )
 def test_nu_histogram_matches_pairwise_loop(E):
     spec = E.spec

@@ -524,6 +524,10 @@ LEMMA_2_2_CASES = {
                       {"kind": "random-subset", "size": 4, "seed": 1}, 1, 4, 36),
     "F5-circles-k2": ({"family": "prime-field", "p": 5},
                       {"kind": "union-circles", "radii": [1, 4]}, 2, 48, 3072),
+    "Z9-subset12-k1": (Z9_RING, {"kind": "random-subset", "size": 12, "seed": 1}, 1, 6, 1170),
+    "Z27-subset5-k1": ({"family": "mod-prime-power", "p": 3, "ell": 3},
+                       {"kind": "random-subset", "size": 5, "seed": 2}, 1, 4, 10),
+    "F9-subset12-k1": (F9_RING, {"kind": "random-subset", "size": 12, "seed": 2}, 1, 8, 1460),
 }
 
 
@@ -534,6 +538,52 @@ def test_lemma_2_2_reaches_every_equivalent_good_pair(case):
     (check,) = run_experiment(ExperimentConfig.from_json(obj))["checks"]
     assert check == {"check": "lemma-2.2", "good_classes": str(good_classes),
                      "pairs_checked": str(pairs_checked), "ok": True}
+
+
+@pytest.mark.parametrize("case", LEMMA_2_2_CASES, ids=str)
+def test_lemma_2_2_pairs_are_the_census_sum_of_squares(case):
+    from areal import census as cn
+
+    ring, construction, k, _, pairs_checked = LEMMA_2_2_CASES[case]
+    obj = {"ring": ring, "construction": construction, "k": k, "checks": ["census"]}
+    cfg = ExperimentConfig.from_json(obj)
+    assert cn.count_classes(cfg.point_set(), k).equivalent_good_pairs() == pairs_checked
+
+
+def test_lemma_2_2_inverts_one_base_matrix_per_good_tuple(monkeypatch):
+    # recover_g's per-xs work is cached across the ys of one xs: the F_3
+    # plane at k=2 has 26 * 24 good tuples and 14,976 equivalent pairs
+    from areal import configs
+
+    calls = []
+    inverse = configs.inverse
+
+    def counted(spec, m):
+        calls.append(m)
+        return inverse(spec, m)
+
+    monkeypatch.setattr(configs, "inverse", counted)
+    configs._recovery_base.cache_clear()
+    report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"], k=2)))
+    assert report["checks"][0]["pairs_checked"] == "14976" and report["ok"] is True
+    assert len(calls) == 26 * 24
+
+
+def test_nu_and_census_build_one_area_table_per_experiment(monkeypatch):
+    from areal import census as cn
+
+    calls = []
+    area_index_table = cn.area_index_table
+
+    def counted(E):
+        calls.append(len(E))
+        return area_index_table(E)
+
+    monkeypatch.setattr(cn, "area_index_table", counted)
+    obj = {"ring": {"family": "mod-prime-power", "p": 3, "ell": 3}, "construction": FULL,
+           "k": 1, "checks": ["nu", "census"]}
+    assert run_experiment(ExperimentConfig.from_json(obj))["ok"] is True
+    assert calls == [27 ** 2]
 
 
 def test_lemma_2_2_fails_when_the_group_misses_an_element(monkeypatch):

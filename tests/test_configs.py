@@ -15,9 +15,10 @@ from areal.configs import (
     signature,
 )
 from areal.linalg import apply_mat, enumerate_sl2, identity, perp_dot
-from areal.rings import mod_prime_power, prime_field
+from areal.rings import galois_field, mod_prime_power, prime_field
 
 F3 = prime_field(3)
+F9 = galois_field(3, 2)
 Z9 = mod_prime_power(3, 2)
 
 
@@ -110,6 +111,45 @@ def test_recover_g_not_equivalent_raises():
         recover_g(F3, ((1, 0), (0, 1)), ((1, 0), (0, 2)))
     with pytest.raises(ValueError):
         recover_g(F3, ((1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1)))
+
+
+def _scan(spec, xs, ys):
+    """Every g of SL_2 with g xs = ys, by full scan."""
+    return [g for g in enumerate_sl2(spec) if apply_config(spec, g, xs) == ys]
+
+
+def test_recover_g_gives_each_ring_its_own_g():
+    # the same pairs of ints, read in F_9 and in Z/9Z, back to back
+    xs = ((1, 1), (2, 3), (4, 0))
+    cases = []
+    for spec in (F9, Z9):
+        g = list(enumerate_sl2(spec))[100]
+        cases.append((spec, g, apply_config(spec, g, xs)))
+    for spec, g, ys in cases + cases[::-1]:
+        assert recover_g(spec, xs, ys) == g
+        assert _scan(spec, xs, ys) == [g]
+
+
+def test_recover_g_alternating_bases():
+    group = list(enumerate_sl2(F3))
+    a, b = ((1, 0), (0, 1), (1, 2)), ((2, 1), (1, 1))
+    for xs, g in ((a, group[5]), (b, group[17]), (a, group[11])):
+        ys = apply_config(F3, g, xs)
+        assert recover_g(F3, xs, ys) == g
+        assert _scan(F3, xs, ys) == [g]
+
+
+def test_recover_g_still_raises_after_a_success():
+    xs = ((1, 0), (0, 1), (1, 2))
+    g = list(enumerate_sl2(F3))[7]
+    assert recover_g(F3, xs, apply_config(F3, g, xs)) == g
+    with pytest.raises(BothBad):
+        recover_g(F3, ((1, 0), (2, 0), (0, 0)), ((1, 0), (2, 0), (0, 0)))
+    assert recover_g(F3, xs, apply_config(F3, g, xs)) == g
+    with pytest.raises(NotEquivalent):  # the area of the last two points differs
+        recover_g(F3, xs, ((1, 0), (0, 1), (2, 2)))
+    with pytest.raises(ValueError):
+        recover_g(F3, xs, xs[:2])
 
 
 def test_orbit_sizes():
