@@ -13,6 +13,7 @@ import functools
 import itertools
 import operator
 from collections import Counter, defaultdict
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -106,12 +107,12 @@ def area_index_table(E: PointSet) -> list[bytes]:
     return [b"".join([a.to_bytes(width, "big") for a in row]) for row in rows]
 
 
-# Ends every one-byte-per-area key in a census block and in a pattern's
+# Ends every one-byte-per-area key in a census block and in a chunk's
 # joined keys.  Such keys hold indexes below q, and q is odd, so q <= 255
 # and no area is this byte.
 _SEPARATOR = b"\xff"
 _BYTES = [bytes((v,)) for v in range(256)]
-_CHUNK = 4096  # keys re-keyed at once
+_CHUNK = 512  # keys re-keyed at once, each under every ordering
 
 
 def _cut(keys: bytes, step: int, width: int) -> list[bytes]:
@@ -197,119 +198,160 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counte
     return patterns
 
 
-def _level_splits(spec: RingSpec, tally: Counter) -> dict[int, tuple[list, list, list]]:
-    """For each badness level m of tally's keys: its keys counted once, its
-    other keys and their counts, in tally's order.  The lists are cut by
-    itertools.compress over the keys' levels, with no tuple per key."""
-    levels, out = list(key_levels(spec, tally)), {}
-    for m in sorted(set(levels)):
-        keys, sizes = tally, tally.values()
-        if levels.count(m) < len(levels):
-            keys = list(itertools.compress(keys, map(m.__eq__, levels)))
-            sizes = list(itertools.compress(sizes, map(m.__eq__, levels)))
-        ones = list(itertools.compress(keys, map((1).__eq__, sizes)))
-        shared = list(itertools.compress(keys, map((1).__lt__, sizes)))
-        out[m] = ones, shared, list(filter((1).__lt__, sizes))
-    return out
+def _relabelings(word: tuple[int, ...]) -> list[list[int]]:
+    """The distinct orderings of a tuple s whose slot a holds its word[a]-th
+    distinct point: s ordered by rho, its slots stably sorted by label, is
+    nondecreasing, and ordering that by sigma (_orderings) orders s by
+    rho . sigma."""
+    rho = sorted(range(len(word)), key=word.__getitem__)
+    labels = sorted(word)
+    return [[rho[a] for a in sigma] for sigma in _orderings(tuple(map(operator.eq, labels, labels[1:])))]
 
 
-def signature_counts(
-    E: PointSet, k: int, budget: int = DEFAULT_BUDGET, level_ends: dict | None = None
-) -> Counter:
-    """Counter mapping census keys to the number of tuples of E^{k+1}
-    realizing them, grouped by badness level in ascending order.
+class _Sizes(ValuesView):
+    def __iter__(self):  # a rep's size once per class of its orbit, nothing re-keyed
+        orbits = (itertools.repeat(orbit, count) for _, _, orbit, count in self._mapping.runs)
+        sizes = self._mapping.reps.values()
+        return itertools.chain.from_iterable(map(itertools.repeat, sizes, itertools.chain.from_iterable(orbits)))
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.values())
+
+
+class ClassSizes(Mapping):
+    """Read-only census key -> number of tuples of E^{k+1} with that key,
+    stored one entry per S_{k+1} orbit of classes: relabeling a tuple's
+    points permutes its areas and negates some, so it maps classes to
+    classes of the same size and level.  reps maps each orbit's least key
+    to the size of each of its classes.  runs cuts reps, in order and
+    ascending level, into (level, word, orbit, count): count reps of that
+    level whose orbits hold orbit classes, each key of a tuple whose slot
+    a holds its word[a]-th distinct point.  Iteration re-keys each rep
+    under its word's orderings (_relabelings), at most n^{k+1} keys in all;
+    values() and items() follow it, and a lookup re-keys its key under all
+    of S_{k+1} to find its rep."""
+
+    def __init__(self, spec: RingSpec, k: int):
+        self.k, self.width = k, key_width(spec)
+        self.reps: dict[bytes, int] = {}
+        self.runs: list[tuple[int, tuple[int, ...], int, int]] = []
+        pairs, width = [(i, j) for j in range(1, k + 1) for i in range(j)], self.width
+        self._slot = {pair: o * width for o, pair in enumerate(pairs)}
+        self._step = len(pairs) * width + (width == 1)
+        if width == 1:
+            table = bytes(map(spec.neg, spec.elements())).ljust(256, _SEPARATOR)
+            self._negate = lambda keys: keys.translate(table)
+        else:
+            codes = {a.to_bytes(width, "big"): spec.neg(a).to_bytes(width, "big")
+                     for a in spec.elements()}
+            self._negate = lambda keys: b"".join(map(codes.__getitem__, _cut(keys, width, width)))
+
+    def rekey(self, keys: list[bytes], sigmas) -> list[list[bytes]]:
+        """The keys of the tuples of keys reordered by each sigma, one list
+        per sigma: slot (a, b) of the tuple ordered by sigma is slot
+        (min(sigma a, sigma b), max(sigma a, sigma b)) of its key, negated
+        when sigma a > sigma b, as y . x^perp = -x . y^perp.  An ordering is
+        one bulk pass over the joined keys: one extended-slice assignment
+        per key byte from them or from their negation, made once by
+        bytes.translate at one byte per area and through a map of the q
+        area encodings at wider keys."""
+        width, step, slot = self.width, self._step, self._slot
+        joined = (_SEPARATOR if width == 1 else b"").join(keys)
+        negated, out = self._negate(joined), []
+        for sigma in sigmas:
+            if sigma == sorted(sigma):
+                out.append(keys)
+                continue
+            ordered = bytearray(joined)
+            for (a, b), o in slot.items():
+                s, t = sigma[a], sigma[b]
+                src, p = (joined, slot[s, t]) if s < t else (negated, slot[t, s])
+                for c in range(width):
+                    ordered[o + c :: step] = src[p + c :: step]
+            out.append(_cut(bytes(ordered), step, width))
+        return out
+
+    def __len__(self) -> int:
+        return sum(orbit * count for _, _, orbit, count in self.runs)
+
+    def __iter__(self) -> Iterator[bytes]:
+        reps = iter(self.reps)
+        for _, word, _, count in self.runs:
+            sigmas = _relabelings(word)
+            for c in range(0, count, _CHUNK):
+                chunk = list(itertools.islice(reps, min(_CHUNK, count - c)))
+                # the orbits are disjoint, so each rep's keys stay together
+                yield from dict.fromkeys(itertools.chain.from_iterable(zip(*self.rekey(chunk, sigmas))))
+
+    def values(self) -> ValuesView:
+        return _Sizes(self)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def __getitem__(self, key: bytes) -> int:
+        if not isinstance(key, bytes) or len(key) != len(self._slot) * self.width:
+            raise KeyError(key)
+        # a byte that is no area stays in, or cuts short, each re-keyed key
+        sigmas = map(list, itertools.permutations(range(self.k + 1)))
+        size = self.reps.get(min(itertools.chain.from_iterable(self.rekey([key], sigmas))))
+        if size is None:
+            raise KeyError(key)
+        return size
+
+
+def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> ClassSizes:
+    """The census of E^{k+1}: ClassSizes mapping each census key to the
+    number of tuples realizing it, one stored entry per S_{k+1} orbit.
 
     A key packs the area index of every pair (i, j), i < j, in column
     order (by j, then by i), each in key_width bytes big-endian.  Only the
     nondecreasing tuples are keyed, one Counter per equality pattern
-    (_nondecreasing_counts); each distinct ordering sigma of a pattern
-    (_orderings) then adds the pattern's counts under re-keyed keys.  Slot
-    (a, b) of a re-keyed key is slot (min(sigma a, sigma b), max(sigma a,
-    sigma b)) of the nondecreasing key, negated when sigma a > sigma b, as
-    y . x^perp = -x . y^perp.  An ordering is one bulk pass over up to
-    _CHUNK of the pattern's keys, joined: one extended-slice assignment per
-    key byte from them or from their negation, made once per chunk by
-    bytes.translate at one byte per area and through a map of the q area
-    encodings at wider keys.
-
-    Reordering a tuple permutes its areas and negates some, which keeps
-    every valuation, so a key's level is that of its nondecreasing key:
-    key_levels runs once per pattern key, C(n + k, k + 1) keys in all.
-    The levels are expanded in ascending order, so each level's keys are
-    one contiguous run of the Counter; level_ends, when given, receives
-    len(counts) after each level.  Each pattern's Counter is split into
-    per-level key lists (_level_splits) and freed.  Its level-0 lists run
-    at once, the largest pattern last; the higher levels' lists wait and
-    then run level by level.  Each list is freed after it runs, and one
-    chunk's ordering is re-keyed at a time."""
+    (_nondecreasing_counts).  Up to _CHUNK pattern keys K at a time are
+    re-keyed under the pattern's distinct orderings D (_orderings): these
+    are the keys of K's orbit, and the least is its rep.  The orbit gains
+    count(K) * |D| tuples and holds |D| / (the orderings giving the rep)
+    classes, whichever key reaches it, and its classes share its tuples
+    evenly, which is checked.  So at most n^{k+1} keys are re-keyed, and
+    only reps are stored.  Reordering keeps every valuation, so a key's
+    level is its pattern key's: key_levels reads C(n + k, k + 1) keys at
+    most."""
     n = len(E)
     check_budget(n ** (k + 1), budget)
-    counts: Counter = Counter()
+    counts = ClassSizes(E.spec, k)
     if n == 0:
         return counts
-    spec, width = E.spec, key_width(E.spec)
-    patterns = _nondecreasing_counts(E, k, width)
-    pairs = [(i, j) for j in range(1, k + 1) for i in range(j)]
-    slot = {pair: o * width for o, pair in enumerate(pairs)}
-    step = len(pairs) * width + (width == 1)
-    if width == 1:
-        table = bytes(map(spec.neg, spec.elements())).ljust(256, _SEPARATOR)
-        negate = lambda keys: keys.translate(table)
-    else:
-        codes = {a.to_bytes(width, "big"): spec.neg(a).to_bytes(width, "big")
-                 for a in spec.elements()}
-        negate = lambda keys: b"".join(map(codes.__getitem__, _cut(keys, width, width)))
-    identity = list(range(k + 1))
-
-    def expand(same: tuple, keys: list[bytes], sizes: list[int] | None) -> None:
-        """Add keys of pattern same under each of its orderings: one tuple
-        each when sizes is None (counted in C), else sizes[i] for keys[i]."""
-        if not all(same):
-            joined = (_SEPARATOR if width == 1 else b"").join(keys)
-            negated = negate(joined)
-        for sigma in _orderings(same):
-            if sigma == identity:
-                ordered = keys
-            else:
-                out = bytearray(joined)
-                for (a, b), o in slot.items():
-                    s, t = sigma[a], sigma[b]
-                    src, p = (joined, slot[s, t]) if s < t else (negated, slot[t, s])
-                    for c in range(width):
-                        out[o + c :: step] = src[p + c :: step]
-                ordered = _cut(bytes(out), step, width)
-                del out
-            if sizes is None:
-                counts.update(ordered)
-            else:  # one ordering's keys are distinct, so get reads the count before it
-                totals = map(operator.add, map(counts.get, ordered, itertools.repeat(0)), sizes)
-                dict.update(counts, zip(ordered, totals))
-            del ordered  # before the next ordering is cut
-
-    def run(same: tuple, ones: list[bytes], keys: list[bytes], sizes: list[int]) -> None:
-        # a chunk of keys at a time keeps one ordering's re-keyed copies small
-        for c in range(0, len(ones), _CHUNK):
-            expand(same, ones[c : c + _CHUNK], None)
+    totals: dict[bytes, int] = {}  # rep -> tuples of its orbit
+    tags: dict[bytes, tuple] = {}  # rep -> its run's (level, word, orbit)
+    shared: dict[tuple, tuple] = {}  # one object per distinct tag
+    patterns = _nondecreasing_counts(E, k, counts.width)
+    while patterns:
+        same, pattern = patterns.popitem()
+        sigmas = list(_orderings(same))
+        labels = list(itertools.accumulate(map(operator.not_, same), initial=0))
+        words = [tuple(map(labels.__getitem__, sigma)) for sigma in sigmas]
+        keys, sizes = list(pattern), list(pattern.values())
+        del pattern
+        levels, d = list(key_levels(E.spec, keys)), len(sigmas)
         for c in range(0, len(keys), _CHUNK):
-            expand(same, keys[c : c + _CHUNK], sizes[c : c + _CHUNK])
-
-    # level 0, the least, runs as each pattern is split, the largest
-    # pattern last when the others are freed; higher levels wait in order
-    waiting: dict[int, list] = defaultdict(list)
-    for same in sorted(patterns, key=lambda same: len(patterns[same])):
-        splits = _level_splits(spec, patterns.pop(same))
-        if 0 in splits:
-            run(same, *splits.pop(0))
-        for m, job in splits.items():
-            waiting[m].append((same, *job))
-    ends = {} if level_ends is None else level_ends
-    if counts:
-        ends[0] = len(counts)
-    for m in sorted(waiting):
-        queue = waiting.pop(m)[::-1]
-        while queue:
-            run(*queue.pop())
-        ends[m] = len(counts)
+            rows = list(zip(*counts.rekey(keys[c : c + _CHUNK], sigmas)))
+            reps = list(map(min, rows))
+            orbits = map(operator.floordiv, itertools.repeat(d), map(tuple.count, rows, reps))
+            found = list(zip(levels[c : c + _CHUNK], map(words.__getitem__, map(tuple.index, rows, reps)), orbits))
+            tags.update(zip(reps, map(shared.setdefault, found, found)))
+            weights = map(operator.mul, sizes[c : c + _CHUNK], itertools.repeat(d))
+            # update stores each total before it reads the next rep's
+            totals.update(zip(reps, map(operator.add, map(totals.get, reps, itertools.repeat(0)), weights)))
+    for tag, run in itertools.groupby(sorted(tags, key=tags.__getitem__), tags.__getitem__):
+        reps, orbit = list(run), tag[2]
+        tuples = list(map(totals.pop, reps))
+        sizes = [total // orbit for total in tuples]
+        if orbit * sum(sizes) != sum(tuples):  # equal only when every division is exact
+            raise ArithmeticError(f"an orbit of {orbit} classes does not split its tuples evenly")
+        counts.reps.update(zip(reps, sizes))
+        counts.runs.append((*tag, len(reps)))
     return counts
 
 
@@ -342,8 +384,9 @@ def key_levels(spec: RingSpec, keys) -> Iterator[int]:
 
 @dataclass
 class CensusReport:
-    """The census of E^{k+1}.  Unreported: class_sizes (key -> tuples)
-    and size_tally (level -> {class size -> classes}), from which the
+    """The census of E^{k+1}.  Unreported: class_sizes (key -> tuples, a
+    ClassSizes that stores one entry per S_{k+1} orbit of classes) and
+    size_tally (level -> {class size -> classes}), from which the
     per-level counts and the composite checks' class statistics come."""
 
     spec: RingSpec
@@ -353,7 +396,7 @@ class CensusReport:
     tuples_by_level: dict[int, int]
     classes_by_level: dict[int, int]
     total_classes: int
-    class_sizes: dict[bytes, int] = field(repr=False, default_factory=dict)
+    class_sizes: Mapping[bytes, int] = field(repr=False, default_factory=dict)
     size_tally: dict[int, dict[int, int]] = field(repr=False, default_factory=dict)
 
     def equivalent_good_pairs(self) -> int:
@@ -363,17 +406,17 @@ class CensusReport:
 
 def count_classes(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> CensusReport:
     """Exact census of distinct area signatures over E^{k+1}, split by
-    badness level (a class invariant).  signature_counts finds the levels
-    once per nondecreasing key and hands back where each level's run of
-    classes ends, so each level's size tally is one Counter over a slice
-    of the class sizes."""
-    ends: dict[int, int] = {}
-    counts = signature_counts(E, k, budget, level_ends=ends)
-    sizes, start = iter(counts.values()), 0
+    badness level (a class invariant).  signature_counts stores one
+    entry per S_{k+1} orbit, and an orbit's classes share its level and
+    size, so the size tally is one loop over the orbits' reps, each
+    counted once per class of its orbit."""
+    counts = signature_counts(E, k, budget)
+    sizes = iter(counts.reps.values())
     tally: dict[int, dict[int, int]] = {}
-    for m, end in ends.items():
-        tally[m] = dict(Counter(itertools.islice(sizes, end - start)))
-        start = end
+    for m, _, orbit, count in counts.runs:
+        level = tally.setdefault(m, {})
+        for size in itertools.islice(sizes, count):
+            level[size] = level.get(size, 0) + orbit
     return CensusReport(
         spec=E.spec,
         k=k,
@@ -457,15 +500,18 @@ class NuHistogram:
 def nu_histogram(E: PointSet, budget: int = DEFAULT_BUDGET) -> NuHistogram:
     """nu(t) = #{(x, y) in E x E : x . y^perp = t}; sums to |E|^2.  Read
     from E.area_table, the table the census of E uses: one bytes.count per
-    element over the joined rows at one byte per area, one Counter over
-    the area slices of every row at wider keys."""
+    element over each block of rows joined, about 64 KiB at a time, at one
+    byte per area, one Counter over the area slices of every row at wider
+    keys."""
     spec = E.spec
     check_budget(len(E) ** 2, budget)
     table, width = E.area_table, key_width(spec)
     if width == 1:
-        areas = b"".join(table)
-        tallies = ((a, areas.count(_BYTES[a])) for a in spec.elements())
-        return NuHistogram(spec, {a: c for a, c in tallies if c})
+        codes, tallies = [_BYTES[a] for a in spec.elements()], itertools.repeat(0)
+        rows = max(1, (64 << 10) // max(1, len(E)))
+        for r in range(0, len(table), rows):
+            tallies = list(map(operator.add, tallies, map(b"".join(table[r : r + rows]).count, codes)))
+        return NuHistogram(spec, {a: c for a, c in zip(spec.elements(), tallies) if c})
     slices: Counter = Counter()
     for row in table:
         slices.update(_cut(row, width, width))

@@ -168,7 +168,7 @@ class Memo:
     the census of every (ring, points, k) and the f profile of every (ring,
     points) that a check of any of its experiments asks for.  Two rings can
     share points (the F_9 and Z/9Z planes), so the ring is in the key.  A
-    census is kept without its class_sizes Counter, which no check reads."""
+    census is kept without its class_sizes mapping, which no check reads."""
 
     def __init__(self, budget: int):
         self.budget = budget

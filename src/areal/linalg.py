@@ -42,17 +42,6 @@ def det(spec: RingSpec, m: Mat2):
     return spec.sub(spec.mul(a, d), spec.mul(b, c))
 
 
-def mat_mul(spec: RingSpec, m: Mat2, n: Mat2) -> Mat2:
-    a, b, c, d = m
-    e, f, g, h = n
-    return (
-        spec.add(spec.mul(a, e), spec.mul(b, g)),
-        spec.add(spec.mul(a, f), spec.mul(b, h)),
-        spec.add(spec.mul(c, e), spec.mul(d, g)),
-        spec.add(spec.mul(c, f), spec.mul(d, h)),
-    )
-
-
 def apply_mat(spec: RingSpec, m: Mat2, v: Vec2) -> Vec2:
     return spec.apply_mat(m, v)
 

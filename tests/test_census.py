@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -295,19 +296,127 @@ def test_patterns_and_orderings_count_every_ordered_tuple(k):
         assert total == n ** (k + 1)
 
 
-def test_count_classes_peak_memory_is_near_what_its_report_holds():
-    # one ordering of one equality pattern is re-keyed at a time (a peak
-    # of 1.08 times the report); keeping every ordering's re-keyed list
-    # to the end peaks at 1.18
-    E = random_subset(mod_prime_power(3, 3), 20, 1)
+def _stored_orbits(counts):
+    """Each stored rep with the number of classes of its orbit."""
+    reps = iter(counts.reps)
+    return {rep: orbit for _, _, orbit, n in counts.runs for rep in itertools.islice(reps, n)}
+
+
+def test_orbit_with_a_nontrivial_stabiliser():
+    # every area of t = ((1, 0), (0, 1), (-1, -1)) is a unit, and the
+    # 3-cycle (t_1, t_2, t_0) has t's key: t's orbit holds 6 / 3 classes
+    E = PointSet(F5, [(1, 0), (0, 1), (4, 4)])
+    counts, reference = signature_counts(E, 2), _column_keys(E, 2)
+    t = [E.points.index(x) for x in ((1, 0), (0, 1), (4, 4))]
+    keys = {perm: b"".join(census.area_index_table(E)[perm[i]][perm[j] : perm[j] + 1]
+                           for j in range(1, 3) for i in range(j))
+            for perm in itertools.permutations(t)}
+    assert keys[tuple(t)] == keys[tuple(t[1:] + t[:1])] == keys[tuple(t[2:] + t[:2])]
+    assert len(set(keys.values())) == 2
+    assert all(E.spec.is_unit(a) for a in keys[tuple(t)])
+    assert _stored_orbits(counts)[min(keys.values())] == 2
+    assert all(counts[key] == reference[key] == 3 for key in keys.values())
+    assert counts == reference
+
+
+@pytest.mark.parametrize(
+    "E, k",
+    [
+        (PointSet(F5, [(1, 0), (0, 1), (4, 4)]), 2),
+        (PointSet(F5, [(0, 0), (1, 0), (2, 0), (0, 1)]), 3),  # the origin and a line: zero areas
+        (PointSet(F3, [(1, 0)]), 4),  # every tuple repeats its one point
+        (random_subset(F5, 4, 1), 4),
+        (random_subset(Z9, 4, 2), 4),
+        (random_subset(mod_prime_power(7, 3), 8, 3), 3),  # two-byte keys
+    ],
+    ids=["F5-unit-3-cycle-k2", "F5-zero-areas-k3", "F3-one-point-k4", "F5s-k4", "Z9s-k4",
+         "Z343s-k3"],
+)
+def test_class_sizes_keep_the_mapping_contract(E, k):
+    counts, reference = signature_counts(E, k), _column_keys(E, k)
+    keys, sizes, items = list(counts), list(counts.values()), list(counts.items())
+    assert len(counts) == len(keys) == len(set(keys)) == len(sizes) == len(reference)
+    assert items == list(zip(keys, sizes))
+    assert all(counts[key] == reference[key] for key in keys)
+    assert counts == reference and reference == counts and dict(items) == reference
+    levels = list(key_levels(E.spec, keys))
+    assert levels == sorted(levels)
+    assert len(counts.reps) == len(set(map(min, _orbit_keys(E, k, reference))))
+    report = count_classes(E, k)
+    sizes_, tuples_by_level, classes_by_level, tally = _signature_oracle(E, k)
+    assert sorted(sizes) == sorted(report.class_sizes.values()) == sizes_
+    assert report.tuples_by_level == tuples_by_level
+    assert report.classes_by_level == classes_by_level
+    assert report.size_tally == tally
+    # drawn keys of valid areas: mostly absent, each found exactly when realized
+    rng, width, q = random.Random(k), key_width(E.spec), E.spec.size()
+    drawn = [b"".join(rng.randrange(q).to_bytes(width, "big") for _ in range(k * (k + 1) // 2))
+             for _ in range(30)]
+    assert [key in counts for key in drawn] == [key in reference for key in drawn]
+    for absent in [key for key in drawn if key not in reference][:1] + [b"", b"\xff" * len(keys[0]), "key"]:
+        assert absent not in counts
+        with pytest.raises(KeyError):
+            counts[absent]
+
+
+def _orbit_keys(E, k, reference):
+    """For each realized key, the keys of its tuple's every reordering,
+    read one tuple at a time from the area table."""
+    table, width = census.area_index_table(E), key_width(E.spec)
+    key_of = {
+        t: b"".join(table[t[i]][t[j] * width : (t[j] + 1) * width]
+                    for j in range(1, k + 1) for i in range(j))
+        for t in itertools.product(range(len(E)), repeat=k + 1)
+    }
+    orbits = {}
+    for t, key in key_of.items():
+        if key not in orbits:
+            orbits[key] = set(map(key_of.__getitem__, itertools.permutations(t)))
+    assert orbits.keys() == reference.keys()
+    return orbits.values()
+
+
+def test_census_rekeys_at_most_n_to_the_k_plus_1_keys(monkeypatch):
+    # two points at k = 6: 2^7 tuples, while S_7 has 5,040 orderings
+    E = PointSet(F3, [(1, 0), (2, 2)])
+    seen = []
+    rekey = census.ClassSizes.rekey
+
+    def counted(self, keys, sigmas):
+        sigmas = list(sigmas)
+        seen.append(len(keys) * len(sigmas))
+        return rekey(self, keys, sigmas)
+
+    monkeypatch.setattr(census.ClassSizes, "rekey", counted)
+    counts = signature_counts(E, 6)
+    assert 0 < sum(seen) <= 2 ** 7
+    seen.clear()
+    assert len(list(counts)) == len(counts) == 2 ** 7 - 1  # both constant tuples have zero areas
+    assert 0 < sum(seen) <= 2 ** 7
+
+
+@pytest.mark.parametrize(
+    "size, seed, mib, classes, orbits",
+    [
+        (20, 1, 4, 137851, 6943),
+        # the 29-point cell of the benchmark's census workload at seed 0
+        (29, int.from_bytes(hashlib.sha256(b"areal-bench:0:census-2").digest()[:8], "big"),
+         10, 614223, 28613),
+    ],
+    ids=["Z27-s20-k3", "Z27-s29-k3"],
+)
+def test_count_classes_peak_memory_is_a_few_mib(size, seed, mib, classes, orbits):
+    # one entry per S_4 orbit of classes; one per class peaked at 11.0 and
+    # 43.8 MiB on these two inputs
+    E = random_subset(mod_prime_power(3, 3), size, seed)
     tracemalloc.start()
     try:
         report = count_classes(E, 3)
-        held, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.total_classes == 137851
-    assert peak <= 1.15 * held
+    assert (report.total_classes, len(report.class_sizes.reps)) == (classes, orbits)
+    assert peak <= mib * 2 ** 20
 
 
 def test_bad_tuple_counts_f3_k1():
@@ -461,8 +570,9 @@ def test_nu_histogram_f3():
         random_subset(galois_field(3, 2), 30, 3),
         random_subset(mod_prime_power(3, 3), 60, 3),
         random_subset(mod_prime_power(7, 3), 40, 3),  # two-byte keys
+        random_subset(galois_field(3, 4), 300, 3),  # rows counted in two blocks
     ],
-    ids=["F9s", "Z27s", "Z343s"],
+    ids=["F9s", "Z27s", "Z343s", "F81s"],
 )
 def test_nu_histogram_matches_pairwise_loop(E):
     spec = E.spec
@@ -472,6 +582,20 @@ def test_nu_histogram_matches_pairwise_loop(E):
             t = spec.sub(spec.mul(x[0], y[1]), spec.mul(x[1], y[0]))
             expected[t] = expected.get(t, 0) + 1
     assert nu_histogram(E).counts == expected
+
+
+def test_nu_histogram_peak_memory_is_near_the_table_it_keeps():
+    # the rows are counted a block at a time: joining the whole table
+    # first peaked at twice what the call holds afterwards
+    E = random_subset(galois_field(3, 4), 2000, 1)
+    tracemalloc.start()
+    try:
+        nu_histogram(E)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= len(E) ** 2  # the area table, kept on the point set
+    assert peak <= 1.25 * held
 
 
 def test_nu_histogram_origin_only():

@@ -11,7 +11,6 @@ from areal.linalg import (
     enumerate_sl2,
     identity,
     inverse,
-    mat_mul,
     perp_dot,
     sl2_order,
 )
@@ -28,6 +27,18 @@ def all_mats(spec):
 
 def mat_add(spec, m, n):
     return tuple(spec.add(x, y) for x, y in zip(m, n))
+
+
+def mat_mul(spec, m, n):
+    """The reference 2x2 product, entry by entry."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (
+        spec.add(spec.mul(a, e), spec.mul(b, g)),
+        spec.add(spec.mul(a, f), spec.mul(b, h)),
+        spec.add(spec.mul(c, e), spec.mul(d, g)),
+        spec.add(spec.mul(c, f), spec.mul(d, h)),
+    )
 
 
 def det_bilinear(spec, m, n):
