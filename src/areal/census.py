@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .configs import key_width, signature
-from .linalg import Vec2, enumerate_sl2, sl2_order
+from .linalg import Vec2, enumerate_sl2, sl2_blocks, sl2_order
 from .rings import ModPrimePower, RingSpec
 
 DEFAULT_BUDGET = 10 ** 9
@@ -156,7 +156,9 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counte
     of keys for lo <= u <= v, written into one bytearray with one
     extended-slice assignment per key byte: the pairs u < v row by row,
     then the pairs u = v.  An area is fixed over the block, or repeated
-    over v, or a table row from column u + 1 on, or taken at u."""
+    over v, or a table row from column u + 1 on, or taken at u.  The
+    first row (u = lo) is cut alone; the later rows share their pattern
+    and are cut in spans of whole keys, about 64 KiB each."""
     n = len(E)
     T = E.area_table
     # planes[b][x][y]: byte b of the area of (x, y); at width 1 the table
@@ -167,6 +169,7 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counte
     stride = len(sources) + sep  # one-byte-per-area keys end in the separator
     block = bytearray(_SEPARATOR * (n * (n + 1) // 2 * stride))
     view, tails = memoryview(block), [slice(u, None) for u in range(n + 1)]
+    span = max(1, (64 << 10) // stride) * stride  # about 64 KiB of whole keys
     patterns: dict[tuple, Counter] = defaultdict(Counter)
     for t in itertools.combinations_with_replacement(range(n), k - 1):
         lo = t[-1] if t else 0
@@ -184,15 +187,14 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counte
                 upper = b"".join(map(bytes.__getitem__, plane[lo:], tails[lo + 1 :]))
                 fill = upper + bytes(map(bytes.__getitem__, plane[lo:], range(lo, n)))
             block[o:end:stride] = fill
-        keys = bytes(view[:end])
         same = tuple(map(operator.eq, t, t[1:]))
         first, rest = (same + (True,), same + (False,)) if t else (same, same)  # u == lo or not
         first_row, diagonal = (m - 1) * stride, (m - 1) * m // 2 * stride
-        ends = list(itertools.accumulate(range(first_row, 0, -stride)))
-        rows = (_cut(keys[a : b - sep], stride, width) for a, b in zip([0] + ends, ends))
-        patterns[first + (False,)].update(next(rows, ()))
-        patterns[rest + (False,)].update(itertools.chain.from_iterable(rows))
-        lo_key, *others = _cut(keys[diagonal : end - sep], stride, width)
+        if first_row:
+            patterns[first + (False,)].update(_cut(bytes(view[: first_row - sep]), stride, width))
+        for a in range(first_row, diagonal, span):  # the later rows, a span of keys at a time
+            patterns[rest + (False,)].update(_cut(bytes(view[a : min(a + span, diagonal) - sep]), stride, width))
+        lo_key, *others = _cut(bytes(view[diagonal : end - sep]), stride, width)
         patterns[first + (True,)][lo_key] += 1
         patterns[rest + (True,)].update(others)
     return patterns
@@ -538,41 +540,34 @@ class FProfile:
 
 def f_profile(E: PointSet, budget: int = DEFAULT_BUDGET) -> FProfile:
     """f(g) = #{x in E : gx in E} for every g, one AND and one popcount
-    each.
+    each, a block of g sharing their top row at a time (sl2_blocks).
 
     Point x_i of E owns field i of a bitset: whole bytes, one bit per
     element.  A row r of g sends x_i to u_i = r . x_i; top(r) sets every
     v with (u_i, v) in E in field i, and bottom(r) sets bit u_i of field
     i.  So for g with rows r and s, top(r) & bottom(s) has one bit for
-    each x_i with g x_i in E.  One apply_mat pass over E with g gives
-    the bits of both its rows, so each distinct row costs at most one
-    pass; every row's two |E|-field ints are kept for the whole group."""
+    each x_i with g x_i in E.  As r . x = perp_dot(r, (-x_2, x_1)), one
+    perp_rows call against the turned points gives the images under every
+    row r = (c, d) of the plane, at index c q + d.  bottom(r) is kept for
+    every row; top(r) is made once, for the block with top row r."""
     spec = E.spec
     order = sl2_order(spec)
     check_budget(order * max(1, len(E)), budget)
-    q, points, apply = spec.size(), E.points, spec.apply_mat
+    q, points = spec.size(), E.points
     field_bytes = (q + 7) // 8
     columns = [0] * q  # columns[u]: bit v set iff (u, v) in E
     for u, v in points:
         columns[u] |= 1 << v
     tops = [c.to_bytes(field_bytes, "little") for c in columns]
     bottoms = [(1 << u).to_bytes(field_bytes, "little") for u in range(q)]
-
-    def bits(images: list[int]) -> tuple[int, int]:
-        return (
-            int.from_bytes(b"".join(map(tops.__getitem__, images)), "little"),
-            int.from_bytes(b"".join(map(bottoms.__getitem__, images)), "little"),
-        )
-
-    row_bits: dict[tuple, tuple[int, int]] = {}
-    values = []
-    for g in enumerate_sl2(spec):
-        top_row, bottom_row = g[:2], g[2:]
-        if top_row not in row_bits or bottom_row not in row_bits:
-            images = [apply(g, x) for x in points]
-            row_bits[top_row] = bits([u for u, _ in images])
-            row_bits[bottom_row] = bits([v for _, v in images])
-        values.append((row_bits[top_row][0] & row_bits[bottom_row][1]).bit_count())
+    turned = [(spec.neg(x2), x1) for x1, x2 in points]
+    images = list(spec.perp_rows(list(full_plane_points(spec)), turned))
+    bottom_bits = [int.from_bytes(b"".join(map(bottoms.__getitem__, row)), "little") for row in images]
+    by_row = [bottom_bits[c * q : c * q + q] for c in range(q)]  # by_row[c][d]: bottom((c, d))
+    values: list[int] = []
+    for a, b, cs, ds in sl2_blocks(spec):
+        top = int.from_bytes(b"".join(map(tops.__getitem__, images[a * q + b])), "little")
+        values += map(int.bit_count, map(top.__and__, map(operator.getitem, map(by_row.__getitem__, cs), ds)))
     sum_f = sum(values)
     mean = Fraction(sum_f, order)
     excess = sum(v * v for v in values) - mean * mean * order
@@ -603,8 +598,9 @@ class MomentLiftResult:
 def moment_lift_check(values, k: int) -> MomentLiftResult:
     """Exact check of the lifting inequality
     sum F^{k+1} <= c_k (M^{k-1} R + A^{k+1} |S|) with c_k = 2^{k^2},
-    for any finite table of nonnegative values."""
-    vals = [Fraction(v) for v in values]
+    for any finite table of nonnegative values (ints or Fractions).  The
+    sums are taken over the values as given, one Fraction made per sum."""
+    vals = list(values)
     if not vals:
         raise ValueError("the table must be nonempty")
     if any(v < 0 for v in vals):
@@ -612,11 +608,11 @@ def moment_lift_check(values, k: int) -> MomentLiftResult:
     if k < 1:
         raise ValueError("k must be >= 1")
     size = len(vals)
-    mean = sum(vals) / size
-    maximum = max(vals)
-    excess = sum(v * v for v in vals) - mean * mean * size
+    mean = Fraction(sum(vals)) / size
+    maximum = Fraction(max(vals))
+    excess = Fraction(sum(v * v for v in vals)) - mean * mean * size
     c_k = 2 ** (k * k)
-    lhs = sum(v ** (k + 1) for v in vals)
+    lhs = Fraction(sum(v ** (k + 1) for v in vals))
     rhs = c_k * (maximum ** (k - 1) * excess + mean ** (k + 1) * size)
     return MomentLiftResult(
         k=k, c_k=c_k, size=size, mean=mean, maximum=maximum, excess=excess,
@@ -718,44 +714,66 @@ class MomentIdentityReport:
         )
 
 
+def group_moves(E: PointSet, group: list) -> list[list[int]]:
+    """moves[i][j] has bit b set iff group[b] sends point x_i of E to
+    point x_j, from len(group) checked apply_mat calls per point.  Each
+    point's hits set bits of one bytearray per target, read as an int
+    once, so building costs O(|group| n + n^2 |group| / 8)."""
+    points, apply = E.points, E.spec.apply_mat
+    index = {x: j for j, x in enumerate(points)}
+    size = (len(group) + 7) // 8
+    moves = []
+    for x in points:
+        hits: dict[int, bytearray] = {}
+        for b, j in enumerate(map(index.get, map(apply, group, itertools.repeat(x)))):
+            if j is not None:
+                hits.setdefault(j, bytearray(size))[b >> 3] |= 1 << (b & 7)
+        row = [0] * len(points)
+        for j, bits in hits.items():
+            row[j] = int.from_bytes(bits, "little")
+        moves.append(row)
+    return moves
+
+
 def moment_identity_check(
     E: PointSet, profile: FProfile, budget: int = DEFAULT_BUDGET
 ) -> MomentIdentityReport:
     """Exact identity sum_g f(g)^2 = sum over quadruples (x1,x2,y1,y2) of
     #{g : gx1 = y1, gx2 = y2}, with the left side read from the f profile
-    of E and the right side enumerated quadruple by quadruple and
-    decomposed into the part where (x1, x2) has unit area (each such
-    matched quadruple contributes exactly one g) and the remaining
-    non-unit-area part."""
+    of E and the right side counted quadruple by quadruple, as the
+    popcount of moves[x1][y1] & moves[x2][y2] (group_moves, built from
+    apply_mat), and decomposed into the part where (x1, x2) has unit area
+    (each such matched quadruple contributes exactly one g) and the
+    remaining non-unit-area part.  The areas come from perp_dot calls."""
     spec = E.spec
     n = len(E)
     order = sl2_order(spec)
     check_budget(max(n ** 4, order * n * n), budget)
-    group = list(enumerate_sl2(spec))
+    moves = group_moves(E, list(enumerate_sl2(spec)))
     lhs = profile.sum_power(2)
-    perp, apply = spec.perp_dot, spec.apply_mat
+    areas = [[spec.perp_dot(x, y) for y in E.points] for x in E.points]
+    units = [list(map(spec.is_unit, row)) for row in areas]
     stabilizer_sum = 0
     matched_part = 0
     collinear_part = 0
     matched_quads = 0
     unique_on_good = True
-    for x1 in E.points:
-        for y1 in E.points:
-            movers = [g for g in group if apply(g, x1) == y1]
-            for x2 in E.points:
-                t = perp(x1, x2)
-                good_pair = spec.is_unit(t)
-                for y2 in E.points:
-                    c = sum(1 for g in movers if apply(g, x2) == y2)
-                    stabilizer_sum += c
-                    if good_pair:
-                        matched_part += c
-                        if perp(y1, y2) == t:
-                            matched_quads += 1
-                            if c != 1:
-                                unique_on_good = False
-                    else:
-                        collinear_part += c
+    for i1 in range(n):
+        for j1 in range(n):
+            first = moves[i1][j1]
+            for i2 in range(n):
+                counts = list(map(int.bit_count, map(first.__and__, moves[i2])))
+                c = sum(counts)
+                stabilizer_sum += c
+                if units[i1][i2]:
+                    matched_part += c
+                    # y2 with perp(y1, y2) == perp(x1, x2): each needs exactly one g
+                    matched = list(itertools.compress(counts, map(areas[i1][i2].__eq__, areas[j1])))
+                    matched_quads += len(matched)
+                    if matched.count(1) != len(matched):
+                        unique_on_good = False
+                else:
+                    collinear_part += c
     return MomentIdentityReport(
         f_square_sum=lhs,
         stabilizer_sum=stabilizer_sum,

@@ -280,43 +280,49 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     return _verdict(out, conditions)
 
 
-def _images_in_class(spec, group: list, xs, members: frozenset) -> dict:
-    """Map each image of xs whose points all lie in members onto the g
-    that send xs there, in group order.  SL_2 keeps areas, so every kept
-    image is in the class of xs, and the map holds at most |class|
-    entries however large the group is."""
-    images: dict = {}
-    for g in group:
-        ys = apply_config(spec, g, xs)
-        if members.issuperset(ys):
-            images.setdefault(ys, []).append(g)
-    return images
+def _images(reach: list, idx: tuple) -> list:
+    """The images of the points of E at indexes idx under the group, as
+    (js, mask) with mask's bit b set iff group[b] sends point idx[s] to
+    point js[s] for every slot s: a walk over image prefixes, one AND per
+    slot, where reach[i] holds the nonzero (j, moves[i][j]).  SL_2 keeps
+    areas, so every image is in the class of the tuple; js ascend."""
+    walk = [((), -1)]  # the empty prefix: every group element
+    for i in idx:
+        walk = [(js + (j,), both) for js, mask in walk for j, m in reach[i] if (both := mask & m)]
+    return walk
 
 
 def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     """Every pair of equivalent good tuples is related by exactly one
-    group element, found both by full scan and by recover_g.  The scan
-    applies the whole group once to each good tuple xs of E^{k+1}, in
-    product order; the images that stay in E are the class of xs, and
-    the matches for (xs, ys) are images[ys].  A good class of c tuples
+    group element, found both by the move bitsets and by recover_g.  For
+    each good tuple xs of E^{k+1}, in product order, the walk of _images
+    over cn.group_moves gives its images ys; a pair passes when its mask
+    has exactly one bit and that element is recover_g(xs, ys), and the
+    check stops at the first that does not.  A good class of c tuples
     yields at most c^2 pairs, so every equivalent pair was reached only
     when the pairs checked reach the census's sum of c^2.  That sum
-    times |SL_2| is charged before the scan."""
-    spec = cfg.spec
+    times |SL_2| is charged before the group is enumerated."""
+    spec, points = cfg.spec, E.points
     census = memo.census(E, cfg.k)
     equivalent_pairs = census.equivalent_good_pairs()
     cn.check_budget(sl2_order(spec) * equivalent_pairs, cfg.budget)
     group = list(enumerate_sl2(spec)) if equivalent_pairs else []
+    reach = [[(j, m) for j, m in enumerate(row) if m] for row in cn.group_moves(E, group)]
+    tuples = zip(
+        itertools.product(range(len(points)), repeat=cfg.k + 1),
+        itertools.product(points, repeat=cfg.k + 1),
+    )
     scan = (
-        (xs, ys, gs)
-        for xs in itertools.product(E.points, repeat=cfg.k + 1)
+        (xs, js, mask)
+        for idx, xs in tuples
         if first_unit_pair(spec, xs) is not None
-        for ys, gs in _images_in_class(spec, group, xs, E.members).items()
+        for js, mask in _images(reach, idx)
     )
     pairs_checked, matched = 0, True
-    for xs, ys, gs in scan:
+    for xs, js, mask in scan:
         try:
-            matched = gs == [recover_g(spec, xs, ys)]
+            g = recover_g(spec, xs, tuple(map(points.__getitem__, js)))
+            matched = mask & (mask - 1) == 0 and group[mask.bit_length() - 1] == g
         except NotEquivalent:
             matched = False
         if not matched:

@@ -8,6 +8,7 @@ than 2x2 on purpose.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 from .rings import ModPrimePower, RingSpec
@@ -70,27 +71,36 @@ def sl2_order(spec: RingSpec) -> int:
     return q ** 3 - q
 
 
-def enumerate_sl2(spec: RingSpec) -> Iterator[Mat2]:
-    """All det-1 matrices, each exactly once, in a fixed deterministic
-    order.
+def sl2_blocks(spec: RingSpec) -> Iterator[tuple]:
+    """SL_2 as blocks (a, b, cs, ds): the det-1 matrices with top row
+    (a, b) are (a, b, cs[t], ds[t]) for each t, and the blocks come in a
+    fixed deterministic order, each top row once.
 
     Split on whether the entry a is a unit: for unit a, (b, c) are free
     and d = a^{-1}(1 + bc); otherwise b must be a unit (ad - bc = 1
     forces bc to be a unit), d is free, and c = b^{-1}(ad - 1).  The
-    order is ascending in the free entries' canonical indexes."""
-    one = spec.one
+    order is ascending in the free entries' canonical indexes.  The q^2
+    products come from checked mul calls made once, before the first
+    block; each block is then C-level maps over their rows."""
     elems = list(spec.elements())
+    times = [list(map(spec.mul, itertools.repeat(a), elems)) for a in elems]
+    plus_one = list(map(spec.add, itertools.repeat(spec.one), elems))
+    minus_one = list(map(spec.sub, elems, itertools.repeat(spec.one)))
     units = [a for a in elems if spec.is_unit(a)]
     for a in elems:
         if spec.is_unit(a):
-            ai = spec.inv(a)
+            by_inverse = times[spec.inv(a)].__getitem__
             for b in elems:
-                for c in elems:
-                    d = spec.mul(ai, spec.add(one, spec.mul(b, c)))
-                    yield (a, b, c, d)
+                yield a, b, elems, list(map(by_inverse, map(plus_one.__getitem__, times[b])))
         else:
+            by_a = list(map(minus_one.__getitem__, times[a]))
             for b in units:
-                bi = spec.inv(b)
-                for d in elems:
-                    c = spec.mul(bi, spec.sub(spec.mul(a, d), one))
-                    yield (a, b, c, d)
+                yield a, b, list(map(times[spec.inv(b)].__getitem__, by_a)), elems
+
+
+def enumerate_sl2(spec: RingSpec) -> Iterator[Mat2]:
+    """All det-1 matrices, each exactly once, in sl2_blocks order."""
+    repeat = itertools.repeat
+    return itertools.chain.from_iterable(
+        zip(repeat(a), repeat(b), cs, ds) for a, b, cs, ds in sl2_blocks(spec)
+    )

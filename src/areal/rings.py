@@ -278,11 +278,37 @@ class _Residues(RingSpec):
 
     def perp_rows(self, xs, ys) -> Iterator[list[int]]:
         """[perp_dot(x, y) for y in ys] for each x of xs in turn, for
-        sequences xs and ys, every coordinate checked before the first row."""
+        sequences xs and ys, every coordinate checked before the first row.
+
+        While 2(q - 1) fits a byte, a row is C-level passes over one byte
+        per point of ys: x1 * y2 and -x2 * y1 mod q by bytes.translate
+        through multiplication rows, one big-int add of the two (no lane
+        can carry), and one translate that reduces each byte mod q."""
         self._check_points(xs, ys)
         q = self._q
+        if 2 * (q - 1) > 255:
+            for x1, x2 in xs:
+                yield [(x1 * y2 - x2 * y1) % q for y1, y2 in ys]
+            return
+        first, second = bytes([y1 for y1, _ in ys]), bytes([y2 for _, y2 in ys])
+        times, reduce, size = self._byte_times, self._byte_reduce, len(ys)
         for x1, x2 in xs:
-            yield [(x1 * y2 - x2 * y1) % q for y1, y2 in ys]
+            lanes = (
+                int.from_bytes(second.translate(times[x1]), "big")
+                + int.from_bytes(first.translate(times[-x2 % q]), "big")
+            )
+            yield list(lanes.to_bytes(size, "big").translate(reduce))
+
+    @cached_property
+    def _byte_times(self) -> list[bytes]:
+        """Row a maps each byte v < q to a * v mod q, for perp_rows."""
+        q = self._q
+        return [bytes([a * v % q for v in range(q)]).ljust(256, b"\0") for a in range(q)]
+
+    @cached_property
+    def _byte_reduce(self) -> bytes:
+        """Maps each byte v to v mod q, for perp_rows."""
+        return bytes([v % self._q for v in range(256)])
 
     def apply_mat(self, m: tuple, v: tuple) -> tuple[int, int]:
         """The vector [[a, b], [c, d]] (x, y) for m = (a, b, c, d), in one call."""

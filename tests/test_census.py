@@ -690,6 +690,21 @@ def test_moment_lift_property(values, k):
     assert moment_lift_check(values, k).ok
 
 
+@settings(max_examples=50)
+@given(
+    st.lists(st.fractions(min_value=0, max_value=50, max_denominator=7), min_size=1, max_size=20),
+    st.integers(1, 4),
+)
+def test_moment_lift_sums_fractions_exactly(values, k):
+    res = moment_lift_check(values, k)
+    size = len(values)
+    mean = sum(values, Fraction(0)) / size
+    assert res.mean == mean and res.maximum == max(values)
+    assert res.excess == sum((v - mean) ** 2 for v in values)
+    assert res.lhs == sum(v ** (k + 1) for v in values)
+    assert all(type(x) is Fraction for x in (res.mean, res.maximum, res.excess, res.lhs, res.rhs))
+
+
 def test_transitivity_constants():
     assert transitivity_constant(F3) == 3  # 24 / 8
     assert transitivity_constant(F5) == 5  # 120 / 24
@@ -751,6 +766,71 @@ def test_moment_identity_empty_set():
     report = moment_identity_check(E, f_profile(E))
     assert report.f_square_sum == 0 and report.stabilizer_sum == 0
     assert report.ok
+
+
+def quadruple_loop_moment_identity(E, profile):
+    """The moment identity quadruple by quadruple: for each (x1, y1) the
+    group elements sending x1 to y1, then for each (x2, y2) those of them
+    sending x2 to y2."""
+    spec = E.spec
+    group = list(enumerate_sl2(spec))
+    perp, apply = spec.perp_dot, spec.apply_mat
+    stabilizer_sum = matched_part = collinear_part = matched_quads = 0
+    unique_on_good = True
+    for x1 in E.points:
+        for y1 in E.points:
+            movers = [g for g in group if apply(g, x1) == y1]
+            for x2 in E.points:
+                t = perp(x1, x2)
+                good_pair = spec.is_unit(t)
+                for y2 in E.points:
+                    c = sum(1 for g in movers if apply(g, x2) == y2)
+                    stabilizer_sum += c
+                    if good_pair:
+                        matched_part += c
+                        if perp(y1, y2) == t:
+                            matched_quads += 1
+                            if c != 1:
+                                unique_on_good = False
+                    else:
+                        collinear_part += c
+    return census.MomentIdentityReport(
+        f_square_sum=profile.sum_power(2),
+        stabilizer_sum=stabilizer_sum,
+        matched_part=matched_part,
+        collinear_part=collinear_part,
+        matched_quadruples=matched_quads,
+        unique_on_good=unique_on_good,
+    )
+
+
+@pytest.mark.parametrize(
+    "E",
+    [PLANE3, PLANE5, random_subset(Z9, 12, 4), random_subset(galois_field(3, 2), 12, 5),
+     line_through_origin(F5, (1, 2))],
+    ids=["F3", "F5", "Z9s", "F9s", "F5-line"],
+)
+def test_moment_identity_matches_quadruple_loop(E):
+    profile = f_profile(E)
+    report = moment_identity_check(E, profile)
+    expected = quadruple_loop_moment_identity(E, profile)
+    assert report == expected
+    assert report.matched_quadruples == expected.matched_quadruples
+
+
+def test_moment_identity_sees_a_non_unique_good_quadruple(monkeypatch):
+    # a mask holding the whole group gives its good quadruples 3 elements each
+    group_moves = census.group_moves
+
+    def doubled(E, group):
+        moves = group_moves(E, group)
+        moves[1][1] = (1 << len(group)) - 1
+        return moves
+
+    monkeypatch.setattr(census, "group_moves", doubled)
+    report = moment_identity_check(PLANE3, f_profile(PLANE3))
+    assert not report.unique_on_good and report.f_square_sum != report.stabilizer_sum
+    assert not report.ok
 
 
 def test_nu_second_moment_equals_k1_equivalent_pairs():

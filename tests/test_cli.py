@@ -445,58 +445,98 @@ def test_run_budgets_the_plane_before_enumerating_it(tmp_path, capsys, monkeypat
     assert err.startswith("budget exceeded:")
 
 
-def test_lemma_2_2_scans_the_group_once_per_good_tuple(monkeypatch):
+def test_lemma_2_2_builds_its_move_table_once_and_applies_nothing_per_tuple(monkeypatch):
+    from areal import census as cn
     from areal import cli
+    from areal.rings import PrimeField
 
-    calls = []
-    apply_config = cli.apply_config
+    applied, config_calls, table_calls = [], [], []
+    apply_mat, group_moves, apply_config = PrimeField.apply_mat, cn.group_moves, cli.apply_config
 
-    def counted(spec, g, points):
-        calls.append(points)
+    def counted_apply(self, m, v):
+        applied.append(m)
+        return apply_mat(self, m, v)
+
+    def counted_moves(E, group):
+        before = len(applied)
+        moves = group_moves(E, group)
+        table_calls.append(len(applied) - before)
+        return moves
+
+    def counted_config(spec, g, points):
+        config_calls.append(points)
         return apply_config(spec, g, points)
 
-    monkeypatch.setattr(cli, "apply_config", counted)
+    monkeypatch.setattr(PrimeField, "apply_mat", counted_apply)
+    monkeypatch.setattr(cn, "group_moves", counted_moves)
+    monkeypatch.setattr(cli, "apply_config", counted_config)
     report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"], k=2)))
     (check,) = report["checks"]
     assert check == {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14976", "ok": True}
-    # 26 classes of 24 good tuples each, one scan of the 24-element group per tuple
-    assert len(calls) == 26 * 24 * 24
+    # one table of |SL_2(F_3)| * 9 points; no tuple is sent through the group
+    assert table_calls == [24 * 9] and config_calls == []
+    # the other applications are recover_g's: two columns and three points per pair
+    assert len(applied) - 24 * 9 == 14976 * 5
 
 
-def test_lemma_2_2_keeps_no_image_outside_the_class(monkeypatch):
+@pytest.mark.parametrize("case", ["F7-subset4-k1", "Z9-subset12-k1", "F9-subset12-k1"])
+def test_lemma_2_2_accepts_exactly_the_equivalent_pairs(monkeypatch, case):
     import itertools
 
     from areal import cli
     from areal.configs import first_unit_pair, signature
 
-    kept = {}
-    images_in_class = cli._images_in_class
+    accepted = []
+    recover_g = cli.recover_g
 
-    def recorded(spec, group, xs, members):
-        images = images_in_class(spec, group, xs, members)
-        kept[xs] = (len(images), len(group))
-        return images
+    def recorded(spec, xs, ys):
+        accepted.append((xs, ys))
+        return recover_g(spec, xs, ys)
 
-    monkeypatch.setattr(cli, "_images_in_class", recorded)
-    obj = {
-        "ring": {"family": "prime-field", "p": 7},
-        "construction": {"kind": "random-subset", "size": 4, "seed": 1},
-        "k": 1,
-        "checks": ["lemma-2.2"],
-    }
-    cfg = ExperimentConfig.from_json(obj)
+    monkeypatch.setattr(cli, "recover_g", recorded)
+    ring, construction, k, _, _ = LEMMA_2_2_CASES[case]
+    cfg = ExperimentConfig.from_json(
+        {"ring": ring, "construction": construction, "k": k, "checks": ["lemma-2.2"]}
+    )
     (check,) = run_experiment(cfg)["checks"]
     assert check["ok"] is True
-    # the classes, grouped here through configs.signature
     spec, E = cfg.spec, cfg.point_set()
+    assert all(signature(spec, ys) == signature(spec, xs) for xs, ys in accepted)
+    # the classes, grouped here through configs.signature
     classes: dict = {}
-    for xs in itertools.product(E.points, repeat=cfg.k + 1):
+    for xs in itertools.product(E.points, repeat=k + 1):
         if first_unit_pair(spec, xs) is not None:
-            classes.setdefault(signature(spec, xs), []).append(xs)
-    class_size = {xs: len(members) for members in classes.values() for xs in members}
-    assert set(kept) == set(class_size)
-    # classes of a few tuples against the 336 elements of SL_2(F_7)
-    assert all(n <= class_size[xs] < group for xs, (n, group) in kept.items())
+            classes[signature(spec, xs)] = classes.get(signature(spec, xs), 0) + 1
+    assert len(set(accepted)) == len(accepted) == sum(c * c for c in classes.values())
+
+
+def test_lemma_2_2_fails_when_a_move_mask_loses_a_bit(monkeypatch):
+    # every bit of every mask from a nonzero point is some good pair's element
+    from areal import census as cn
+    from areal import cli
+
+    cfg = ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"]))
+    E, memo = cfg.point_set(), cli.Memo(cfg.budget)
+    group_moves = cn.group_moves
+    moves = group_moves(E, list(cli.enumerate_sl2(cfg.spec)))
+    assert cli._check_lemma_2_2(cfg, E, memo)["pairs_checked"] == 1152
+    cleared = 0
+    for i, x in enumerate(E.points):
+        if x == (0, 0):  # in no good tuple at k=1
+            continue
+        for j, mask in enumerate(moves[i]):
+            for b in (b for b in range(mask.bit_length()) if mask >> b & 1):
+                def dropped(E, group, i=i, j=j, b=b):
+                    table = group_moves(E, group)
+                    table[i][j] &= ~(1 << b)
+                    return table
+
+                monkeypatch.setattr(cn, "group_moves", dropped)
+                report = cli._check_lemma_2_2(cfg, E, memo)
+                assert report["ok"] is False and report["pairs_checked"] < 1152
+                assert report["failed"] == ["pairs_checked == equivalent_good_pairs"]
+                cleared += 1
+    assert cleared == 8 * 24
 
 
 def test_lemma_2_2_cross_checks_recover_g(monkeypatch):

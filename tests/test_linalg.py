@@ -12,6 +12,7 @@ from areal.linalg import (
     identity,
     inverse,
     perp_dot,
+    sl2_blocks,
     sl2_order,
 )
 from areal.rings import galois_field, mod_prime_power, prime_field
@@ -157,6 +158,41 @@ def test_sl2_order_matches_enumeration(spec, expected):
 def test_enumerate_sl2_exactly_det_one_matrices():
     naive = {m for m in all_mats(Z9) if det(Z9, m) == 1}
     assert set(enumerate_sl2(Z9)) == naive
+
+
+def row_by_row_sl2(spec):
+    """The group in its documented order, one checked ring call per entry:
+    a unit a leaves (b, c) free with d = a^{-1}(1 + bc); otherwise b is a
+    unit, d is free and c = b^{-1}(ad - 1)."""
+    one = spec.one
+    elems = list(spec.elements())
+    units = [a for a in elems if spec.is_unit(a)]
+    for a in elems:
+        if spec.is_unit(a):
+            ai = spec.inv(a)
+            for b in elems:
+                for c in elems:
+                    d = spec.mul(ai, spec.add(one, spec.mul(b, c)))
+                    yield (a, b, c, d)
+        else:
+            for b in units:
+                bi = spec.inv(b)
+                for d in elems:
+                    c = spec.mul(bi, spec.sub(spec.mul(a, d), one))
+                    yield (a, b, c, d)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [F3, galois_field(3, 2), galois_field(5, 2), Z9, mod_prime_power(3, 3), mod_prime_power(7, 2)],
+    ids=lambda s: s.label(),
+)
+def test_enumerate_sl2_keeps_the_row_by_row_order(spec):
+    assert list(enumerate_sl2(spec)) == list(row_by_row_sl2(spec))
+    blocks = list(sl2_blocks(spec))
+    # one block per top row, each as long as its cs and ds
+    assert len({(a, b) for a, b, _, _ in blocks}) == len(blocks)
+    assert all(len(cs) == len(ds) for _, _, cs, ds in blocks)
 
 
 def test_enumerate_sl2_partitions_merge_to_serial():

@@ -343,13 +343,33 @@ def test_perp_row_matches_perp_dot(spec):
     assert list(spec.perp_rows([], plane)) == []
 
 
+BYTE_LANE_RINGS = [mod_prime_power(5, 3), prime_field(127)]  # 2(q - 1) <= 255
+WIDE_RINGS = [mod_prime_power(13, 2), prime_field(131), mod_prime_power(3, 5)]
+
+
+def _edge_points(spec, count, seed):
+    """Seeded points plus every pair of the coordinates 0, 1, q - 1 and q - 2."""
+    q, rng = spec.size(), random.Random(seed)
+    edges = list(itertools.product((0, 1, q - 2, q - 1), repeat=2))
+    return edges + [(rng.randrange(q), rng.randrange(q)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("spec", BYTE_LANE_RINGS + WIDE_RINGS, ids=lambda s: s.label())
+def test_perp_row_matches_perp_dot_on_large_rings(spec):
+    xs, ys = _edge_points(spec, 60, 1), _edge_points(spec, 300, 2)
+    assert list(spec.perp_rows(xs, ys)) == [[spec.perp_dot(x, y) for y in ys] for x in xs]
+    assert list(spec.perp_rows(xs[:1], [])) == [[]]
+    # the first two rings go through byte lanes, the others do not
+    assert ("_byte_times" in vars(spec)) == (spec in BYTE_LANE_RINGS)
+
+
 def _with_bad_coordinate(points, i, pos, bad):
     point = list(points[i])
     point[pos] = bad
     return points[:i] + [tuple(point)] + points[i + 1 :]
 
 
-@pytest.mark.parametrize("spec", [F7, F9, Z27], ids=lambda s: s.label())
+@pytest.mark.parametrize("spec", [F7, F9, Z27, *BYTE_LANE_RINGS, *WIDE_RINGS], ids=lambda s: s.label())
 def test_perp_row_rejects_non_elements(spec):
     # every coordinate of xs and ys is checked before the first row
     xs = [(1, 2), (2, 0)]
