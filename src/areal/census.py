@@ -13,7 +13,6 @@ import functools
 import itertools
 import operator
 from collections import Counter, defaultdict
-from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -112,7 +111,7 @@ def area_index_table(E: PointSet) -> list[bytes]:
 # and no area is this byte.
 _SEPARATOR = b"\xff"
 _BYTES = [bytes((v,)) for v in range(256)]
-_CHUNK = 512  # keys re-keyed at once, each under every ordering
+_CHUNK = 512  # keys re-keyed at once under every ordering, or reps finished at once
 
 
 def _cut(keys: bytes, step: int, width: int) -> list[bytes]:
@@ -196,49 +195,24 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counte
             patterns[rest + (False,)].update(_cut(bytes(view[a : min(a + span, diagonal) - sep]), stride, width))
         lo_key, *others = _cut(bytes(view[diagonal : end - sep]), stride, width)
         patterns[first + (True,)][lo_key] += 1
-        patterns[rest + (True,)].update(others)
+        if others:  # an empty pattern would still have its orderings listed
+            patterns[rest + (True,)].update(others)
     return patterns
 
 
-def _relabelings(word: tuple[int, ...]) -> list[list[int]]:
-    """The distinct orderings of a tuple s whose slot a holds its word[a]-th
-    distinct point: s ordered by rho, its slots stably sorted by label, is
-    nondecreasing, and ordering that by sigma (_orderings) orders s by
-    rho . sigma."""
-    rho = sorted(range(len(word)), key=word.__getitem__)
-    labels = sorted(word)
-    return [[rho[a] for a in sigma] for sigma in _orderings(tuple(map(operator.eq, labels, labels[1:])))]
-
-
-class _Sizes(ValuesView):
-    def __iter__(self):  # a rep's size once per class of its orbit, nothing re-keyed
-        orbits = (itertools.repeat(orbit, count) for _, _, orbit, count in self._mapping.runs)
-        sizes = self._mapping.reps.values()
-        return itertools.chain.from_iterable(map(itertools.repeat, sizes, itertools.chain.from_iterable(orbits)))
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping.values())
-
-
-class ClassSizes(Mapping):
-    """Read-only census key -> number of tuples of E^{k+1} with that key,
-    stored one entry per S_{k+1} orbit of classes: relabeling a tuple's
-    points permutes its areas and negates some, so it maps classes to
-    classes of the same size and level.  reps maps each orbit's least key
-    to the size of each of its classes.  runs cuts reps, in order and
-    ascending level, into (level, word, orbit, count): count reps of that
-    level whose orbits hold orbit classes, each key of a tuple whose slot
-    a holds its word[a]-th distinct point.  Iteration re-keys each rep
-    under its word's orderings (_relabelings), at most n^{k+1} keys in all;
-    values() and items() follow it, and a lookup re-keys its key under all
-    of S_{k+1} to find its rep."""
+class ClassSizes:
+    """The census of E^{k+1}, stored one entry per S_{k+1} orbit of
+    classes: relabeling a tuple's points permutes its areas and negates
+    some, so it maps classes to classes of the same size and level.  reps
+    maps each orbit's least key to the number of tuples in each of its
+    classes.  runs cuts reps, in order and ascending level, into (level,
+    orbit, count): count reps of that level whose orbits hold orbit
+    classes each."""
 
     def __init__(self, spec: RingSpec, k: int):
-        self.k, self.width = k, key_width(spec)
+        self.width = key_width(spec)
         self.reps: dict[bytes, int] = {}
-        self.runs: list[tuple[int, tuple[int, ...], int, int]] = []
+        self.runs: list[tuple[int, int, int]] = []
         pairs, width = [(i, j) for j in range(1, k + 1) for i in range(j)], self.width
         self._slot = {pair: o * width for o, pair in enumerate(pairs)}
         self._step = len(pairs) * width + (width == 1)
@@ -276,37 +250,17 @@ class ClassSizes(Mapping):
         return out
 
     def __len__(self) -> int:
-        return sum(orbit * count for _, _, orbit, count in self.runs)
+        return sum(orbit * count for _, orbit, count in self.runs)
 
-    def __iter__(self) -> Iterator[bytes]:
-        reps = iter(self.reps)
-        for _, word, _, count in self.runs:
-            sigmas = _relabelings(word)
-            for c in range(0, count, _CHUNK):
-                chunk = list(itertools.islice(reps, min(_CHUNK, count - c)))
-                # the orbits are disjoint, so each rep's keys stay together
-                yield from dict.fromkeys(itertools.chain.from_iterable(zip(*self.rekey(chunk, sigmas))))
-
-    def values(self) -> ValuesView:
-        return _Sizes(self)
-
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-    def __getitem__(self, key: bytes) -> int:
-        if not isinstance(key, bytes) or len(key) != len(self._slot) * self.width:
-            raise KeyError(key)
-        # a byte that is no area stays in, or cuts short, each re-keyed key
-        sigmas = map(list, itertools.permutations(range(self.k + 1)))
-        size = self.reps.get(min(itertools.chain.from_iterable(self.rekey([key], sigmas))))
-        if size is None:
-            raise KeyError(key)
-        return size
+    def values(self) -> Iterator[int]:
+        """Each class's number of tuples: a rep's once per class of its orbit."""
+        orbits = itertools.chain.from_iterable(itertools.repeat(orbit, count) for _, orbit, count in self.runs)
+        return itertools.chain.from_iterable(map(itertools.repeat, self.reps.values(), orbits))
 
 
 def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> ClassSizes:
-    """The census of E^{k+1}: ClassSizes mapping each census key to the
-    number of tuples realizing it, one stored entry per S_{k+1} orbit.
+    """The census of E^{k+1}: ClassSizes, one stored entry per S_{k+1}
+    orbit of classes.
 
     A key packs the area index of every pair (i, j), i < j, in column
     order (by j, then by i), each in key_width bytes big-endian.  Only the
@@ -319,21 +273,21 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     evenly, which is checked.  So at most n^{k+1} keys are re-keyed, and
     only reps are stored.  Reordering keeps every valuation, so a key's
     level is its pattern key's: key_levels reads C(n + k, k + 1) keys at
-    most."""
+    most.  The charge is at least 2^{k+1}, which passes the k(k+1)/2
+    areas of a key, so a set of one point or none cannot ask for keys
+    longer than its budget."""
     n = len(E)
-    check_budget(n ** (k + 1), budget)
+    check_budget(max(n, 2) ** (k + 1), budget)
     counts = ClassSizes(E.spec, k)
     if n == 0:
         return counts
     totals: dict[bytes, int] = {}  # rep -> tuples of its orbit
-    tags: dict[bytes, tuple] = {}  # rep -> its run's (level, word, orbit)
+    tags: dict[bytes, tuple] = {}  # rep -> its run's (level, orbit)
     shared: dict[tuple, tuple] = {}  # one object per distinct tag
     patterns = _nondecreasing_counts(E, k, counts.width)
     while patterns:
         same, pattern = patterns.popitem()
         sigmas = list(_orderings(same))
-        labels = list(itertools.accumulate(map(operator.not_, same), initial=0))
-        words = [tuple(map(labels.__getitem__, sigma)) for sigma in sigmas]
         keys, sizes = list(pattern), list(pattern.values())
         del pattern
         levels, d = list(key_levels(E.spec, keys)), len(sigmas)
@@ -341,19 +295,21 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
             rows = list(zip(*counts.rekey(keys[c : c + _CHUNK], sigmas)))
             reps = list(map(min, rows))
             orbits = map(operator.floordiv, itertools.repeat(d), map(tuple.count, rows, reps))
-            found = list(zip(levels[c : c + _CHUNK], map(words.__getitem__, map(tuple.index, rows, reps)), orbits))
+            found = list(zip(levels[c : c + _CHUNK], orbits))
             tags.update(zip(reps, map(shared.setdefault, found, found)))
             weights = map(operator.mul, sizes[c : c + _CHUNK], itertools.repeat(d))
             # update stores each total before it reads the next rep's
             totals.update(zip(reps, map(operator.add, map(totals.get, reps, itertools.repeat(0)), weights)))
-    for tag, run in itertools.groupby(sorted(tags, key=tags.__getitem__), tags.__getitem__):
-        reps, orbit = list(run), tag[2]
-        tuples = list(map(totals.pop, reps))
-        sizes = [total // orbit for total in tuples]
-        if orbit * sum(sizes) != sum(tuples):  # equal only when every division is exact
-            raise ArithmeticError(f"an orbit of {orbit} classes does not split its tuples evenly")
-        counts.reps.update(zip(reps, sizes))
-        counts.runs.append((*tag, len(reps)))
+    for (level, orbit), run in itertools.groupby(sorted(tags, key=tags.__getitem__), tags.__getitem__):
+        count = 0
+        while reps := list(itertools.islice(run, _CHUNK)):  # a run can hold most reps
+            tuples = list(map(totals.pop, reps))
+            sizes = [total // orbit for total in tuples]
+            if orbit * sum(sizes) != sum(tuples):  # equal only when every division is exact
+                raise ArithmeticError(f"an orbit of {orbit} classes does not split its tuples evenly")
+            counts.reps.update(zip(reps, sizes))
+            count += len(reps)
+        counts.runs.append((level, orbit, count))
     return counts
 
 
@@ -386,9 +342,9 @@ def key_levels(spec: RingSpec, keys) -> Iterator[int]:
 
 @dataclass
 class CensusReport:
-    """The census of E^{k+1}.  Unreported: class_sizes (key -> tuples, a
-    ClassSizes that stores one entry per S_{k+1} orbit of classes) and
-    size_tally (level -> {class size -> classes}), from which the
+    """The census of E^{k+1}.  Unreported: class_sizes (the ClassSizes
+    that signature_counts gives, one entry per S_{k+1} orbit of classes)
+    and size_tally (level -> {class size -> classes}), from which the
     per-level counts and the composite checks' class statistics come."""
 
     spec: RingSpec
@@ -398,7 +354,7 @@ class CensusReport:
     tuples_by_level: dict[int, int]
     classes_by_level: dict[int, int]
     total_classes: int
-    class_sizes: Mapping[bytes, int] = field(repr=False, default_factory=dict)
+    class_sizes: ClassSizes | None = field(repr=False, default=None)
     size_tally: dict[int, dict[int, int]] = field(repr=False, default_factory=dict)
 
     def equivalent_good_pairs(self) -> int:
@@ -415,7 +371,7 @@ def count_classes(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> CensusRe
     counts = signature_counts(E, k, budget)
     sizes = iter(counts.reps.values())
     tally: dict[int, dict[int, int]] = {}
-    for m, _, orbit, count in counts.runs:
+    for m, orbit, count in counts.runs:
         level = tally.setdefault(m, {})
         for size in itertools.islice(sizes, count):
             level[size] = level.get(size, 0) + orbit
@@ -874,18 +830,18 @@ def mbad_class_size_check(census: CensusReport) -> MBadReport:
 
 def good_class_members(
     E: PointSet, k: int, budget: int = DEFAULT_BUDGET
-) -> dict[bytes, list[tuple]]:
-    """Good tuples of E^{k+1} grouped by signature key, built tuple by
-    tuple through configs.signature: the tests' reference grouping, which
-    no check uses.  Memory is the number of good tuples, so keep to small
-    instances."""
+) -> dict[tuple, list[tuple]]:
+    """Good tuples of E^{k+1} grouped by their signature's areas, built
+    tuple by tuple through configs.signature: the tests' reference
+    grouping, which no check uses.  Memory is the number of good tuples,
+    so keep to small instances."""
     check_budget(len(E) ** (k + 1), budget)
     spec = E.spec
-    out: dict[bytes, list[tuple]] = {}
+    out: dict[tuple, list[tuple]] = {}
     for t in itertools.product(E.points, repeat=k + 1):
         sig = signature(spec, t)
         if any(spec.is_unit(a) for a in sig.areas):
-            out.setdefault(sig.encode(), []).append(t)
+            out.setdefault(sig.areas, []).append(t)
     return out
 
 

@@ -44,16 +44,6 @@ class AreaSignature:
     k: int
     areas: tuple  # pairwise areas for i < j, lexicographic (i, j) order
 
-    def encode(self) -> bytes:
-        """Stable byte encoding: k as 2 bytes big-endian, then each area's
-        canonical index in fixed width (just enough bytes for the ring
-        size).  census.good_class_members groups by it; the census
-        itself packs its keys from the area table in another order."""
-        width = key_width(self.spec)
-        parts = [self.k.to_bytes(2, "big")]
-        parts.extend(a.to_bytes(width, "big") for a in self.areas)
-        return b"".join(parts)
-
 
 def signature(spec: RingSpec, points: tuple[Vec2, ...]) -> AreaSignature:
     k = len(points) - 1

@@ -211,6 +211,18 @@ def test_random_subset_size_bounds_are_inclusive(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["set_size"] == str(size)
 
 
+def test_census_of_one_point_at_huge_k_exits_on_its_budget(tmp_path, capsys):
+    # one point has one tuple, but its census key holds k(k+1)/2 areas:
+    # the census charges at least 2^{k+1}, so it refuses before any key
+    obj = dict(F3_CENSUS, construction={"kind": "random-subset", "size": 1, "seed": 1},
+               k=100_000, checks=["census"])
+    start = time.perf_counter()
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err == "budget exceeded: enumeration needs over 2^100001 tuple visits but the budget is 1000000000\n"
+
+
 @pytest.mark.parametrize(
     "patch",
     [{"k": True}, {"k": 1.0}, {"k": "2"}, {"budget": 1.5e3}, {"budget": True}, {"budget": "1000"}],
