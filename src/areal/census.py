@@ -272,7 +272,7 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     classes, whichever key reaches it, and its classes share its tuples
     evenly, which is checked.  So at most n^{k+1} keys are re-keyed, and
     only reps are stored.  Reordering keeps every valuation, so a key's
-    level is its pattern key's: key_levels reads C(n + k, k + 1) keys at
+    level is its pattern key's: key_badness reads C(n + k, k + 1) keys at
     most.  The charge is at least 2^{k+1}, which passes the k(k+1)/2
     areas of a key, so a set of one point or none cannot ask for keys
     longer than its budget."""
@@ -290,7 +290,7 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
         sigmas = list(_orderings(same))
         keys, sizes = list(pattern), list(pattern.values())
         del pattern
-        levels, d = list(key_levels(E.spec, keys)), len(sigmas)
+        levels, d = key_badness(E.spec, keys), len(sigmas)
         for c in range(0, len(keys), _CHUNK):
             rows = list(zip(*counts.rekey(keys[c : c + _CHUNK], sigmas)))
             reps = list(map(min, rows))
@@ -313,31 +313,17 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     return counts
 
 
-def key_badness(spec: RingSpec, key: bytes) -> int:
-    """Badness level of every tuple whose signature has this key, decoded
-    area by area: the route key_levels takes for keys wider than one byte
-    per area, and the reference its width-1 route is tested against."""
+def key_badness(spec: RingSpec, keys) -> list[int]:
+    """The badness levels of census keys, in key order: the least
+    valuation of a key's areas.  A width-1 key's is the least byte of
+    key.translate(vt), where vt maps each area index to its valuation;
+    wider keys are decoded area by area."""
     width = key_width(spec)
-    if width > 1:  # a width-1 key iterates as its area indexes already
-        key = [int.from_bytes(key[off : off + width], "big") for off in range(0, len(key), width)]
-    m = spec.max_level
-    for idx in key:
-        v = spec.valuation(idx)
-        if v < m:
-            m = v
-            if m == 0:
-                return 0
-    return m
-
-
-def key_levels(spec: RingSpec, keys) -> Iterator[int]:
-    """The badness levels of census keys, yielded in key order.  A width-1
-    key's is the least byte of key.translate(vt), where vt maps each area
-    index to its valuation; wider keys go through key_badness."""
-    if key_width(spec) > 1:
-        return (key_badness(spec, key) for key in keys)
-    vt = bytes(map(spec.valuation, spec.elements())).ljust(256, b"\0")
-    return map(min, map(bytes.translate, keys, itertools.repeat(vt)))
+    if width == 1:
+        vt = bytes(map(spec.valuation, spec.elements())).ljust(256, b"\0")
+        return list(map(min, map(bytes.translate, keys, itertools.repeat(vt))))
+    vals = {a.to_bytes(width, "big"): spec.valuation(a) for a in spec.elements()}
+    return [min(map(vals.__getitem__, _cut(key, width, width))) for key in keys]
 
 
 @dataclass
@@ -577,41 +563,30 @@ def moment_lift_check(values, k: int) -> MomentLiftResult:
 
 
 def designated_orbit(spec: RingSpec) -> list[Vec2]:
-    """The transitive SL_2 orbit used by the counting lemma: nonzero
-    vectors for fields, vectors with at least one unit coordinate for
-    Z/p^l Z (the orbit of (1, 0))."""
-    zero = spec.zero
-    out = []
-    for a in spec.elements():
-        for b in spec.elements():
-            if isinstance(spec, ModPrimePower):
-                if spec.is_unit(a) or spec.is_unit(b):
-                    out.append((a, b))
-            elif (a, b) != (zero, zero):
-                out.append((a, b))
-    return out
+    """The transitive SL_2 orbit used by the counting lemma: the orbit of
+    (1, 0), which is the vectors with a unit coordinate (over a field, the
+    nonzero vectors)."""
+    unit = spec.is_unit
+    return [x for x in full_plane_points(spec) if unit(x[0]) or unit(x[1])]
 
 
 def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Verifies phi(x, y) = #{g : gx = y} is the same for every pair of
-    the designated orbit and returns its value |G| / |X|."""
+    the designated orbit X and returns its value |G| / |X|.  The group is
+    listed once; each x's images are counted in one Counter and read at
+    every y of X in order, so the first pair that differs is named."""
     X = designated_orbit(spec)
     order = sl2_order(spec)
     check_budget(order * len(X), budget)
-    index = {x: i for i, x in enumerate(X)}
-    nx = len(X)
-    phi = [0] * (nx * nx)
-    apply = spec.apply_mat
-    for g in enumerate_sl2(spec):
-        for x in X:
-            y = apply(g, x)
-            phi[index[x] * nx + index[y]] += 1
-    expected, rem = divmod(order, nx)
+    expected, rem = divmod(order, len(X))
     if rem != 0:
         raise NotTransitive((X[0], X[0]), "group order is not divisible by orbit size")
-    for i, c in enumerate(phi):
-        if c != expected:
-            raise NotTransitive((X[i // nx], X[i % nx]))
+    group = list(enumerate_sl2(spec))
+    for x in X:
+        phi = Counter(map(spec.apply_mat, group, itertools.repeat(x)))
+        for y in X:
+            if phi[y] != expected:
+                raise NotTransitive((x, y))
     return expected
 
 
@@ -834,8 +809,9 @@ def good_class_members(
     """Good tuples of E^{k+1} grouped by their signature's areas, built
     tuple by tuple through configs.signature: the tests' reference
     grouping, which no check uses.  Memory is the number of good tuples,
-    so keep to small instances."""
-    check_budget(len(E) ** (k + 1), budget)
+    so keep to small instances.  The charge is at least 2^{k+1}, as the
+    census's is, since each tuple's signature holds k(k+1)/2 areas."""
+    check_budget(max(len(E), 2) ** (k + 1), budget)
     spec = E.spec
     out: dict[tuple, list[tuple]] = {}
     for t in itertools.product(E.points, repeat=k + 1):

@@ -181,7 +181,7 @@ def test_criterion_09_sharpness_constructions():
         rots = rotation_group(F5)
         budget = 10 ** 9
         for k in (1, 2):
-            orbit = min_rotation_orbit(circles, k, rots, budget)
+            orbit = min_rotation_orbit(circles, rots, budget)
             assert 2 * orbit >= len(rots)
             classes = count_classes(circles, k).total_classes
             assert classes * orbit <= len(circles) ** (k + 1)

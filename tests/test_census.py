@@ -22,7 +22,6 @@ from areal.census import (
     flemma_check,
     good_class_members,
     key_badness,
-    key_levels,
     mbad_class_size_check,
     moment_identity_check,
     moment_lift_check,
@@ -32,7 +31,7 @@ from areal.census import (
 )
 from areal.configs import badness_level, key_width, signature
 from areal.constructions import full_plane, line_through_origin, mod_sharpness_set, random_subset
-from areal.linalg import enumerate_sl2, sl2_order
+from areal.linalg import enumerate_sl2, identity, sl2_order
 from areal.rings import galois_field, mod_prime_power, prime_field
 
 F3 = prime_field(3)
@@ -99,6 +98,13 @@ def _signature_oracle(E, k):
     return sorted(classes.values()), dict(tuples_by_level), dict(classes_by_level), tally
 
 
+def _key_level(spec, key):
+    """The badness level of a census key, decoded area by area."""
+    width = key_width(spec)
+    areas = [int.from_bytes(key[o : o + width], "big") for o in range(0, len(key), width)]
+    return min([spec.max_level, *map(spec.valuation, areas)])
+
+
 @pytest.mark.parametrize(
     "E, k",
     [
@@ -135,8 +141,8 @@ def test_count_classes_matches_signature_oracle(E, k):
 )
 def test_census_key_levels_match_per_area_decode(E, k):
     keys = list(_column_keys(E, k))
-    levels = list(key_levels(E.spec, keys))
-    assert levels == [key_badness(E.spec, key) for key in keys]
+    levels = key_badness(E.spec, keys)
+    assert levels == [_key_level(E.spec, key) for key in keys]
     assert set(levels) == set(range(E.spec.max_level + 1))
 
 
@@ -145,14 +151,13 @@ def test_key_levels_runs_once_per_nondecreasing_key(monkeypatch):
     # the census finds it for C(n + k, k + 1) keys, not for each class
     E = random_subset(mod_prime_power(3, 3), 20, 1)
     seen = []
-    key_levels_ = census.key_levels
+    key_badness_ = census.key_badness
 
     def counted(spec, keys):
-        keys = list(keys)
         seen.append(len(keys))
-        return key_levels_(spec, keys)
+        return key_badness_(spec, keys)
 
-    monkeypatch.setattr(census, "key_levels", counted)
+    monkeypatch.setattr(census, "key_badness", counted)
     report = count_classes(E, 3)
     assert report.total_classes == 137851
     assert sum(seen) <= math.comb(20 + 3, 3 + 1) == 8855
@@ -174,7 +179,7 @@ def test_size_tally_matches_the_per_class_level_tally(E, k):
     # in ascending level
     report, sizes = count_classes(E, k), _column_keys(E, k)
     reference = {}
-    for (m, size), n in Counter(zip(key_levels(E.spec, list(sizes)), sizes.values())).items():
+    for (m, size), n in Counter(zip(key_badness(E.spec, list(sizes)), sizes.values())).items():
         reference.setdefault(m, {})[size] = n
     assert report.size_tally == reference
     levels = [m for m, _, _ in report.class_sizes.runs]
@@ -315,16 +320,13 @@ def _assert_orbit_reps(E, k, counts, reference):
     with the one size that reference gives all of the orbit's keys, in a
     run of the key's level (decoded area by area) and the orbit's number
     of classes; it stores no other rep, and its runs ascend by level."""
-    spec, width = E.spec, key_width(E.spec)
     stored = _rep_runs(counts)
     assert sum(n for _, _, n in counts.runs) == len(counts.reps)
     orbits = list(_orbit_keys(E, k, reference))
     for orbit in orbits:
         sizes, rep = {reference[key] for key in orbit}, min(orbit)
         assert len(sizes) == 1
-        areas = [int.from_bytes(rep[o : o + width], "big") for o in range(0, len(rep), width)]
-        level = min([spec.max_level, *map(spec.valuation, areas)])
-        assert stored[rep] == (sizes.pop(), level, len(orbit))
+        assert stored[rep] == (sizes.pop(), _key_level(E.spec, rep), len(orbit))
     assert stored.keys() == {min(orbit) for orbit in orbits}
     levels = [m for m, _, _ in counts.runs]
     assert levels == sorted(levels)
@@ -494,7 +496,7 @@ def test_bad_tuple_oracle_is_independent_of_the_census(monkeypatch):
     def no_census(*args):
         raise AssertionError("the oracle called the census")
 
-    for name in ("area_index_table", "signature_counts", "key_levels", "key_badness"):
+    for name in ("area_index_table", "signature_counts", "key_badness"):
         monkeypatch.setattr(census, name, no_census)
     # the oracle recomputes every area from the points through perp_dot
     for ring_class in (rings._Residues, rings.GaloisField):
@@ -761,6 +763,38 @@ def test_transitivity_detects_non_transitive_union():
     assert transitivity_constant(F3) * len(designated_orbit(F3)) == sl2_order(F3)
 
 
+def test_transitivity_names_the_first_pair_whose_count_differs(monkeypatch):
+    X, group = designated_orbit(F3), list(enumerate_sl2(F3))
+    # without the identity, X[0] reaches itself one time too few
+    others = [g for g in group if g != identity(F3)]
+    monkeypatch.setattr(census, "enumerate_sl2", lambda spec: iter(others))
+    with pytest.raises(NotTransitive) as err:
+        transitivity_constant(F3)
+    assert err.value.pair == (X[0], X[0])
+    # one element twice: X[0] reaches its image under it one time too often
+    g = next(g for g in group if F3.apply_mat(g, X[0]) == X[-1])
+    monkeypatch.setattr(census, "enumerate_sl2", lambda spec: iter(group + [g]))
+    with pytest.raises(NotTransitive) as err:
+        transitivity_constant(F3)
+    assert err.value.pair == (X[0], X[-1])
+
+
+@pytest.mark.parametrize(
+    "spec", [F3, galois_field(3, 2), Z9, mod_prime_power(3, 3)], ids=["F3", "F9", "Z9", "Z27"]
+)
+def test_designated_orbit_is_the_orbit_of_1_0(spec):
+    # the nonzero vectors over a field, those with a unit coordinate over
+    # Z/p^l Z, in the order of the plane; and (1, 0) reaches exactly these
+    plane = [(a, b) for a in spec.elements() for b in spec.elements()]
+    if isinstance(spec, rings.ModPrimePower):
+        expected = [x for x in plane if spec.is_unit(x[0]) or spec.is_unit(x[1])]
+    else:
+        expected = [x for x in plane if x != (spec.zero, spec.zero)]
+    assert designated_orbit(spec) == expected
+    one_zero = (spec.one, spec.zero)
+    assert {spec.apply_mat(g, one_zero) for g in enumerate_sl2(spec)} == set(expected)
+
+
 def flemma(E, k):
     return flemma_check(count_classes(E, k), f_profile(E))
 
@@ -902,6 +936,15 @@ def test_mbad_requires_mod_prime_power():
 def test_mbad_requires_full_plane_census():
     with pytest.raises(ValueError):
         mbad_class_size_check(count_classes(random_subset(Z9, 80, 1), 1))
+
+
+def test_good_class_members_charges_at_least_2_to_the_k_plus_1():
+    # one point has one tuple, but its signature holds k(k+1)/2 areas
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as err:
+        good_class_members(PointSet(F3, [(1, 0)]), 3000)
+    assert err.value.required == 2 ** 3001
+    assert time.perf_counter() - start < 1
 
 
 def test_good_class_members_f3_k1():

@@ -772,12 +772,66 @@ def test_sharpness_names_each_failed_condition(monkeypatch):
     # to a huge size, each orbit condition fails in turn
     rotation_group = cli.cons.rotation_group
     monkeypatch.setattr(cli.cons, "rotation_group", lambda spec: rotation_group(spec) + [(1, 1, 0, 1)])
-    monkeypatch.setattr(cli, "min_rotation_orbit", lambda E, k, rotations, budget: 0)
+    monkeypatch.setattr(cli, "min_rotation_orbit", lambda E, rotations, budget: 0)
     report = _one_check(circle)
     assert report["failed"] == ["rotation_closed", "2 * min_orbit >= rotation_group_size"]
-    monkeypatch.setattr(cli, "min_rotation_orbit", lambda E, k, rotations, budget: 10 ** 6)
+    monkeypatch.setattr(cli, "min_rotation_orbit", lambda E, rotations, budget: 10 ** 6)
     report = _one_check(circle)
     assert report["failed"] == ["rotation_closed", "total_classes * min_orbit <= total_tuples"]
+
+
+def _rotation_cases():
+    from areal import census as cn
+    from areal import constructions as cons
+    from areal.rings import mod_prime_power, prime_field
+
+    F5, F7, Z9 = prime_field(5), prime_field(7), mod_prime_power(3, 2)
+    shear = [(1, 1, 0, 1)]
+    return {
+        # radius 0 holds the fixed point (0, 0)
+        "F5-circle1": (cons.circle(F5, 1), cons.rotation_group(F5)),
+        "F5-union14": (cons.union_circles(F5, [1, 4]), cons.rotation_group(F5)),
+        "F5-union01": (cons.union_circles(F5, [0, 1]), cons.rotation_group(F5)),
+        "F7-circle3": (cons.circle(F7, 3), cons.rotation_group(F7)),
+        "F7-union02": (cons.union_circles(F7, [0, 2]), cons.rotation_group(F7)),
+        # orbits of 12 and 4: the least point does not have the smallest orbit
+        "Z9-two-points": (cn.PointSet(Z9, [(1, 0), (3, 0)]), cons.rotation_group(Z9)),
+        "empty": (cn.PointSet(F5, []), cons.rotation_group(F5)),
+        # a list that is not a group
+        "F5-circle1-shear": (cons.circle(F5, 1), cons.rotation_group(F5) + shear),
+        "F7-circle2-shear": (cons.circle(F7, 2), cons.rotation_group(F7) + shear),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", list(_rotation_cases()))
+def test_min_rotation_orbit_matches_the_tuple_orbits(case, k):
+    import itertools
+
+    from areal import cli
+
+    E, mats = _rotation_cases()[case]
+    reference = min(
+        (len({cli.apply_config(E.spec, g, t) for g in mats}) for t in itertools.product(E.points, repeat=k + 1)),
+        default=0,
+    )
+    assert cli.min_rotation_orbit(E, mats, 10 ** 9) == reference
+
+
+def test_min_rotation_orbit_charges_one_visit_per_point_and_matrix(tmp_path, capsys):
+    from areal import census as cn
+    from areal import cli
+
+    E, mats = _rotation_cases()["F5-union14"]
+    with pytest.raises(cn.BudgetExceeded) as err:
+        cli.min_rotation_orbit(E, mats, 8 * 4 - 1)
+    assert err.value.required == 8 * 4
+    # the census charges 8^3 = 512 and sharpness 8 * 4 = 32, both within 1000
+    obj = {"ring": {"family": "prime-field", "p": 5},
+           "construction": {"kind": "union-circles", "radii": [1, 4]},
+           "k": 2, "budget": 1000, "checks": ["census", "sharpness"]}
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_OK
+    assert capsys.readouterr().err == "census: PASS\nsharpness: PASS\n"
 
 
 def test_f_moments_names_each_failed_condition(monkeypatch):
