@@ -17,12 +17,11 @@ from .census import (
     nu_histogram,
     transitivity_constant,
 )
-from .configs import AreaSignature, BothBad, NotEquivalent, badness_level, orbit, recover_g, signature
+from .configs import BothBad, NotEquivalent, badness_level, recover_g, signature
 from .linalg import enumerate_sl2, perp_dot, sl2_order
 from .rings import galois_field, mod_prime_power, prime_field, ring_from_json
 
 __all__ = [
-    "AreaSignature",
     "BothBad",
     "BudgetExceeded",
     "CensusReport",
@@ -42,7 +41,6 @@ __all__ = [
     "moment_identity_check",
     "moment_lift_check",
     "nu_histogram",
-    "orbit",
     "perp_dot",
     "prime_field",
     "recover_g",

@@ -81,21 +81,6 @@ class PointSet:
             and self.points == other.points
         )
 
-    def to_csv(self) -> str:
-        """Rows x1,x2 of canonical representatives (Galois field
-        coefficients joined with ';')."""
-        spec = self.spec
-        lines = ["x1,x2"]
-        lines.extend(f"{_csv_rep(spec, x[0])},{_csv_rep(spec, x[1])}" for x in self.points)
-        return "\n".join(lines) + "\n"
-
-
-def _csv_rep(spec: RingSpec, a) -> str:
-    """One CSV cell for an element: its JSON form, with Galois field
-    coefficients joined by ';'."""
-    j = spec.element_to_json(a)
-    return ";".join(str(c) for c in j) if isinstance(j, list) else str(j)
-
 
 def area_index_table(E: PointSet) -> list[bytes]:
     """Row i holds the area of (point i, point j) for every j, each as its
@@ -111,7 +96,7 @@ def area_index_table(E: PointSet) -> list[bytes]:
 # and no area is this byte.
 _SEPARATOR = b"\xff"
 _BYTES = [bytes((v,)) for v in range(256)]
-_CHUNK = 512  # keys re-keyed at once under every ordering, or reps finished at once
+_CHUNK = 512  # keys re-keyed at once under every ordering
 
 
 def _cut(keys: bytes, step: int, width: int) -> list[bytes]:
@@ -201,18 +186,15 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counte
 
 
 class ClassSizes:
-    """The census of E^{k+1}, stored one entry per S_{k+1} orbit of
-    classes: relabeling a tuple's points permutes its areas and negates
-    some, so it maps classes to classes of the same size and level.  reps
-    maps each orbit's least key to the number of tuples in each of its
-    classes.  runs cuts reps, in order and ascending level, into (level,
-    orbit, count): count reps of that level whose orbits hold orbit
-    classes each."""
+    """The census of E^{k+1} as its size tally: tally[level][size] is the
+    number of classes of that badness level with size tuples each.  rekey
+    relabels the points of tuples given by their keys: that permutes a
+    key's areas and negates some, so it maps classes to classes of the
+    same size and level."""
 
     def __init__(self, spec: RingSpec, k: int):
         self.width = key_width(spec)
-        self.reps: dict[bytes, int] = {}
-        self.runs: list[tuple[int, int, int]] = []
+        self.tally: dict[int, dict[int, int]] = {}
         pairs, width = [(i, j) for j in range(1, k + 1) for i in range(j)], self.width
         self._slot = {pair: o * width for o, pair in enumerate(pairs)}
         self._step = len(pairs) * width + (width == 1)
@@ -250,17 +232,17 @@ class ClassSizes:
         return out
 
     def __len__(self) -> int:
-        return sum(orbit * count for _, orbit, count in self.runs)
+        return sum(sum(sizes.values()) for sizes in self.tally.values())
 
     def values(self) -> Iterator[int]:
-        """Each class's number of tuples: a rep's once per class of its orbit."""
-        orbits = itertools.chain.from_iterable(itertools.repeat(orbit, count) for _, orbit, count in self.runs)
-        return itertools.chain.from_iterable(map(itertools.repeat, self.reps.values(), orbits))
+        """Each class's number of tuples."""
+        runs = (itertools.repeat(size, n) for sizes in self.tally.values() for size, n in sizes.items())
+        return itertools.chain.from_iterable(runs)
 
 
 def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> ClassSizes:
-    """The census of E^{k+1}: ClassSizes, one stored entry per S_{k+1}
-    orbit of classes.
+    """The census of E^{k+1}: ClassSizes, its tally of classes by level
+    and size.
 
     A key packs the area index of every pair (i, j), i < j, in column
     order (by j, then by i), each in key_width bytes big-endian.  Only the
@@ -270,20 +252,19 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     are the keys of K's orbit, and the least is its rep.  The orbit gains
     count(K) * |D| tuples and holds |D| / (the orderings giving the rep)
     classes, whichever key reaches it, and its classes share its tuples
-    evenly, which is checked.  So at most n^{k+1} keys are re-keyed, and
-    only reps are stored.  Reordering keeps every valuation, so a key's
-    level is its pattern key's: key_badness reads C(n + k, k + 1) keys at
-    most.  The charge is at least 2^{k+1}, which passes the k(k+1)/2
-    areas of a key, so a set of one point or none cannot ask for keys
-    longer than its budget."""
+    evenly, which is checked.  So at most n^{k+1} keys are re-keyed.  One
+    running total is kept per orbit, keyed by (level, classes, rep), and
+    each orbit then adds its classes to the tally at their size.
+    Reordering keeps every valuation, so a key's level is its pattern
+    key's: key_badness reads C(n + k, k + 1) keys at most.  The charge is
+    at least 2^{k+1}, which passes the k(k+1)/2 areas of a key, so a set
+    of one point or none cannot ask for keys longer than its budget."""
     n = len(E)
     check_budget(max(n, 2) ** (k + 1), budget)
     counts = ClassSizes(E.spec, k)
     if n == 0:
         return counts
-    totals: dict[bytes, int] = {}  # rep -> tuples of its orbit
-    tags: dict[bytes, tuple] = {}  # rep -> its run's (level, orbit)
-    shared: dict[tuple, tuple] = {}  # one object per distinct tag
+    totals: dict[tuple, int] = {}  # (level, orbit, rep) -> tuples of the orbit
     patterns = _nondecreasing_counts(E, k, counts.width)
     while patterns:
         same, pattern = patterns.popitem()
@@ -295,21 +276,16 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
             rows = list(zip(*counts.rekey(keys[c : c + _CHUNK], sigmas)))
             reps = list(map(min, rows))
             orbits = map(operator.floordiv, itertools.repeat(d), map(tuple.count, rows, reps))
-            found = list(zip(levels[c : c + _CHUNK], orbits))
-            tags.update(zip(reps, map(shared.setdefault, found, found)))
+            tags = list(zip(levels[c : c + _CHUNK], orbits, reps))
             weights = map(operator.mul, sizes[c : c + _CHUNK], itertools.repeat(d))
-            # update stores each total before it reads the next rep's
-            totals.update(zip(reps, map(operator.add, map(totals.get, reps, itertools.repeat(0)), weights)))
-    for (level, orbit), run in itertools.groupby(sorted(tags, key=tags.__getitem__), tags.__getitem__):
-        count = 0
-        while reps := list(itertools.islice(run, _CHUNK)):  # a run can hold most reps
-            tuples = list(map(totals.pop, reps))
-            sizes = [total // orbit for total in tuples]
-            if orbit * sum(sizes) != sum(tuples):  # equal only when every division is exact
-                raise ArithmeticError(f"an orbit of {orbit} classes does not split its tuples evenly")
-            counts.reps.update(zip(reps, sizes))
-            count += len(reps)
-        counts.runs.append((level, orbit, count))
+            # update stores each total before it reads the next tag's
+            totals.update(zip(tags, map(operator.add, map(totals.get, tags, itertools.repeat(0)), weights)))
+    for (level, orbit, _), total in totals.items():
+        size, rest = divmod(total, orbit)
+        if rest:
+            raise ArithmeticError(f"an orbit of {orbit} classes does not split its tuples evenly")
+        tally = counts.tally.setdefault(level, {})
+        tally[size] = tally.get(size, 0) + orbit
     return counts
 
 
@@ -328,10 +304,10 @@ def key_badness(spec: RingSpec, keys) -> list[int]:
 
 @dataclass
 class CensusReport:
-    """The census of E^{k+1}.  Unreported: class_sizes (the ClassSizes
-    that signature_counts gives, one entry per S_{k+1} orbit of classes)
-    and size_tally (level -> {class size -> classes}), from which the
-    per-level counts and the composite checks' class statistics come."""
+    """The census of E^{k+1}.  Unreported: class_sizes, the ClassSizes
+    that signature_counts gives, whose size_tally (level -> {class size ->
+    classes}) gives the per-level counts and the composite checks' class
+    statistics."""
 
     spec: RingSpec
     k: int
@@ -340,8 +316,11 @@ class CensusReport:
     tuples_by_level: dict[int, int]
     classes_by_level: dict[int, int]
     total_classes: int
-    class_sizes: ClassSizes | None = field(repr=False, default=None)
-    size_tally: dict[int, dict[int, int]] = field(repr=False, default_factory=dict)
+    class_sizes: ClassSizes = field(repr=False)
+
+    @property
+    def size_tally(self) -> dict[int, dict[int, int]]:
+        return self.class_sizes.tally
 
     def equivalent_good_pairs(self) -> int:
         """#{(x, y) : x ~ y, both good} = sum of |class|^2 over good classes."""
@@ -350,17 +329,10 @@ class CensusReport:
 
 def count_classes(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> CensusReport:
     """Exact census of distinct area signatures over E^{k+1}, split by
-    badness level (a class invariant).  signature_counts stores one
-    entry per S_{k+1} orbit, and an orbit's classes share its level and
-    size, so the size tally is one loop over the orbits' reps, each
-    counted once per class of its orbit."""
+    badness level (a class invariant), read from the size tally of
+    signature_counts."""
     counts = signature_counts(E, k, budget)
-    sizes = iter(counts.reps.values())
-    tally: dict[int, dict[int, int]] = {}
-    for m, orbit, count in counts.runs:
-        level = tally.setdefault(m, {})
-        for size in itertools.islice(sizes, count):
-            level[size] = level.get(size, 0) + orbit
+    tally = counts.tally
     return CensusReport(
         spec=E.spec,
         k=k,
@@ -370,7 +342,6 @@ def count_classes(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> CensusRe
         classes_by_level={m: sum(t.values()) for m, t in tally.items()},
         total_classes=len(counts),
         class_sizes=counts,
-        size_tally=tally,
     )
 
 
@@ -432,13 +403,6 @@ class NuHistogram:
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def to_csv(self) -> str:
-        lines = ["t,count"]
-        for a in self.spec.elements():
-            if a in self.counts:
-                lines.append(f"{_csv_rep(self.spec, a)},{self.counts[a]}")
-        return "\n".join(lines) + "\n"
 
 
 def nu_histogram(E: PointSet, budget: int = DEFAULT_BUDGET) -> NuHistogram:
@@ -815,9 +779,9 @@ def good_class_members(
     spec = E.spec
     out: dict[tuple, list[tuple]] = {}
     for t in itertools.product(E.points, repeat=k + 1):
-        sig = signature(spec, t)
-        if any(spec.is_unit(a) for a in sig.areas):
-            out.setdefault(sig.areas, []).append(t)
+        areas = signature(spec, t)
+        if any(spec.is_unit(a) for a in areas):
+            out.setdefault(areas, []).append(t)
     return out
 
 

@@ -169,7 +169,7 @@ class Memo:
     the census of every (ring, points, k) and the f profile of every (ring,
     points) that a check of any of its experiments asks for.  Two rings can
     share points (the F_9 and Z/9Z planes), so the ring is in the key.  A
-    census is kept without its class_sizes, which no check reads."""
+    census is kept as count_classes returns it: a size tally per level."""
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -179,7 +179,7 @@ class Memo:
     def census(self, E: cn.PointSet, k: int) -> cn.CensusReport:
         key = (E.spec, E.points, k)
         if key not in self._censuses:
-            self._censuses[key] = replace(cn.count_classes(E, k, self.budget), class_sizes=None)
+            self._censuses[key] = cn.count_classes(E, k, self.budget)
         return self._censuses[key]
 
     def profile(self, E: cn.PointSet) -> cn.FProfile:

@@ -4,16 +4,15 @@ equivalent good configurations.
 
 A configuration is an ordered tuple of k+1 points (k >= 1); two
 configurations are equivalent iff all pairwise areas x^i . x^{j perp}
-agree, which the AreaSignature captures as the (i < j) half in
+agree, which their signature captures as the (i < j) half in
 lexicographic index order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Mat2, Vec2, col_matrix, enumerate_sl2, inverse
+from .linalg import Mat2, Vec2, col_matrix, inverse
 from .rings import RingSpec
 
 
@@ -38,22 +37,10 @@ def key_width(spec: RingSpec) -> int:
     return max(1, ((spec.size() - 1).bit_length() + 7) // 8)
 
 
-@dataclass(frozen=True)
-class AreaSignature:
-    spec: RingSpec
-    k: int
-    areas: tuple  # pairwise areas for i < j, lexicographic (i, j) order
-
-
-def signature(spec: RingSpec, points: tuple[Vec2, ...]) -> AreaSignature:
-    k = len(points) - 1
-    if k < 1:
+def signature(spec: RingSpec, points: tuple[Vec2, ...]) -> tuple:
+    """The pairwise areas for i < j, in lexicographic (i, j) order."""
+    if len(points) < 2:
         raise ValueError("a configuration needs at least 2 points")
-    return AreaSignature(spec, k, _areas(spec, points))
-
-
-def _areas(spec: RingSpec, points: tuple[Vec2, ...]) -> tuple:
-    """The pairwise areas of a signature, in pair_indices order."""
     perp = spec.perp_dot
     return tuple([perp(points[i], points[j]) for i, j in pair_indices(len(points) - 1)])
 
@@ -90,7 +77,7 @@ def _recovery_base(spec: RingSpec, xs: tuple[Vec2, ...]):
     if pair is None:
         return None
     i, j = pair
-    return pair, _areas(spec, xs), inverse(spec, col_matrix(xs[i], xs[j]))
+    return pair, signature(spec, xs), inverse(spec, col_matrix(xs[i], xs[j]))
 
 
 def recover_g(spec: RingSpec, xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> Mat2:
@@ -109,7 +96,7 @@ def recover_g(spec: RingSpec, xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> Mat
     if base is None:
         raise BothBad("base configuration has no unit pairwise area")
     (i, j), areas, (a, b, c, d) = base
-    if _areas(spec, ys) != areas:
+    if signature(spec, ys) != areas:
         raise NotEquivalent("signatures differ")
     target = col_matrix(ys[i], ys[j])
     left, right = spec.apply_mat(target, (a, c)), spec.apply_mat(target, (b, d))
@@ -124,9 +111,3 @@ def recover_g(spec: RingSpec, xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> Mat
 def apply_config(spec: RingSpec, g: Mat2, points: tuple[Vec2, ...]) -> tuple[Vec2, ...]:
     apply = spec.apply_mat
     return tuple([apply(g, x) for x in points])
-
-
-def orbit(spec: RingSpec, points: tuple[Vec2, ...]) -> set:
-    """{g.x : g in SL_2} as a deduplicated set of configurations.  Only
-    sensible for rings small enough to enumerate SL_2."""
-    return {apply_config(spec, g, points) for g in enumerate_sl2(spec)}

@@ -30,14 +30,9 @@ def union_circles(spec: RingSpec, radii) -> PointSet:
 
 
 def rotation_group(spec: RingSpec) -> list[Mat2]:
-    """All matrices [[a, -b], [b, a]] with a^2 + b^2 = 1.  Each has
-    determinant 1 and maps every circle onto itself."""
-    out = []
-    for a in spec.elements():
-        for b in spec.elements():
-            if spec.add(spec.mul(a, a), spec.mul(b, b)) == spec.one:
-                out.append((a, spec.neg(b), b, a))
-    return out
+    """All matrices [[a, -b], [b, a]] with (a, b) on the unit circle.
+    Each has determinant 1 and maps every circle onto itself."""
+    return [(a, spec.neg(b), b, a) for a, b in circle(spec, spec.one)]
 
 
 def mod_sharpness_set(p: int, ell: int) -> PointSet:
