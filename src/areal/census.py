@@ -185,17 +185,14 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counte
     return patterns
 
 
-class ClassSizes:
-    """The census of E^{k+1} as its size tally: tally[level][size] is the
-    number of classes of that badness level with size tuples each.  rekey
-    relabels the points of tuples given by their keys: that permutes a
-    key's areas and negates some, so it maps classes to classes of the
-    same size and level."""
+class _Rekeyer:
+    """Relabels the points of tuples of E^{k+1} given by their census keys:
+    that permutes a key's areas and negates some, so it maps classes to
+    classes of the same size and level."""
 
     def __init__(self, spec: RingSpec, k: int):
-        self.width = key_width(spec)
-        self.tally: dict[int, dict[int, int]] = {}
-        pairs, width = [(i, j) for j in range(1, k + 1) for i in range(j)], self.width
+        self.width = width = key_width(spec)
+        pairs = [(i, j) for j in range(1, k + 1) for i in range(j)]
         self._slot = {pair: o * width for o, pair in enumerate(pairs)}
         self._step = len(pairs) * width + (width == 1)
         if width == 1:
@@ -231,6 +228,14 @@ class ClassSizes:
             out.append(_cut(bytes(ordered), step, width))
         return out
 
+
+@dataclass
+class ClassSizes:
+    """The census of E^{k+1} as its size tally: tally[level][size] is the
+    number of classes of that badness level with size tuples each."""
+
+    tally: dict[int, dict[int, int]] = field(default_factory=dict)
+
     def __len__(self) -> int:
         return sum(sum(sizes.values()) for sizes in self.tally.values())
 
@@ -248,11 +253,11 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     order (by j, then by i), each in key_width bytes big-endian.  Only the
     nondecreasing tuples are keyed, one Counter per equality pattern
     (_nondecreasing_counts).  Up to _CHUNK pattern keys K at a time are
-    re-keyed under the pattern's distinct orderings D (_orderings): these
-    are the keys of K's orbit, and the least is its rep.  The orbit gains
-    count(K) * |D| tuples and holds |D| / (the orderings giving the rep)
-    classes, whichever key reaches it, and its classes share its tuples
-    evenly, which is checked.  So at most n^{k+1} keys are re-keyed.  One
+    re-keyed by _Rekeyer under the pattern's distinct orderings D
+    (_orderings): these are the keys of K's orbit, and the least is its
+    rep.  The orbit gains count(K) * |D| tuples and holds |D| / (the
+    orderings giving the rep) classes, whichever key reaches it, and its
+    classes share its tuples evenly, which is checked.  So at most n^{k+1} keys are re-keyed.  One
     running total is kept per orbit, keyed by (level, classes, rep), and
     each orbit then adds its classes to the tally at their size.
     Reordering keeps every valuation, so a key's level is its pattern
@@ -261,11 +266,12 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     of one point or none cannot ask for keys longer than its budget."""
     n = len(E)
     check_budget(max(n, 2) ** (k + 1), budget)
-    counts = ClassSizes(E.spec, k)
+    counts = ClassSizes()
     if n == 0:
         return counts
+    rekeyer = _Rekeyer(E.spec, k)
     totals: dict[tuple, int] = {}  # (level, orbit, rep) -> tuples of the orbit
-    patterns = _nondecreasing_counts(E, k, counts.width)
+    patterns = _nondecreasing_counts(E, k, rekeyer.width)
     while patterns:
         same, pattern = patterns.popitem()
         sigmas = list(_orderings(same))
@@ -273,7 +279,7 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
         del pattern
         levels, d = key_badness(E.spec, keys), len(sigmas)
         for c in range(0, len(keys), _CHUNK):
-            rows = list(zip(*counts.rekey(keys[c : c + _CHUNK], sigmas)))
+            rows = list(zip(*rekeyer.rekey(keys[c : c + _CHUNK], sigmas)))
             reps = list(map(min, rows))
             orbits = map(operator.floordiv, itertools.repeat(d), map(tuple.count, rows, reps))
             tags = list(zip(levels[c : c + _CHUNK], orbits, reps))

@@ -16,9 +16,9 @@ and perp_rows(xs, ys), the areas of each point of xs with every point of
 ys, which checks every coordinate once before it yields the first row.
 
 F_p and Z/p^l Z compute residues modulo the cached size.  F_{p^e} reads
-add/sub/mul/neg/inv tables that are built on first use from the
-polynomial arithmetic (mul through a log/antilog table over a primitive
-element) and shared by every instance with the same (p, e, modulus).
+add/sub/mul/neg/inv tables that are built on first use from the modulus
+alone (mul row by row, as multiplication by a is F_p-linear) and shared
+by every instance with the same (p, e, modulus).
 GF_MAX_ORDER caps the field size, so the q x q tables stay small.  JSON
 still spells F_{p^e} elements as coefficient lists.
 """
@@ -111,11 +111,6 @@ def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
     return num
 
 
-def _monic_polys(p: int, deg: int) -> Iterator[list[int]]:
-    for lower in itertools.product(range(p), repeat=deg):
-        yield list(lower) + [1]
-
-
 def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
     """Exhaustive trial division by all monic polynomials of degree
     1..deg//2.  Fine at desk scale (deg <= 4 or so)."""
@@ -125,8 +120,8 @@ def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
     if coeffs[0] % p == 0:  # divisible by x
         return deg == 1
     for d in range(1, deg // 2 + 1):
-        for den in _monic_polys(p, d):
-            if not _poly_mod(list(coeffs), den, p):
+        for i in range(p ** d):
+            if not _poly_mod(coeffs, _digits(i, p, d) + (1,), p):
                 return False
     return True
 
@@ -154,19 +149,6 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("unreachable: an irreducible of every degree exists")
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Ring families.
 
@@ -192,9 +174,6 @@ class RingSpec:
 
     def units(self) -> Iterator[int]:
         return (a for a in self.elements() if self.is_unit(a))
-
-    def unit_count(self) -> int:
-        return sum(1 for _ in self.units())
 
     def index(self, a: int) -> int:
         return a
@@ -538,23 +517,6 @@ class GaloisField(RingSpec):
             n = n * self.p + c
         return n
 
-    @cached_property
-    def _reduction(self) -> list[tuple[int, ...]]:
-        """x^m for m in [e, 2e-2], reduced mod the modulus."""
-        p, e = self.p, self.e
-        out = []
-        cur = [(-c) % p for c in self.modulus[:e]]  # x^e
-        out.append(tuple(cur))
-        for _ in range(e - 2):
-            nxt = [0] + cur[: e - 1]
-            carry = cur[e - 1]
-            if carry:
-                for i in range(e):
-                    nxt[i] = (nxt[i] - carry * self.modulus[i]) % p
-            cur = nxt
-            out.append(tuple(cur))
-        return out
-
     def poly_add(self, a: tuple, b: tuple) -> tuple[int, ...]:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
@@ -562,41 +524,15 @@ class GaloisField(RingSpec):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def poly_mul(self, a: tuple, b: tuple) -> tuple[int, ...]:
+        """The product of a and b mod the modulus."""
         p, e = self.p, self.e
         conv = [0] * (2 * e - 1)
         for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        red = self._reduction
-        out = conv[:e]
-        for m in range(e, 2 * e - 1):
-            c = conv[m]
-            if c:
-                r = red[m - e]
-                for i in range(e):
-                    out[i] += c * r[i]
-        return tuple(c % p for c in out)
-
-    def poly_pow(self, a: tuple, n: int) -> tuple[int, ...]:
-        result, base = self.coeffs(1), a
-        while n:
-            if n & 1:
-                result = self.poly_mul(result, base)
-            base = self.poly_mul(base, base)
-            n >>= 1
-        return result
-
-    def _primitive_element(self) -> tuple[int, ...]:
-        """The smallest-index generator of the multiplicative group."""
-        n = self._q - 1
-        one = self.coeffs(1)
-        primes = _prime_factors(n)
-        for i in range(2, self._q):
-            g = self.coeffs(i)
-            if all(self.poly_pow(g, n // r) != one for r in primes):
-                return g
-        raise AssertionError("unreachable: the multiplicative group is cyclic")
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+        # reduced mod p first: _poly_mod reduces only the coefficients it touches
+        rem = _poly_mod([c % p for c in conv], self.modulus, p)
+        return tuple(rem) + (0,) * (e - len(rem))
 
     def label(self) -> str:
         return f"F_{self._q}"
@@ -627,29 +563,32 @@ class GaloisField(RingSpec):
 
 @cache
 def _galois_tables(F: GaloisField) -> _GFTables:
-    """Every table of F from q - 1 polynomial multiplications: the powers
-    of a primitive element g give exp[i] = g^i and its inverse log, and
-    a*b = exp[log a + log b]; add and sub act digit by digit.  Cached by
-    field value (p, e, modulus), so equal specs share one set."""
+    """Every table of F from its modulus.  add and sub act digit by digit.
+    Multiplication by a is F_p-linear, a*(b_0 + b_1 x + ...) =
+    b_0 a + b_1 (a x) + ..., so row a of mul is built digit by digit as
+    _digitwise_table builds its rows: level i takes the p multiples of
+    the shift a x^i, and times_x, one polynomial multiplication per
+    element, gives the next shift.  inv[a] is where row a holds 1.
+    Cached by field value (p, e, modulus), so equal specs share one set."""
     p, e, q = F.p, F.e, F.size()
     ints = list(range(q))  # share one int object per element
-    exp = []
-    power, g = F.coeffs(1), F._primitive_element()
-    for _ in range(q - 1):
-        exp.append(ints[F.from_coeffs(power)])
-        power = F.poly_mul(power, g)
-    log = [0] * q
-    for i, a in enumerate(exp):
-        log[a] = i
-    exp2 = exp + exp
-    nonzero_logs = log[1:]
-    mul = ((0,) * q,) + tuple(
-        (0,) + tuple(exp2[la + lb] for lb in nonzero_logs) for la in nonzero_logs
-    )
-    inv = (0,) + tuple(exp[-la % (q - 1)] for la in nonzero_logs)
     add = _digitwise_table(p, e, operator.add, ints)
     sub = _digitwise_table(p, e, operator.sub, ints)
-    return _GFTables(add=add, sub=sub, mul=mul, neg=sub[0], inv=inv)
+    x = F.coeffs(p)  # index p has digits (0, 1, 0, ...): the element x
+    times_x = [F.from_coeffs(F.poly_mul(F.coeffs(a), x)) for a in ints]
+    mul = []
+    for a in ints:
+        row, shift = [0], a
+        for _ in range(e):
+            multiples = [0]  # c * shift for c in [0, p)
+            for _ in range(p - 1):
+                multiples.append(add[multiples[-1]][shift])
+            # indexes below len(row) * p: one more (top) digit over the row so far
+            row = [by_top[low] for by_top in map(add.__getitem__, multiples) for low in row]
+            shift = times_x[shift]
+        mul.append(tuple(row))
+    inv = (0,) + tuple(mul[a].index(1) for a in ints[1:])
+    return _GFTables(add=add, sub=sub, mul=tuple(mul), neg=sub[0], inv=inv)
 
 
 def _digitwise_table(p: int, e: int, op, ints: list[int]) -> tuple[tuple[int, ...], ...]:

@@ -367,14 +367,14 @@ def test_census_rekeys_at_most_n_to_the_k_plus_1_keys(monkeypatch):
     # two points at k = 6: 2^7 tuples, while S_7 has 5,040 orderings
     E = PointSet(F3, [(1, 0), (2, 2)])
     seen = []
-    rekey = census.ClassSizes.rekey
+    rekey = census._Rekeyer.rekey
 
     def counted(self, keys, sigmas):
         sigmas = list(sigmas)
         seen.append(len(keys) * len(sigmas))
         return rekey(self, keys, sigmas)
 
-    monkeypatch.setattr(census.ClassSizes, "rekey", counted)
+    monkeypatch.setattr(census._Rekeyer, "rekey", counted)
     counts = signature_counts(E, 6)
     assert 0 < sum(seen) <= 2 ** 7
     seen.clear()

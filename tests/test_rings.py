@@ -91,7 +91,7 @@ def test_unit_count_formula(spec):
         expected = q - q // spec.p
     else:
         expected = q - 1
-    assert spec.unit_count() == expected
+    assert sum(1 for _ in spec.units()) == expected
 
 
 @pytest.mark.parametrize("spec", ALL_RINGS, ids=lambda s: s.label())
@@ -230,12 +230,21 @@ def test_is_prime_refuses_past_its_exact_range():
 
 @pytest.mark.parametrize(
     "spec",
-    [galois_field(3, 2), galois_field(5, 2), galois_field(3, 3), galois_field(3, 4)],
+    [
+        galois_field(3, 2),
+        pytest.param(GaloisField(3, 2, (2, 1, 1)), id="F_9-x^2+x+2"),
+        galois_field(5, 2),
+        galois_field(3, 3),
+        pytest.param(GaloisField(3, 3, (2, 2, 0, 1)), id="F_27-x^3+2x+2"),
+        galois_field(3, 4),
+    ],
     ids=lambda s: s.label(),
 )
 def test_galois_tables_match_polynomial_reference(spec):
     # the tables read by add/sub/mul/inv against polynomial arithmetic on
-    # coefficient tuples, on every pair and every unit
+    # coefficient tuples, on every pair and every unit; the moduli
+    # x^2 + x + 2 and x^3 + 2x + 2 are not the defaults, so they change
+    # what multiplying by x does
     q = spec.size()
     coeffs = [spec.coeffs(a) for a in range(q)]
     assert [spec.from_coeffs(c) for c in coeffs] == list(range(q))
@@ -248,7 +257,21 @@ def test_galois_tables_match_polynomial_reference(spec):
             assert coeffs[spec.mul(a, b)] == spec.poly_mul(ca, cb)
         assert coeffs[spec.neg(a)] == spec.poly_sub(coeffs[0], ca)
         if a:
-            assert coeffs[spec.inv(a)] == spec.poly_pow(ca, q - 2)
+            assert spec.poly_mul(ca, coeffs[spec.inv(a)]) == coeffs[1]
+
+
+@pytest.mark.parametrize("spec", [galois_field(3, 6), galois_field(31, 2)], ids=lambda s: s.label())
+def test_galois_tables_of_the_largest_fields(spec):
+    # every inverse, every nonzero mul row a permutation, and a seeded
+    # sample of products against polynomial arithmetic
+    q = spec.size()
+    units = range(1, q)
+    assert all(spec.mul(a, spec.inv(a)) == 1 for a in units)
+    assert all(sorted(spec._tables.mul[a]) == list(range(q)) for a in units)
+    rng = random.Random(2024)
+    for _ in range(2000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert spec.coeffs(spec.mul(a, b)) == spec.poly_mul(spec.coeffs(a), spec.coeffs(b))
 
 
 def test_galois_tables_are_lazy_and_shared():
