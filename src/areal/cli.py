@@ -22,7 +22,7 @@ from . import constructions as cons
 # cli calls no apply_config; perfbench's traced matrix run patches cli.apply_config
 from .configs import NotEquivalent, apply_config, first_unit_pair, recover_g
 from .linalg import enumerate_sl2, identity, sl2_order
-from .rings import ModPrimePower, RingSpec, checked_int, ring_from_json
+from .rings import ModPrimePower, RingSpec, checked_int, prime_field, ring_from_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -99,6 +99,21 @@ def _json_int(obj: dict, key: str, default: int) -> int:
         raise InvalidConfig(str(exc)) from exc
 
 
+def _budget_huge_modulus(ring, budget) -> None:
+    """Refuse, before p^ell is built, a valid mod-prime-power ring whose
+    q^2 passes a valid budget for certain: p > 2^(b-1) for b =
+    p.bit_length(), so q^2 > 2^(2 ell (b-1)) >= 2^budget.bit_length() >
+    budget once 2 ell (b-1) >= budget.bit_length(), and that power of two
+    is the charge.  point_set would refuse the plane after building q."""
+    if not isinstance(ring, dict) or ring.get("family") != "mod-prime-power":
+        return
+    p, ell = ring.get("p"), ring.get("ell")
+    if type(p) is type(ell) is type(budget) is int and ell >= 1 and budget > 0:
+        if 2 * ell * (p.bit_length() - 1) >= budget.bit_length():
+            prime_field(p)  # refuses a p that is not an odd prime
+            cn.check_budget(1 << budget.bit_length(), budget)
+
+
 @dataclass
 class ExperimentConfig:
     spec: RingSpec
@@ -114,6 +129,7 @@ class ExperimentConfig:
         if not isinstance(obj, dict):
             raise InvalidConfig("experiment config must be a JSON object")
         try:
+            _budget_huge_modulus(obj["ring"], obj.get("budget", cn.DEFAULT_BUDGET))
             spec = ring_from_json(obj["ring"])
         except (KeyError, ValueError, TypeError) as exc:
             raise InvalidConfig(f"bad ring spec: {exc}") from exc

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .linalg import Mat2, Vec2, col_matrix, inverse
+from .linalg import Mat2, Vec2, col_matrix
 from .rings import RingSpec
 
 
@@ -71,13 +71,19 @@ def first_unit_pair(spec: RingSpec, points: tuple[Vec2, ...]):
 def _recovery_base(spec: RingSpec, xs: tuple[Vec2, ...]):
     """What recover_g needs of xs whatever ys is: None when xs is bad,
     else its first unit-area pair (i, j), its areas and the inverse of
-    the column matrix (x^i x^j).  A scan hands recover_g every ys of one
+    B = (x^i x^j), all from one signature: with d the inverse of the
+    pair's area det B, B^{-1} = (d y2, -d y1, -d x2, d x1) for x^i =
+    (x1, x2) and x^j = (y1, y2).  A scan hands recover_g every ys of one
     xs in a row, so one cached xs is enough."""
-    pair = first_unit_pair(spec, xs)
-    if pair is None:
+    areas = signature(spec, xs)
+    for (i, j), area in zip(pair_indices(len(xs) - 1), areas):
+        if spec.is_unit(area):
+            break
+    else:
         return None
-    i, j = pair
-    return pair, signature(spec, xs), inverse(spec, col_matrix(xs[i], xs[j]))
+    (x1, x2), (y1, y2) = xs[i], xs[j]
+    d, mul, neg = spec.inv(area), spec.mul, spec.neg
+    return (i, j), areas, (mul(d, y2), neg(mul(d, y1)), neg(mul(d, x2)), mul(d, x1))
 
 
 def recover_g(spec: RingSpec, xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> Mat2:

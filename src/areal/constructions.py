@@ -9,23 +9,19 @@ from .rings import ModPrimePower, RingSpec, checked_int, mod_prime_power
 
 
 def circle(spec: RingSpec, r) -> PointSet:
-    """{x : x1^2 + x2^2 = r}, by exhaustive scan of the plane."""
-    pts = [
-        (a, b)
-        for a in spec.elements()
-        for b in spec.elements()
-        if spec.add(spec.mul(a, a), spec.mul(b, b)) == r
-    ]
-    return PointSet(spec, pts)
+    """{x : x1^2 + x2^2 = r}."""
+    return union_circles(spec, [r])
 
 
 def union_circles(spec: RingSpec, radii) -> PointSet:
+    """{x : x1^2 + x2^2 in radii}, by one exhaustive scan of the plane,
+    however many radii there are."""
     radii = list(radii)
-    if len(set(radii)) != len(radii):
+    wanted = set(radii)
+    if len(wanted) != len(radii):
         raise ValueError("radii must be distinct")
-    pts = []
-    for r in radii:
-        pts.extend(circle(spec, r).points)
+    squares = [(a, spec.mul(a, a)) for a in spec.elements()]
+    pts = [(a, b) for a, aa in squares for b, bb in squares if spec.add(aa, bb) in wanted]
     return PointSet(spec, pts)
 
 

@@ -1,5 +1,5 @@
-"""2-vectors and 2x2 matrices over a ring: the area form, determinants,
-adjugate inverses, and SL_2 enumeration.
+"""2-vectors and 2x2 matrices over a ring: the area form, determinants
+and SL_2 enumeration.
 
 Vectors are pairs (x1, x2) of ring elements; matrices are row-major
 4-tuples (a, b, c, d) meaning [[a, b], [c, d]].  Nothing here is bigger
@@ -15,10 +15,6 @@ from .rings import ModPrimePower, RingSpec
 
 Vec2 = tuple
 Mat2 = tuple
-
-
-class SingularMatrixError(Exception):
-    """Matrix inversion was requested but the determinant is not a unit."""
 
 
 def perp_dot(spec: RingSpec, x: Vec2, y: Vec2):
@@ -45,21 +41,6 @@ def det(spec: RingSpec, m: Mat2):
 
 def apply_mat(spec: RingSpec, m: Mat2, v: Vec2) -> Vec2:
     return spec.apply_mat(m, v)
-
-
-def adjugate(spec: RingSpec, m: Mat2) -> Mat2:
-    a, b, c, d = m
-    return (d, spec.neg(b), spec.neg(c), a)
-
-
-def inverse(spec: RingSpec, m: Mat2) -> Mat2:
-    """Adjugate inverse; requires det(m) to be a unit."""
-    dm = det(spec, m)
-    if not spec.is_unit(dm):
-        raise SingularMatrixError(f"determinant {dm!r} is not a unit in {spec.label()}")
-    di = spec.inv(dm)
-    adj = adjugate(spec, m)
-    return tuple(spec.mul(di, x) for x in adj)
 
 
 def sl2_order(spec: RingSpec) -> int:

@@ -16,9 +16,9 @@ and perp_rows(xs, ys), the areas of each point of xs with every point of
 ys, which checks every coordinate once before it yields the first row.
 
 F_p and Z/p^l Z compute residues modulo the cached size.  F_{p^e} reads
-add/sub/mul/neg/inv tables that are built on first use from the modulus
+add/mul/neg/inv tables that are built on first use from the modulus
 alone (mul row by row, as multiplication by a is F_p-linear) and shared
-by every instance with the same (p, e, modulus).
+by every instance with the same (p, e, modulus); a - b is a + (-b).
 GF_MAX_ORDER caps the field size, so the q x q tables stay small.  JSON
 still spells F_{p^e} elements as coefficient lists.
 """
@@ -26,13 +26,12 @@ still spells F_{p^e} elements as coefficient lists.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator, NamedTuple
 
-# Largest F_{p^e} with arithmetic tables: its three q x q tables hold
-# 8-byte references, at most 25 MB in all.
+# Largest F_{p^e} with arithmetic tables: its two q x q tables hold
+# 8-byte references, at most 17 MB in all.
 GF_MAX_ORDER = 1024
 
 
@@ -391,7 +390,6 @@ def _galois_order(p: int, e: int) -> int:
 
 class _GFTables(NamedTuple):
     add: tuple[tuple[int, ...], ...]
-    sub: tuple[tuple[int, ...], ...]
     mul: tuple[tuple[int, ...], ...]
     neg: tuple[int, ...]
     inv: tuple[int, ...]  # inv[0] is a placeholder; inv() refuses 0 first
@@ -434,7 +432,7 @@ class GaloisField(RingSpec):
     def sub(self, a: int, b: int) -> int:
         q = self._q
         if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
-            return self._tables.sub[a][b]
+            return self._tables.add[a][self._tables.neg[b]]
         raise self._reject(a, b)
 
     def mul(self, a: int, b: int) -> int:
@@ -474,7 +472,7 @@ class GaloisField(RingSpec):
         ):
             t = self._tables
             mul = t.mul
-            return t.sub[mul[x1][y2]][mul[x2][y1]]
+            return t.add[mul[x1][y2]][mul[t.neg[x2]][y1]]
         raise self._reject(x1, x2, y1, y2)
 
     def perp_rows(self, xs, ys) -> Iterator[list[int]]:
@@ -482,10 +480,10 @@ class GaloisField(RingSpec):
         sequences xs and ys, every coordinate checked before the first row."""
         self._check_points(xs, ys)
         t = self._tables
-        sub, mul = t.sub, t.mul
+        add, mul, neg = t.add, t.mul, t.neg
         for x1, x2 in xs:
-            by_x1, by_x2 = mul[x1], mul[x2]
-            yield [sub[by_x1[y2]][by_x2[y1]] for y1, y2 in ys]
+            by_x1, by_minus_x2 = mul[x1], mul[neg[x2]]
+            yield [add[by_x1[y2]][by_minus_x2[y1]] for y1, y2 in ys]
 
     def apply_mat(self, m: tuple, v: tuple) -> tuple[int, int]:
         """The vector [[a, b], [c, d]] (x, y) for m = (a, b, c, d), in one call."""
@@ -563,17 +561,17 @@ class GaloisField(RingSpec):
 
 @cache
 def _galois_tables(F: GaloisField) -> _GFTables:
-    """Every table of F from its modulus.  add and sub act digit by digit.
-    Multiplication by a is F_p-linear, a*(b_0 + b_1 x + ...) =
-    b_0 a + b_1 (a x) + ..., so row a of mul is built digit by digit as
-    _digitwise_table builds its rows: level i takes the p multiples of
-    the shift a x^i, and times_x, one polynomial multiplication per
-    element, gives the next shift.  inv[a] is where row a holds 1.
-    Cached by field value (p, e, modulus), so equal specs share one set."""
+    """Every table of F from its modulus.  add acts digit by digit, and
+    neg[a] is where row a of add holds 0.  Multiplication by a is
+    F_p-linear, a*(b_0 + b_1 x + ...) = b_0 a + b_1 (a x) + ..., so row a
+    of mul is built digit by digit as _digitwise_table builds its rows:
+    level i takes the p multiples of the shift a x^i, and times_x, one
+    polynomial multiplication per element, gives the next shift.  inv[a]
+    is where row a of mul holds 1.  Cached by field value (p, e,
+    modulus), so equal specs share one set."""
     p, e, q = F.p, F.e, F.size()
     ints = list(range(q))  # share one int object per element
-    add = _digitwise_table(p, e, operator.add, ints)
-    sub = _digitwise_table(p, e, operator.sub, ints)
+    add = _digitwise_table(p, e, ints)
     x = F.coeffs(p)  # index p has digits (0, 1, 0, ...): the element x
     times_x = [F.from_coeffs(F.poly_mul(F.coeffs(a), x)) for a in ints]
     mul = []
@@ -587,14 +585,15 @@ def _galois_tables(F: GaloisField) -> _GFTables:
             row = [by_top[low] for by_top in map(add.__getitem__, multiples) for low in row]
             shift = times_x[shift]
         mul.append(tuple(row))
+    neg = tuple(row.index(0) for row in add)
     inv = (0,) + tuple(mul[a].index(1) for a in ints[1:])
-    return _GFTables(add=add, sub=sub, mul=tuple(mul), neg=sub[0], inv=inv)
+    return _GFTables(add=add, mul=tuple(mul), neg=neg, inv=inv)
 
 
-def _digitwise_table(p: int, e: int, op, ints: list[int]) -> tuple[tuple[int, ...], ...]:
-    """t[a][b] = the index whose base-p digits are op(a_i, b_i) mod p:
-    coefficient-wise addition or subtraction of F_{p^e} elements."""
-    digit = [[op(x, y) % p for y in range(p)] for x in range(p)]
+def _digitwise_table(p: int, e: int, ints: list[int]) -> tuple[tuple[int, ...], ...]:
+    """t[a][b] = the index whose base-p digits are a_i + b_i mod p:
+    coefficient-wise addition of F_{p^e} elements."""
+    digit = [[(x + y) % p for y in range(p)] for x in range(p)]
     rows, span = ((0,),), 1
     for _ in range(e):
         # indexes below span * p: one more (top) digit over the rows so far

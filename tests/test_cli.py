@@ -457,6 +457,28 @@ def test_run_budgets_the_plane_before_enumerating_it(tmp_path, capsys, monkeypat
     assert err.startswith("budget exceeded:")
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_huge_ell_is_refused_before_p_to_the_ell_is_built(tmp_path, capsys, command):
+    # q^2 = 3^(2 * 10^8) passes any budget; building q alone takes minutes
+    ring = {"family": "mod-prime-power", "p": 3, "ell": 10 ** 8}
+    obj = {"ring": ring, "checks": ["census"]}
+    if command == "sweep":
+        obj = {"experiment": {"ring": dict(ring, ell=1), "budget": 10 ** 5},
+               "variable": "ell", "values": [10 ** 8]}
+    start = time.monotonic()
+    assert main([command, write_config(tmp_path, obj)]) == EXIT_BUDGET
+    assert time.monotonic() - start < 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("budget exceeded:")
+
+
+def test_a_huge_ell_over_a_p_that_is_not_prime_is_invalid(tmp_path, capsys):
+    obj = {"ring": {"family": "mod-prime-power", "p": 9, "ell": 10 ** 8}, "checks": ["census"]}
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("invalid config: bad ring spec")
+
+
 def test_lemma_2_2_builds_its_move_table_once_and_applies_nothing_per_tuple(monkeypatch):
     from areal import census as cn
     from areal import cli
@@ -602,23 +624,15 @@ def test_lemma_2_2_pairs_are_the_census_sum_of_squares(case):
     assert cn.count_classes(cfg.point_set(), k).equivalent_good_pairs() == pairs_checked
 
 
-def test_lemma_2_2_inverts_one_base_matrix_per_good_tuple(monkeypatch):
+def test_lemma_2_2_inverts_one_base_matrix_per_good_tuple():
     # recover_g's per-xs work is cached across the ys of one xs: the F_3
     # plane at k=2 has 26 * 24 good tuples and 14,976 equivalent pairs
     from areal import configs
 
-    calls = []
-    inverse = configs.inverse
-
-    def counted(spec, m):
-        calls.append(m)
-        return inverse(spec, m)
-
-    monkeypatch.setattr(configs, "inverse", counted)
     configs._recovery_base.cache_clear()
     report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"], k=2)))
     assert report["checks"][0]["pairs_checked"] == "14976" and report["ok"] is True
-    assert len(calls) == 26 * 24
+    assert configs._recovery_base.cache_info().misses == 26 * 24
 
 
 def test_nu_and_census_build_one_area_table_per_experiment(monkeypatch):

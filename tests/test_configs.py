@@ -6,14 +6,17 @@ from hypothesis import given, strategies as st
 from areal.configs import (
     BothBad,
     NotEquivalent,
+    _recovery_base,
     apply_config,
     badness_level,
+    first_unit_pair,
     pair_indices,
     recover_g,
     signature,
 )
-from areal.linalg import apply_mat, enumerate_sl2, identity
+from areal.linalg import col_matrix, enumerate_sl2, identity
 from areal.rings import galois_field, mod_prime_power, prime_field
+from test_linalg import mat_mul
 
 F3 = prime_field(3)
 F9 = galois_field(3, 2)
@@ -100,6 +103,27 @@ def test_recover_g_not_equivalent_raises():
         recover_g(F3, ((1, 0), (0, 1)), ((1, 0), (0, 2)))
     with pytest.raises(ValueError):
         recover_g(F3, ((1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1)))
+
+
+@st.composite
+def _configurations(draw):
+    spec = draw(st.sampled_from([prime_field(5), F9, Z9, mod_prime_power(3, 3)]))
+    point = st.tuples(*[st.integers(0, spec.size() - 1)] * 2)
+    return spec, tuple(draw(st.lists(point, min_size=2, max_size=4)))
+
+
+@given(_configurations())
+def test_recovery_base_inverts_the_first_unit_pair(case):
+    # the pair, the areas and the base inverse, all read off one signature
+    spec, xs = case
+    base, pair = _recovery_base(spec, xs), first_unit_pair(spec, xs)
+    if pair is None:
+        assert base is None
+        return
+    (i, j), areas, inverse = base
+    assert (i, j) == pair and areas == signature(spec, xs)
+    b = col_matrix(xs[i], xs[j])
+    assert mat_mul(spec, inverse, b) == mat_mul(spec, b, inverse) == identity(spec)
 
 
 def _scan(spec, xs, ys):

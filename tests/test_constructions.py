@@ -58,6 +58,21 @@ def test_union_circles():
         union_circles(F5, [1, 1])
 
 
+def test_union_of_every_circle_scans_the_plane_once(monkeypatch):
+    # one pass over the q^2 points of the plane, not one per radius
+    F7 = prime_field(7)
+    calls = []
+    mul = type(F7).mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(type(F7), "mul", counted)
+    assert len(union_circles(F7, range(7))) == 49
+    assert len(calls) <= 2 * 7 ** 2
+
+
 def test_rotation_group_small_fields():
     for spec, expected in ((F3, 4), (F5, 4)):
         rots = rotation_group(spec)

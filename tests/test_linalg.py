@@ -3,14 +3,11 @@ import itertools
 import pytest
 
 from areal.linalg import (
-    SingularMatrixError,
-    adjugate,
     apply_mat,
     col_matrix,
     det,
     enumerate_sl2,
     identity,
-    inverse,
     perp_dot,
     sl2_blocks,
     sl2_order,
@@ -113,24 +110,6 @@ def test_det_bilinear_is_bilinear_exhaustive_f3():
                 assert det_bilinear(F3, s, n) == F3.add(
                     det_bilinear(F3, m, n), det_bilinear(F3, m2, n)
                 )
-
-
-def test_adjugate_inverse():
-    m = (1, 2, 3, 4)  # det = -2 = 3 in F_5
-    inv = inverse(F5, m)
-    assert mat_mul(F5, m, inv) == identity(F5)
-    assert mat_mul(F5, inv, m) == identity(F5)
-    assert inverse(F5, identity(F5)) == identity(F5)
-    # adjugate identity A * adj(A) = det(A) I holds even for singular A
-    for m in all_mats(F3):
-        d = det(F3, m)
-        prod = mat_mul(F3, m, adjugate(F3, m))
-        assert prod == (d, 0, 0, d)
-
-
-def test_singular_inverse_raises():
-    with pytest.raises(SingularMatrixError):
-        inverse(Z9, (1, 0, 0, 3))
 
 
 @pytest.mark.parametrize(

@@ -262,13 +262,18 @@ def test_galois_tables_match_polynomial_reference(spec):
 
 @pytest.mark.parametrize("spec", [galois_field(3, 6), galois_field(31, 2)], ids=lambda s: s.label())
 def test_galois_tables_of_the_largest_fields(spec):
-    # every inverse, every nonzero mul row a permutation, and a seeded
-    # sample of products against polynomial arithmetic
+    # every inverse and negative, every nonzero mul row a permutation,
+    # a - b as a + (-b) for a seeded sample of b, and a seeded sample of
+    # products against polynomial arithmetic
     q = spec.size()
     units = range(1, q)
     assert all(spec.mul(a, spec.inv(a)) == 1 for a in units)
     assert all(sorted(spec._tables.mul[a]) == list(range(q)) for a in units)
     rng = random.Random(2024)
+    sample = [rng.randrange(q) for _ in range(20)]
+    for a in range(q):
+        assert spec.add(a, spec.neg(a)) == 0
+        assert all(spec.sub(a, b) == spec.add(a, spec.neg(b)) for b in sample)
     for _ in range(2000):
         a, b = rng.randrange(q), rng.randrange(q)
         assert spec.coeffs(spec.mul(a, b)) == spec.poly_mul(spec.coeffs(a), spec.coeffs(b))
