@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
-from collections import Counter, defaultdict
+import struct
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -25,14 +27,19 @@ DEFAULT_BUDGET = 10 ** 9
 
 
 class BudgetExceeded(Exception):
-    def __init__(self, required: int, budget: int):
+    """A charge of required visits passes the budget.  exact is False when
+    required is only a lower bound on the work, and the message says "at
+    least"."""
+
+    def __init__(self, required: int, budget: int, exact: bool = True):
         try:
-            needed = str(required)
+            needed = ("" if exact else "at least ") + str(required)
         except ValueError:  # past the interpreter's limit on decimal digits
             needed = f"over 2^{required.bit_length() - 1}"
         super().__init__(f"enumeration needs {needed} tuple visits but the budget is {budget}")
         self.required = required
         self.budget = budget
+        self.exact = exact
 
 
 class NotTransitive(Exception):
@@ -97,6 +104,7 @@ def area_index_table(E: PointSet) -> list[bytes]:
 _SEPARATOR = b"\xff"
 _BYTES = [bytes((v,)) for v in range(256)]
 _CHUNK = 512  # keys re-keyed at once under every ordering
+_FLUSH = 4096  # pattern keys held before the census re-keys them
 
 
 def _cut(keys: bytes, step: int, width: int) -> list[bytes]:
@@ -133,16 +141,23 @@ def _orderings(same: tuple[bool, ...]) -> Iterator[list[int]]:
         word[i + 1 :] = reversed(word[i + 1 :])
 
 
-def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counter]:
+def _nondecreasing_counts(E: PointSet, k: int, width: int) -> Iterator[dict[tuple, Counter]]:
     """Census keys of the nondecreasing tuples t_0 <= .. <= t_k of E^{k+1}
-    by point index, one Counter per equality pattern (see _orderings).
+    by point index, one Counter per equality pattern (see _orderings),
+    handed on at the end of a prefix group once they hold _FLUSH keys.
     The tuples sharing (t_0 .. t_{k-2}), the last of them lo, form a block
     of keys for lo <= u <= v, written into one bytearray with one
     extended-slice assignment per key byte: the pairs u < v row by row,
     then the pairs u = v.  An area is fixed over the block, or repeated
     over v, or a table row from column u + 1 on, or taken at u.  The
     first row (u = lo) is cut alone; the later rows share their pattern
-    and are cut in spans of whole keys, about 64 KiB each."""
+    and are cut in spans of whole keys, about 64 KiB each.
+
+    The prefixes (t_0 .. t_{k-2}) are grouped by the areas among them.
+    Every key of a block holds those areas, so two groups share no key,
+    and each distinct (pattern, key) is yielded once, whenever the
+    Counters are handed on.  Below k = 3 a prefix has no areas, and there
+    is one group."""
     n = len(E)
     T = E.area_table
     # planes[b][x][y]: byte b of the area of (x, y); at width 1 the table
@@ -150,39 +165,48 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> dict[tuple, Counte
     # each key byte's pair (i, j) and plane; t_inner = u and t_k = v
     sources = [(i, j, planes[b]) for j in range(1, k + 1) for i in range(j) for b in range(width)]
     inner, sep = k - 1, int(width == 1)
+    among = [(i, j, plane) for i, j, plane in sources if j < inner]  # the areas of a prefix
+    groups: dict[bytes, list[tuple]] = defaultdict(list)
+    for t in itertools.combinations_with_replacement(range(n), k - 1):
+        groups[bytes([plane[t[i]][t[j]] for i, j, plane in among])].append(t)
     stride = len(sources) + sep  # one-byte-per-area keys end in the separator
     block = bytearray(_SEPARATOR * (n * (n + 1) // 2 * stride))
     view, tails = memoryview(block), [slice(u, None) for u in range(n + 1)]
     span = max(1, (64 << 10) // stride) * stride  # about 64 KiB of whole keys
     patterns: dict[tuple, Counter] = defaultdict(Counter)
-    for t in itertools.combinations_with_replacement(range(n), k - 1):
-        lo = t[-1] if t else 0
-        m = n - lo
-        end = m * (m + 1) // 2 * stride
-        for o, (i, j, plane) in enumerate(sources):
-            if j < inner:  # one area for the whole block
-                fill = _BYTES[plane[t[i]][t[j]]] * (m * (m + 1) // 2)
-            elif j == inner:  # the area of t_i with u, once for each v
-                units = map(_BYTES.__getitem__, plane[t[i]][lo:])
-                fill = b"".join(map(operator.mul, units, range(m - 1, -1, -1))) + plane[t[i]][lo:]
-            elif i < inner:  # the area of t_i with v
-                fill = b"".join(map(plane[t[i]].__getitem__, tails[lo + 1 :])) + plane[t[i]][lo:]
-            else:  # the area of u with v: the table's upper triangle, then its diagonal
-                upper = b"".join(map(bytes.__getitem__, plane[lo:], tails[lo + 1 :]))
-                fill = upper + bytes(map(bytes.__getitem__, plane[lo:], range(lo, n)))
-            block[o:end:stride] = fill
-        same = tuple(map(operator.eq, t, t[1:]))
-        first, rest = (same + (True,), same + (False,)) if t else (same, same)  # u == lo or not
-        first_row, diagonal = (m - 1) * stride, (m - 1) * m // 2 * stride
-        if first_row:
-            patterns[first + (False,)].update(_cut(bytes(view[: first_row - sep]), stride, width))
-        for a in range(first_row, diagonal, span):  # the later rows, a span of keys at a time
-            patterns[rest + (False,)].update(_cut(bytes(view[a : min(a + span, diagonal) - sep]), stride, width))
-        lo_key, *others = _cut(bytes(view[diagonal : end - sep]), stride, width)
-        patterns[first + (True,)][lo_key] += 1
-        if others:  # an empty pattern would still have its orderings listed
-            patterns[rest + (True,)].update(others)
-    return patterns
+    for group in groups.values():
+        for t in group:
+            lo = t[-1] if t else 0
+            m = n - lo
+            end = m * (m + 1) // 2 * stride
+            for o, (i, j, plane) in enumerate(sources):
+                if j < inner:  # one area for the whole block
+                    fill = _BYTES[plane[t[i]][t[j]]] * (m * (m + 1) // 2)
+                elif j == inner:  # the area of t_i with u, once for each v
+                    units = map(_BYTES.__getitem__, plane[t[i]][lo:])
+                    fill = b"".join(map(operator.mul, units, range(m - 1, -1, -1))) + plane[t[i]][lo:]
+                elif i < inner:  # the area of t_i with v
+                    fill = b"".join(map(plane[t[i]].__getitem__, tails[lo + 1 :])) + plane[t[i]][lo:]
+                else:  # the area of u with v: the table's upper triangle, then its diagonal
+                    upper = b"".join(map(bytes.__getitem__, plane[lo:], tails[lo + 1 :]))
+                    fill = upper + bytes(map(bytes.__getitem__, plane[lo:], range(lo, n)))
+                block[o:end:stride] = fill
+            same = tuple(map(operator.eq, t, t[1:]))
+            first, rest = (same + (True,), same + (False,)) if t else (same, same)  # u == lo or not
+            first_row, diagonal = (m - 1) * stride, (m - 1) * m // 2 * stride
+            if first_row:
+                patterns[first + (False,)].update(_cut(bytes(view[: first_row - sep]), stride, width))
+            for a in range(first_row, diagonal, span):  # the later rows, a span of keys at a time
+                patterns[rest + (False,)].update(_cut(bytes(view[a : min(a + span, diagonal) - sep]), stride, width))
+            lo_key, *others = _cut(bytes(view[diagonal : end - sep]), stride, width)
+            patterns[first + (True,)][lo_key] += 1
+            if others:  # an empty pattern would still have its orderings listed
+                patterns[rest + (True,)].update(others)
+        if sum(map(len, patterns.values())) >= _FLUSH:
+            yield patterns
+            patterns = defaultdict(Counter)
+    if patterns:
+        yield patterns
 
 
 class _Rekeyer:
@@ -251,47 +275,75 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
 
     A key packs the area index of every pair (i, j), i < j, in column
     order (by j, then by i), each in key_width bytes big-endian.  Only the
-    nondecreasing tuples are keyed, one Counter per equality pattern
-    (_nondecreasing_counts).  Up to _CHUNK pattern keys K at a time are
-    re-keyed by _Rekeyer under the pattern's distinct orderings D
-    (_orderings): these are the keys of K's orbit, and the least is its
-    rep.  The orbit gains count(K) * |D| tuples and holds |D| / (the
-    orderings giving the rep) classes, whichever key reaches it, and its
-    classes share its tuples evenly, which is checked.  So at most n^{k+1} keys are re-keyed.  One
-    running total is kept per orbit, keyed by (level, classes, rep), and
-    each orbit then adds its classes to the tally at their size.
-    Reordering keeps every valuation, so a key's level is its pattern
-    key's: key_badness reads C(n + k, k + 1) keys at most.  The charge is
-    at least 2^{k+1}, which passes the k(k+1)/2 areas of a key, so a set
-    of one point or none cannot ask for keys longer than its budget."""
+    nondecreasing tuples are keyed, one Counter per equality pattern,
+    handed on one prefix group at a time (_nondecreasing_counts).  Up to
+    _CHUNK pattern keys K at a time are re-keyed by _Rekeyer under the
+    pattern's distinct orderings D (_orderings): these are the keys of
+    K's orbit, and the least is its rep.  The orbit gains count(K) * |D|
+    tuples and holds |D| / (the orderings giving the rep) classes,
+    whichever key reaches it.  So at most n^{k+1} keys are re-keyed, each
+    distinct (pattern, key) once.
+
+    Each key leaves one fixed-width record: its rep, the orbit's classes
+    (at most (k+1)!) and the tuples it adds (at most n^{k+1}), appended to
+    one of 256 bytearrays by the rep's last byte.  At the end each
+    bytearray is merged alone, one total per rep: two records of a rep
+    must agree on its classes, and its classes must share its tuples
+    evenly, both checked.  Reordering keeps every valuation, so an orbit's
+    level is its rep's, which key_badness reads once per orbit, and each
+    orbit then adds its classes to the tally at their size.  The charge
+    is at least 2^{k+1}, which passes the k(k+1)/2 areas of a key, so a
+    set of one point or none cannot ask for keys longer than its budget."""
     n = len(E)
     check_budget(max(n, 2) ** (k + 1), budget)
     counts = ClassSizes()
     if n == 0:
         return counts
     rekeyer = _Rekeyer(E.spec, k)
-    totals: dict[tuple, int] = {}  # (level, orbit, rep) -> tuples of the orbit
-    patterns = _nondecreasing_counts(E, k, rekeyer.width)
-    while patterns:
-        same, pattern = patterns.popitem()
-        sigmas = list(_orderings(same))
-        keys, sizes = list(pattern), list(pattern.values())
-        del pattern
-        levels, d = key_badness(E.spec, keys), len(sigmas)
-        for c in range(0, len(keys), _CHUNK):
-            rows = list(zip(*rekeyer.rekey(keys[c : c + _CHUNK], sigmas)))
-            reps = list(map(min, rows))
-            orbits = map(operator.floordiv, itertools.repeat(d), map(tuple.count, rows, reps))
-            tags = list(zip(levels[c : c + _CHUNK], orbits, reps))
-            weights = map(operator.mul, sizes[c : c + _CHUNK], itertools.repeat(d))
-            # update stores each total before it reads the next tag's
-            totals.update(zip(tags, map(operator.add, map(totals.get, tags, itertools.repeat(0)), weights)))
-    for (level, orbit, _), total in totals.items():
-        size, rest = divmod(total, orbit)
-        if rest:
-            raise ArithmeticError(f"an orbit of {orbit} classes does not split its tuples evenly")
-        tally = counts.tally.setdefault(level, {})
-        tally[size] = tally.get(size, 0) + orbit
+    # record fields: the rep ends at rep_end, the classes at head, the tuples at step
+    rep_end = k * (k + 1) // 2 * rekeyer.width
+    head = rep_end + (math.factorial(k + 1).bit_length() + 7) // 8
+    step = head + ((n ** (k + 1)).bit_length() + 7) // 8
+    shift, repeat = (step - head) * 8, itertools.repeat
+    written, read = struct.Struct(f"{rep_end}s{step - rep_end}s"), struct.Struct(f"{head}s{step - head}s")
+    buckets = [bytearray() for _ in range(256)]
+    for patterns in _nondecreasing_counts(E, k, rekeyer.width):
+        while patterns:
+            same, pattern = patterns.popitem()
+            sigmas = list(_orderings(same))
+            keys, sizes = list(pattern), list(pattern.values())
+            del pattern
+            d = len(sigmas)
+            # the classes field, shifted past the tuples field, by how many orderings give the rep
+            classes = [0, *(d // hits << shift for hits in range(1, d + 1))]
+            for c in range(0, len(keys), _CHUNK):
+                rows = list(zip(*rekeyer.rekey(keys[c : c + _CHUNK], sigmas)))
+                reps = list(map(min, rows))
+                fields = map(operator.add, map(classes.__getitem__, map(tuple.count, rows, reps)),
+                             map(operator.mul, sizes[c : c + _CHUNK], repeat(d)))
+                records = map(written.pack, reps, map(int.to_bytes, fields, repeat(step - rep_end), repeat("big")))
+                lasts = b"".join(reps)[rep_end - 1 :: rep_end]
+                deque(map(bytearray.extend, map(buckets.__getitem__, lasts), records), maxlen=0)
+    classes_at: dict[tuple, int] = {}  # (level, class size) -> classes
+    for bucket in filter(None, buckets):
+        heads, tails = zip(*read.iter_unpack(bucket))
+        bucket.clear()
+        weights = map(int.from_bytes, tails, repeat("big"))
+        totals: dict[bytes, int] = {}  # rep and classes -> the orbit's tuples
+        # update stores each total before it reads the next head's
+        totals.update(zip(heads, map(operator.add, map(totals.get, heads, repeat(0)), weights)))
+        del heads, tails
+        reps = list(map(operator.itemgetter(slice(rep_end)), totals))
+        if len(set(reps)) < len(reps):
+            raise ArithmeticError("two records of one orbit disagree on its number of classes")
+        orbits = list(map(int.from_bytes, map(operator.itemgetter(slice(rep_end, None)), totals), repeat("big")))
+        tuples = list(totals.values())
+        if any(map(operator.mod, tuples, orbits)):
+            raise ArithmeticError("the classes of an orbit do not split its tuples evenly")
+        tags = list(zip(key_badness(E.spec, reps), map(operator.floordiv, tuples, orbits)))
+        classes_at.update(zip(tags, map(operator.add, map(classes_at.get, tags, repeat(0)), orbits)))
+    for (level, size), classes in classes_at.items():
+        counts.tally.setdefault(level, {})[size] = classes
     return counts
 
 
@@ -300,12 +352,22 @@ def key_badness(spec: RingSpec, keys) -> list[int]:
     valuation of a key's areas.  A width-1 key's is the least byte of
     key.translate(vt), where vt maps each area index to its valuation;
     wider keys are decoded area by area."""
+    width, vals = key_width(spec), _valuation_codes(spec)
+    if width == 1:
+        return list(map(min, map(bytes.translate, keys, itertools.repeat(vals))))
+    return [min(map(vals.__getitem__, _cut(key, width, width))) for key in keys]
+
+
+@functools.lru_cache(maxsize=1)
+def _valuation_codes(spec: RingSpec):
+    """key_badness's table of the ring's valuations: a translate table at
+    one byte per area, else a map from each area's encoding.  The census
+    reads it once per bucket of orbits, all of one ring, so the last one
+    is kept."""
     width = key_width(spec)
     if width == 1:
-        vt = bytes(map(spec.valuation, spec.elements())).ljust(256, b"\0")
-        return list(map(min, map(bytes.translate, keys, itertools.repeat(vt))))
-    vals = {a.to_bytes(width, "big"): spec.valuation(a) for a in spec.elements()}
-    return [min(map(vals.__getitem__, _cut(key, width, width))) for key in keys]
+        return bytes(map(spec.valuation, spec.elements())).ljust(256, b"\0")
+    return {a.to_bytes(width, "big"): spec.valuation(a) for a in spec.elements()}
 
 
 @dataclass
@@ -542,20 +604,33 @@ def designated_orbit(spec: RingSpec) -> list[Vec2]:
 
 def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Verifies phi(x, y) = #{g : gx = y} is the same for every pair of
-    the designated orbit X and returns its value |G| / |X|.  The group is
-    listed once; each x's images are counted in one Counter and read at
-    every y of X in order, so the first pair that differs is named."""
+    the designated orbit X and returns its value |G| / |X|.
+
+    The group is listed once, as the indexes c q + d of its rows (c, d).
+    For each x, one perp_rows row gives r . x = perp_dot((x_2, -x_1), r)
+    for every row r of the plane, as f_profile reads it; g x is then
+    the code (r . x) q + (s . x) for g with rows r and s.  One Counter of
+    the codes of every g is read at each y of X in order, so the first
+    pair that differs is named, and an image outside X is never read.
+    Memory is O(q^2 + |G|) at a time."""
     X = designated_orbit(spec)
     order = sl2_order(spec)
     check_budget(order * len(X), budget)
     expected, rem = divmod(order, len(X))
     if rem != 0:
         raise NotTransitive((X[0], X[0]), "group order is not divisible by orbit size")
-    group = list(enumerate_sl2(spec))
-    for x in X:
-        phi = Counter(map(spec.apply_mat, group, itertools.repeat(x)))
-        for y in X:
-            if phi[y] != expected:
+    q, plane = spec.size(), list(full_plane_points(spec))
+    tops, bottoms = [], []
+    for a, b, c, d in enumerate_sl2(spec):
+        tops.append(a * q + b)
+        bottoms.append(c * q + d)
+    codes = [u * q + v for u, v in X]
+    turned = [(x2, spec.neg(x1)) for x1, x2 in X]
+    for x, images in zip(X, spec.perp_rows(turned, plane)):
+        scaled = [u * q for u in images]
+        phi = Counter(map(operator.add, map(scaled.__getitem__, tops), map(images.__getitem__, bottoms)))
+        for y, count in zip(X, map(phi.__getitem__, codes)):
+            if count != expected:
                 raise NotTransitive((x, y))
     return expected
 

@@ -99,19 +99,34 @@ def _json_int(obj: dict, key: str, default: int) -> int:
         raise InvalidConfig(str(exc)) from exc
 
 
-def _budget_huge_modulus(ring, budget) -> None:
+def _budget_huge_modulus(ring, budget: int) -> None:
     """Refuse, before p^ell is built, a valid mod-prime-power ring whose
-    q^2 passes a valid budget for certain: p > 2^(b-1) for b =
+    q^2 passes the budget (already checked > 0) for certain: p > 2^(b-1) for b =
     p.bit_length(), so q^2 > 2^(2 ell (b-1)) >= 2^budget.bit_length() >
     budget once 2 ell (b-1) >= budget.bit_length(), and that power of two
-    is the charge.  point_set would refuse the plane after building q."""
+    is the charge, reported as a lower bound.  point_set would refuse the
+    plane after building q."""
     if not isinstance(ring, dict) or ring.get("family") != "mod-prime-power":
         return
     p, ell = ring.get("p"), ring.get("ell")
-    if type(p) is type(ell) is type(budget) is int and ell >= 1 and budget > 0:
+    if type(p) is type(ell) is int and ell >= 1:
         if 2 * ell * (p.bit_length() - 1) >= budget.bit_length():
             prime_field(p)  # refuses a p that is not an odd prime
-            cn.check_budget(1 << budget.bit_length(), budget)
+            raise cn.BudgetExceeded(1 << budget.bit_length(), budget, exact=False)
+
+
+def _validate_counts(k: int, checks: list, budget: int) -> None:
+    """The checks of a config that need no ring: k, the check names and
+    the budget."""
+    if k < 1:
+        raise InvalidConfig("k must be >= 1")
+    if not checks:
+        raise InvalidConfig("checks must be nonempty")
+    for c in checks:
+        if c not in CHECK_NAMES:
+            raise InvalidConfig(f"unknown check {c!r}")
+    if budget <= 0:
+        raise InvalidConfig("budget must be > 0")
 
 
 @dataclass
@@ -126,10 +141,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
+        """The config of a JSON object.  k, the checks and the budget are
+        checked before the ring is read, so an invalid one is refused
+        before any ring work, however large its modulus."""
         if not isinstance(obj, dict):
             raise InvalidConfig("experiment config must be a JSON object")
+        checks = obj.get("checks", [])
+        if not isinstance(checks, list):
+            raise InvalidConfig(f"checks must be a list, got {checks!r}")
+        k, budget = _json_int(obj, "k", 1), _json_int(obj, "budget", cn.DEFAULT_BUDGET)
+        _validate_counts(k, checks, budget)
         try:
-            _budget_huge_modulus(obj["ring"], obj.get("budget", cn.DEFAULT_BUDGET))
+            _budget_huge_modulus(obj["ring"], budget)
             spec = ring_from_json(obj["ring"])
         except (KeyError, ValueError, TypeError) as exc:
             raise InvalidConfig(f"bad ring spec: {exc}") from exc
@@ -137,15 +160,12 @@ class ExperimentConfig:
         path = out.get("path")
         if path is not None and not isinstance(path, str):
             raise InvalidConfig(f"output path must be a string, got {path!r}")
-        checks = obj.get("checks", [])
-        if not isinstance(checks, list):
-            raise InvalidConfig(f"checks must be a list, got {checks!r}")
         cfg = cls(
             spec=spec,
             construction=_json_object(obj, "construction", {"kind": "full-plane"}),
-            k=_json_int(obj, "k", 1),
+            k=k,
             checks=list(checks),
-            budget=_json_int(obj, "budget", cn.DEFAULT_BUDGET),
+            budget=budget,
             output=path,
             fmt=out.get("format", "json"),
         )
@@ -153,15 +173,7 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.k < 1:
-            raise InvalidConfig("k must be >= 1")
-        if not self.checks:
-            raise InvalidConfig("checks must be nonempty")
-        for c in self.checks:
-            if c not in CHECK_NAMES:
-                raise InvalidConfig(f"unknown check {c!r}")
-        if self.budget <= 0:
-            raise InvalidConfig("budget must be > 0")
+        _validate_counts(self.k, self.checks, self.budget)
         if self.fmt not in ("json", "csv"):
             raise InvalidConfig(f"unknown output format {self.fmt!r}")
         if "theorem-6.1" in self.checks and not isinstance(self.spec, ModPrimePower):

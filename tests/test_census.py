@@ -1,10 +1,12 @@
 import hashlib
 import itertools
 import math
+import operator
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -404,19 +406,115 @@ def test_census_of_one_point_or_none_at_large_k_lists_no_empty_pattern(monkeypat
     assert listed == [(True,) * k]  # the one point's constant tuple
 
 
+_DRAWN_FLUSHED_RINGS = (
+    F3, F5, galois_field(3, 2), Z9, mod_prime_power(3, 3), mod_prime_power(7, 3),  # two-byte keys
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_census_handed_on_at_every_group_boundary_matches_the_reference(data):
+    # with one key per flush, every prefix group is re-keyed on its own and
+    # each orbit's records come from many flushes; the tally must still be
+    # the one of the column-order keys, one class per key
+    spec = data.draw(st.sampled_from(_DRAWN_FLUSHED_RINGS), label="ring")
+    element = st.integers(0, spec.size() - 1)
+    points = data.draw(st.sets(st.tuples(element, element), max_size=9), label="points")
+    k = data.draw(st.integers(1, 3), label="k")
+    E = PointSet(spec, points)
+    reference = _column_keys(E, k)
+    with mock.patch.object(census, "_FLUSH", 1):
+        report = count_classes(E, k)
+    _assert_tally_of_keys(E, report.class_sizes, reference)
+
+
+@pytest.mark.parametrize("points", [3, 6], ids=["F3-3pt", "F3-6pt"])
+def test_census_at_k5_keeps_orbits_of_up_to_720_classes(points):
+    # six distinct points have 6! orderings, so an orbit's class count
+    # needs more than one byte of its record
+    E = random_subset(F3, points, 3)
+    counts, reference = signature_counts(E, 5), _column_keys(E, 5)
+    _assert_tally_of_keys(E, counts, reference)
+    assert sum(counts.values()) == points ** 6
+
+
+def test_two_records_of_one_orbit_that_disagree_on_its_classes_are_refused(monkeypatch):
+    # two collinear points: every area is 0, so the constant tuples and
+    # the tuple (x, y) reach the one key 0 from two patterns.  Dropping
+    # the swap of (x, y) makes that record say 2 classes, the other 1
+    E = PointSet(F3, [(1, 0), (2, 0)])
+    assert signature_counts(E, 1).tally == {1: {4: 1}}
+    rekey = census._Rekeyer.rekey
+    monkeypatch.setattr(census._Rekeyer, "rekey", lambda self, keys, sigmas: rekey(self, keys, sigmas[:1]))
+    with pytest.raises(ArithmeticError, match="disagree"):
+        signature_counts(E, 1)
+
+
+def test_an_orbit_whose_classes_do_not_split_its_tuples_is_refused(monkeypatch):
+    # x = (0, 1) comes first, so (x, y) has the key 4 and (y, x) the key
+    # 1, one class each.  Listing five orderings of (x, y), two of them
+    # giving the rep 1, makes an orbit of 5 // 2 = 2 classes that would
+    # share 5 tuples
+    E = PointSet(F5, [(1, 0), (0, 1)])
+    assert signature_counts(E, 1).tally == {1: {2: 1}, 0: {1: 2}}
+    orderings = census._orderings
+
+    def padded(same):
+        return [*orderings(same), [1, 0], [0, 1], [0, 1]] if same == (False,) else orderings(same)
+
+    monkeypatch.setattr(census, "_orderings", padded)
+    with pytest.raises(ArithmeticError, match="evenly"):
+        signature_counts(E, 1)
+
+
+@pytest.mark.parametrize("flush", [1, census._FLUSH], ids=["flush-1", "flush-default"])
+@pytest.mark.parametrize(
+    "E, k",
+    [
+        (full_plane(prime_field(7)), 3),
+        (random_subset(mod_prime_power(3, 3), 20, 1), 3),
+        (random_subset(mod_prime_power(7, 3), 10, 2), 3),  # two-byte keys
+        (random_subset(F5, 12, 3), 2),
+    ],
+    ids=["F7-k3", "Z27s-k3", "Z343s-k3", "F5s-k2"],
+)
+def test_census_rekeys_each_distinct_pattern_key_once(monkeypatch, E, k, flush):
+    # keys of two prefix groups differ in the areas among their prefixes,
+    # so handing the Counters on at a group boundary re-keys no key twice
+    seen = []
+    rekey = census._Rekeyer.rekey
+
+    def counted(self, keys, sigmas):
+        seen.extend(keys)
+        return rekey(self, keys, sigmas)
+
+    monkeypatch.setattr(census._Rekeyer, "rekey", counted)
+    monkeypatch.setattr(census, "_FLUSH", flush)
+    signature_counts(E, k)
+    table, width = census.area_index_table(E), key_width(E.spec)
+    distinct = {
+        (tuple(map(operator.eq, t, t[1:])),
+         b"".join(table[t[i]][t[j] * width : (t[j] + 1) * width] for j in range(1, k + 1) for i in range(j)))
+        for t in itertools.combinations_with_replacement(range(len(E)), k + 1)
+    }
+    assert len(seen) == len(distinct)
+
+
 @pytest.mark.parametrize(
     "size, seed, mib, classes",
     [
-        (20, 1, 4, 137851),
+        (20, 1, 2, 137851),
         # the 29-point cell of the benchmark's census workload at seed 0
         (29, int.from_bytes(hashlib.sha256(b"areal-bench:0:census-2").digest()[:8], "big"),
-         10, 614223),
+         2.5, 614223),
     ],
     ids=["Z27-s20-k3", "Z27-s29-k3"],
 )
 def test_count_classes_peak_memory_is_a_few_mib(size, seed, mib, classes):
-    # one running total per S_4 orbit of classes (6,943 and 28,613 orbits);
-    # one entry per class peaked at 11.0 and 43.8 MiB on these two inputs
+    # one fixed-width record per re-keyed key and one prefix group's keys
+    # at a time (6,943 and 28,613 orbits); one entry per class peaked at
+    # 11.0 and 43.8 MiB on these two inputs, and one dict entry per orbit
+    # beside every nondecreasing key at 2.4 and 7.0 MiB
     E = random_subset(mod_prime_power(3, 3), size, seed)
     tracemalloc.start()
     try:
@@ -739,6 +837,42 @@ def test_transitivity_names_the_first_pair_whose_count_differs(monkeypatch):
     with pytest.raises(NotTransitive) as err:
         transitivity_constant(F3)
     assert err.value.pair == (X[0], X[-1])
+
+
+def _pointwise_transitivity(spec, group):
+    """The constant |SL_2| / |X| when every pair of the designated orbit X
+    is reached by that many g of group, else the first pair that is not,
+    from one apply_mat per (g, x)."""
+    X = designated_orbit(spec)
+    expected = sl2_order(spec) // len(X)
+    for x in X:
+        phi = Counter(spec.apply_mat(g, x) for g in group)
+        for y in X:
+            if phi[y] != expected:
+                return (x, y)
+    return expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_transitivity_matches_the_pointwise_count(data):
+    # the group with a few elements dropped and a few repeated: the rows'
+    # codes name the same first pair as applying each g to each x, and
+    # images that leave X are never read
+    spec = data.draw(st.sampled_from([F3, F5, galois_field(3, 2), Z9]), label="ring")
+    group = list(enumerate_sl2(spec))
+    index = st.integers(0, len(group) - 1)
+    dropped = data.draw(st.sets(index, max_size=3), label="dropped")
+    repeated = data.draw(st.lists(index, max_size=3), label="repeated")
+    patched = [g for i, g in enumerate(group) if i not in dropped] + [group[i] for i in repeated]
+    expected = _pointwise_transitivity(spec, patched)
+    with mock.patch.object(census, "enumerate_sl2", lambda spec: iter(patched)):
+        if isinstance(expected, int):
+            assert transitivity_constant(spec) == expected
+        else:
+            with pytest.raises(NotTransitive) as err:
+                transitivity_constant(spec)
+            assert err.value.pair == expected
 
 
 @pytest.mark.parametrize(

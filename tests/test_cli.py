@@ -459,18 +459,46 @@ def test_run_budgets_the_plane_before_enumerating_it(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_a_huge_ell_is_refused_before_p_to_the_ell_is_built(tmp_path, capsys, command):
-    # q^2 = 3^(2 * 10^8) passes any budget; building q alone takes minutes
+    # q^2 = 3^(2 * 10^8) passes any budget; building q alone takes minutes.
+    # The charge, 2^budget.bit_length(), is a lower bound, and says so
     ring = {"family": "mod-prime-power", "p": 3, "ell": 10 ** 8}
     obj = {"ring": ring, "checks": ["census"]}
+    needs = "at least 1073741824 tuple visits but the budget is 1000000000"
     if command == "sweep":
         obj = {"experiment": {"ring": dict(ring, ell=1), "budget": 10 ** 5},
                "variable": "ell", "values": [10 ** 8]}
+        needs = "at least 131072 tuple visits but the budget is 100000"
     start = time.monotonic()
     assert main([command, write_config(tmp_path, obj)]) == EXIT_BUDGET
     assert time.monotonic() - start < 2
     out, err = capsys.readouterr()
-    assert out == "" and len(err.splitlines()) == 1
-    assert err.startswith("budget exceeded:")
+    assert out == ""
+    assert err == f"budget exceeded: enumeration needs {needs}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "patch, reason",
+    [({"budget": 0}, "budget must be > 0"), ({"k": 0}, "k must be >= 1")],
+    ids=["budget-0", "k-0"],
+)
+def test_an_invalid_config_over_a_huge_ell_is_refused_before_any_ring_work(
+    tmp_path, capsys, command, patch, reason
+):
+    # k, the checks and the budget are read before the ring: an invalid
+    # one exits 2 at once, not 3 from the huge-ell refusal nor after
+    # minutes of building p^ell
+    ring = {"family": "mod-prime-power", "p": 3, "ell": 10 ** 8}
+    obj = dict({"ring": ring, "checks": ["census"]}, **patch)
+    if command == "sweep":
+        obj = {"experiment": dict({"ring": dict(ring, ell=1)}, **patch),
+               "variable": "ell", "values": [10 ** 8]}
+    start = time.monotonic()
+    assert main([command, write_config(tmp_path, obj)]) == EXIT_INVALID
+    assert time.monotonic() - start < 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"invalid config: {reason}\n"
 
 
 def test_a_huge_ell_over_a_p_that_is_not_prime_is_invalid(tmp_path, capsys):

@@ -212,6 +212,16 @@ def _assert_contract(code, err, budget):
             "budget": 10 ** 9},
     flag=None,
 )
+@example(
+    config={"ring": {"family": "mod-prime-power", "p": 3, "ell": 10 ** 8}, "checks": ["census"],
+            "budget": 0},
+    flag=None,
+)
+@example(
+    config={"ring": {"family": "mod-prime-power", "p": 3, "ell": 10 ** 8}, "checks": ["census"],
+            "k": 0, "budget": 10 ** 9},
+    flag=None,
+)
 @example(config={"ring": F3, "k": 10 ** 6, "checks": ["lemma-3.1"], "budget": 10 ** 5}, flag=None)
 @example(config={"ring": F3, "k": 300, "checks": ["lemma-3.1"], "budget": 10 ** 5}, flag=None)
 @example(config={"ring": F3, "checks": ["census"], "budget": 100}, flag="<missing-dir>")
@@ -244,6 +254,18 @@ def test_run_exit_contract(config, flag):
 @example(
     config={"experiment": {"ring": {"family": "mod-prime-power", "p": 3, "ell": 1},
                            "budget": 10 ** 5},
+            "variable": "ell", "values": [10 ** 8]},
+    flag=None,
+)
+@example(
+    config={"experiment": {"ring": {"family": "mod-prime-power", "p": 3, "ell": 1},
+                           "budget": 0},
+            "variable": "ell", "values": [10 ** 8]},
+    flag=None,
+)
+@example(
+    config={"experiment": {"ring": {"family": "mod-prime-power", "p": 3, "ell": 1},
+                           "k": 0, "budget": 10 ** 5},
             "variable": "ell", "values": [10 ** 8]},
     flag=None,
 )

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from areal.census import PointSet, count_classes
+from areal.census import count_classes
 from areal.configs import badness_level
 from areal.constructions import (
     McgStream,
