@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .configs import key_width, signature
+from .configs import key_width, pair_indices, signature
 from .linalg import Vec2, enumerate_sl2, sl2_blocks, sl2_order
 from .rings import ModPrimePower, RingSpec
 
@@ -163,7 +163,7 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> Iterator[dict[tupl
     # planes[b][x][y]: byte b of the area of (x, y); at width 1 the table
     planes = [T] if width == 1 else [[row[b::width] for row in T] for b in range(width)]
     # each key byte's pair (i, j) and plane; t_inner = u and t_k = v
-    sources = [(i, j, planes[b]) for j in range(1, k + 1) for i in range(j) for b in range(width)]
+    sources = [(i, j, planes[b]) for i, j in pair_indices(k) for b in range(width)]
     inner, sep = k - 1, int(width == 1)
     among = [(i, j, plane) for i, j, plane in sources if j < inner]  # the areas of a prefix
     groups: dict[bytes, list[tuple]] = defaultdict(list)
@@ -216,7 +216,7 @@ class _Rekeyer:
 
     def __init__(self, spec: RingSpec, k: int):
         self.width = width = key_width(spec)
-        pairs = [(i, j) for j in range(1, k + 1) for i in range(j)]
+        pairs = pair_indices(k)
         self._slot = {pair: o * width for o, pair in enumerate(pairs)}
         self._step = len(pairs) * width + (width == 1)
         if width == 1:
@@ -273,10 +273,10 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     """The census of E^{k+1}: ClassSizes, its tally of classes by level
     and size.
 
-    A key packs the area index of every pair (i, j), i < j, in column
-    order (by j, then by i), each in key_width bytes big-endian.  Only the
-    nondecreasing tuples are keyed, one Counter per equality pattern,
-    handed on one prefix group at a time (_nondecreasing_counts).  Up to
+    A tuple's key is its configs.signature, each area's index in
+    key_width bytes big-endian.  Only the nondecreasing tuples are keyed,
+    one Counter per equality pattern, handed on one prefix group at a
+    time (_nondecreasing_counts).  Up to
     _CHUNK pattern keys K at a time are re-keyed by _Rekeyer under the
     pattern's distinct orderings D (_orderings): these are the keys of
     K's orbit, and the least is its rep.  The orbit gains count(K) * |D|

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import census as cn
 from . import constructions as cons
 # cli calls no apply_config; perfbench's traced matrix run patches cli.apply_config
-from .configs import NotEquivalent, apply_config, first_unit_pair, recover_g
+from .configs import NotEquivalent, apply_config, recovery
 from .linalg import enumerate_sl2, identity, sl2_order
 from .rings import ModPrimePower, RingSpec, checked_int, prime_field, ring_from_json
 
@@ -115,20 +115,6 @@ def _budget_huge_modulus(ring, budget: int) -> None:
             raise cn.BudgetExceeded(1 << budget.bit_length(), budget, exact=False)
 
 
-def _validate_counts(k: int, checks: list, budget: int) -> None:
-    """The checks of a config that need no ring: k, the check names and
-    the budget."""
-    if k < 1:
-        raise InvalidConfig("k must be >= 1")
-    if not checks:
-        raise InvalidConfig("checks must be nonempty")
-    for c in checks:
-        if c not in CHECK_NAMES:
-            raise InvalidConfig(f"unknown check {c!r}")
-    if budget <= 0:
-        raise InvalidConfig("budget must be > 0")
-
-
 @dataclass
 class ExperimentConfig:
     spec: RingSpec
@@ -141,46 +127,44 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
-        """The config of a JSON object.  k, the checks and the budget are
-        checked before the ring is read, so an invalid one is refused
-        before any ring work, however large its modulus."""
+        """The config of a JSON object, checked field by field here and
+        nowhere else.  k, the checks and the budget are checked before the
+        ring is read, so an invalid one is refused before any ring work,
+        however large its modulus."""
         if not isinstance(obj, dict):
             raise InvalidConfig("experiment config must be a JSON object")
         checks = obj.get("checks", [])
         if not isinstance(checks, list):
             raise InvalidConfig(f"checks must be a list, got {checks!r}")
         k, budget = _json_int(obj, "k", 1), _json_int(obj, "budget", cn.DEFAULT_BUDGET)
-        _validate_counts(k, checks, budget)
+        if k < 1:
+            raise InvalidConfig("k must be >= 1")
+        if not checks:
+            raise InvalidConfig("checks must be nonempty")
+        for c in checks:
+            if c not in CHECK_NAMES:
+                raise InvalidConfig(f"unknown check {c!r}")
+        if budget <= 0:
+            raise InvalidConfig("budget must be > 0")
         try:
             _budget_huge_modulus(obj["ring"], budget)
             spec = ring_from_json(obj["ring"])
         except (KeyError, ValueError, TypeError) as exc:
             raise InvalidConfig(f"bad ring spec: {exc}") from exc
         out = _json_object(obj, "output", {})
-        path = out.get("path")
+        path, fmt = out.get("path"), out.get("format", "json")
         if path is not None and not isinstance(path, str):
             raise InvalidConfig(f"output path must be a string, got {path!r}")
-        cfg = cls(
-            spec=spec,
-            construction=_json_object(obj, "construction", {"kind": "full-plane"}),
-            k=k,
-            checks=list(checks),
-            budget=budget,
-            output=path,
-            fmt=out.get("format", "json"),
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        _validate_counts(self.k, self.checks, self.budget)
-        if self.fmt not in ("json", "csv"):
-            raise InvalidConfig(f"unknown output format {self.fmt!r}")
-        if "theorem-6.1" in self.checks and not isinstance(self.spec, ModPrimePower):
+        construction = _json_object(obj, "construction", {"kind": "full-plane"})
+        if fmt not in ("json", "csv"):
+            raise InvalidConfig(f"unknown output format {fmt!r}")
+        if "theorem-6.1" in checks and not isinstance(spec, ModPrimePower):
             raise InvalidConfig("theorem-6.1 requires a mod-prime-power ring")
         circles = ("circle", "union-circles", "mod-sharpness")
-        if "sharpness" in self.checks and self.construction.get("kind") not in circles:
+        if "sharpness" in checks and construction.get("kind") not in circles:
             raise InvalidConfig("sharpness requires a circle or mod-sharpness construction")
+        return cls(spec=spec, construction=construction, k=k, checks=list(checks),
+                   budget=budget, output=path, fmt=fmt)
 
     def point_set(self) -> cn.PointSet:
         """The construction's points.  A construction scans up to the
@@ -323,11 +307,12 @@ def _images(reach: list, idx: tuple) -> list:
 
 def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     """Every pair of equivalent good tuples is related by exactly one
-    group element, found both by the move bitsets and by recover_g.  For
-    each good tuple xs of E^{k+1}, in product order, the walk of _images
-    over cn.group_moves gives its images ys; a pair passes when its mask
-    has exactly one bit and that element is recover_g(xs, ys), and the
-    check stops at the first that does not.  A good class of c tuples
+    group element, found both by the move bitsets and by recover_g.  Each
+    tuple xs of E^{k+1}, in product order, gets one recovery, which is
+    None when xs is bad; for a good xs the walk of _images over
+    cn.group_moves gives its images ys, and a pair passes when its mask
+    has exactly one bit and that element is the recovery's g for ys.  The
+    check stops at the first pair that does not.  A good class of c tuples
     yields at most c^2 pairs, so every equivalent pair was reached only
     when the pairs checked reach the census's sum of c^2.  That sum
     times |SL_2| is charged before the group is enumerated."""
@@ -337,20 +322,20 @@ def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     cn.check_budget(sl2_order(spec) * equivalent_pairs, cfg.budget)
     group = list(enumerate_sl2(spec)) if equivalent_pairs else []
     reach = [[(j, m) for j, m in enumerate(row) if m] for row in cn.group_moves(E, group)]
-    tuples = zip(
+    recoveries = zip(
         itertools.product(range(len(points)), repeat=cfg.k + 1),
-        itertools.product(points, repeat=cfg.k + 1),
+        map(recovery, itertools.repeat(spec), itertools.product(points, repeat=cfg.k + 1)),
     )
     scan = (
-        (xs, js, mask)
-        for idx, xs in tuples
-        if first_unit_pair(spec, xs) is not None
+        (recover, js, mask)
+        for idx, recover in recoveries
+        if recover is not None
         for js, mask in _images(reach, idx)
     )
     pairs_checked, matched = 0, True
-    for xs, js, mask in scan:
+    for recover, js, mask in scan:
         try:
-            g = recover_g(spec, xs, tuple(map(points.__getitem__, js)))
+            g = recover(tuple(map(points.__getitem__, js)))
             matched = mask & (mask - 1) == 0 and group[mask.bit_length() - 1] == g
         except NotEquivalent:
             matched = False
@@ -423,14 +408,20 @@ def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dic
     return _verdict(_fields(report), report.conditions())
 
 
-def min_rotation_orbit(E: cn.PointSet, rotations, budget: int) -> int:
-    """Smallest orbit of a tuple of E^{k+1} under a list of matrices, for
-    every k: the least orbit of a point of E, or 0 when E is empty.  The
-    tuple (x, .., x) has the orbit of x, and a tuple's orbit maps onto the
-    orbit of its first point, so no tuple's orbit is smaller."""
+def rotation_orbits(E: cn.PointSet, rotations, budget: int) -> tuple[bool, int]:
+    """Whether E holds the orbit of each of its points under a list of
+    matrices, and the least such orbit, which is the smallest orbit of a
+    tuple of E^{k+1} for every k (0 when E is empty): the tuple (x, .., x)
+    has the orbit of x, and a tuple's orbit maps onto the orbit of its
+    first point.  The |E| |rotations| applications are charged before the
+    first, and one point's orbit is held at a time."""
     cn.check_budget(len(E) * len(rotations), budget)
-    apply = E.spec.apply_mat
-    return min((len(set(map(apply, rotations, itertools.repeat(x)))) for x in E.points), default=0)
+    apply, closed, sizes = E.spec.apply_mat, True, []
+    for x in E.points:
+        orbit = set(map(apply, rotations, itertools.repeat(x)))
+        closed = closed and orbit <= E.members
+        sizes.append(len(orbit))
+    return closed, min(sizes, default=0)
 
 
 def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
@@ -453,10 +444,7 @@ def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
             "bad_tuples == total_tuples": bad_tuples == report.total_tuples,
         })
     rotations = cons.rotation_group(spec)
-    closed = all(
-        spec.apply_mat(g, x) in E.members for g in rotations for x in E.points
-    )
-    min_orbit = min_rotation_orbit(E, rotations, cfg.budget)
+    closed, min_orbit = rotation_orbits(E, rotations, cfg.budget)
     out["rotation_group_size"] = len(rotations)
     out["min_orbit"] = min_orbit
     out["rotation_closed"] = closed
@@ -615,10 +603,9 @@ def cmd_sweep(args) -> int:
             classes = memo.census(E, cfg.k).total_classes
             plane = replace(cfg, construction=FULL).point_set()
             plane_classes = memo.census(plane, cfg.k).total_classes
-            proportion = Fraction(classes, plane_classes)
             rows.append(
                 f"{variable},{value},{seed},{len(E)},{classes},"
-                f"{plane_classes},{float(proportion)!r}"
+                f"{plane_classes},{Fraction(classes, plane_classes)}"
             )
     _emit("\n".join(rows) + "\n", path)
     return EXIT_OK

@@ -10,7 +10,7 @@ lexicographic index order.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .linalg import Mat2, Vec2, col_matrix
 from .rings import RingSpec
@@ -67,14 +67,15 @@ def first_unit_pair(spec: RingSpec, points: tuple[Vec2, ...]):
     return None
 
 
-@lru_cache(maxsize=1)
-def _recovery_base(spec: RingSpec, xs: tuple[Vec2, ...]):
-    """What recover_g needs of xs whatever ys is: None when xs is bad,
-    else its first unit-area pair (i, j), its areas and the inverse of
-    B = (x^i x^j), all from one signature: with d the inverse of the
-    pair's area det B, B^{-1} = (d y2, -d y1, -d x2, d x1) for x^i =
-    (x1, x2) and x^j = (y1, y2).  A scan hands recover_g every ys of one
-    xs in a row, so one cached xs is enough."""
+def recovery(spec: RingSpec, xs: tuple[Vec2, ...]):
+    """None when xs is bad, else the function ys -> g with g the unique
+    element of SL_2 with g x^i = y^i for all i (see _recover).  What the
+    function needs of xs whatever ys is comes from one signature: the
+    first unit-area pair (i, j), the areas, and the inverse of B = (x^i
+    x^j), which with d the inverse of the pair's area det B is (d y2,
+    -d y1, -d x2, d x1) for x^i = (x1, x2) and x^j = (y1, y2).  It is a
+    partial of _recover, so its args hold xs, (i, j), the areas and the
+    inverse."""
     areas = signature(spec, xs)
     for (i, j), area in zip(pair_indices(len(xs) - 1), areas):
         if spec.is_unit(area):
@@ -83,27 +84,20 @@ def _recovery_base(spec: RingSpec, xs: tuple[Vec2, ...]):
         return None
     (x1, x2), (y1, y2) = xs[i], xs[j]
     d, mul, neg = spec.inv(area), spec.mul, spec.neg
-    return (i, j), areas, (mul(d, y2), neg(mul(d, y1)), neg(mul(d, x2)), mul(d, x1))
+    inverse = (mul(d, y2), neg(mul(d, y1)), neg(mul(d, x2)), mul(d, x1))
+    return partial(_recover, spec, xs, (i, j), areas, inverse)
 
 
-def recover_g(spec: RingSpec, xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> Mat2:
-    """The unique g in SL_2 with g x^i = y^i for all i, for good xs with
-    signature(xs) == signature(ys).
-
-    g is built as (y^i y^j)(x^i x^j)^{-1} from the first unit-area index
-    pair, then verified on every point; raises BothBad when xs is bad and
-    NotEquivalent when the signatures differ or verification fails.  The
-    pair, the areas of xs and the inverse come from _recovery_base, and
-    each column of the inverse is sent through (y^i y^j) by apply_mat;
-    xs is their cache key, so it must be hashable (a tuple of tuples)."""
+def _recover(spec: RingSpec, xs, pair, areas, inverse, ys: tuple[Vec2, ...]) -> Mat2:
+    """g = (y^i y^j)(x^i x^j)^{-1} for the pair (i, j), each column of the
+    inverse sent through (y^i y^j) by apply_mat, then verified on every
+    point; raises NotEquivalent when the signatures differ or
+    verification fails."""
     if len(xs) != len(ys):
         raise ValueError("configurations must have the same number of points")
-    base = _recovery_base(spec, xs)
-    if base is None:
-        raise BothBad("base configuration has no unit pairwise area")
-    (i, j), areas, (a, b, c, d) = base
     if signature(spec, ys) != areas:
         raise NotEquivalent("signatures differ")
+    (i, j), (a, b, c, d) = pair, inverse
     target = col_matrix(ys[i], ys[j])
     left, right = spec.apply_mat(target, (a, c)), spec.apply_mat(target, (b, d))
     g = (left[0], right[0], left[1], right[1])
@@ -112,6 +106,17 @@ def recover_g(spec: RingSpec, xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> Mat
         if spec.apply_mat(g, x) != y:
             raise NotEquivalent(f"candidate {g} fails on point {x}")
     return g
+
+
+def recover_g(spec: RingSpec, xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> Mat2:
+    """The unique g in SL_2 with g x^i = y^i for all i, for good xs with
+    signature(xs) == signature(ys): recovery(xs) applied to ys.  Raises
+    BothBad when xs is bad and NotEquivalent when the signatures differ
+    or verification fails."""
+    recover = recovery(spec, xs)
+    if recover is None:
+        raise BothBad("base configuration has no unit pairwise area")
+    return recover(ys)
 
 
 def apply_config(spec: RingSpec, g: Mat2, points: tuple[Vec2, ...]) -> tuple[Vec2, ...]:

@@ -26,7 +26,7 @@ from areal.census import (
     nu_histogram,
     transitivity_constant,
 )
-from areal.cli import min_rotation_orbit
+from areal.cli import rotation_orbits
 from areal.configs import apply_config, recover_g
 from areal.constructions import (
     full_plane,
@@ -181,7 +181,8 @@ def test_criterion_09_sharpness_constructions():
         rots = rotation_group(F5)
         budget = 10 ** 9
         for k in (1, 2):
-            orbit = min_rotation_orbit(circles, rots, budget)
+            closed, orbit = rotation_orbits(circles, rots, budget)
+            assert closed
             assert 2 * orbit >= len(rots)
             classes = count_classes(circles, k).total_classes
             assert classes * orbit <= len(circles) ** (k + 1)

@@ -137,7 +137,7 @@ def test_count_classes_matches_signature_oracle(E, k):
     ids=["F7-k2", "Z27s-k3", "Z343s-k2"],
 )
 def test_census_key_levels_match_per_area_decode(E, k):
-    keys = list(_column_keys(E, k))
+    keys = list(_signature_keys(E, k))
     levels = key_badness(E.spec, keys)
     assert levels == [_key_level(E.spec, key) for key in keys]
     assert set(levels) == set(range(E.spec.max_level + 1))
@@ -172,8 +172,8 @@ def test_key_levels_runs_once_per_nondecreasing_key(monkeypatch):
 )
 def test_size_tally_matches_the_per_class_level_tally(E, k):
     # the tally the census adds up orbit by orbit is the one that a level
-    # per class of the column-order keys gives
-    report, sizes = count_classes(E, k), _column_keys(E, k)
+    # per class of the signature keys gives
+    report, sizes = count_classes(E, k), _signature_keys(E, k)
     reference = {}
     for (m, size), n in Counter(zip(key_badness(E.spec, list(sizes)), sizes.values())).items():
         reference.setdefault(m, {})[size] = n
@@ -246,18 +246,46 @@ def test_census_independent_of_point_order():
             assert signature_counts(gE, k).tally == signature_counts(E, k).tally
 
 
-def _column_keys(E, k):
-    """The column-order key of every ordered tuple of E^{k+1}, read from
-    the area table one tuple at a time."""
-    table, width = census.area_index_table(E), key_width(E.spec)
+def _signature_keys(E, k):
+    """The key of every ordered tuple of E^{k+1}: its configs.signature,
+    each area's index in key_width bytes big-endian."""
+    width = key_width(E.spec)
+    return Counter(_encoded_signature(E.spec, t, width) for t in itertools.product(E.points, repeat=k + 1))
 
-    def area(x, y):
-        return table[x][y * width : (y + 1) * width]
 
-    return Counter(
-        b"".join(area(t[i], t[j]) for j in range(1, k + 1) for i in range(j))
-        for t in itertools.product(range(len(E)), repeat=k + 1)
-    )
+def _encoded_signature(spec, t, width):
+    return b"".join(a.to_bytes(width, "big") for a in signature(spec, t))
+
+
+_KEYED_SETS = [
+    random_subset(F3, 6, 1),
+    random_subset(galois_field(3, 2), 7, 2),
+    random_subset(Z9, 7, 3),
+    random_subset(mod_prime_power(7, 3), 6, 4),  # two-byte keys
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("E", _KEYED_SETS, ids=["F3s", "F9s", "Z9s", "Z343s"])
+def test_census_keys_are_the_encoded_signatures(E, k):
+    # the kernel keys each nondecreasing tuple by its signature, pattern by
+    # pattern, and the re-keyer gives each of its orderings that
+    # ordering's signature
+    width = key_width(E.spec)
+    kernel = Counter()
+    for patterns in census._nondecreasing_counts(E, k, width):
+        for same, keys in patterns.items():
+            kernel.update({(same, key): c for key, c in keys.items()})
+    reference = Counter()
+    rekeyer = census._Rekeyer(E.spec, k)
+    for t in itertools.combinations_with_replacement(E.points, k + 1):
+        same = tuple(map(operator.eq, t, t[1:]))
+        key = _encoded_signature(E.spec, t, width)
+        reference[same, key] += 1
+        sigmas = list(census._orderings(same))
+        images = [_encoded_signature(E.spec, tuple(t[s] for s in sigma), width) for sigma in sigmas]
+        assert [keys[0] for keys in rekeyer.rekey([key], sigmas)] == images
+    assert kernel == reference
 
 
 _DRAWN_RINGS = (
@@ -274,7 +302,7 @@ def test_census_matches_both_references_on_drawn_subsets(data):
     points = data.draw(st.sets(st.tuples(element, element), max_size=10), label="points")
     k = data.draw(st.integers(1, 3), label="k")
     E = PointSet(spec, points)
-    _assert_tally_of_keys(E, signature_counts(E, k), _column_keys(E, k))
+    _assert_tally_of_keys(E, signature_counts(E, k), _signature_keys(E, k))
     report = count_classes(E, k)
     sizes, tuples_by_level, classes_by_level, tally = _signature_oracle(E, k)
     assert sorted(report.class_sizes.values()) == sizes
@@ -303,7 +331,7 @@ def test_patterns_and_orderings_count_every_ordered_tuple(k):
 
 
 def _assert_tally_of_keys(E, counts, reference):
-    """counts tallies the column-order keys of reference: each key is one
+    """counts tallies the signature keys of reference: each key is one
     class, of its number of tuples, at its level decoded area by area;
     values() and len() read the same tally."""
     tally = {}
@@ -321,11 +349,9 @@ def test_orbit_with_a_nontrivial_stabiliser():
     # each of 3 tuples, beside the level-0 classes of tuples that repeat
     # a point
     E = PointSet(F5, [(1, 0), (0, 1), (4, 4)])
-    counts, reference = signature_counts(E, 2), _column_keys(E, 2)
-    t = [E.points.index(x) for x in ((1, 0), (0, 1), (4, 4))]
-    keys = {perm: b"".join(census.area_index_table(E)[perm[i]][perm[j] : perm[j] + 1]
-                           for j in range(1, 3) for i in range(j))
-            for perm in itertools.permutations(t)}
+    counts, reference = signature_counts(E, 2), _signature_keys(E, 2)
+    t = [(1, 0), (0, 1), (4, 4)]
+    keys = {perm: _encoded_signature(F5, perm, 1) for perm in itertools.permutations(t)}
     assert keys[tuple(t)] == keys[tuple(t[1:] + t[:1])] == keys[tuple(t[2:] + t[:2])]
     assert len(set(keys.values())) == 2
     assert all(E.spec.is_unit(a) for a in keys[tuple(t)])
@@ -349,10 +375,10 @@ def test_orbit_with_a_nontrivial_stabiliser():
          "Z343s-k3"],
 )
 def test_class_sizes_keep_the_mapping_contract(E, k):
-    # the tally stands for the mapping of every column-order key to the
+    # the tally stands for the mapping of every signature key to the
     # number of tuples with that key: one class per key, of its size and
     # level
-    counts, reference = signature_counts(E, k), _column_keys(E, k)
+    counts, reference = signature_counts(E, k), _signature_keys(E, k)
     _assert_tally_of_keys(E, counts, reference)
     sizes = sorted(counts.values())
     assert len(counts) == len(sizes) == len(reference)
@@ -416,13 +442,13 @@ _DRAWN_FLUSHED_RINGS = (
 def test_census_handed_on_at_every_group_boundary_matches_the_reference(data):
     # with one key per flush, every prefix group is re-keyed on its own and
     # each orbit's records come from many flushes; the tally must still be
-    # the one of the column-order keys, one class per key
+    # the one of the signature keys, one class per key
     spec = data.draw(st.sampled_from(_DRAWN_FLUSHED_RINGS), label="ring")
     element = st.integers(0, spec.size() - 1)
     points = data.draw(st.sets(st.tuples(element, element), max_size=9), label="points")
     k = data.draw(st.integers(1, 3), label="k")
     E = PointSet(spec, points)
-    reference = _column_keys(E, k)
+    reference = _signature_keys(E, k)
     with mock.patch.object(census, "_FLUSH", 1):
         report = count_classes(E, k)
     _assert_tally_of_keys(E, report.class_sizes, reference)
@@ -433,7 +459,7 @@ def test_census_at_k5_keeps_orbits_of_up_to_720_classes(points):
     # six distinct points have 6! orderings, so an orbit's class count
     # needs more than one byte of its record
     E = random_subset(F3, points, 3)
-    counts, reference = signature_counts(E, 5), _column_keys(E, 5)
+    counts, reference = signature_counts(E, 5), _signature_keys(E, 5)
     _assert_tally_of_keys(E, counts, reference)
     assert sum(counts.values()) == points ** 6
 

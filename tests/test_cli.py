@@ -357,8 +357,8 @@ def test_sweep_reuses_the_census_of_a_full_plane_set(tmp_path, capsys, monkeypat
     assert main(["sweep", write_config(tmp_path, obj)]) == EXIT_OK
     assert capsys.readouterr().out == (
         "variable,value,seed,set_size,classes,plane_classes,proportion\n"
-        "k,1,0,9,3,3,1.0\n"
-        "k,2,0,9,27,27,1.0\n"
+        "k,1,0,9,3,3,1\n"
+        "k,2,0,9,27,27,1\n"
     )
     assert calls == [(9, 1), (9, 2)]
 
@@ -549,13 +549,18 @@ def test_lemma_2_2_accepts_exactly_the_equivalent_pairs(monkeypatch, case):
     from areal.configs import first_unit_pair, signature
 
     accepted = []
-    recover_g = cli.recover_g
+    recovery = cli.recovery
 
-    def recorded(spec, xs, ys):
-        accepted.append((xs, ys))
-        return recover_g(spec, xs, ys)
+    def recorded(spec, xs):
+        recover = recovery(spec, xs)
 
-    monkeypatch.setattr(cli, "recover_g", recorded)
+        def accept(ys):
+            accepted.append((xs, ys))
+            return recover(ys)
+
+        return recover and accept
+
+    monkeypatch.setattr(cli, "recovery", recorded)
     ring, construction, k, _, _ = LEMMA_2_2_CASES[case]
     cfg = ExperimentConfig.from_json(
         {"ring": ring, "construction": construction, "k": k, "checks": ["lemma-2.2"]}
@@ -604,12 +609,13 @@ def test_lemma_2_2_fails_when_a_move_mask_loses_a_bit(monkeypatch):
 def test_lemma_2_2_cross_checks_recover_g(monkeypatch):
     from areal import cli
 
-    recover_g = cli.recover_g
+    recovery = cli.recovery
 
-    def negated(spec, xs, ys):  # -g is another element of SL_2, and g != -g
-        return tuple(spec.neg(a) for a in recover_g(spec, xs, ys))
+    def negated(spec, xs):  # -g is another element of SL_2, and g != -g
+        recover = recovery(spec, xs)
+        return recover and (lambda ys: tuple(spec.neg(a) for a in recover(ys)))
 
-    monkeypatch.setattr(cli, "recover_g", negated)
+    monkeypatch.setattr(cli, "recovery", negated)
     report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"])))
     assert report["checks"] == [
         {"check": "lemma-2.2", "good_classes": "2", "pairs_checked": "0", "ok": False,
@@ -652,15 +658,23 @@ def test_lemma_2_2_pairs_are_the_census_sum_of_squares(case):
     assert cn.count_classes(cfg.point_set(), k).equivalent_good_pairs() == pairs_checked
 
 
-def test_lemma_2_2_inverts_one_base_matrix_per_good_tuple():
-    # recover_g's per-xs work is cached across the ys of one xs: the F_3
-    # plane at k=2 has 26 * 24 good tuples and 14,976 equivalent pairs
-    from areal import configs
+def test_lemma_2_2_holds_one_recovery_per_good_tuple(monkeypatch):
+    # each of the 729 tuples of the F_3 plane at k=2 gets one recovery,
+    # which is not None for its 26 * 24 good tuples, and the 14,976
+    # equivalent pairs are checked through them
+    from areal import cli
 
-    configs._recovery_base.cache_clear()
+    recovery = cli.recovery
+    made = []
+
+    def counted(spec, xs):
+        made.append(recovery(spec, xs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "recovery", counted)
     report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"], k=2)))
     assert report["checks"][0]["pairs_checked"] == "14976" and report["ok"] is True
-    assert configs._recovery_base.cache_info().misses == 26 * 24
+    assert len(made) == 3 ** 6 and sum(r is not None for r in made) == 26 * 24
 
 
 def test_nu_and_census_build_one_area_table_per_experiment(monkeypatch):
@@ -814,10 +828,13 @@ def test_sharpness_names_each_failed_condition(monkeypatch):
     # to a huge size, each orbit condition fails in turn
     rotation_group = cli.cons.rotation_group
     monkeypatch.setattr(cli.cons, "rotation_group", lambda spec: rotation_group(spec) + [(1, 1, 0, 1)])
-    monkeypatch.setattr(cli, "min_rotation_orbit", lambda E, rotations, budget: 0)
+    rotation_orbits = cli.rotation_orbits
+    monkeypatch.setattr(cli, "rotation_orbits", lambda E, rotations, budget: (
+        rotation_orbits(E, rotations, budget)[0], 0))
     report = _one_check(circle)
     assert report["failed"] == ["rotation_closed", "2 * min_orbit >= rotation_group_size"]
-    monkeypatch.setattr(cli, "min_rotation_orbit", lambda E, rotations, budget: 10 ** 6)
+    monkeypatch.setattr(cli, "rotation_orbits", lambda E, rotations, budget: (
+        rotation_orbits(E, rotations, budget)[0], 10 ** 6))
     report = _one_check(circle)
     assert report["failed"] == ["rotation_closed", "total_classes * min_orbit <= total_tuples"]
 
@@ -857,7 +874,8 @@ def test_min_rotation_orbit_matches_the_tuple_orbits(case, k):
         (len({cli.apply_config(E.spec, g, t) for g in mats}) for t in itertools.product(E.points, repeat=k + 1)),
         default=0,
     )
-    assert cli.min_rotation_orbit(E, mats, 10 ** 9) == reference
+    closed = all(E.spec.apply_mat(g, x) in E for g in mats for x in E.points)
+    assert cli.rotation_orbits(E, mats, 10 ** 9) == (closed, reference)
 
 
 def test_min_rotation_orbit_charges_one_visit_per_point_and_matrix(tmp_path, capsys):
@@ -866,7 +884,7 @@ def test_min_rotation_orbit_charges_one_visit_per_point_and_matrix(tmp_path, cap
 
     E, mats = _rotation_cases()["F5-union14"]
     with pytest.raises(cn.BudgetExceeded) as err:
-        cli.min_rotation_orbit(E, mats, 8 * 4 - 1)
+        cli.rotation_orbits(E, mats, 8 * 4 - 1)
     assert err.value.required == 8 * 4
     # the census charges 8^3 = 512 and sharpness 8 * 4 = 32, both within 1000
     obj = {"ring": {"family": "prime-field", "p": 5},
@@ -874,6 +892,41 @@ def test_min_rotation_orbit_charges_one_visit_per_point_and_matrix(tmp_path, cap
            "k": 2, "budget": 1000, "checks": ["census", "sharpness"]}
     assert main(["run", write_config(tmp_path, obj)]) == EXIT_OK
     assert capsys.readouterr().err == "census: PASS\nsharpness: PASS\n"
+
+
+def test_sharpness_charges_its_rotations_before_applying_any(tmp_path, capsys, monkeypatch):
+    # the Z/9Z circle r = 0 has 9 points and Z/9Z has 12 rotations: the
+    # census's 81 visits fit a budget of 100, the 108 applications do not
+    from areal import cli
+    from areal.rings import ModPrimePower
+
+    inside, applied = [], []
+    sharpness, apply_mat = cli._CHECKS["sharpness"], ModPrimePower.apply_mat
+
+    def marked(cfg, E, memo):
+        inside.append(True)
+        try:
+            return sharpness(cfg, E, memo)
+        finally:
+            inside.pop()
+
+    def counted(self, m, v):
+        if inside:
+            applied.append(v)
+        return apply_mat(self, m, v)
+
+    monkeypatch.setitem(cli._CHECKS, "sharpness", marked)
+    monkeypatch.setattr(ModPrimePower, "apply_mat", counted)
+    obj = {"ring": {"family": "mod-prime-power", "p": 3, "ell": 2},
+           "construction": {"kind": "circle", "r": 0}, "budget": 100, "checks": ["sharpness"]}
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
+    assert "needs 108 tuple visits" in capsys.readouterr().err
+    assert applied == []
+    # within the budget each point goes through each rotation once; the
+    # origin is its own orbit, so 2 * min_orbit >= 12 fails
+    assert main(["run", write_config(tmp_path, dict(obj, budget=108))]) == EXIT_CHECK_FAILED
+    assert len(applied) == 9 * 12
+    assert "sharpness: FAIL" in capsys.readouterr().err
 
 
 def test_f_moments_names_each_failed_condition(monkeypatch):
@@ -916,7 +969,8 @@ def test_lemma_2_2_names_each_failed_condition(monkeypatch):
     assert report["ok"] is False and report["failed"] == ["pairs_checked == equivalent_good_pairs"]
     monkeypatch.undo()
     # a scan that stops at its first pair reaches too few pairs as well
-    monkeypatch.setattr(cli, "recover_g", lambda spec, xs, ys: None)
+    recovery = cli.recovery
+    monkeypatch.setattr(cli, "recovery", lambda spec, xs: recovery(spec, xs) and (lambda ys: None))
     assert _one_check(obj)["failed"] == [
         "scan matches recover_g", "pairs_checked == equivalent_good_pairs"
     ]
@@ -963,15 +1017,15 @@ def test_sweep_size_rows_over_the_f5_plane(tmp_path, capsys):
     assert main(["sweep", write_config(tmp_path, obj)]) == EXIT_OK
     assert capsys.readouterr().out == (
         "variable,value,seed,set_size,classes,plane_classes,proportion\n"
-        "size,4,1,4,33,125,0.264\n"
-        "size,4,2,4,33,125,0.264\n"
-        "size,4,3,4,31,125,0.248\n"
-        "size,8,1,8,101,125,0.808\n"
-        "size,8,2,8,113,125,0.904\n"
-        "size,8,3,8,117,125,0.936\n"
-        "size,12,1,12,113,125,0.904\n"
-        "size,12,2,12,113,125,0.904\n"
-        "size,12,3,12,125,125,1.0\n"
+        "size,4,1,4,33,125,33/125\n"
+        "size,4,2,4,33,125,33/125\n"
+        "size,4,3,4,31,125,31/125\n"
+        "size,8,1,8,101,125,101/125\n"
+        "size,8,2,8,113,125,113/125\n"
+        "size,8,3,8,117,125,117/125\n"
+        "size,12,1,12,113,125,113/125\n"
+        "size,12,2,12,113,125,113/125\n"
+        "size,12,3,12,125,125,1\n"
     )
 
 
@@ -1041,7 +1095,7 @@ FIELD_CHECKS = [
             {"experiment": {"ring": dict(Z9, ell=1), "construction": {"kind": "random-subset", "size": 5}},
              "variable": "ell", "values": [1, 2], "seeds": [1, 2]},
             EXIT_OK,
-            "59315422dbe34fecbb03b0ce574f2672326eac28d417947fc2deee7e78b0ed5b",
+            "9b5c0425720bb0ab95aa5923cbed0e5c24f9fed298a4d611cf41286e65a610bd",
         ),
     ],
     ids=[

@@ -6,12 +6,12 @@ from hypothesis import given, strategies as st
 from areal.configs import (
     BothBad,
     NotEquivalent,
-    _recovery_base,
     apply_config,
     badness_level,
     first_unit_pair,
     pair_indices,
     recover_g,
+    recovery,
     signature,
 )
 from areal.linalg import col_matrix, enumerate_sl2, identity
@@ -116,14 +116,15 @@ def _configurations(draw):
 def test_recovery_base_inverts_the_first_unit_pair(case):
     # the pair, the areas and the base inverse, all read off one signature
     spec, xs = case
-    base, pair = _recovery_base(spec, xs), first_unit_pair(spec, xs)
+    recover, pair = recovery(spec, xs), first_unit_pair(spec, xs)
     if pair is None:
-        assert base is None
+        assert recover is None
         return
-    (i, j), areas, inverse = base
+    (i, j), areas, inverse = recover.args[2:]
     assert (i, j) == pair and areas == signature(spec, xs)
     b = col_matrix(xs[i], xs[j])
     assert mat_mul(spec, inverse, b) == mat_mul(spec, b, inverse) == identity(spec)
+    assert recover(xs) == identity(spec)
 
 
 def _scan(spec, xs, ys):
