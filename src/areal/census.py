@@ -59,8 +59,9 @@ def check_budget(required: int, budget: int) -> None:
 
 class PointSet:
     """A deduplicated, canonically sorted subset of the ring's plane.  Its
-    area_table is built on first use and kept, so the census and nu of one
-    experiment read the same table."""
+    area_table and area_counts are built on first use and kept, so nu and
+    the k = 1 census of one experiment read one histogram, and the census
+    at k >= 2 the same table."""
 
     def __init__(self, spec: RingSpec, points):
         self.spec = spec
@@ -80,6 +81,24 @@ class PointSet:
     @functools.cached_property
     def area_table(self) -> list[bytes]:
         return area_index_table(self)
+
+    @functools.cached_property
+    def area_counts(self) -> dict[int, int]:
+        """nu: each area t with nu(t) > 0 -> the number of ordered pairs
+        of points with area t, from area_table: one bytes.count per element over
+        each block of rows joined, about 64 KiB at a time, at one byte per
+        area, one Counter over the area slices of every row at wider keys."""
+        spec, table, width = self.spec, self.area_table, key_width(self.spec)
+        if width == 1:
+            codes, tallies = [_BYTES[a] for a in spec.elements()], itertools.repeat(0)
+            rows = max(1, (64 << 10) // max(1, len(self)))
+            for r in range(0, len(table), rows):
+                tallies = list(map(operator.add, tallies, map(b"".join(table[r : r + rows]).count, codes)))
+            return {a: c for a, c in zip(spec.elements(), tallies) if c}
+        slices: Counter = Counter()
+        for row in table:
+            slices.update(_cut(row, width, width))
+        return {int.from_bytes(a, "big"): c for a, c in slices.items()}
 
     def __eq__(self, other):
         return (
@@ -142,13 +161,13 @@ def _orderings(same: tuple[bool, ...]) -> Iterator[list[int]]:
 
 
 def _nondecreasing_counts(E: PointSet, k: int, width: int) -> Iterator[dict[tuple, Counter]]:
-    """Census keys of the nondecreasing tuples t_0 <= .. <= t_k of E^{k+1}
-    by point index, one Counter per equality pattern (see _orderings),
-    handed on at the end of a prefix group once they hold _FLUSH keys.
-    The tuples sharing (t_0 .. t_{k-2}), the last of them lo, form a block
-    of keys for lo <= u <= v, written into one bytearray with one
-    extended-slice assignment per key byte: the pairs u < v row by row,
-    then the pairs u = v.  An area is fixed over the block, or repeated
+    """Census keys, for k >= 2, of the nondecreasing tuples t_0 <= .. <=
+    t_k of E^{k+1} by point index, one Counter per equality pattern (see
+    _orderings), handed on at the end of a prefix group once they hold
+    _FLUSH keys.  The tuples sharing (t_0 .. t_{k-2}), the last of them
+    lo, form a block of keys for lo <= u <= v, written into one bytearray
+    with one extended-slice assignment per key byte: the pairs u < v row
+    by row, then the pairs u = v.  An area is fixed over the block, or repeated
     over v, or a table row from column u + 1 on, or taken at u.  The
     first row (u = lo) is cut alone; the later rows share their pattern
     and are cut in spans of whole keys, about 64 KiB each.
@@ -156,7 +175,7 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> Iterator[dict[tupl
     The prefixes (t_0 .. t_{k-2}) are grouped by the areas among them.
     Every key of a block holds those areas, so two groups share no key,
     and each distinct (pattern, key) is yielded once, whenever the
-    Counters are handed on.  Below k = 3 a prefix has no areas, and there
+    Counters are handed on.  At k = 2 a prefix has no areas, and there
     is one group."""
     n = len(E)
     T = E.area_table
@@ -176,7 +195,7 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> Iterator[dict[tupl
     patterns: dict[tuple, Counter] = defaultdict(Counter)
     for group in groups.values():
         for t in group:
-            lo = t[-1] if t else 0
+            lo = t[-1]
             m = n - lo
             end = m * (m + 1) // 2 * stride
             for o, (i, j, plane) in enumerate(sources):
@@ -192,7 +211,7 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> Iterator[dict[tupl
                     fill = upper + bytes(map(bytes.__getitem__, plane[lo:], range(lo, n)))
                 block[o:end:stride] = fill
             same = tuple(map(operator.eq, t, t[1:]))
-            first, rest = (same + (True,), same + (False,)) if t else (same, same)  # u == lo or not
+            first, rest = same + (True,), same + (False,)  # u == lo or not
             first_row, diagonal = (m - 1) * stride, (m - 1) * m // 2 * stride
             if first_row:
                 patterns[first + (False,)].update(_cut(bytes(view[: first_row - sep]), stride, width))
@@ -210,9 +229,9 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> Iterator[dict[tupl
 
 
 class _Rekeyer:
-    """Relabels the points of tuples of E^{k+1} given by their census keys:
-    that permutes a key's areas and negates some, so it maps classes to
-    classes of the same size and level."""
+    """Relabels the points of tuples of E^{k+1}, k >= 2, given by their
+    census keys: that permutes a key's areas and negates some, so it maps
+    classes to classes of the same size and level."""
 
     def __init__(self, spec: RingSpec, k: int):
         self.width = width = key_width(spec)
@@ -273,6 +292,11 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     """The census of E^{k+1}: ClassSizes, its tally of classes by level
     and size.
 
+    At k = 1 two pairs are equivalent exactly when their one area agrees,
+    so the classes are read off E.area_counts, the nu histogram: one
+    class per area t, of nu(t) tuples, at the level of t.  The kernel
+    described next serves k >= 2.
+
     A tuple's key is its configs.signature, each area's index in
     key_width bytes big-endian.  Only the nondecreasing tuples are keyed,
     one Counter per equality pattern, handed on one prefix group at a
@@ -297,6 +321,11 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     n = len(E)
     check_budget(max(n, 2) ** (k + 1), budget)
     counts = ClassSizes()
+    if k == 1:  # the class of a pair is its area t: nu(t) tuples at the level of t
+        for t, size in E.area_counts.items():
+            sizes = counts.tally.setdefault(E.spec.valuation(t), {})
+            sizes[size] = sizes.get(size, 0) + 1
+        return counts
     if n == 0:
         return counts
     rekeyer = _Rekeyer(E.spec, k)
@@ -474,24 +503,10 @@ class NuHistogram:
 
 
 def nu_histogram(E: PointSet, budget: int = DEFAULT_BUDGET) -> NuHistogram:
-    """nu(t) = #{(x, y) in E x E : x . y^perp = t}; sums to |E|^2.  Read
-    from E.area_table, the table the census of E uses: one bytes.count per
-    element over each block of rows joined, about 64 KiB at a time, at one
-    byte per area, one Counter over the area slices of every row at wider
-    keys."""
-    spec = E.spec
+    """nu(t) = #{(x, y) in E x E : x . y^perp = t}; sums to |E|^2.  A copy
+    of E.area_counts, charged |E|^2 before the table is built."""
     check_budget(len(E) ** 2, budget)
-    table, width = E.area_table, key_width(spec)
-    if width == 1:
-        codes, tallies = [_BYTES[a] for a in spec.elements()], itertools.repeat(0)
-        rows = max(1, (64 << 10) // max(1, len(E)))
-        for r in range(0, len(table), rows):
-            tallies = list(map(operator.add, tallies, map(b"".join(table[r : r + rows]).count, codes)))
-        return NuHistogram(spec, {a: c for a, c in zip(spec.elements(), tallies) if c})
-    slices: Counter = Counter()
-    for row in table:
-        slices.update(_cut(row, width, width))
-    return NuHistogram(spec, {int.from_bytes(a, "big"): c for a, c in slices.items()})
+    return NuHistogram(E.spec, dict(E.area_counts))
 
 
 @dataclass
@@ -612,14 +627,17 @@ def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     the code (r . x) q + (s . x) for g with rows r and s.  One Counter of
     the codes of every g is read at each y of X in order, so the first
     pair that differs is named, and an image outside X is never read.
-    Memory is O(q^2 + |G|) at a time."""
+    Memory is O(q^2 + |G|) at a time.  |X| = q^2 - (q - #units)^2, every
+    point but those with two non-unit coordinates, is charged before X is
+    listed."""
+    q, order = spec.size(), sl2_order(spec)
+    size = q * q - (q - sum(map(spec.is_unit, spec.elements()))) ** 2
+    check_budget(order * size, budget)
     X = designated_orbit(spec)
-    order = sl2_order(spec)
-    check_budget(order * len(X), budget)
-    expected, rem = divmod(order, len(X))
+    expected, rem = divmod(order, size)
     if rem != 0:
         raise NotTransitive((X[0], X[0]), "group order is not divisible by orbit size")
-    q, plane = spec.size(), list(full_plane_points(spec))
+    plane = list(full_plane_points(spec))
     tops, bottoms = [], []
     for a, b, c, d in enumerate_sl2(spec):
         tops.append(a * q + b)

@@ -128,6 +128,34 @@ def test_count_classes_matches_signature_oracle(E, k):
 
 
 @pytest.mark.parametrize(
+    "E",
+    [
+        PLANE3,
+        random_subset(galois_field(3, 2), 9, 4),
+        full_plane(Z9),
+        random_subset(mod_prime_power(7, 3), 14, 2),  # two-byte areas
+        PointSet(Z9, [(3, 6)]),
+        PointSet(F3, []),
+    ],
+    ids=["F3", "F9s", "Z9", "Z343s", "one-point", "empty"],
+)
+def test_k1_census_is_read_off_the_area_counts(monkeypatch, E):
+    # a pair's class is its one area, so the k = 1 census is nu: one
+    # class per area t, of nu(t) tuples, at the level of t, and the
+    # kernel is never entered
+    def no_kernel(*args):
+        raise AssertionError("the k = 1 census entered the kernel")
+
+    monkeypatch.setattr(census, "_nondecreasing_counts", no_kernel)
+    report = count_classes(E, 1)
+    sizes, tuples_by_level, classes_by_level, tally = _signature_oracle(E, 1)
+    assert sorted(report.class_sizes.values()) == sizes
+    assert report.tuples_by_level == tuples_by_level
+    assert report.classes_by_level == classes_by_level
+    assert report.size_tally == tally
+
+
+@pytest.mark.parametrize(
     "E, k",
     [
         (full_plane(prime_field(7)), 2),
@@ -200,17 +228,22 @@ def test_count_classes_peak_memory_is_the_signature_counts():
 
 
 def test_signature_counts_peak_memory_is_a_few_bytes_per_block_key():
-    # a block of n^2 keys at one byte per area: the byte table, its flat
-    # copy, the block with its separators and the block's bytes copy
-    # take 6 n^2 bytes in all, and no row is kept repeated n times
-    E = full_plane(mod_prime_power(3, 3))
+    # the first block at k = 2 holds n(n + 1)/2 keys of three areas and a
+    # separator: the byte table and the block take 3 n^2 bytes, and the
+    # later rows are cut 64 KiB at a time, so at most 16,384 keys (0.7
+    # MiB as bytes objects and their list) are held cut at once.  Every
+    # area of the set is divisible by 3, so its 729 classes keep the
+    # Counters and the records small; cutting all 29,161 later-row keys
+    # of the first block at once peaked 0.5 MiB higher
+    E = mod_sharpness_set(3, 3)
     tracemalloc.start()
     try:
-        signature_counts(E, 1)
+        counts = signature_counts(E, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * len(E) ** 2
+    assert len(counts) == 729
+    assert peak <= 8 * len(E) ** 2 + 2 ** 20
 
 
 def test_budget_is_checked_before_the_area_table(monkeypatch):
@@ -230,6 +263,44 @@ def test_nu_histogram_checks_its_budget_before_the_area_table(monkeypatch):
     E = full_plane(F5)  # a fresh set, with no table built yet
     with pytest.raises(BudgetExceeded):
         nu_histogram(E, budget=len(E) ** 2 - 1)
+
+
+def _over_budget_calls():
+    """Each engine that takes a budget, as (name, call), on inputs built
+    here, none with an area table yet, and a budget one visit below the
+    engine's charge."""
+    def fresh():
+        return random_subset(F5, 6, 1)
+
+    n, profile = 6, f_profile(fresh())
+    order = sl2_order(F5)
+    yield "count_classes", lambda: count_classes(fresh(), 2, budget=n ** 3 - 1)
+    yield "signature_counts", lambda: signature_counts(fresh(), 1, budget=n ** 2 - 1)
+    yield "nu_histogram", lambda: nu_histogram(fresh(), budget=n ** 2 - 1)
+    yield "f_profile", lambda: f_profile(fresh(), budget=order * n - 1)
+    yield "transitivity_constant", lambda: transitivity_constant(F5, budget=order * 24 - 1)
+    yield "count_bad_tuples_naive", lambda: count_bad_tuples_naive(fresh(), 2, budget=n ** 3 - 1)
+    yield "moment_identity_check", lambda: moment_identity_check(fresh(), profile, budget=order * n * n - 1)
+    yield "good_class_members", lambda: good_class_members(fresh(), 2, budget=n ** 3 - 1)
+
+
+def test_every_engine_charges_its_budget_before_it_builds(monkeypatch):
+    # one visit over the budget must be refused before any table, orbit,
+    # group or plane is listed and before any area or image is computed
+    calls = list(_over_budget_calls())
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the budget check")
+
+    for name in ("area_index_table", "designated_orbit", "enumerate_sl2", "sl2_blocks", "full_plane_points"):
+        monkeypatch.setattr(census, name, no_build)
+    for ring_class in (rings._Residues, rings.GaloisField):
+        for name in ("perp_rows", "perp_dot", "apply_mat"):
+            monkeypatch.setattr(ring_class, name, no_build)
+    for name, call in calls:
+        with pytest.raises(BudgetExceeded) as err:
+            call()
+        assert err.value.required == err.value.budget + 1, name
 
 
 def test_census_independent_of_point_order():
@@ -265,7 +336,7 @@ _KEYED_SETS = [
 ]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("E", _KEYED_SETS, ids=["F3s", "F9s", "Z9s", "Z343s"])
 def test_census_keys_are_the_encoded_signatures(E, k):
     # the kernel keys each nondecreasing tuple by its signature, pattern by
@@ -466,31 +537,33 @@ def test_census_at_k5_keeps_orbits_of_up_to_720_classes(points):
 
 def test_two_records_of_one_orbit_that_disagree_on_its_classes_are_refused(monkeypatch):
     # two collinear points: every area is 0, so the constant tuples and
-    # the tuple (x, y) reach the one key 0 from two patterns.  Dropping
-    # the swap of (x, y) makes that record say 2 classes, the other 1
+    # the tuples (x, x, y) and (x, y, y) reach the one key 0 from three
+    # patterns.  Re-keying under the first ordering alone makes the last
+    # two records say 3 classes, the first 1
     E = PointSet(F3, [(1, 0), (2, 0)])
-    assert signature_counts(E, 1).tally == {1: {4: 1}}
+    assert signature_counts(E, 2).tally == {1: {8: 1}}
     rekey = census._Rekeyer.rekey
     monkeypatch.setattr(census._Rekeyer, "rekey", lambda self, keys, sigmas: rekey(self, keys, sigmas[:1]))
     with pytest.raises(ArithmeticError, match="disagree"):
-        signature_counts(E, 1)
+        signature_counts(E, 2)
 
 
 def test_an_orbit_whose_classes_do_not_split_its_tuples_is_refused(monkeypatch):
-    # x = (0, 1) comes first, so (x, y) has the key 4 and (y, x) the key
-    # 1, one class each.  Listing five orderings of (x, y), two of them
-    # giving the rep 1, makes an orbit of 5 // 2 = 2 classes that would
+    # x = (0, 1) comes first, so x . y^perp = 4, and (x, x, y), (x, y, x)
+    # and (y, x, x) have the keys (0, 4, 4), (4, 0, 1) and (1, 1, 0), one
+    # class each.  Listing five orderings of (x, x, y), two of them giving
+    # the rep (0, 4, 4), makes an orbit of 5 // 2 = 2 classes that would
     # share 5 tuples
     E = PointSet(F5, [(1, 0), (0, 1)])
-    assert signature_counts(E, 1).tally == {1: {2: 1}, 0: {1: 2}}
+    assert signature_counts(E, 2).tally == {1: {2: 1}, 0: {1: 6}}
     orderings = census._orderings
 
     def padded(same):
-        return [*orderings(same), [1, 0], [0, 1], [0, 1]] if same == (False,) else orderings(same)
+        return [*orderings(same), [0, 1, 2], [0, 2, 1]] if same == (True, False) else orderings(same)
 
     monkeypatch.setattr(census, "_orderings", padded)
     with pytest.raises(ArithmeticError, match="evenly"):
-        signature_counts(E, 1)
+        signature_counts(E, 2)
 
 
 @pytest.mark.parametrize("flush", [1, census._FLUSH], ids=["flush-1", "flush-default"])
@@ -865,6 +938,21 @@ def test_transitivity_names_the_first_pair_whose_count_differs(monkeypatch):
     assert err.value.pair == (X[0], X[-1])
 
 
+def test_transitivity_charges_the_orbit_before_listing_it(monkeypatch):
+    # Z/3^7Z: X holds 4,251,528 of the 4,782,969 points of the plane,
+    # which took 1.6 s and 424 MiB to list before the budget refused them
+    def no_orbit(spec):
+        raise AssertionError("the orbit was listed before the budget check")
+
+    monkeypatch.setattr(census, "designated_orbit", no_orbit)
+    spec = mod_prime_power(3, 7)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as err:
+        transitivity_constant(spec, budget=1000)
+    assert time.perf_counter() - start < 0.2
+    assert err.value.required == sl2_order(spec) * 4251528
+
+
 def _pointwise_transitivity(spec, group):
     """The constant |SL_2| / |X| when every pair of the designated orbit X
     is reached by that many g of group, else the first pair that is not,
@@ -1031,12 +1119,13 @@ def test_moment_identity_sees_a_non_unique_good_quadruple(monkeypatch):
 
 def test_nu_second_moment_equals_k1_equivalent_pairs():
     # sum_t nu(t)^2 counts area-coincident quadruples = pairs of
-    # equivalent 2-point configurations
+    # equivalent 2-point configurations, here grouped by signature
+    # without the area table that nu and the k = 1 census read
     for E in (PLANE3, random_subset(F5, 8, 2)):
         hist = nu_histogram(E)
         lhs = sum(c * c for c in hist.counts.values())
-        sizes = count_classes(E, 1).class_sizes
-        assert lhs == sum(c * c for c in sizes.values())
+        sizes = _signature_oracle(E, 1)[0]
+        assert lhs == sum(c * c for c in sizes)
 
 
 def test_mbad_class_sizes_z9():

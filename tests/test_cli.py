@@ -412,6 +412,44 @@ def test_verify_all_computes_each_quantity_once(tmp_path, monkeypatch):
     assert report == {**expected, "ok": True}
 
 
+def test_verify_all_counts_each_point_sets_areas_at_most_once(tmp_path, monkeypatch):
+    """nu and the k = 1 census of a cell read one PointSet.area_counts:
+    each point set builds it at most once, and a census whose cell's nu
+    already ran builds none."""
+    import functools
+
+    from areal import census as cn
+
+    built, nu_sets, after_nu = [], [], []  # built keeps each set alive, so ids stay distinct
+
+    def counted(E, _build=cn.PointSet.area_counts.func):
+        built.append(E)
+        return _build(E)
+
+    area_counts = functools.cached_property(counted)
+    area_counts.__set_name__(cn.PointSet, "area_counts")
+    monkeypatch.setattr(cn.PointSet, "area_counts", area_counts)
+
+    def nu(E, budget, _nu=cn.nu_histogram):
+        nu_sets.append(E)
+        return _nu(E, budget)
+
+    def signature_counts(E, k, budget, _counts=cn.signature_counts):
+        before = len(built)
+        counts = _counts(E, k, budget)
+        if k == 1 and any(E is seen for seen in nu_sets):
+            after_nu.append(len(built) - before)
+        return counts
+
+    monkeypatch.setattr(cn, "nu_histogram", nu)
+    monkeypatch.setattr(cn, "signature_counts", signature_counts)
+    assert main(["verify-all", "--output", str(tmp_path / "report.json")]) == EXIT_OK
+    # the seven plane cells run nu, then the census; the three k = 1
+    # sharpness cells census sets of their own
+    assert len(built) == len({id(E) for E in built}) == 10
+    assert len(nu_sets) == 7 and after_nu == [0] * 7
+
+
 def test_the_memo_holds_no_class_dict():
     """The Z/27Z k=3 sample has 137,851 classes, a 10 MiB class dict;
     the memo keeps only the census's per-level tallies."""
