@@ -57,6 +57,13 @@ def check_budget(required: int, budget: int) -> None:
         raise BudgetExceeded(required, budget)
 
 
+def check_k(k: int) -> None:
+    """Refuse a tuple length k + 1 below 2; every engine that takes k
+    calls it before its budget charge."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 class PointSet:
     """A deduplicated, canonically sorted subset of the ring's plane.  Its
     area_table and area_counts are built on first use and kept, so nu and
@@ -319,6 +326,7 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     is at least 2^{k+1}, which passes the k(k+1)/2 areas of a key, so a
     set of one point or none cannot ask for keys longer than its budget."""
     n = len(E)
+    check_k(k)
     check_budget(max(n, 2) ** (k + 1), budget)
     counts = ClassSizes()
     if k == 1:  # the class of a pair is its area t: nu(t) tuples at the level of t
@@ -469,6 +477,7 @@ def count_bad_tuples_naive(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) ->
     Popcounts count the level-0 extensions and the whole last slot.  It
     calls no census routine and reads no area table or census key."""
     n, spec, top, pts = len(E), E.spec, E.spec.max_level, E.points
+    check_k(k)
     check_budget(n ** (k + 1), budget)
     digits = [bytes(48 + (v >= m) for v in range(256)) for m in range(top + 1)]  # b"0"/b"1"
     # each point's valuation row, reversed so that x_0 is bit 0, read as one int per level
@@ -594,8 +603,7 @@ def moment_lift_check(values, k: int) -> MomentLiftResult:
         raise ValueError("the table must be nonempty")
     if any(v < 0 for v in vals):
         raise ValueError("values must be nonnegative")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k)
     size = len(vals)
     mean = Fraction(sum(vals)) / size
     maximum = Fraction(max(vals))
@@ -612,9 +620,16 @@ def moment_lift_check(values, k: int) -> MomentLiftResult:
 def designated_orbit(spec: RingSpec) -> list[Vec2]:
     """The transitive SL_2 orbit used by the counting lemma: the orbit of
     (1, 0), which is the vectors with a unit coordinate (over a field, the
-    nonzero vectors)."""
+    nonzero vectors).  Only transitivity_constant lists it."""
     unit = spec.is_unit
     return [x for x in full_plane_points(spec) if unit(x[0]) or unit(x[1])]
+
+
+def designated_orbit_size(spec: RingSpec) -> int:
+    """|X| for the designated orbit X, from q is_unit tests: every point
+    but those with two non-unit coordinates, q^2 - (q - #units)^2."""
+    q = spec.size()
+    return q * q - (q - sum(map(spec.is_unit, spec.elements()))) ** 2
 
 
 def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
@@ -627,11 +642,14 @@ def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     the code (r . x) q + (s . x) for g with rows r and s.  One Counter of
     the codes of every g is read at each y of X in order, so the first
     pair that differs is named, and an image outside X is never read.
-    Memory is O(q^2 + |G|) at a time.  |X| = q^2 - (q - #units)^2, every
-    point but those with two non-unit coordinates, is charged before X is
-    listed."""
+    Memory is O(q^2 + |G|) at a time.  |G| |X| is charged before X is
+    listed, with |X| from designated_orbit_size.  Counting the units
+    takes q <= |G| tests and |X| >= 1, so |G| alone is charged first, as
+    a lower bound."""
     q, order = spec.size(), sl2_order(spec)
-    size = q * q - (q - sum(map(spec.is_unit, spec.elements()))) ** 2
+    if order > budget:
+        raise BudgetExceeded(order, budget, exact=False)
+    size = designated_orbit_size(spec)
     check_budget(order * size, budget)
     X = designated_orbit(spec)
     expected, rem = divmod(order, size)
@@ -874,6 +892,7 @@ def good_class_members(
     grouping, which no check uses.  Memory is the number of good tuples,
     so keep to small instances.  The charge is at least 2^{k+1}, as the
     census's is, since each tuple's signature holds k(k+1)/2 areas."""
+    check_k(k)
     check_budget(max(len(E), 2) ** (k + 1), budget)
     spec = E.spec
     out: dict[tuple, list[tuple]] = {}

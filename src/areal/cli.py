@@ -48,11 +48,12 @@ def _fields(result) -> dict:
     return {name: getattr(result, name) for name in shown}
 
 
-def _verdict(out: dict, conditions: dict[str, bool]) -> dict:
-    """Set out["ok"] from the named conditions.  A failing report also
-    lists the false ones under "failed"; a passing report gains no key."""
-    failed = [name for name, holds in conditions.items() if not holds]
-    out["ok"] = not failed
+def _verdict(name: str, values: dict, conditions: dict[str, bool]) -> dict:
+    """The report of check `name`: its values and "ok", set from the
+    named conditions.  A failing report also lists the false ones under
+    "failed"; a passing report gains no key."""
+    failed = [cond for cond, holds in conditions.items() if not holds]
+    out = {"check": name, **values, "ok": not failed}
     if failed:
         out["failed"] = failed
     return out
@@ -203,62 +204,54 @@ class Memo:
 
 # ---------------------------------------------------------------------------
 # Individual checks.  Each takes the experiment's config, point set and
-# memo, and returns a dict with an "ok" flag and every exact quantity it
-# computed; run_experiment spells them all through _report_json.
+# memo, and returns (values, conditions): every exact quantity it
+# computed, and its named boolean conditions.  run_experiment sets each
+# report's verdict from the conditions (_verdict) and spells the values
+# through _report_json.
 
-def _check_lemma_4_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+Checked = tuple[dict, dict[str, bool]]
+
+
+def _check_lemma_4_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     order = sl2_order(cfg.spec)
     cn.check_budget(order, cfg.budget)
     enumerated = sum(1 for _ in enumerate_sl2(cfg.spec))
-    return {
-        "formula": order,
-        "enumerated": enumerated,
-        "ok": order == enumerated,
-    }
+    return {"formula": order, "enumerated": enumerated}, {"formula == enumerated": order == enumerated}
 
 
-def _check_lemma_4_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+def _check_lemma_4_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     spec = cfg.spec
-    orbit = cn.designated_orbit(spec)
     try:
         phi = cn.transitivity_constant(spec, cfg.budget)
     except cn.NotTransitive as exc:
-        return {"ok": False, "counterexample": repr(exc.pair)}
-    return {
-        "phi": phi,
-        "group_order": sl2_order(spec),
-        "orbit_size": len(orbit),
-        "ok": phi * len(orbit) == sl2_order(spec),
-    }
+        return {"counterexample": repr(exc.pair)}, {"transitive": False}
+    order, size = sl2_order(spec), cn.designated_orbit_size(spec)
+    values = {"phi": phi, "group_order": order, "orbit_size": size}
+    return values, {"phi * orbit_size == group_order": phi * size == order}
 
 
-def _check_census(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+def _check_census(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     report = memo.census(E, cfg.k)
-    consistent = (
-        sum(report.tuples_by_level.values()) == report.total_tuples
-        and sum(report.classes_by_level.values()) == report.total_classes
-        and all(c >= 1 for c in report.classes_by_level.values())
-    )
-    return {
-        "ring": _Echo(cfg.spec.to_json()),
-        "k": _Echo(cfg.k),
-        **_fields(report),
-        "ok": consistent,
+    classes = report.classes_by_level.values()
+    return {"ring": _Echo(cfg.spec.to_json()), "k": _Echo(cfg.k), **_fields(report)}, {
+        "tuples_by_level sums to total_tuples": sum(report.tuples_by_level.values()) == report.total_tuples,
+        "classes_by_level sums to total_classes": sum(classes) == report.total_classes,
+        "every level has a class": all(c >= 1 for c in classes),
     }
 
 
-def _check_nu(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+def _check_nu(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     hist = cn.nu_histogram(E, cfg.budget)
     element_json = cfg.spec.element_to_json
+    total, expected = hist.total(), len(E) ** 2
     return {
         "histogram": {json.dumps(element_json(t)): c for t, c in hist.counts.items()},
-        "total": hist.total(),
-        "expected_total": len(E) ** 2,
-        "ok": hist.total() == len(E) ** 2,
-    }
+        "total": total,
+        "expected_total": expected,
+    }, {"total == expected_total": total == expected}
 
 
-def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     spec = cfg.spec
     prof = memo.profile(E)
     ident = identity(spec)
@@ -278,9 +271,9 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         "max": prof.maximum,
         "excess": prof.second_moment_excess,
     }
-    orbit = set(cn.designated_orbit(spec))
-    if E.members <= orbit:
-        orbit_sum, expected = prof.sum_f * len(orbit), sl2_order(spec) * len(E) ** 2
+    if all(spec.is_unit(a) or spec.is_unit(b) for a, b in E.points):  # E lies in the orbit X
+        orbit_sum = prof.sum_f * cn.designated_orbit_size(spec)
+        expected = sl2_order(spec) * len(E) ** 2
         conditions["sum_f_times_orbit == order_times_size_sq"] = orbit_sum == expected
         out["sum_f_times_orbit"] = orbit_sum
         out["order_times_size_sq"] = expected
@@ -290,7 +283,7 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         out["moment_identity"] = ident_report
     except cn.BudgetExceeded:
         out["moment_identity"] = "skipped: budget"
-    return _verdict(out, conditions)
+    return out, conditions
 
 
 def _images(reach: list, idx: tuple) -> list:
@@ -305,7 +298,7 @@ def _images(reach: list, idx: tuple) -> list:
     return walk
 
 
-def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     """Every pair of equivalent good tuples is related by exactly one
     group element, found both by the move bitsets and by recover_g.  Each
     tuple xs of E^{k+1}, in product order, gets one recovery, which is
@@ -314,12 +307,15 @@ def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     has exactly one bit and that element is the recovery's g for ys.  The
     check stops at the first pair that does not.  A good class of c tuples
     yields at most c^2 pairs, so every equivalent pair was reached only
-    when the pairs checked reach the census's sum of c^2.  That sum
-    times |SL_2| is charged before the group is enumerated."""
+    when the pairs checked reach the census's sum of c^2.  The walk and
+    the |SL_2| |E| images of group_moves are charged together, as |SL_2|
+    times the larger of that sum and |E|, before the group is enumerated;
+    without a good tuple neither runs, and nothing is charged."""
     spec, points = cfg.spec, E.points
     census = memo.census(E, cfg.k)
     equivalent_pairs = census.equivalent_good_pairs()
-    cn.check_budget(sl2_order(spec) * equivalent_pairs, cfg.budget)
+    images = sl2_order(spec) * max(len(E), equivalent_pairs) if equivalent_pairs else 0
+    cn.check_budget(images, cfg.budget)
     group = list(enumerate_sl2(spec)) if equivalent_pairs else []
     reach = [[(j, m) for j, m in enumerate(row) if m] for row in cn.group_moves(E, group)]
     recoveries = zip(
@@ -343,13 +339,13 @@ def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
             break
         pairs_checked += 1
     report = {"good_classes": census.classes_by_level.get(0, 0), "pairs_checked": pairs_checked}
-    return _verdict(report, {
+    return report, {
         "scan matches recover_g": matched,
         "pairs_checked == equivalent_good_pairs": pairs_checked == equivalent_pairs,
-    })
+    }
 
 
-def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     spec = cfg.spec
     k = cfg.k
     fast = memo.census(E, k).tuples_by_level
@@ -375,15 +371,15 @@ def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         "constant": constant,
         "level_constants": level_constants,
     }
-    return _verdict(report, conditions)
+    return report, conditions
 
 
-def _check_lemma_2_4(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+def _check_lemma_2_4(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     report = cn.flemma_check(memo.census(E, cfg.k), memo.profile(E))
-    return _verdict(_fields(report), report.conditions())
+    return _fields(report), report.conditions()
 
 
-def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     # c_k = 2^{k^2} is a k^2-bit integer: k^2 is charged, and a c_k past
     # the limit on decimal digits is refused, before it is built
     cn.check_budget(cfg.k ** 2, cfg.budget)
@@ -392,20 +388,20 @@ def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
         raise _too_many_digits()
     prof = memo.profile(E)
     result = cn.moment_lift_check(prof.values, cfg.k)
-    return _verdict({
+    return {
         "c_k": result.c_k,
         "lhs": result.lhs,
         "rhs": result.rhs,
         "mean": result.mean,
         "max": result.maximum,
         "excess": result.excess,
-    }, {"lhs <= rhs": result.lhs <= result.rhs, "excess >= 0": result.excess >= 0})
+    }, {"lhs <= rhs": result.lhs <= result.rhs, "excess >= 0": result.excess >= 0}
 
 
-def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     plane = cons.full_plane(cfg.spec)
     report = cn.mbad_class_size_check(memo.census(plane, cfg.k))
-    return _verdict(_fields(report), report.conditions())
+    return _fields(report), report.conditions()
 
 
 def rotation_orbits(E: cn.PointSet, rotations, budget: int) -> tuple[bool, int]:
@@ -424,7 +420,7 @@ def rotation_orbits(E: cn.PointSet, rotations, budget: int) -> tuple[bool, int]:
     return closed, min(sizes, default=0)
 
 
-def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
+def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     spec = cfg.spec
     kind = cfg.construction.get("kind")
     report = memo.census(E, cfg.k)
@@ -439,21 +435,21 @@ def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> dict:
     if kind == "mod-sharpness":
         expected_size = spec.p ** (2 * spec.ell - 1)
         out["expected_size"] = expected_size
-        return _verdict(out, {
+        return out, {
             "set_size == expected_size": len(E) == expected_size,
             "bad_tuples == total_tuples": bad_tuples == report.total_tuples,
-        })
+        }
     rotations = cons.rotation_group(spec)
     closed, min_orbit = rotation_orbits(E, rotations, cfg.budget)
     out["rotation_group_size"] = len(rotations)
     out["min_orbit"] = min_orbit
     out["rotation_closed"] = closed
-    return _verdict(out, {
+    return out, {
         "rotation_closed": closed,
         "2 * min_orbit >= rotation_group_size": 2 * min_orbit >= len(rotations),
         "total_classes * min_orbit <= total_tuples":
             report.total_classes * min_orbit <= report.total_tuples,
-    })
+    }
 
 
 _CHECKS = {
@@ -475,7 +471,7 @@ CHECK_NAMES = tuple(_CHECKS)
 def run_experiment(cfg: ExperimentConfig, *, memo: Memo | None = None) -> dict:
     E = cfg.point_set()
     memo = memo or Memo(cfg.budget)
-    results = [{"check": name, **_CHECKS[name](cfg, E, memo)} for name in cfg.checks]
+    results = [_verdict(name, *_CHECKS[name](cfg, E, memo)) for name in cfg.checks]
     return _report_json({
         "ring": _Echo(cfg.spec.to_json()),
         "construction": _Echo(cfg.construction),

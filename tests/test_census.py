@@ -940,17 +940,22 @@ def test_transitivity_names_the_first_pair_whose_count_differs(monkeypatch):
 
 def test_transitivity_charges_the_orbit_before_listing_it(monkeypatch):
     # Z/3^7Z: X holds 4,251,528 of the 4,782,969 points of the plane,
-    # which took 1.6 s and 424 MiB to list before the budget refused them
-    def no_orbit(spec):
-        raise AssertionError("the orbit was listed before the budget check")
+    # which took 1.6 s and 424 MiB to list before the budget refused them;
+    # counting the 3^15 units of Z/3^15Z for |X| then took about 2 s.
+    # |SL_2| alone passes the budget, so it is refused at that lower bound
+    # before a unit is tested
+    def not_before_the_charge(*args):
+        raise AssertionError("the orbit was listed or a unit tested before the budget check")
 
-    monkeypatch.setattr(census, "designated_orbit", no_orbit)
-    spec = mod_prime_power(3, 7)
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded) as err:
-        transitivity_constant(spec, budget=1000)
-    assert time.perf_counter() - start < 0.2
-    assert err.value.required == sl2_order(spec) * 4251528
+    monkeypatch.setattr(census, "designated_orbit", not_before_the_charge)
+    monkeypatch.setattr(rings.ModPrimePower, "is_unit", not_before_the_charge)
+    for ell in (7, 15, 30):
+        spec = mod_prime_power(3, ell)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as err:
+            transitivity_constant(spec, budget=1000)
+        assert time.perf_counter() - start < 0.01
+        assert err.value.required == sl2_order(spec) and err.value.exact is False
 
 
 def _pointwise_transitivity(spec, group):
@@ -1001,6 +1006,7 @@ def test_designated_orbit_is_the_orbit_of_1_0(spec):
     else:
         expected = [x for x in plane if x != (spec.zero, spec.zero)]
     assert designated_orbit(spec) == expected
+    assert census.designated_orbit_size(spec) == len(expected)
     one_zero = (spec.one, spec.zero)
     assert {spec.apply_mat(g, one_zero) for g in enumerate_sl2(spec)} == set(expected)
 
@@ -1156,6 +1162,22 @@ def test_good_class_members_charges_at_least_2_to_the_k_plus_1():
         good_class_members(PointSet(F3, [(1, 0)]), 3000)
     assert err.value.required == 2 ** 3001
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_every_engine_that_takes_k_refuses_k_below_1(k, monkeypatch):
+    # count_bad_tuples_naive(F_3 plane, 0) used to return the k = 1 counts
+    # of 81 pairs; the others raised from itertools or from signature
+    def no_charge(required, budget):
+        raise AssertionError("charged before k was checked")
+
+    monkeypatch.setattr(census, "check_budget", no_charge)
+    engines = [signature_counts, count_classes, count_bad_tuples, count_bad_tuples_naive, good_class_members]
+    for engine in engines:
+        with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+            engine(PLANE3, k)
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        moment_lift_check([1, 2], k)
 
 
 def test_good_class_members_f3_k1():

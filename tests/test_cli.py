@@ -12,6 +12,7 @@ from areal.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID,
     EXIT_OK,
+    CHECK_NAMES,
     FULL,
     SAMPLE20,
     ExperimentConfig,
@@ -624,7 +625,7 @@ def test_lemma_2_2_fails_when_a_move_mask_loses_a_bit(monkeypatch):
     E, memo = cfg.point_set(), cli.Memo(cfg.budget)
     group_moves = cn.group_moves
     moves = group_moves(E, list(cli.enumerate_sl2(cfg.spec)))
-    assert cli._check_lemma_2_2(cfg, E, memo)["pairs_checked"] == 1152
+    assert cli._check_lemma_2_2(cfg, E, memo)[0]["pairs_checked"] == 1152
     cleared = 0
     for i, x in enumerate(E.points):
         if x == (0, 0):  # in no good tuple at k=1
@@ -637,9 +638,11 @@ def test_lemma_2_2_fails_when_a_move_mask_loses_a_bit(monkeypatch):
                     return table
 
                 monkeypatch.setattr(cn, "group_moves", dropped)
-                report = cli._check_lemma_2_2(cfg, E, memo)
-                assert report["ok"] is False and report["pairs_checked"] < 1152
-                assert report["failed"] == ["pairs_checked == equivalent_good_pairs"]
+                values, conditions = cli._check_lemma_2_2(cfg, E, memo)
+                assert values["pairs_checked"] < 1152
+                assert [name for name, holds in conditions.items() if not holds] == [
+                    "pairs_checked == equivalent_good_pairs"
+                ]
                 cleared += 1
     assert cleared == 8 * 24
 
@@ -1032,6 +1035,125 @@ def test_lemma_3_1_names_each_failed_condition(monkeypatch):
         assert report["ok"] is False and report["failed"] == failed
 
 
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_every_check_returns_its_values_and_named_conditions(name):
+    # run_experiment alone sets "ok" and "failed", from the conditions
+    from areal import cli
+
+    ring = {"family": "mod-prime-power", "p": 3, "ell": 2} if name == "theorem-6.1" else F3_CENSUS["ring"]
+    construction = {"kind": "union-circles", "radii": [1]} if name == "sharpness" else FULL
+    cfg = ExperimentConfig.from_json({"ring": ring, "construction": construction, "checks": [name]})
+    values, conditions = cli._CHECKS[name](cfg, cfg.point_set(), Memo(cfg.budget))
+    assert type(values) is dict and not {"ok", "failed"} & values.keys()
+    assert type(conditions) is dict and conditions
+    assert all(type(cond) is str and type(holds) is bool for cond, holds in conditions.items())
+    assert all(conditions.values())
+
+
+def test_lemma_4_2_names_its_failed_condition(monkeypatch):
+    from areal import cli
+
+    obj = dict(F3_CENSUS, checks=["lemma-4.2"])
+    passing = _one_check(obj)
+    assert passing["ok"] is True and "failed" not in passing
+    enumerate_sl2 = cli.enumerate_sl2
+    monkeypatch.setattr(cli, "enumerate_sl2", lambda spec: list(enumerate_sl2(spec))[1:])
+    assert _one_check(obj) == {"check": "lemma-4.2", "formula": "24", "enumerated": "23",
+                               "ok": False, "failed": ["formula == enumerated"]}
+
+
+def test_nu_names_its_failed_condition(monkeypatch):
+    from areal import census as cn
+
+    obj = dict(F3_CENSUS, checks=["nu"])
+    passing = _one_check(obj)
+    assert passing["ok"] is True and "failed" not in passing
+    nu_histogram = cn.nu_histogram
+
+    def one_pair_dropped(E, budget):
+        hist = nu_histogram(E, budget)
+        return replace(hist, counts={**hist.counts, 0: hist.counts[0] - 1})
+
+    monkeypatch.setattr(cn, "nu_histogram", one_pair_dropped)
+    report = _one_check(obj)
+    assert (report["total"], report["expected_total"]) == ("80", "81")
+    assert report["ok"] is False and report["failed"] == ["total == expected_total"]
+
+
+def test_census_names_each_failed_condition(monkeypatch):
+    from areal import census as cn
+
+    obj = dict(F3_CENSUS, checks=["census"])
+    passing = _one_check(obj)
+    assert passing["ok"] is True and "failed" not in passing
+    count_classes = cn.count_classes
+    for field, change, failed in (
+        # one tuple moves out of level 0, then one class, then an empty level 2 appears
+        ("tuples_by_level", {0: 47}, "tuples_by_level sums to total_tuples"),
+        ("classes_by_level", {0: 1}, "classes_by_level sums to total_classes"),
+        ("classes_by_level", {2: 0}, "every level has a class"),
+    ):
+        def changed(E, k, budget, field=field, change=change):
+            report = count_classes(E, k, budget)
+            getattr(report, field).update(change)
+            return report
+
+        monkeypatch.setattr(cn, "count_classes", changed)
+        report = _one_check(obj)
+        assert report["ok"] is False and report["failed"] == [failed]
+    # the level without a class is the only failure: its zero adds nothing to the sum
+    assert report["classes_by_level"] == {"0": "2", "1": "1", "2": "0"}
+
+
+def test_lemma_4_1_names_each_failed_condition(monkeypatch):
+    from areal import census as cn
+
+    obj = dict(F3_CENSUS, checks=["lemma-4.1"])
+    passing = _one_check(obj)
+    assert passing == {"check": "lemma-4.1", "phi": "3", "group_order": "24", "orbit_size": "8", "ok": True}
+    transitivity_constant = cn.transitivity_constant
+    monkeypatch.setattr(cn, "transitivity_constant", lambda spec, budget: transitivity_constant(spec, budget) + 1)
+    report = _one_check(obj)
+    assert report["ok"] is False and report["failed"] == ["phi * orbit_size == group_order"]
+
+    def not_transitive(spec, budget):
+        raise cn.NotTransitive(((1, 0), (0, 1)))
+
+    monkeypatch.setattr(cn, "transitivity_constant", not_transitive)
+    assert _one_check(obj) == {"check": "lemma-4.1", "counterexample": "((1, 0), (0, 1))",
+                               "ok": False, "failed": ["transitive"]}
+
+
+def test_lemma_4_1_and_f_moments_list_the_orbit_only_inside_transitivity(monkeypatch):
+    # |X| comes from the ring's units, and f-moments tests E against X
+    # point by point, so only transitivity_constant lists X
+    from areal import census as cn
+
+    inside, listed = [], []
+    designated_orbit, transitivity_constant = cn.designated_orbit, cn.transitivity_constant
+
+    def marked(spec, budget):
+        inside.append(True)
+        try:
+            return transitivity_constant(spec, budget)
+        finally:
+            inside.pop()
+
+    def recorded(spec):
+        listed.append(bool(inside))
+        return designated_orbit(spec)
+
+    monkeypatch.setattr(cn, "transitivity_constant", marked)
+    monkeypatch.setattr(cn, "designated_orbit", recorded)
+    assert run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-4.1", "f-moments"])))["ok"]
+    assert listed == [True]
+    # a circle lies in X, so f-moments checks its orbit sum, still without listing X
+    (check,) = run_experiment(ExperimentConfig.from_json(
+        dict(F3_CENSUS, construction={"kind": "circle", "r": 1}, checks=["f-moments"])))["checks"]
+    assert check["ok"] is True and check["sum_f_times_orbit"] == check["order_times_size_sq"]
+    assert listed == [True]
+
+
 def test_f_moments_says_when_the_moment_identity_is_skipped(tmp_path, capsys):
     # f_profile needs |SL_2| * 9 = 216 visits; the identity needs 9^4 = 6561
     obj = dict(F3_CENSUS, checks=["f-moments"], budget=1000)
@@ -1205,6 +1327,38 @@ def test_lemma_2_2_refuses_its_budget_before_enumerating(tmp_path, capsys, monke
     assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
     err = capsys.readouterr().err
     assert err == "budget exceeded: enumeration needs 304432128 tuple visits but the budget is 1000000\n"
+
+
+def test_lemma_2_2_charges_the_move_table_before_building_it(monkeypatch):
+    # over Z/9Z, the nine points of (3Z/9Z)^2 with (1, 0) and (0, 1) have
+    # one good class of one tuple per unit area, so sum |c|^2 = 2; the move
+    # table still takes |SL_2| |E| = 648 * 11 images, which a charge of
+    # 648 * 2 = 1,296 let through
+    from areal import census as cn
+    from areal import cli
+    from areal.rings import ModPrimePower
+
+    cfg = ExperimentConfig.from_json({"ring": {"family": "mod-prime-power", "p": 3, "ell": 2},
+                                      "checks": ["lemma-2.2"], "budget": 648 * 2})
+    nine = [(3 * a, 3 * b) for a in range(3) for b in range(3)]
+    E = cn.PointSet(cfg.spec, nine + [(1, 0), (0, 1)])
+    memo = Memo(cfg.budget)
+    assert memo.census(E, 1).equivalent_good_pairs() == 2
+    applied, apply_mat = [], ModPrimePower.apply_mat
+
+    def counted(self, m, v):
+        applied.append(v)
+        return apply_mat(self, m, v)
+
+    monkeypatch.setattr(ModPrimePower, "apply_mat", counted)
+    with pytest.raises(cn.BudgetExceeded) as err:
+        cli._check_lemma_2_2(cfg, E, memo)
+    assert err.value.required == 648 * 11 and applied == []
+    values, conditions = cli._check_lemma_2_2(replace(cfg, budget=648 * 11), E, memo)
+    assert values["pairs_checked"] == 2 and all(conditions.values())
+    # without (1, 0) and (0, 1) no tuple is good: no group, and no charge past the census's 81
+    values, conditions = cli._check_lemma_2_2(replace(cfg, budget=81), cn.PointSet(cfg.spec, nine), Memo(81))
+    assert values["pairs_checked"] == 0 and all(conditions.values())
 
 
 def test_lemma_3_1_charges_k_squared(tmp_path, capsys):
