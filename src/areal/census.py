@@ -24,6 +24,8 @@ from .linalg import Vec2, enumerate_sl2, sl2_blocks, sl2_order
 from .rings import ModPrimePower, RingSpec
 
 DEFAULT_BUDGET = 10 ** 9
+# What a checker returns: the values it reports and its named conditions.
+Checked = tuple[dict, dict[str, bool]]
 
 
 class BudgetExceeded(Exception):
@@ -55,6 +57,18 @@ def check_budget(required: int, budget: int) -> None:
     every engine calls it before it allocates or enumerates."""
     if required > budget:
         raise BudgetExceeded(required, budget)
+
+
+def check_power_budget(base: int, exp: int, budget: int) -> None:
+    """Charge base^exp visits without building a power past the budget:
+    base^exp >= 2^(exp (b - 1)) for b = base.bit_length(), so once exp (b -
+    1) >= budget.bit_length() it passes the budget for certain, and the
+    lower bound 2^budget.bit_length() is raised as inexact.  A power below
+    2^128 costs nothing to build, so one with exp (b - 1) < 64 is always
+    charged exactly; any other is below 2^(2 budget.bit_length())."""
+    if exp * (base.bit_length() - 1) >= max(budget.bit_length(), 64):
+        raise BudgetExceeded(1 << budget.bit_length(), budget, exact=False)
+    check_budget(base ** exp, budget)
 
 
 def check_k(k: int) -> None:
@@ -327,7 +341,7 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     set of one point or none cannot ask for keys longer than its budget."""
     n = len(E)
     check_k(k)
-    check_budget(max(n, 2) ** (k + 1), budget)
+    check_power_budget(max(n, 2), k + 1, budget)
     counts = ClassSizes()
     if k == 1:  # the class of a pair is its area t: nu(t) tuples at the level of t
         for t, size in E.area_counts.items():
@@ -478,7 +492,7 @@ def count_bad_tuples_naive(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) ->
     calls no census routine and reads no area table or census key."""
     n, spec, top, pts = len(E), E.spec, E.spec.max_level, E.points
     check_k(k)
-    check_budget(n ** (k + 1), budget)
+    check_power_budget(n, k + 1, budget)
     digits = [bytes(48 + (v >= m) for v in range(256)) for m in range(top + 1)]  # b"0"/b"1"
     # each point's valuation row, reversed so that x_0 is bit 0, read as one int per level
     rows = (bytes([spec.valuation(spec.perp_dot(x, y)) for y in pts[::-1]]) for x in pts)
@@ -580,24 +594,12 @@ def f_profile(E: PointSet, budget: int = DEFAULT_BUDGET) -> FProfile:
     )
 
 
-@dataclass
-class MomentLiftResult:
-    k: int
-    c_k: int
-    size: int
-    mean: Fraction
-    maximum: Fraction
-    excess: Fraction
-    lhs: Fraction
-    rhs: Fraction
-    ok: bool
-
-
-def moment_lift_check(values, k: int) -> MomentLiftResult:
+def moment_lift_check(values, k: int) -> Checked:
     """Exact check of the lifting inequality
     sum F^{k+1} <= c_k (M^{k-1} R + A^{k+1} |S|) with c_k = 2^{k^2},
-    for any finite table of nonnegative values (ints or Fractions).  The
-    sums are taken over the values as given, one Fraction made per sum."""
+    for any finite table of nonnegative values (ints or Fractions), as
+    (values, conditions).  The sums are taken over the values as given,
+    one Fraction made per sum."""
     vals = list(values)
     if not vals:
         raise ValueError("the table must be nonempty")
@@ -611,10 +613,8 @@ def moment_lift_check(values, k: int) -> MomentLiftResult:
     c_k = 2 ** (k * k)
     lhs = Fraction(sum(v ** (k + 1) for v in vals))
     rhs = c_k * (maximum ** (k - 1) * excess + mean ** (k + 1) * size)
-    return MomentLiftResult(
-        k=k, c_k=c_k, size=size, mean=mean, maximum=maximum, excess=excess,
-        lhs=lhs, rhs=rhs, ok=lhs <= rhs,
-    )
+    values = {"c_k": c_k, "lhs": lhs, "rhs": rhs, "mean": mean, "max": maximum, "excess": excess}
+    return values, {"lhs <= rhs": lhs <= rhs, "excess >= 0": excess >= 0}
 
 
 def designated_orbit(spec: RingSpec) -> list[Vec2]:
@@ -671,59 +671,23 @@ def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     return expected
 
 
-@dataclass
-class FlemmaReport:
-    good_tuples: int
-    good_classes: int
-    equivalent_good_pairs: int
-    f_power_sum: int
-    cauchy_schwarz_ok: bool
-    f_bound_ok: bool
-
-    def conditions(self) -> dict[str, bool]:
-        return {"cauchy_schwarz_ok": self.cauchy_schwarz_ok, "f_bound_ok": self.f_bound_ok}
-
-    @property
-    def ok(self) -> bool:
-        return all(self.conditions().values())
-
-
-def flemma_check(census: CensusReport, profile: FProfile) -> FlemmaReport:
+def flemma_check(census: CensusReport, profile: FProfile) -> Checked:
     """Both exact inequalities behind the class-count lower bound:
     |G|^2 <= (#good classes) * #{(x, y) in G x G : x ~ y}  and
     #{(x, y) in G x G : x ~ y} <= sum_g f(g)^{k+1},
     where G is the set of good tuples of E^{k+1}, read from the census
-    of E at k and the f profile of E."""
+    of E at k and the f profile of E.  The values repeat both conditions."""
     good_tuples = census.tuples_by_level.get(0, 0)
     good_classes = census.classes_by_level.get(0, 0)
     eq_pairs = census.equivalent_good_pairs()
     f_power_sum = profile.sum_power(census.k + 1)
-    return FlemmaReport(
-        good_tuples=good_tuples,
-        good_classes=good_classes,
-        equivalent_good_pairs=eq_pairs,
-        f_power_sum=f_power_sum,
-        cauchy_schwarz_ok=good_tuples ** 2 <= good_classes * eq_pairs,
-        f_bound_ok=eq_pairs <= f_power_sum,
-    )
-
-
-@dataclass
-class MomentIdentityReport:
-    f_square_sum: int
-    stabilizer_sum: int
-    matched_part: int
-    collinear_part: int
-    matched_quadruples: int = field(repr=False)
-    unique_on_good: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.f_square_sum == self.stabilizer_sum
-            and self.unique_on_good
-            and self.matched_part == self.matched_quadruples
-        )
+    conditions = {
+        "cauchy_schwarz_ok": good_tuples ** 2 <= good_classes * eq_pairs,
+        "f_bound_ok": eq_pairs <= f_power_sum,
+    }
+    values = {"good_tuples": good_tuples, "good_classes": good_classes,
+              "equivalent_good_pairs": eq_pairs, "f_power_sum": f_power_sum}
+    return {**values, **conditions}, conditions
 
 
 def group_moves(E: PointSet, group: list) -> list[list[int]]:
@@ -747,16 +711,15 @@ def group_moves(E: PointSet, group: list) -> list[list[int]]:
     return moves
 
 
-def moment_identity_check(
-    E: PointSet, profile: FProfile, budget: int = DEFAULT_BUDGET
-) -> MomentIdentityReport:
+def moment_identity_check(E: PointSet, profile: FProfile, budget: int = DEFAULT_BUDGET) -> Checked:
     """Exact identity sum_g f(g)^2 = sum over quadruples (x1,x2,y1,y2) of
     #{g : gx1 = y1, gx2 = y2}, with the left side read from the f profile
     of E and the right side counted quadruple by quadruple, as the
     popcount of moves[x1][y1] & moves[x2][y2] (group_moves, built from
     apply_mat), and decomposed into the part where (x1, x2) has unit area
     (each such matched quadruple contributes exactly one g) and the
-    remaining non-unit-area part.  The areas come from perp_dot calls."""
+    remaining non-unit-area part.  The areas come from perp_dot calls.
+    The matched quadruples are counted for the third condition only."""
     spec = E.spec
     n = len(E)
     order = sl2_order(spec)
@@ -786,61 +749,26 @@ def moment_identity_check(
                         unique_on_good = False
                 else:
                     collinear_part += c
-    return MomentIdentityReport(
-        f_square_sum=lhs,
-        stabilizer_sum=stabilizer_sum,
-        matched_part=matched_part,
-        collinear_part=collinear_part,
-        matched_quadruples=matched_quads,
-        unique_on_good=unique_on_good,
-    )
+    values = {"f_square_sum": lhs, "stabilizer_sum": stabilizer_sum, "matched_part": matched_part,
+              "collinear_part": collinear_part, "unique_on_good": unique_on_good}
+    return values, {
+        "f_square_sum == stabilizer_sum": lhs == stabilizer_sum,
+        "unique_on_good": unique_on_good,
+        "matched_part == matched_quadruples": matched_part == matched_quads,
+    }
 
 
 def _power(p: int, exponent: int) -> Fraction:
     return Fraction(p ** exponent) if exponent >= 0 else Fraction(1, p ** (-exponent))
 
 
-@dataclass
-class MBadLevelReport:
-    m: int
-    class_count: int
-    tuple_count: int
-    min_class_size: int
-    size_bound: int
-    count_shape: Fraction
-    count_constant: Fraction
-    size_ok: bool
-
-
-@dataclass
-class MBadReport:
-    spec: RingSpec
-    k: int
-    good_classes: int
-    good_tuples: int
-    group_order: int
-    good_free_action_ok: bool
-    levels: list[MBadLevelReport]
-
-    def conditions(self) -> dict[str, bool]:
-        """Each term of ok, named by its field and the level m."""
-        out = {"good_free_action_ok": self.good_free_action_ok}
-        for lvl in self.levels:
-            out[f"levels[m={lvl.m}].size_ok"] = lvl.size_ok
-            out[f"levels[m={lvl.m}].count_constant <= 4"] = lvl.count_constant <= 4
-        return out
-
-    @property
-    def ok(self) -> bool:
-        return all(self.conditions().values())
-
-
-def mbad_class_size_check(census: CensusReport) -> MBadReport:
+def mbad_class_size_check(census: CensusReport) -> Checked:
     """From the census of the full plane over Z/p^l Z: good classes carry
     a free SL_2 action (size exactly |SL_2|, count x order = tuple
     count), and every m-bad class has at least p^{3l - 2m} members;
     per-m class counts are compared against the shape
-    p^{l(2k-1) + (2-k)m} with the constant reported."""
+    p^{l(2k-1) + (2-k)m} with the constant reported, one dict per level
+    m that has a class.  Each condition is named by its value and m."""
     spec, k = census.spec, census.k
     if not isinstance(spec, ModPrimePower):
         raise TypeError("m-badness analysis needs a mod-prime-power ring")
@@ -853,7 +781,7 @@ def mbad_class_size_check(census: CensusReport) -> MBadReport:
     good_free = good_classes * order == good_tuples and all(
         size == order for size in census.size_tally.get(0, {})
     )
-    levels = []
+    levels, conditions = [], {"good_free_action_ok": good_free}
     for m in range(1, ell + 1):
         tally = census.size_tally.get(m)
         if not tally:
@@ -861,27 +789,17 @@ def mbad_class_size_check(census: CensusReport) -> MBadReport:
         class_count, min_size = sum(tally.values()), min(tally)
         size_bound = p ** (3 * ell - 2 * m)
         shape = _power(p, ell * (2 * k - 1) + (2 - k) * m)
-        levels.append(
-            MBadLevelReport(
-                m=m,
-                class_count=class_count,
-                tuple_count=census.tuples_by_level[m],
-                min_class_size=min_size,
-                size_bound=size_bound,
-                count_shape=shape,
-                count_constant=Fraction(class_count) / shape,
-                size_ok=min_size >= size_bound,
-            )
-        )
-    return MBadReport(
-        spec=spec,
-        k=k,
-        good_classes=good_classes,
-        good_tuples=good_tuples,
-        group_order=order,
-        good_free_action_ok=good_free,
-        levels=levels,
-    )
+        constant, size_ok = Fraction(class_count) / shape, min_size >= size_bound
+        levels.append({
+            "m": m, "class_count": class_count, "tuple_count": census.tuples_by_level[m],
+            "min_class_size": min_size, "size_bound": size_bound, "count_shape": shape,
+            "count_constant": constant, "size_ok": size_ok,
+        })
+        conditions[f"levels[m={m}].size_ok"] = size_ok
+        conditions[f"levels[m={m}].count_constant <= 4"] = constant <= 4
+    values = {"good_classes": good_classes, "good_tuples": good_tuples, "group_order": order,
+              "good_free_action_ok": good_free, "levels": levels}
+    return values, conditions
 
 
 def good_class_members(
@@ -893,7 +811,7 @@ def good_class_members(
     so keep to small instances.  The charge is at least 2^{k+1}, as the
     census's is, since each tuple's signature holds k(k+1)/2 areas."""
     check_k(k)
-    check_budget(max(len(E), 2) ** (k + 1), budget)
+    check_power_budget(max(len(E), 2), k + 1, budget)
     spec = E.spec
     out: dict[tuple, list[tuple]] = {}
     for t in itertools.product(E.points, repeat=k + 1):

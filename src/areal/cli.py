@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import census as cn
@@ -41,24 +41,6 @@ class _Echo:
     value: object
 
 
-def _fields(result) -> dict:
-    """A result dataclass's reported fields: those shown in its repr,
-    except spec and k (which the experiment reports)."""
-    shown = [f.name for f in fields(result) if f.repr and f.name not in ("spec", "k")]
-    return {name: getattr(result, name) for name in shown}
-
-
-def _verdict(name: str, values: dict, conditions: dict[str, bool]) -> dict:
-    """The report of check `name`: its values and "ok", set from the
-    named conditions.  A failing report also lists the false ones under
-    "failed"; a passing report gains no key."""
-    failed = [cond for cond, holds in conditions.items() if not holds]
-    out = {"check": name, **values, "ok": not failed}
-    if failed:
-        out["failed"] = failed
-    return out
-
-
 def _too_many_digits() -> InvalidConfig:
     limit = sys.get_int_max_str_digits()
     return InvalidConfig(f"a report value has more than {limit} decimal digits")
@@ -67,9 +49,9 @@ def _too_many_digits() -> InvalidConfig:
 def _report_json(value):
     """The one spelling of report values: bools and strings stay, ints
     and Fractions become decimal strings, lists and dicts recurse (dict
-    keys through str), a dataclass becomes its _fields, and an _Echo is
-    written as the config spelled it.  A number past the interpreter's
-    limit on decimal digits cannot be reported, so the config is refused."""
+    keys through str), and an _Echo is written as the config spelled it.
+    A number past the interpreter's limit on decimal digits cannot be
+    reported, so the config is refused."""
     if isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, Fraction)):
@@ -83,7 +65,7 @@ def _report_json(value):
         return [_report_json(v) for v in value]
     if isinstance(value, dict):
         return {str(key): _report_json(v) for key, v in value.items()}
-    return _report_json(_fields(value))
+    raise TypeError(f"a report cannot hold a {type(value).__name__}")
 
 
 def _json_object(obj: dict, key: str, default: dict) -> dict:
@@ -205,11 +187,12 @@ class Memo:
 # ---------------------------------------------------------------------------
 # Individual checks.  Each takes the experiment's config, point set and
 # memo, and returns (values, conditions): every exact quantity it
-# computed, and its named boolean conditions.  run_experiment sets each
-# report's verdict from the conditions (_verdict) and spells the values
-# through _report_json.
+# computed, and its named boolean conditions (the census engines'
+# checkers return the same pair).  run_experiment alone sets each
+# report's verdict from the conditions and spells the values through
+# _report_json.
 
-Checked = tuple[dict, dict[str, bool]]
+Checked = cn.Checked
 
 
 def _check_lemma_4_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
@@ -233,7 +216,11 @@ def _check_lemma_4_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Check
 def _check_census(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     report = memo.census(E, cfg.k)
     classes = report.classes_by_level.values()
-    return {"ring": _Echo(cfg.spec.to_json()), "k": _Echo(cfg.k), **_fields(report)}, {
+    return {
+        "ring": _Echo(cfg.spec.to_json()), "k": _Echo(cfg.k), "set_size": report.set_size,
+        "total_tuples": report.total_tuples, "tuples_by_level": report.tuples_by_level,
+        "classes_by_level": report.classes_by_level, "total_classes": report.total_classes,
+    }, {
         "tuples_by_level sums to total_tuples": sum(report.tuples_by_level.values()) == report.total_tuples,
         "classes_by_level sums to total_classes": sum(classes) == report.total_classes,
         "every level has a class": all(c >= 1 for c in classes),
@@ -278,9 +265,8 @@ def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Check
         out["sum_f_times_orbit"] = orbit_sum
         out["order_times_size_sq"] = expected
     try:
-        ident_report = cn.moment_identity_check(E, prof, cfg.budget)
-        conditions["moment_identity.ok"] = ident_report.ok
-        out["moment_identity"] = ident_report
+        out["moment_identity"], parts = cn.moment_identity_check(E, prof, cfg.budget)
+        conditions.update({f"moment_identity.{name}": holds for name, holds in parts.items()})
     except cn.BudgetExceeded:
         out["moment_identity"] = "skipped: budget"
     return out, conditions
@@ -375,8 +361,7 @@ def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Check
 
 
 def _check_lemma_2_4(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
-    report = cn.flemma_check(memo.census(E, cfg.k), memo.profile(E))
-    return _fields(report), report.conditions()
+    return cn.flemma_check(memo.census(E, cfg.k), memo.profile(E))
 
 
 def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
@@ -386,22 +371,11 @@ def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Check
     limit = sys.get_int_max_str_digits()
     if limit and cfg.k ** 2 >= (10 ** limit).bit_length():
         raise _too_many_digits()
-    prof = memo.profile(E)
-    result = cn.moment_lift_check(prof.values, cfg.k)
-    return {
-        "c_k": result.c_k,
-        "lhs": result.lhs,
-        "rhs": result.rhs,
-        "mean": result.mean,
-        "max": result.maximum,
-        "excess": result.excess,
-    }, {"lhs <= rhs": result.lhs <= result.rhs, "excess >= 0": result.excess >= 0}
+    return cn.moment_lift_check(memo.profile(E).values, cfg.k)
 
 
 def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
-    plane = cons.full_plane(cfg.spec)
-    report = cn.mbad_class_size_check(memo.census(plane, cfg.k))
-    return _fields(report), report.conditions()
+    return cn.mbad_class_size_check(memo.census(cons.full_plane(cfg.spec), cfg.k))
 
 
 def rotation_orbits(E: cn.PointSet, rotations, budget: int) -> tuple[bool, int]:
@@ -469,9 +443,19 @@ CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_experiment(cfg: ExperimentConfig, *, memo: Memo | None = None) -> dict:
+    """The experiment's report, the one place a verdict is set: each
+    check's values with "ok" when all its named conditions hold, and
+    otherwise also "failed", the false ones in order."""
     E = cfg.point_set()
     memo = memo or Memo(cfg.budget)
-    results = [_verdict(name, *_CHECKS[name](cfg, E, memo)) for name in cfg.checks]
+    results = []
+    for name in cfg.checks:
+        values, conditions = _CHECKS[name](cfg, E, memo)
+        failed = [cond for cond, holds in conditions.items() if not holds]
+        report = {"check": name, **values, "ok": not failed}
+        if failed:
+            report["failed"] = failed
+        results.append(report)
     return _report_json({
         "ring": _Echo(cfg.spec.to_json()),
         "construction": _Echo(cfg.construction),

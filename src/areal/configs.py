@@ -17,8 +17,7 @@ from .rings import RingSpec
 
 
 class NotEquivalent(Exception):
-    """The two configurations have different signatures (or the algebra
-    produced a candidate that fails pointwise verification)."""
+    """The two configurations have different signatures."""
 
 
 class BothBad(Exception):
@@ -70,38 +69,41 @@ def first_unit_pair(spec: RingSpec, points: tuple[Vec2, ...]):
 def recovery(spec: RingSpec, xs: tuple[Vec2, ...]):
     """None when xs is bad, else the function ys -> g with g the unique
     element of SL_2 with g x^i = y^i for all i (see _recover).  What the
-    function needs of xs whatever ys is comes from one signature: the
-    first unit-area pair (i, j), the areas, and the inverse of B = (x^i
-    x^j), which with d the inverse of the pair's area det B is (d y2,
-    -d y1, -d x2, d x1) for x^i = (x1, x2) and x^j = (y1, y2).  It is a
-    partial of _recover, so its args hold xs, (i, j), the areas and the
-    inverse."""
-    areas = signature(spec, xs)
-    for (i, j), area in zip(pair_indices(len(xs) - 1), areas):
-        if spec.is_unit(area):
-            break
-    else:
+    function needs of xs whatever ys is: the first unit-area pair (i, j)
+    (first_unit_pair), its one area, and the inverse of B = (x^i x^j),
+    which with d the inverse of that area det B is (d y2, -d y1, -d x2,
+    d x1) for x^i = (x1, x2) and x^j = (y1, y2).  It is a partial of
+    _recover, so its args hold xs, (i, j), the area and the inverse."""
+    pair = first_unit_pair(spec, xs)
+    if pair is None:
         return None
-    (x1, x2), (y1, y2) = xs[i], xs[j]
+    i, j = pair
+    (x1, x2), (y1, y2), area = xs[i], xs[j], spec.perp_dot(xs[i], xs[j])
     d, mul, neg = spec.inv(area), spec.mul, spec.neg
     inverse = (mul(d, y2), neg(mul(d, y1)), neg(mul(d, x2)), mul(d, x1))
-    return partial(_recover, spec, xs, (i, j), areas, inverse)
+    return partial(_recover, spec, xs, pair, area, inverse)
 
 
-def _recover(spec: RingSpec, xs, pair, areas, inverse, ys: tuple[Vec2, ...]) -> Mat2:
+def _recover(spec: RingSpec, xs, pair, area, inverse, ys: tuple[Vec2, ...]) -> Mat2:
     """g = (y^i y^j)(x^i x^j)^{-1} for the pair (i, j), each column of the
     inverse sent through (y^i y^j) by apply_mat, then verified on every
-    point; raises NotEquivalent when the signatures differ or
-    verification fails."""
+    point.  Only the pair's area is compared, not the whole signature:
+    when area(y^i, y^j) equals area(x^i, x^j), det g = 1, so g is in
+    SL_2 and keeps every area, and g x = y at every point gives ys the
+    signature of xs.  Conversely, when the signatures agree, x^i and x^j
+    are a basis and every other point of xs and of ys has the same
+    coordinates in its pair, read off the shared areas, so g x = y holds
+    everywhere.  So NotEquivalent is raised exactly when the signatures
+    differ: "signatures differ" when the pair's area does, else naming
+    the first point that g does not send to its y."""
     if len(xs) != len(ys):
         raise ValueError("configurations must have the same number of points")
-    if signature(spec, ys) != areas:
-        raise NotEquivalent("signatures differ")
     (i, j), (a, b, c, d) = pair, inverse
+    if spec.perp_dot(ys[i], ys[j]) != area:
+        raise NotEquivalent("signatures differ")
     target = col_matrix(ys[i], ys[j])
     left, right = spec.apply_mat(target, (a, c)), spec.apply_mat(target, (b, d))
     g = (left[0], right[0], left[1], right[1])
-    # cheap insurance against convention mismatches: never trust the algebra
     for x, y in zip(xs, ys):
         if spec.apply_mat(g, x) != y:
             raise NotEquivalent(f"candidate {g} fails on point {x}")
@@ -111,8 +113,8 @@ def _recover(spec: RingSpec, xs, pair, areas, inverse, ys: tuple[Vec2, ...]) -> 
 def recover_g(spec: RingSpec, xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> Mat2:
     """The unique g in SL_2 with g x^i = y^i for all i, for good xs with
     signature(xs) == signature(ys): recovery(xs) applied to ys.  Raises
-    BothBad when xs is bad and NotEquivalent when the signatures differ
-    or verification fails."""
+    BothBad when xs is bad and NotEquivalent exactly when the signatures
+    differ."""
     recover = recovery(spec, xs)
     if recover is None:
         raise BothBad("base configuration has no unit pairwise area")

@@ -214,14 +214,25 @@ def test_random_subset_size_bounds_are_inclusive(tmp_path, capsys):
 
 def test_census_of_one_point_at_huge_k_exits_on_its_budget(tmp_path, capsys):
     # one point has one tuple, but its census key holds k(k+1)/2 areas:
-    # the census charges at least 2^{k+1}, so it refuses before any key
+    # the census charges at least 2^{k+1}, so it refuses before any key,
+    # at the lower bound 2^30 that passes the 30-bit budget
     obj = dict(F3_CENSUS, construction={"kind": "random-subset", "size": 1, "seed": 1},
                k=100_000, checks=["census"])
     start = time.perf_counter()
     assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
     assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
-    assert err == "budget exceeded: enumeration needs over 2^100001 tuple visits but the budget is 1000000000\n"
+    assert err == "budget exceeded: enumeration needs at least 1073741824 tuple visits but the budget is 1000000000\n"
+
+
+def test_census_of_three_points_at_k_10_to_the_8_refuses_without_building_its_charge(tmp_path, capsys):
+    # 3^(10^8 + 1) took 86 s and 93 MiB to build before the census refused it
+    obj = dict(F3_CENSUS, construction={"kind": "random-subset", "size": 3, "seed": 1},
+               k=10 ** 8, checks=["census"])
+    start = time.perf_counter()
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("budget exceeded: enumeration needs at least 1073741824 ")
 
 
 @pytest.mark.parametrize(
@@ -548,7 +559,7 @@ def test_a_huge_ell_over_a_p_that_is_not_prime_is_invalid(tmp_path, capsys):
 
 def test_lemma_2_2_builds_its_move_table_once_and_applies_nothing_per_tuple(monkeypatch):
     from areal import census as cn
-    from areal import cli
+    from areal import cli, configs
     from areal.rings import PrimeField
 
     applied, config_calls, table_calls = [], [], []
@@ -568,9 +579,13 @@ def test_lemma_2_2_builds_its_move_table_once_and_applies_nothing_per_tuple(monk
         config_calls.append(points)
         return apply_config(spec, g, points)
 
+    def no_signature(spec, points):
+        raise AssertionError("recover_g compares one area, not a signature")
+
     monkeypatch.setattr(PrimeField, "apply_mat", counted_apply)
     monkeypatch.setattr(cn, "group_moves", counted_moves)
     monkeypatch.setattr(cli, "apply_config", counted_config)
+    monkeypatch.setattr(configs, "signature", no_signature)
     report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"], k=2)))
     (check,) = report["checks"]
     assert check == {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14976", "ok": True}
@@ -989,9 +1004,10 @@ def test_f_moments_names_each_failed_condition(monkeypatch):
 
     monkeypatch.setattr(cn, "f_profile", one_more_everywhere)
     report = _one_check(obj)
+    # the identity's moves and areas do not read f, so only its first condition fails
     assert report["ok"] is False and report["failed"] == [
         "f_identity == set_size", "max <= set_size",
-        "sum_f_times_orbit == order_times_size_sq", "moment_identity.ok",
+        "sum_f_times_orbit == order_times_size_sq", "moment_identity.f_square_sum == stabilizer_sum",
     ]
     monkeypatch.setattr(cn, "f_profile", lambda E, budget: replace(
         f_profile(E, budget), second_moment_excess=Fraction(-1)))
@@ -1024,15 +1040,16 @@ def test_lemma_3_1_names_each_failed_condition(monkeypatch):
     passing = _one_check(obj)
     assert passing["ok"] is True and "failed" not in passing
     moment_lift_check = cn.moment_lift_check
-    for changes, failed in (
-        ({"rhs": Fraction(-1)}, ["lhs <= rhs"]),
-        ({"excess": Fraction(-1)}, ["excess >= 0"]),
-        ({"rhs": Fraction(-1), "excess": Fraction(-1)}, ["lhs <= rhs", "excess >= 0"]),
-    ):
-        monkeypatch.setattr(cn, "moment_lift_check", lambda values, k, changes=changes: replace(
-            moment_lift_check(values, k), **changes))
+
+    def falsified(values, k, failed):
+        values, conditions = moment_lift_check(values, k)
+        return values, {**conditions, **dict.fromkeys(failed, False)}
+
+    for failed in (["lhs <= rhs"], ["excess >= 0"], ["lhs <= rhs", "excess >= 0"]):
+        monkeypatch.setattr(cn, "moment_lift_check", lambda values, k, failed=failed: falsified(values, k, failed))
         report = _one_check(obj)
         assert report["ok"] is False and report["failed"] == failed
+        assert report["lhs"] == passing["lhs"] and report["rhs"] == passing["rhs"]
 
 
 @pytest.mark.parametrize("name", CHECK_NAMES)
@@ -1048,6 +1065,47 @@ def test_every_check_returns_its_values_and_named_conditions(name):
     assert type(conditions) is dict and conditions
     assert all(type(cond) is str and type(holds) is bool for cond, holds in conditions.items())
     assert all(conditions.values())
+
+
+@pytest.mark.parametrize(
+    "name", ["flemma_check", "mbad_class_size_check", "moment_lift_check", "moment_identity_check"]
+)
+def test_every_engine_checker_returns_its_values_and_named_conditions(name):
+    # lemma-2.4, theorem-6.1, lemma-3.1 and f-moments report these pairs,
+    # so no engine judges itself
+    from areal import census as cn
+    from areal.constructions import full_plane
+    from areal.rings import mod_prime_power, prime_field
+
+    E, plane = full_plane(prime_field(3)), full_plane(mod_prime_power(3, 2))
+    calls = {
+        "flemma_check": lambda: cn.flemma_check(cn.count_classes(E, 2), cn.f_profile(E)),
+        "mbad_class_size_check": lambda: cn.mbad_class_size_check(cn.count_classes(plane, 2)),
+        "moment_lift_check": lambda: cn.moment_lift_check(cn.f_profile(E).values, 2),
+        "moment_identity_check": lambda: cn.moment_identity_check(E, cn.f_profile(E)),
+    }
+    values, conditions = calls[name]()
+    assert type(values) is dict and not {"ok", "failed"} & values.keys()
+    assert type(conditions) is dict and conditions
+    assert all(type(cond) is str and type(holds) is bool for cond, holds in conditions.items())
+    assert all(conditions.values())
+
+
+@pytest.mark.parametrize(
+    "condition", ["f_square_sum == stabilizer_sum", "unique_on_good", "matched_part == matched_quadruples"]
+)
+def test_f_moments_names_the_failed_moment_identity_condition(monkeypatch, condition):
+    from areal import census as cn
+
+    moment_identity_check = cn.moment_identity_check
+
+    def falsified(E, profile, budget):
+        values, conditions = moment_identity_check(E, profile, budget)
+        return values, {**conditions, condition: False}
+
+    monkeypatch.setattr(cn, "moment_identity_check", falsified)
+    report = _one_check(dict(F3_CENSUS, checks=["f-moments"]))
+    assert report["ok"] is False and report["failed"] == [f"moment_identity.{condition}"]
 
 
 def test_lemma_4_2_names_its_failed_condition(monkeypatch):

@@ -1,7 +1,8 @@
+import functools
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from areal.configs import (
     BothBad,
@@ -114,17 +115,49 @@ def _configurations(draw):
 
 @given(_configurations())
 def test_recovery_base_inverts_the_first_unit_pair(case):
-    # the pair, the areas and the base inverse, all read off one signature
+    # the pair, its one area and the base inverse; no signature of xs is kept
     spec, xs = case
     recover, pair = recovery(spec, xs), first_unit_pair(spec, xs)
     if pair is None:
         assert recover is None
         return
-    (i, j), areas, inverse = recover.args[2:]
-    assert (i, j) == pair and areas == signature(spec, xs)
+    (i, j), area, inverse = recover.args[2:]
+    assert (i, j) == pair and area == spec.perp_dot(xs[i], xs[j])
+    assert area == signature(spec, xs)[pair_indices(len(xs) - 1).index(pair)]
     b = col_matrix(xs[i], xs[j])
     assert mat_mul(spec, inverse, b) == mat_mul(spec, b, inverse) == identity(spec)
     assert recover(xs) == identity(spec)
+
+
+@functools.lru_cache(maxsize=None)
+def _group(spec):
+    return list(enumerate_sl2(spec))
+
+
+@st.composite
+def _perturbed_images(draw):
+    """A good xs of 2 to 4 points over F_5, F_9, Z/9Z or Z/27Z, and ys =
+    g xs for a drawn g of SL_2 with one drawn point then replaced by a
+    drawn point (often itself, and often outside the base pair)."""
+    spec = draw(st.sampled_from([prime_field(5), F9, Z9, mod_prime_power(3, 3)]))
+    point = st.tuples(*[st.integers(0, spec.size() - 1)] * 2)
+    xs = tuple(draw(st.lists(point, min_size=2, max_size=4)))
+    assume(first_unit_pair(spec, xs) is not None)
+    ys = list(apply_config(spec, draw(st.sampled_from(_group(spec))), xs))
+    slot = draw(st.integers(0, len(xs) - 1))
+    ys[slot] = draw(st.one_of(st.just(ys[slot]), point))
+    return spec, xs, tuple(ys)
+
+
+@given(_perturbed_images())
+def test_recover_g_raises_not_equivalent_exactly_when_the_signatures_differ(case):
+    # recover_g compares only the base pair's area, then checks g on every point
+    spec, xs, ys = case
+    if signature(spec, ys) != signature(spec, xs):
+        with pytest.raises(NotEquivalent):
+            recover_g(spec, xs, ys)
+    else:
+        assert apply_config(spec, recover_g(spec, xs, ys), xs) == ys
 
 
 def _scan(spec, xs, ys):
