@@ -59,14 +59,21 @@ def check_budget(required: int, budget: int) -> None:
         raise BudgetExceeded(required, budget)
 
 
+def power_reaches(base: int, exp: int, bits: int) -> bool:
+    """Whether base^exp >= 2^bits is certain from bit lengths alone:
+    base^exp >= 2^(exp (b - 1)) for b = base.bit_length()."""
+    return exp * (base.bit_length() - 1) >= bits
+
+
 def check_power_budget(base: int, exp: int, budget: int) -> None:
-    """Charge base^exp visits without building a power past the budget:
-    base^exp >= 2^(exp (b - 1)) for b = base.bit_length(), so once exp (b -
-    1) >= budget.bit_length() it passes the budget for certain, and the
-    lower bound 2^budget.bit_length() is raised as inexact.  A power below
-    2^128 costs nothing to build, so one with exp (b - 1) < 64 is always
-    charged exactly; any other is below 2^(2 budget.bit_length())."""
-    if exp * (base.bit_length() - 1) >= max(budget.bit_length(), 64):
+    """Charge base^exp visits without building a power past the budget,
+    the one rule that picks an exact charge or a lower bound: once
+    base^exp >= 2^budget.bit_length() is certain (power_reaches), it
+    passes the budget, and that power of two is raised as inexact.  A
+    power below 2^128 costs nothing to build, so one with exp (b - 1) < 64
+    is always charged exactly; any other is below 2^(2
+    budget.bit_length())."""
+    if power_reaches(base, exp, max(budget.bit_length(), 64)):
         raise BudgetExceeded(1 << budget.bit_length(), budget, exact=False)
     check_budget(base ** exp, budget)
 
@@ -462,6 +469,49 @@ def count_classes(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> CensusRe
         total_classes=len(counts),
         class_sizes=counts,
     )
+
+
+def plane_closed_forms(census: CensusReport) -> dict[str, bool]:
+    """Named conditions on the census of the whole plane R^2 at k, each a
+    closed form in q, p, l and k compared with the size tally alone.  Over
+    F_q read p^l as q (l = 1, the top level).
+
+    - Every k: each good class is one free SL_2 orbit (lemma 2.2), so
+      size_tally[0] is {|SL_2|: good classes}.  The top level, every area
+      0, is one class.
+    - F_q, every k: a tuple is bad when all its points lie on one of the q
+      + 1 lines through 0, which share only 0.  So N = (q + 1)(q^{k+1} -
+      1) + 1 tuples are bad, in that one class, and the other q^{2(k+1)}
+      - N tuples fill good classes of q(q^2 - 1) = |SL_2| each.
+    - k <= 2: every tuple of n = k(k+1)/2 areas is realized, so the
+      classes at level m < l number the area tuples whose least valuation
+      is m: p^{n(l - m)} - p^{n(l - m - 1)}, as p^{l - m} elements have
+      valuation >= m.  At k = 1 the pair ((1, 0), (0, a)) has area a.  At
+      k = 2, write the areas (a, b, c) of (x_0 x_1, x_0 x_2, x_1 x_2) as
+      p^m (a', b', c') with a' a unit; then (1, 0), (0, p^m a'), (-c'/a',
+      p^m b') has them, as perp_dot(x, y) = x_1 y_2 - x_2 y_1.  When a' is
+      not a unit, relabel: swapping x_1 and x_2 gives the areas (b, a,
+      -c), swapping x_0 and x_2 gives (-c, -b, -a), so one of the two
+      puts the unit first."""
+    spec, k, tally = census.spec, census.k, census.size_tally
+    q, top = spec.size(), spec.max_level
+    p = q if top == 1 else spec.p
+    classes = [sum(tally.get(m, {}).values()) for m in range(top + 1)]
+    conditions = {
+        "size_tally[0] == {|SL_2|: good classes}": list(tally.get(0, {})) == [sl2_order(spec)],
+        "top level is one class": classes[top] == 1,
+    }
+    if top == 1:
+        bad = (q + 1) * (q ** (k + 1) - 1) + 1
+        conditions["size_tally[1] == {(q+1)(q^(k+1) - 1) + 1: 1}"] = tally.get(1) == {bad: 1}
+        conditions["good classes == (q^(2(k+1)) - (q+1)(q^(k+1) - 1) - 1) / (q^3 - q)"] = (
+            classes[0] * (q ** 3 - q) == q ** (2 * k + 2) - bad)
+    if k <= 2:
+        n = k * (k + 1) // 2
+        for m in range(top):
+            conditions[f"classes at level {m} == p^(n(l - {m})) - p^(n(l - {m} - 1))"] = (
+                classes[m] == p ** (n * (top - m)) - p ** (n * (top - m - 1)))
+    return conditions
 
 
 def count_bad_tuples(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:

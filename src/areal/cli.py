@@ -84,18 +84,18 @@ def _json_int(obj: dict, key: str, default: int) -> int:
 
 def _budget_huge_modulus(ring, budget: int) -> None:
     """Refuse, before p^ell is built, a valid mod-prime-power ring whose
-    q^2 passes the budget (already checked > 0) for certain: p > 2^(b-1) for b =
-    p.bit_length(), so q^2 > 2^(2 ell (b-1)) >= 2^budget.bit_length() >
-    budget once 2 ell (b-1) >= budget.bit_length(), and that power of two
-    is the charge, reported as a lower bound.  point_set would refuse the
+    q^2 = p^(2 ell) passes the budget (already checked > 0) for certain:
+    once q^2 >= 2^budget.bit_length() > budget follows from bit lengths
+    (cn.power_reaches), q^2 is charged through cn.check_power_budget,
+    which gives the exact charge when it is cheap to build and that power
+    of two as a lower bound when it is not.  point_set would refuse the
     plane after building q."""
     if not isinstance(ring, dict) or ring.get("family") != "mod-prime-power":
         return
     p, ell = ring.get("p"), ring.get("ell")
-    if type(p) is type(ell) is int and ell >= 1:
-        if 2 * ell * (p.bit_length() - 1) >= budget.bit_length():
-            prime_field(p)  # refuses a p that is not an odd prime
-            raise cn.BudgetExceeded(1 << budget.bit_length(), budget, exact=False)
+    if type(p) is type(ell) is int and ell >= 1 and cn.power_reaches(p, 2 * ell, budget.bit_length()):
+        prime_field(p)  # refuses a p that is not an odd prime
+        cn.check_power_budget(p, 2 * ell, budget)
 
 
 @dataclass
@@ -214,17 +214,22 @@ def _check_lemma_4_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Check
 
 
 def _check_census(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
+    """The census's own sums, and on the whole plane its closed forms
+    (cn.plane_closed_forms)."""
     report = memo.census(E, cfg.k)
     classes = report.classes_by_level.values()
-    return {
-        "ring": _Echo(cfg.spec.to_json()), "k": _Echo(cfg.k), "set_size": report.set_size,
-        "total_tuples": report.total_tuples, "tuples_by_level": report.tuples_by_level,
-        "classes_by_level": report.classes_by_level, "total_classes": report.total_classes,
-    }, {
+    conditions = {
         "tuples_by_level sums to total_tuples": sum(report.tuples_by_level.values()) == report.total_tuples,
         "classes_by_level sums to total_classes": sum(classes) == report.total_classes,
         "every level has a class": all(c >= 1 for c in classes),
     }
+    if len(E) == cfg.spec.size() ** 2:
+        conditions.update(cn.plane_closed_forms(report))
+    return {
+        "ring": _Echo(cfg.spec.to_json()), "k": _Echo(cfg.k), "set_size": report.set_size,
+        "total_tuples": report.total_tuples, "tuples_by_level": report.tuples_by_level,
+        "classes_by_level": report.classes_by_level, "total_classes": report.total_classes,
+    }, conditions
 
 
 def _check_nu(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:

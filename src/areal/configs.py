@@ -86,12 +86,17 @@ def recovery(spec: RingSpec, xs: tuple[Vec2, ...]):
 
 def _recover(spec: RingSpec, xs, pair, area, inverse, ys: tuple[Vec2, ...]) -> Mat2:
     """g = (y^i y^j)(x^i x^j)^{-1} for the pair (i, j), each column of the
-    inverse sent through (y^i y^j) by apply_mat, then verified on every
-    point.  Only the pair's area is compared, not the whole signature:
-    when area(y^i, y^j) equals area(x^i, x^j), det g = 1, so g is in
-    SL_2 and keeps every area, and g x = y at every point gives ys the
-    signature of xs.  Conversely, when the signatures agree, x^i and x^j
-    are a basis and every other point of xs and of ys has the same
+    inverse sent through (y^i y^j) by apply_mat, then verified at the k - 1
+    points outside the pair.  The pair needs no check: the inverse sends
+    x^i and x^j to (1, 0) and (0, 1), so g sends them to the columns y^i
+    and y^j exactly.  The inverse and g are proved by
+    test_recovery_base_inverts_the_first_unit_pair and by the lemma-2.2
+    scan, which compares every recovered g with the one element that its
+    move bitsets give.  Only the pair's area is compared, not the whole
+    signature: when area(y^i, y^j) equals area(x^i, x^j), det g = 1, so g
+    is in SL_2 and keeps every area, and g x = y at every point gives ys
+    the signature of xs.  Conversely, when the signatures agree, x^i and
+    x^j are a basis and every other point of xs and of ys has the same
     coordinates in its pair, read off the shared areas, so g x = y holds
     everywhere.  So NotEquivalent is raised exactly when the signatures
     differ: "signatures differ" when the pair's area does, else naming
@@ -104,8 +109,8 @@ def _recover(spec: RingSpec, xs, pair, area, inverse, ys: tuple[Vec2, ...]) -> M
     target = col_matrix(ys[i], ys[j])
     left, right = spec.apply_mat(target, (a, c)), spec.apply_mat(target, (b, d))
     g = (left[0], right[0], left[1], right[1])
-    for x, y in zip(xs, ys):
-        if spec.apply_mat(g, x) != y:
+    for s, (x, y) in enumerate(zip(xs, ys)):
+        if s not in pair and spec.apply_mat(g, x) != y:
             raise NotEquivalent(f"candidate {g} fails on point {x}")
     return g
 

@@ -515,12 +515,6 @@ class GaloisField(RingSpec):
             n = n * self.p + c
         return n
 
-    def poly_add(self, a: tuple, b: tuple) -> tuple[int, ...]:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def poly_sub(self, a: tuple, b: tuple) -> tuple[int, ...]:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     def poly_mul(self, a: tuple, b: tuple) -> tuple[int, ...]:
         """The product of a and b mod the modulus."""
         p, e = self.p, self.e

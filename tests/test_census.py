@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from areal import census, rings
 from areal.census import (
@@ -28,6 +28,7 @@ from areal.census import (
     moment_identity_check,
     moment_lift_check,
     nu_histogram,
+    plane_closed_forms,
     signature_counts,
     transitivity_constant,
 )
@@ -78,6 +79,61 @@ def test_budget_error_names_required_budget():
         count_classes(PLANE5, 3, budget=10)
     assert err.value.required == 25 ** 4
     assert "390625" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "spec, k, forms",
+    [(F3, 1, 5), (F3, 2, 5), (F3, 3, 4), (F5, 1, 5), (F5, 2, 5), (F5, 3, 4), (prime_field(7), 2, 5),
+     (galois_field(3, 2), 1, 5), (galois_field(3, 2), 2, 5), (prime_field(11), 2, 5),
+     (Z9, 1, 4), (Z9, 2, 4), (mod_prime_power(3, 3), 1, 5), (mod_prime_power(5, 2), 1, 4),
+     (mod_prime_power(7, 2), 1, 4)],
+    ids=lambda v: v.label() if hasattr(v, "label") else str(v),
+)
+def test_plane_closed_forms_hold_on_every_small_plane(spec, k, forms):
+    # two forms on every plane, two more over F_q, one per level below the
+    # top at k <= 2; the F_q good classes at k = 3 are 260 over F_3 and 3,224
+    # over F_5
+    report = count_classes(full_plane(spec), k)
+    conditions = plane_closed_forms(report)
+    assert len(conditions) == forms and all(conditions.values())
+    if (spec, k) in ((F3, 3), (F5, 3)):
+        assert report.classes_by_level[0] == {3: 260, 5: 3224}[spec.size()]
+
+
+@given(
+    base=st.one_of(st.integers(0, 40), st.integers(0, 1 << 80)),
+    exp=st.one_of(st.integers(1, 200), st.integers(1, 10 ** 9)),
+    budget=st.one_of(st.integers(1, (1 << 64) - 1), st.integers(1, 1 << 200)),
+)
+@example(base=3, exp=64, budget=10 ** 9)  # exp (b - 1) = 64: the first lower bound
+@example(base=3, exp=63, budget=10 ** 9)  # 3^63, the largest exact charge of base 3
+@example(base=5, exp=4, budget=100)  # the Z/25Z plane at budget 100: 625, exactly
+def test_check_power_budget_is_the_one_power_rule(base, exp, budget):
+    # it raises exactly when base^exp > budget; the charge is exact while
+    # exp (bit_length(base) - 1) < max(bit_length(budget), 64), else the
+    # lower bound 2^bit_length(budget); and the one power it builds is
+    # below 2^max(128, 2 bit_length(budget)), so below 2^128 for every
+    # budget below 2^64
+    with mock.patch.object(census, "check_budget", wraps=census.check_budget) as charged:
+        try:
+            census.check_power_budget(base, exp, budget)
+            refused = None
+        except BudgetExceeded as exc:
+            refused = exc
+    built = [call.args[0] for call in charged.call_args_list]
+    assert all(power < 1 << max(128, 2 * budget.bit_length()) for power in built)
+    if exp * (base.bit_length() - 1) < max(budget.bit_length(), 64):
+        assert built == [base ** exp]
+        assert (refused is not None) == (base ** exp > budget)
+        assert refused is None or (refused.exact and refused.required == base ** exp)
+    else:
+        assert built == []
+        assert refused is not None and not refused.exact
+        assert refused.required == 1 << budget.bit_length() > budget
+        assert "at least" in str(refused)
+        # base^exp >= 2^(exp (b - 1)) >= the lower bound, built here while small
+        if exp * base.bit_length() <= 4096:
+            assert base ** exp >= refused.required
 
 
 def _signature_oracle(E, k):

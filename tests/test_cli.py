@@ -557,6 +557,43 @@ def test_a_huge_ell_over_a_p_that_is_not_prime_is_invalid(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("invalid config: bad ring spec")
 
 
+@pytest.mark.parametrize(
+    "command, budget, needs",
+    [("run", 100, 15625), ("verify-all", 100, 625), ("verify-all", 1, 81)],
+    ids=["Z125-census", "verify-all-Z25", "verify-all-Z9"],
+)
+def test_a_modulus_refused_before_it_is_built_is_charged_exactly_when_cheap(
+    tmp_path, capsys, command, budget, needs
+):
+    # q^2 passes these budgets for certain, and is small enough to charge
+    # exactly: 5^6 for Z/125Z, then the first matrix ring refused, Z/25Z
+    # at budget 100 and Z/9Z at budget 1
+    argv = ["verify-all", "--budget", str(budget)]
+    if command == "run":
+        ring = {"family": "mod-prime-power", "p": 5, "ell": 3}
+        argv = ["run", write_config(tmp_path, {"ring": ring, "checks": ["census"], "budget": budget})]
+    assert main(argv) == EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"budget exceeded: enumeration needs {needs} tuple visits but the budget is {budget}\n"
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lemma_2_2_fails_when_inverses_are_off_by_one(tmp_path, capsys, monkeypatch, k):
+    # recover_g checks g only off its base pair, so a wrong base inverse
+    # must show in the scan, which compares each g with its move bitsets
+    from areal.rings import PrimeField
+
+    inv = PrimeField.inv
+    monkeypatch.setattr(PrimeField, "inv", lambda self, a: (inv(self, a) + 1) % self.p)
+    obj = dict(F3_CENSUS, k=k, checks=["lemma-2.2"])
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    (check,) = json.loads(out)["checks"]
+    assert "scan matches recover_g" in check["failed"]
+    assert err == "lemma-2.2: FAIL\n"
+
+
 def test_lemma_2_2_builds_its_move_table_once_and_applies_nothing_per_tuple(monkeypatch):
     from areal import census as cn
     from areal import cli, configs
@@ -591,8 +628,9 @@ def test_lemma_2_2_builds_its_move_table_once_and_applies_nothing_per_tuple(monk
     assert check == {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14976", "ok": True}
     # one table of |SL_2(F_3)| * 9 points; no tuple is sent through the group
     assert table_calls == [24 * 9] and config_calls == []
-    # the other applications are recover_g's: two columns and three points per pair
-    assert len(applied) - 24 * 9 == 14976 * 5
+    # the other applications are recover_g's: two columns, and the one
+    # point outside the base pair, per pair; g sends the pair by construction
+    assert len(applied) - 24 * 9 == 14976 * 3
 
 
 @pytest.mark.parametrize("case", ["F7-subset4-k1", "Z9-subset12-k1", "F9-subset12-k1"])
@@ -1161,6 +1199,75 @@ def test_census_names_each_failed_condition(monkeypatch):
         assert report["ok"] is False and report["failed"] == [failed]
     # the level without a class is the only failure: its zero adds nothing to the sum
     assert report["classes_by_level"] == {"0": "2", "1": "1", "2": "0"}
+
+
+def test_every_full_plane_census_of_the_matrix_checks_its_closed_forms():
+    # 14 full-plane census cells, each with the closed forms of its plane;
+    # the subset cells have none
+    from areal import census as cn
+    from areal import cli
+
+    planes = 0
+    for cfg in canonical_matrix(cn.DEFAULT_BUDGET):
+        if "census" in cfg.checks:
+            E, memo = cfg.point_set(), Memo(cfg.budget)
+            _, conditions = cli._check_census(cfg, E, memo)
+            forms = cn.plane_closed_forms(memo.census(E, cfg.k))
+            full = cfg.construction == FULL
+            planes += full
+            assert list(conditions)[3:] == (list(forms) if full else [])
+            assert all(conditions.values())
+    assert planes == 14
+
+
+def test_census_names_the_closed_form_that_a_wrong_area_count_breaks(monkeypatch):
+    # nu loses one pair of area 1 on the F_3 plane: one good class of the
+    # k = 1 census is no longer a free orbit
+    from areal import census as cn
+
+    area_counts = cn.PointSet.area_counts.func
+    lost = property(lambda self: {t: c - (t == 1) for t, c in area_counts(self).items()})
+    monkeypatch.setattr(cn.PointSet, "area_counts", lost)
+    report = _one_check(dict(F3_CENSUS, checks=["census"]))
+    assert report["failed"] == [
+        "tuples_by_level sums to total_tuples", "size_tally[0] == {|SL_2|: good classes}",
+    ]
+
+
+def test_census_names_the_closed_forms_that_merged_orbits_break(monkeypatch):
+    # two of the 26 good orbits of the F_3 plane at k = 2 become one class;
+    # the census's own sums still agree
+    from areal import census as cn
+
+    signature_counts = cn.signature_counts
+
+    def merged(E, k, budget):
+        counts = signature_counts(E, k, budget)
+        good = counts.tally[0]
+        good[24] -= 2
+        good[48] = 1
+        return counts
+
+    monkeypatch.setattr(cn, "signature_counts", merged)
+    report = _one_check(dict(F3_CENSUS, k=2, checks=["census"]))
+    assert report["failed"] == [
+        "size_tally[0] == {|SL_2|: good classes}",
+        "good classes == (q^(2(k+1)) - (q+1)(q^(k+1) - 1) - 1) / (q^3 - q)",
+        "classes at level 0 == p^(n(l - 0)) - p^(n(l - 0 - 1))",
+    ]
+
+
+def test_census_names_the_closed_forms_that_a_level_read_too_high_breaks(monkeypatch):
+    # every level-1 class of the Z/9Z plane at k = 2 is read at level 2
+    from areal import census as cn
+
+    key_badness = cn.key_badness
+    monkeypatch.setattr(cn, "key_badness", lambda spec, keys: [m + (m == 1) for m in key_badness(spec, keys)])
+    report = _one_check({"ring": Z9_RING, "k": 2, "checks": ["census"]})
+    assert report["classes_by_level"] == {"0": "702", "2": "27"}
+    assert report["failed"] == [
+        "top level is one class", "classes at level 1 == p^(n(l - 1)) - p^(n(l - 1 - 1))",
+    ]
 
 
 def test_lemma_4_1_names_each_failed_condition(monkeypatch):
