@@ -5,22 +5,24 @@ always with p an odd prime.
 Every element is a plain int, its canonical index in [0, size): the
 residue itself for F_p and Z/p^l Z, and for F_{p^e} the number
 sum c_i p^i whose base-p digits c_0, ..., c_{e-1} are the coefficients
-of the element's polynomial (constant term first).  So index() and
-element() are the identity, two elements are equal iff their ints are,
-and elements serve directly as dict keys and list indexes.  Every
-operation takes the ring as explicit context and raises TypeError for
-an operand that is not an element of it.  Besides the ring operations,
-each family computes the area form perp_dot(x, y) and the SL_2 action
-apply_mat(m, v) in one checked call, since every count reduces to them,
-and perp_rows(xs, ys), the areas of each point of xs with every point of
-ys, which checks every coordinate once before it yields the first row.
+of the element's polynomial (constant term first).  So index() is the
+identity, two elements are equal iff their ints are, and elements serve
+directly as dict keys and list indexes.  Every operation takes the ring
+as explicit context.  RingSpec defines each public operation once: it
+raises TypeError for an operand that is not an element, then calls the
+family's unchecked kernel, so a family is only its arithmetic.  Besides
+the ring operations, there are the area form perp_dot(x, y) and the
+SL_2 action apply_mat(m, v), each one checked call, since every count
+reduces to them, and perp_rows(xs, ys), the areas of each point of xs
+with every point of ys, which checks every coordinate once before it
+yields the first row.
 
 F_p and Z/p^l Z compute residues modulo the cached size.  F_{p^e} reads
 add/mul/neg/inv tables that are built on first use from the modulus
-alone (mul row by row, as multiplication by a is F_p-linear) and shared
-by every instance with the same (p, e, modulus); a - b is a + (-b).
-GF_MAX_ORDER caps the field size, so the q x q tables stay small.  JSON
-still spells F_{p^e} elements as coefficient lists.
+alone (mul row by row from add, as multiplication by a is F_p-linear)
+and shared by every instance with the same (p, e, modulus); a - b is
+a + (-b).  GF_MAX_ORDER caps the field size, so the q x q tables stay
+small.  JSON still spells F_{p^e} elements as coefficient lists.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def checked_int(value, what: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p: ascending coefficient lists, used to build and
+# Polynomials over F_p: ascending coefficient lists, used to find and
 # validate Galois field moduli.
 
 def _poly_trim(cs: list[int]) -> list[int]:
@@ -152,17 +154,18 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
 # Ring families.
 
 class RingSpec:
-    """Shared behavior; construct via prime_field / galois_field /
-    mod_prime_power or ring_from_json.  Each family's __post_init__ sets
-    _q, the ring size."""
+    """The public ring operations, each defined once: it checks that
+    every operand is an element (an int in [0, size)), raises TypeError
+    otherwise, and then calls the family's unchecked kernel (_add, _sub,
+    _mul, _neg, _is_unit, _inv, _perp, _apply, _rows and the _valuations
+    table).  Construct via prime_field / galois_field / mod_prime_power
+    or ring_from_json.  Each family's __post_init__ sets _q, the ring
+    size, and each family defines max_level, label, to_json,
+    element_to_json and element_from_json."""
 
     family: str = ""
     zero = 0
     one = 1
-
-    # subclasses define: add, sub, mul, neg, is_unit, inv, valuation,
-    # perp_dot, apply_mat, max_level, to_json, element_to_json,
-    # element_from_json, label
 
     def size(self) -> int:
         return self._q
@@ -171,14 +174,79 @@ class RingSpec:
         """All elements, ascending canonical order, each exactly once."""
         return iter(range(self._q))
 
-    def units(self) -> Iterator[int]:
-        return (a for a in self.elements() if self.is_unit(a))
-
     def index(self, a: int) -> int:
         return a
 
-    def element(self, i: int) -> int:
-        return i
+    def add(self, a: int, b: int) -> int:
+        q = self._q
+        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
+            return self._add(a, b)
+        raise self._reject(a, b)
+
+    def sub(self, a: int, b: int) -> int:
+        q = self._q
+        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
+            return self._sub(a, b)
+        raise self._reject(a, b)
+
+    def mul(self, a: int, b: int) -> int:
+        q = self._q
+        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
+            return self._mul(a, b)
+        raise self._reject(a, b)
+
+    def neg(self, a: int) -> int:
+        if type(a) is int and 0 <= a < self._q:
+            return self._neg(a)
+        raise self._reject(a)
+
+    def is_unit(self, a: int) -> bool:
+        if type(a) is int and 0 <= a < self._q:
+            return self._is_unit(a)
+        raise self._reject(a)
+
+    def inv(self, a: int) -> int:
+        if self.is_unit(a):
+            return self._inv(a)
+        raise NotInvertibleError(f"{a} has no inverse in {self.label()}")
+
+    def valuation(self, a: int) -> int:
+        """Largest m <= max_level with p^m | a (so valuation(0) = max_level)."""
+        if type(a) is int and 0 <= a < self._q:
+            return self._valuations[a]
+        raise self._reject(a)
+
+    def perp_dot(self, x: tuple, y: tuple) -> int:
+        """The area x1*y2 - x2*y1 of two plane vectors, in one call."""
+        q = self._q
+        x1, x2 = x
+        y1, y2 = y
+        if (
+            type(x1) is int and type(x2) is int and type(y1) is int and type(y2) is int
+            and 0 <= x1 < q and 0 <= x2 < q and 0 <= y1 < q and 0 <= y2 < q
+        ):
+            return self._perp(x1, x2, y1, y2)
+        raise self._reject(x1, x2, y1, y2)
+
+    def apply_mat(self, m: tuple, v: tuple) -> tuple[int, int]:
+        """The vector [[a, b], [c, d]] (x, y) for m = (a, b, c, d), in one call."""
+        q = self._q
+        a, b, c, d = m
+        x, y = v
+        if (
+            type(a) is int and type(b) is int and type(c) is int and type(d) is int
+            and type(x) is int and type(y) is int
+            and 0 <= a < q and 0 <= b < q and 0 <= c < q and 0 <= d < q
+            and 0 <= x < q and 0 <= y < q
+        ):
+            return self._apply(a, b, c, d, x, y)
+        raise self._reject(a, b, c, d, x, y)
+
+    def perp_rows(self, xs, ys) -> Iterator[list[int]]:
+        """[perp_dot(x, y) for y in ys] for each x of xs in turn, for
+        sequences xs and ys, every coordinate checked before the first row."""
+        self._check_points(xs, ys)
+        yield from self._rows(xs, ys)
 
     def _check_points(self, xs, ys) -> None:
         """Raise TypeError unless every coordinate of the points xs and ys
@@ -197,72 +265,41 @@ class RingSpec:
         bad = next(a for a in operands if type(a) is not int or not 0 <= a < q)
         return TypeError(f"{bad!r} is not an element of {self.label()}")
 
-    def __repr__(self):
-        return self.label()
-
 
 class _Residues(RingSpec):
     """Z/nZ arithmetic on residues in [0, n), with n = p^ell = _q."""
 
-    def add(self, a: int, b: int) -> int:
+    def _add(self, a: int, b: int) -> int:
+        return (a + b) % self._q
+
+    def _sub(self, a: int, b: int) -> int:
+        return (a - b) % self._q
+
+    def _mul(self, a: int, b: int) -> int:
+        return (a * b) % self._q
+
+    def _neg(self, a: int) -> int:
+        return -a % self._q
+
+    def _is_unit(self, a: int) -> bool:
+        return a % self.p != 0
+
+    def _inv(self, a: int) -> int:
+        return pow(a, -1, self._q)
+
+    def _perp(self, x1: int, x2: int, y1: int, y2: int) -> int:
+        return (x1 * y2 - x2 * y1) % self._q
+
+    def _apply(self, a: int, b: int, c: int, d: int, x: int, y: int) -> tuple[int, int]:
         q = self._q
-        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
-            return (a + b) % q
-        raise self._reject(a, b)
+        return ((a * x + b * y) % q, (c * x + d * y) % q)
 
-    def sub(self, a: int, b: int) -> int:
-        q = self._q
-        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
-            return (a - b) % q
-        raise self._reject(a, b)
-
-    def mul(self, a: int, b: int) -> int:
-        q = self._q
-        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
-            return (a * b) % q
-        raise self._reject(a, b)
-
-    def neg(self, a: int) -> int:
-        q = self._q
-        if type(a) is int and 0 <= a < q:
-            return -a % q
-        raise self._reject(a)
-
-    def is_unit(self, a: int) -> bool:
-        q = self._q
-        if type(a) is int and 0 <= a < q:
-            return a % self.p != 0
-        raise self._reject(a)
-
-    def inv(self, a: int) -> int:
-        q = self._q
-        if type(a) is not int or not 0 <= a < q:
-            raise self._reject(a)
-        if a % self.p == 0:
-            raise NotInvertibleError(f"{a} has no inverse in {self.label()}")
-        return pow(a, -1, q)
-
-    def perp_dot(self, x: tuple, y: tuple) -> int:
-        """The area x1*y2 - x2*y1 of two plane vectors, in one call."""
-        q = self._q
-        x1, x2 = x
-        y1, y2 = y
-        if (
-            type(x1) is int and type(x2) is int and type(y1) is int and type(y2) is int
-            and 0 <= x1 < q and 0 <= x2 < q and 0 <= y1 < q and 0 <= y2 < q
-        ):
-            return (x1 * y2 - x2 * y1) % q
-        raise self._reject(x1, x2, y1, y2)
-
-    def perp_rows(self, xs, ys) -> Iterator[list[int]]:
-        """[perp_dot(x, y) for y in ys] for each x of xs in turn, for
-        sequences xs and ys, every coordinate checked before the first row.
-
-        While 2(q - 1) fits a byte, a row is C-level passes over one byte
-        per point of ys: x1 * y2 and -x2 * y1 mod q by bytes.translate
-        through multiplication rows, one big-int add of the two (no lane
-        can carry), and one translate that reduces each byte mod q."""
-        self._check_points(xs, ys)
+    def _rows(self, xs, ys) -> Iterator[list[int]]:
+        """The perp_rows kernel.  While 2(q - 1) fits a byte, a row is
+        C-level passes over one byte per point of ys: x1 * y2 and
+        -x2 * y1 mod q by bytes.translate through multiplication rows, one
+        big-int add of the two (no lane can carry), and one translate that
+        reduces each byte mod q."""
         q = self._q
         if 2 * (q - 1) > 255:
             for x1, x2 in xs:
@@ -287,26 +324,6 @@ class _Residues(RingSpec):
     def _byte_reduce(self) -> bytes:
         """Maps each byte v to v mod q, for perp_rows."""
         return bytes([v % self._q for v in range(256)])
-
-    def apply_mat(self, m: tuple, v: tuple) -> tuple[int, int]:
-        """The vector [[a, b], [c, d]] (x, y) for m = (a, b, c, d), in one call."""
-        q = self._q
-        a, b, c, d = m
-        x, y = v
-        if (
-            type(a) is int and type(b) is int and type(c) is int and type(d) is int
-            and type(x) is int and type(y) is int
-            and 0 <= a < q and 0 <= b < q and 0 <= c < q and 0 <= d < q
-            and 0 <= x < q and 0 <= y < q
-        ):
-            return ((a * x + b * y) % q, (c * x + d * y) % q)
-        raise self._reject(a, b, c, d, x, y)
-
-    def valuation(self, a: int) -> int:
-        """Largest m <= max_level with p^m | a (so valuation(0) = max_level)."""
-        if type(a) is int and 0 <= a < self._q:
-            return self._valuations[a]
-        raise self._reject(a)
 
     @cached_property
     def _valuations(self) -> list[int]:
@@ -423,88 +440,47 @@ class GaloisField(RingSpec):
     def _tables(self) -> _GFTables:
         return _galois_tables(self)
 
-    def add(self, a: int, b: int) -> int:
-        q = self._q
-        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
-            return self._tables.add[a][b]
-        raise self._reject(a, b)
+    def _add(self, a: int, b: int) -> int:
+        return self._tables.add[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        q = self._q
-        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
-            return self._tables.add[a][self._tables.neg[b]]
-        raise self._reject(a, b)
+    def _sub(self, a: int, b: int) -> int:
+        t = self._tables
+        return t.add[a][t.neg[b]]
 
-    def mul(self, a: int, b: int) -> int:
-        q = self._q
-        if type(a) is int and type(b) is int and 0 <= a < q and 0 <= b < q:
-            return self._tables.mul[a][b]
-        raise self._reject(a, b)
+    def _mul(self, a: int, b: int) -> int:
+        return self._tables.mul[a][b]
 
-    def neg(self, a: int) -> int:
-        q = self._q
-        if type(a) is int and 0 <= a < q:
-            return self._tables.neg[a]
-        raise self._reject(a)
+    def _neg(self, a: int) -> int:
+        return self._tables.neg[a]
 
-    def is_unit(self, a: int) -> bool:
-        q = self._q
-        if type(a) is int and 0 <= a < q:
-            return a != 0
-        raise self._reject(a)
+    def _is_unit(self, a: int) -> bool:
+        return a != 0
 
-    def inv(self, a: int) -> int:
-        q = self._q
-        if type(a) is not int or not 0 <= a < q:
-            raise self._reject(a)
-        if a == 0:
-            raise NotInvertibleError(f"0 has no inverse in {self.label()}")
+    def _inv(self, a: int) -> int:
         return self._tables.inv[a]
 
-    def perp_dot(self, x: tuple, y: tuple) -> int:
-        """The area x1*y2 - x2*y1 of two plane vectors, in one call."""
-        q = self._q
-        x1, x2 = x
-        y1, y2 = y
-        if (
-            type(x1) is int and type(x2) is int and type(y1) is int and type(y2) is int
-            and 0 <= x1 < q and 0 <= x2 < q and 0 <= y1 < q and 0 <= y2 < q
-        ):
-            t = self._tables
-            mul = t.mul
-            return t.add[mul[x1][y2]][mul[t.neg[x2]][y1]]
-        raise self._reject(x1, x2, y1, y2)
+    def _perp(self, x1: int, x2: int, y1: int, y2: int) -> int:
+        t = self._tables
+        mul = t.mul
+        return t.add[mul[x1][y2]][mul[t.neg[x2]][y1]]
 
-    def perp_rows(self, xs, ys) -> Iterator[list[int]]:
-        """[perp_dot(x, y) for y in ys] for each x of xs in turn, for
-        sequences xs and ys, every coordinate checked before the first row."""
-        self._check_points(xs, ys)
+    def _apply(self, a: int, b: int, c: int, d: int, x: int, y: int) -> tuple[int, int]:
+        t = self._tables
+        mul, add = t.mul, t.add
+        return (add[mul[a][x]][mul[b][y]], add[mul[c][x]][mul[d][y]])
+
+    def _rows(self, xs, ys) -> Iterator[list[int]]:
         t = self._tables
         add, mul, neg = t.add, t.mul, t.neg
         for x1, x2 in xs:
             by_x1, by_minus_x2 = mul[x1], mul[neg[x2]]
             yield [add[by_x1[y2]][by_minus_x2[y1]] for y1, y2 in ys]
 
-    def apply_mat(self, m: tuple, v: tuple) -> tuple[int, int]:
-        """The vector [[a, b], [c, d]] (x, y) for m = (a, b, c, d), in one call."""
-        q = self._q
-        a, b, c, d = m
-        x, y = v
-        if (
-            type(a) is int and type(b) is int and type(c) is int and type(d) is int
-            and type(x) is int and type(y) is int
-            and 0 <= a < q and 0 <= b < q and 0 <= c < q and 0 <= d < q
-            and 0 <= x < q and 0 <= y < q
-        ):
-            t = self._tables
-            mul, add = t.mul, t.add
-            return (add[mul[a][x]][mul[b][y]], add[mul[c][x]][mul[d][y]])
-        raise self._reject(a, b, c, d, x, y)
+    @cached_property
+    def _valuations(self) -> list[int]:
+        return [1] + [0] * (self._q - 1)
 
-    def valuation(self, a: int) -> int:
-        return 0 if self.is_unit(a) else 1
-
-    # -- polynomial reference: coefficient tuples, constant term first -----
+    # -- coefficient tuples, constant term first ---------------------------
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         return _digits(a, self.p, self.e)
@@ -514,17 +490,6 @@ class GaloisField(RingSpec):
         for c in reversed(cs):
             n = n * self.p + c
         return n
-
-    def poly_mul(self, a: tuple, b: tuple) -> tuple[int, ...]:
-        """The product of a and b mod the modulus."""
-        p, e = self.p, self.e
-        conv = [0] * (2 * e - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                conv[i + j] += x * y
-        # reduced mod p first: _poly_mod reduces only the coefficients it touches
-        rem = _poly_mod([c % p for c in conv], self.modulus, p)
-        return tuple(rem) + (0,) * (e - len(rem))
 
     def label(self) -> str:
         return f"F_{self._q}"
@@ -559,29 +524,37 @@ def _galois_tables(F: GaloisField) -> _GFTables:
     neg[a] is where row a of add holds 0.  Multiplication by a is
     F_p-linear, a*(b_0 + b_1 x + ...) = b_0 a + b_1 (a x) + ..., so row a
     of mul is built digit by digit as _digitwise_table builds its rows:
-    level i takes the p multiples of the shift a x^i, and times_x, one
-    polynomial multiplication per element, gives the next shift.  inv[a]
-    is where row a of mul holds 1.  Cached by field value (p, e,
-    modulus), so equal specs share one set."""
+    level i takes the p multiples of the shift a x^i, and times_x gives
+    the next shift.  times_x comes from add alone: with
+    a = low + top p^(e-1), a x = low x + top x^e, where low x shifts the
+    digits of low up one place and x^e = -(m_0 + ... + m_{e-1} x^{e-1})
+    for the modulus m.  inv[a] is where row a of mul holds 1.  Cached by
+    field value (p, e, modulus), so equal specs share one set."""
     p, e, q = F.p, F.e, F.size()
     ints = list(range(q))  # share one int object per element
     add = _digitwise_table(p, e, ints)
-    x = F.coeffs(p)  # index p has digits (0, 1, 0, ...): the element x
-    times_x = [F.from_coeffs(F.poly_mul(F.coeffs(a), x)) for a in ints]
+    x_to_e = F.from_coeffs([-c % p for c in F.modulus[:e]])
+    times_x = [add[low * p][top] for top in _multiples(add, x_to_e, p) for low in range(q // p)]
     mul = []
     for a in ints:
         row, shift = [0], a
         for _ in range(e):
-            multiples = [0]  # c * shift for c in [0, p)
-            for _ in range(p - 1):
-                multiples.append(add[multiples[-1]][shift])
+            by_digit = map(add.__getitem__, _multiples(add, shift, p))
             # indexes below len(row) * p: one more (top) digit over the row so far
-            row = [by_top[low] for by_top in map(add.__getitem__, multiples) for low in row]
+            row = [by_top[low] for by_top in by_digit for low in row]
             shift = times_x[shift]
         mul.append(tuple(row))
     neg = tuple(row.index(0) for row in add)
     inv = (0,) + tuple(mul[a].index(1) for a in ints[1:])
     return _GFTables(add=add, mul=tuple(mul), neg=neg, inv=inv)
+
+
+def _multiples(add, a: int, p: int) -> list[int]:
+    """c * a for c in [0, p), by p - 1 lookups in the add table."""
+    out = [0]
+    for _ in range(p - 1):
+        out.append(add[out[-1]][a])
+    return out
 
 
 def _digitwise_table(p: int, e: int, ints: list[int]) -> tuple[tuple[int, ...], ...]:

@@ -13,6 +13,9 @@ from areal.rings import (
     GaloisField,
     ModPrimePower,
     NotInvertibleError,
+    PrimeField,
+    RingSpec,
+    _Residues,
     find_irreducible,
     galois_field,
     is_irreducible,
@@ -70,18 +73,42 @@ def test_galois_inv_against_exhaustive_search():
 
 
 def test_inv_of_nonunit_raises():
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotInvertibleError, match=r"^3 has no inverse in Z/9Z$"):
         Z9.inv(3)
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotInvertibleError, match=r"^0 has no inverse in F_5$"):
         F5.inv(0)
-    with pytest.raises(NotInvertibleError):
+    with pytest.raises(NotInvertibleError, match=r"^0 has no inverse in F_9$"):
         F9.inv(F9.zero)
+
+
+def test_huge_ring_ops_build_no_tables():
+    # is_unit, inv, neg and add are O(1): none reads the q-entry valuation list
+    spec = mod_prime_power(3, 40)
+    q = spec.size()
+    start = time.perf_counter()
+    assert spec.is_unit(2) and not spec.is_unit(3)
+    assert spec.mul(2, spec.inv(2)) == 1
+    assert spec.add(q - 1, spec.neg(q - 1)) == 0
+    assert time.perf_counter() - start < 0.1
+    assert "_valuations" not in vars(spec)
+
+
+PUBLIC_OPS = (
+    "add", "sub", "mul", "neg", "is_unit", "inv", "valuation", "perp_dot", "apply_mat", "perp_rows"
+)
+
+
+def test_public_ops_are_defined_only_on_ringspec():
+    # each family supplies kernels; the element rule lives in RingSpec alone
+    assert set(PUBLIC_OPS) <= set(vars(RingSpec))
+    for cls in (_Residues, PrimeField, ModPrimePower, GaloisField):
+        assert not set(PUBLIC_OPS) & set(vars(cls)), cls.__name__
 
 
 def test_enumeration_lengths():
     assert len(list(F3.elements())) == 3
     assert len(list(F9.elements())) == 9
-    assert len(list(Z9.units())) == 6  # phi(9)
+    assert sum(map(Z9.is_unit, Z9.elements())) == 6  # phi(9)
 
 
 @pytest.mark.parametrize("spec", ALL_RINGS, ids=lambda s: s.label())
@@ -91,7 +118,7 @@ def test_unit_count_formula(spec):
         expected = q - q // spec.p
     else:
         expected = q - 1
-    assert sum(1 for _ in spec.units()) == expected
+    assert sum(map(spec.is_unit, spec.elements())) == expected
 
 
 @pytest.mark.parametrize("spec", ALL_RINGS, ids=lambda s: s.label())
@@ -100,7 +127,6 @@ def test_enumeration_canonical_order_and_roundtrip(spec):
     assert len(els) == len(set(els)) == spec.size()
     for i, a in enumerate(els):
         assert spec.index(a) == i
-        assert spec.element(i) == a
 
 
 @pytest.mark.parametrize("spec", ALL_RINGS, ids=lambda s: s.label())
@@ -126,7 +152,7 @@ def test_ring_axioms_exhaustive(spec):
 
 @pytest.mark.parametrize("spec", ALL_RINGS, ids=lambda s: s.label())
 def test_inv_is_involution_on_units(spec):
-    for a in spec.units():
+    for a in filter(spec.is_unit, spec.elements()):
         assert spec.mul(a, spec.inv(a)) == spec.one
         assert spec.inv(spec.inv(a)) == a
 
@@ -185,7 +211,8 @@ def test_mod_arithmetic_matches_integers(a, b, c):
 def test_galois_field_81_multiplicative_index(i, j):
     # units form a group: product of units is a unit
     spec = galois_field(3, 4)
-    a, b = spec.element(i), spec.element(j)
+    els = list(spec.elements())
+    a, b = els[i], els[j]
     if spec.is_unit(a) and spec.is_unit(b):
         assert spec.is_unit(spec.mul(a, b))
 
@@ -228,6 +255,22 @@ def test_is_prime_refuses_past_its_exact_range():
         prime_field(10 ** 25)
 
 
+def _poly_mul(spec, a, b):
+    """The polynomial reference: the product of the coefficient tuples a
+    and b (constant term first) reduced mod the monic modulus of spec,
+    by schoolbook multiplication and long division."""
+    p, e, m = spec.p, spec.e, spec.modulus
+    conv = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(2 * e - 2, e - 1, -1):  # subtract conv[k] x^(k-e) m(x)
+        top = conv[k]
+        for i, c in enumerate(m):
+            conv[k - e + i] -= top * c
+    return tuple(c % p for c in conv[:e])
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -254,10 +297,10 @@ def test_galois_tables_match_polynomial_reference(spec):
             cb = coeffs[b]
             assert coeffs[spec.add(a, b)] == tuple((x + y) % p for x, y in zip(ca, cb))
             assert coeffs[spec.sub(a, b)] == tuple((x - y) % p for x, y in zip(ca, cb))
-            assert coeffs[spec.mul(a, b)] == spec.poly_mul(ca, cb)
+            assert coeffs[spec.mul(a, b)] == _poly_mul(spec, ca, cb)
         assert coeffs[spec.neg(a)] == tuple(-x % p for x in ca)
         if a:
-            assert spec.poly_mul(ca, coeffs[spec.inv(a)]) == coeffs[1]
+            assert _poly_mul(spec, ca, coeffs[spec.inv(a)]) == coeffs[1]
 
 
 @pytest.mark.parametrize("spec", [galois_field(3, 6), galois_field(31, 2)], ids=lambda s: s.label())
@@ -276,7 +319,7 @@ def test_galois_tables_of_the_largest_fields(spec):
         assert all(spec.sub(a, b) == spec.add(a, spec.neg(b)) for b in sample)
     for _ in range(2000):
         a, b = rng.randrange(q), rng.randrange(q)
-        assert spec.coeffs(spec.mul(a, b)) == spec.poly_mul(spec.coeffs(a), spec.coeffs(b))
+        assert spec.coeffs(spec.mul(a, b)) == _poly_mul(spec, spec.coeffs(a), spec.coeffs(b))
 
 
 def test_galois_tables_are_lazy_and_shared():
@@ -346,20 +389,35 @@ def test_apply_mat_matches_composed_ring_ops_on_samples(spec):
         assert spec.apply_mat(g, x) == _composed_apply_mat(spec, g, x)
 
 
-@pytest.mark.parametrize("spec", [F7, F9, Z27], ids=lambda s: s.label())
+# each checked op with its operand count, called on a flat operand list
+CHECKED_OPS = {
+    "add": (2, lambda spec, ops: spec.add(*ops)),
+    "sub": (2, lambda spec, ops: spec.sub(*ops)),
+    "mul": (2, lambda spec, ops: spec.mul(*ops)),
+    "neg": (1, lambda spec, ops: spec.neg(*ops)),
+    "is_unit": (1, lambda spec, ops: spec.is_unit(*ops)),
+    "inv": (1, lambda spec, ops: spec.inv(*ops)),
+    "valuation": (1, lambda spec, ops: spec.valuation(*ops)),
+    "perp_dot": (4, lambda spec, ops: spec.perp_dot(tuple(ops[:2]), tuple(ops[2:]))),
+    "apply_mat": (6, lambda spec, ops: spec.apply_mat(tuple(ops[:4]), tuple(ops[4:]))),
+}
+
+
+@pytest.mark.parametrize(
+    "spec", [F7, F9, Z27, mod_prime_power(3, 5), galois_field(3, 6)], ids=lambda s: s.label()
+)
 def test_fused_kernels_reject_non_elements(spec):
+    # every public op, with each bad value at each operand position
     good = [1, 2, 0, 1, 1, 2]
-    for bad in (True, spec.size(), -1, "1", 1.0, None):
-        for pos in range(4):
-            ops = good[:4]
-            ops[pos] = bad
-            with pytest.raises(TypeError):
-                spec.perp_dot(tuple(ops[:2]), tuple(ops[2:]))
-        for pos in range(6):
-            ops = list(good)
-            ops[pos] = bad
-            with pytest.raises(TypeError):
-                spec.apply_mat(tuple(ops[:4]), tuple(ops[4:]))
+    for name, (arity, call) in CHECKED_OPS.items():
+        for bad in (True, spec.size(), -1, "1", 1.0, None):
+            message = f"{bad!r} is not an element of {spec.label()}"
+            for pos in range(arity):
+                ops = good[:arity]
+                ops[pos] = bad
+                with pytest.raises(TypeError) as info:
+                    call(spec, ops)
+                assert str(info.value) == message, (name, pos)
 
 
 @pytest.mark.parametrize("spec", [F3, F7, F9, Z9, Z27], ids=lambda s: s.label())
