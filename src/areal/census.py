@@ -159,8 +159,7 @@ def _cut(keys: bytes, step: int, width: int) -> list[bytes]:
     per area (none follows the last key), sliced at wider keys."""
     if width == 1:
         return keys.split(_SEPARATOR)
-    ends = range(step, len(keys) + step, step)
-    return list(map(keys.__getitem__, map(slice, range(0, len(keys), step), ends)))
+    return [keys[i : i + step] for i in range(0, len(keys), step)]
 
 
 def _orderings(same: tuple[bool, ...]) -> Iterator[list[int]]:
@@ -354,8 +353,6 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
         for t, size in E.area_counts.items():
             sizes = counts.tally.setdefault(E.spec.valuation(t), {})
             sizes[size] = sizes.get(size, 0) + 1
-        return counts
-    if n == 0:
         return counts
     rekeyer = _Rekeyer(E.spec, k)
     # record fields: the rep ends at rep_end, the classes at head, the tuples at step
@@ -808,10 +805,6 @@ def moment_identity_check(E: PointSet, profile: FProfile, budget: int = DEFAULT_
     }
 
 
-def _power(p: int, exponent: int) -> Fraction:
-    return Fraction(p ** exponent) if exponent >= 0 else Fraction(1, p ** (-exponent))
-
-
 def mbad_class_size_check(census: CensusReport) -> Checked:
     """From the census of the full plane over Z/p^l Z: good classes carry
     a free SL_2 action (size exactly |SL_2|, count x order = tuple
@@ -838,7 +831,7 @@ def mbad_class_size_check(census: CensusReport) -> Checked:
             continue
         class_count, min_size = sum(tally.values()), min(tally)
         size_bound = p ** (3 * ell - 2 * m)
-        shape = _power(p, ell * (2 * k - 1) + (2 - k) * m)
+        shape = p ** (ell * (2 * k - 1) + (2 - k) * m)
         constant, size_ok = Fraction(class_count) / shape, min_size >= size_bound
         levels.append({
             "m": m, "class_count": class_count, "tuple_count": census.tuples_by_level[m],

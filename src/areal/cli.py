@@ -160,33 +160,38 @@ class ExperimentConfig:
 
 
 class Memo:
-    """The counted quantities of one command, each computed at most once:
+    """What one command builds and counts, each at most once and only when
+    a check first reads it: the point set of every (ring, construction),
     the census of every (ring, points, k) and the f profile of every (ring,
-    points) that a check of any of its experiments asks for.  Two rings can
-    share points (the F_9 and Z/9Z planes), so the ring is in the key.  A
+    points).  Two rings can share points (the F_9 and Z/9Z planes), so the
+    ring is in every key; a construction is keyed by its canonical JSON, a
+    string, and points by a tuple, so the keys of one dict never meet.  A
     census is kept as count_classes returns it: a size tally per level."""
 
     def __init__(self, budget: int):
         self.budget = budget
-        self._censuses: dict = {}
-        self._profiles: dict = {}
+        self._built: dict = {}
+
+    def _get(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def points(self, cfg: ExperimentConfig) -> cn.PointSet:
+        return self._get((cfg.spec, json.dumps(cfg.construction, sort_keys=True)), cfg.point_set)
 
     def census(self, E: cn.PointSet, k: int) -> cn.CensusReport:
-        key = (E.spec, E.points, k)
-        if key not in self._censuses:
-            self._censuses[key] = cn.count_classes(E, k, self.budget)
-        return self._censuses[key]
+        return self._get((E.spec, E.points, k), lambda: cn.count_classes(E, k, self.budget))
 
     def profile(self, E: cn.PointSet) -> cn.FProfile:
-        key = (E.spec, E.points)
-        if key not in self._profiles:
-            self._profiles[key] = cn.f_profile(E, self.budget)
-        return self._profiles[key]
+        return self._get((E.spec, E.points), lambda: cn.f_profile(E, self.budget))
 
 
 # ---------------------------------------------------------------------------
-# Individual checks.  Each takes the experiment's config, point set and
-# memo, and returns (values, conditions): every exact quantity it
+# Individual checks.  Each takes the experiment's config and memo, asks
+# the memo for what it reads (the point set first, before any charge of
+# its own; lemma-4.1 and lemma-4.2 read only the ring, theorem-6.1 only
+# the plane), and returns (values, conditions): every exact quantity it
 # computed, and its named boolean conditions (the census engines'
 # checkers return the same pair).  run_experiment alone sets each
 # report's verdict from the conditions and spells the values through
@@ -195,14 +200,14 @@ class Memo:
 Checked = cn.Checked
 
 
-def _check_lemma_4_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
+def _check_lemma_4_2(cfg: ExperimentConfig, memo: Memo) -> Checked:
     order = sl2_order(cfg.spec)
     cn.check_budget(order, cfg.budget)
     enumerated = sum(1 for _ in enumerate_sl2(cfg.spec))
     return {"formula": order, "enumerated": enumerated}, {"formula == enumerated": order == enumerated}
 
 
-def _check_lemma_4_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
+def _check_lemma_4_1(cfg: ExperimentConfig, memo: Memo) -> Checked:
     spec = cfg.spec
     try:
         phi = cn.transitivity_constant(spec, cfg.budget)
@@ -213,17 +218,17 @@ def _check_lemma_4_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Check
     return values, {"phi * orbit_size == group_order": phi * size == order}
 
 
-def _check_census(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
+def _check_census(cfg: ExperimentConfig, memo: Memo) -> Checked:
     """The census's own sums, and on the whole plane its closed forms
     (cn.plane_closed_forms)."""
-    report = memo.census(E, cfg.k)
+    report = memo.census(memo.points(cfg), cfg.k)
     classes = report.classes_by_level.values()
     conditions = {
         "tuples_by_level sums to total_tuples": sum(report.tuples_by_level.values()) == report.total_tuples,
         "classes_by_level sums to total_classes": sum(classes) == report.total_classes,
         "every level has a class": all(c >= 1 for c in classes),
     }
-    if len(E) == cfg.spec.size() ** 2:
+    if report.set_size == cfg.spec.size() ** 2:
         conditions.update(cn.plane_closed_forms(report))
     return {
         "ring": _Echo(cfg.spec.to_json()), "k": _Echo(cfg.k), "set_size": report.set_size,
@@ -232,7 +237,8 @@ def _check_census(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     }, conditions
 
 
-def _check_nu(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
+def _check_nu(cfg: ExperimentConfig, memo: Memo) -> Checked:
+    E = memo.points(cfg)
     hist = cn.nu_histogram(E, cfg.budget)
     element_json = cfg.spec.element_to_json
     total, expected = hist.total(), len(E) ** 2
@@ -243,8 +249,8 @@ def _check_nu(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
     }, {"total == expected_total": total == expected}
 
 
-def _check_f_moments(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
-    spec = cfg.spec
+def _check_f_moments(cfg: ExperimentConfig, memo: Memo) -> Checked:
+    spec, E = cfg.spec, memo.points(cfg)
     prof = memo.profile(E)
     ident = identity(spec)
     f_identity = next(
@@ -289,7 +295,7 @@ def _images(reach: list, idx: tuple) -> list:
     return walk
 
 
-def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
+def _check_lemma_2_2(cfg: ExperimentConfig, memo: Memo) -> Checked:
     """Every pair of equivalent good tuples is related by exactly one
     group element, found both by the move bitsets and by recover_g.  Each
     tuple xs of E^{k+1}, in product order, gets one recovery, which is
@@ -302,8 +308,8 @@ def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Check
     the |SL_2| |E| images of group_moves are charged together, as |SL_2|
     times the larger of that sum and |E|, before the group is enumerated;
     without a good tuple neither runs, and nothing is charged."""
-    spec, points = cfg.spec, E.points
-    census = memo.census(E, cfg.k)
+    spec, E = cfg.spec, memo.points(cfg)
+    points, census = E.points, memo.census(E, cfg.k)
     equivalent_pairs = census.equivalent_good_pairs()
     images = sl2_order(spec) * max(len(E), equivalent_pairs) if equivalent_pairs else 0
     cn.check_budget(images, cfg.budget)
@@ -336,9 +342,8 @@ def _check_lemma_2_2(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Check
     }
 
 
-def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
-    spec = cfg.spec
-    k = cfg.k
+def _check_lemma_2_3(cfg: ExperimentConfig, memo: Memo) -> Checked:
+    spec, E, k = cfg.spec, memo.points(cfg), cfg.k
     fast = memo.census(E, k).tuples_by_level
     oracle = cn.count_bad_tuples_naive(E, k, cfg.budget)
     bad_total = sum(c for m, c in fast.items() if m >= 1)
@@ -365,11 +370,13 @@ def _check_lemma_2_3(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Check
     return report, conditions
 
 
-def _check_lemma_2_4(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
+def _check_lemma_2_4(cfg: ExperimentConfig, memo: Memo) -> Checked:
+    E = memo.points(cfg)
     return cn.flemma_check(memo.census(E, cfg.k), memo.profile(E))
 
 
-def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
+def _check_lemma_3_1(cfg: ExperimentConfig, memo: Memo) -> Checked:
+    E = memo.points(cfg)
     # c_k = 2^{k^2} is a k^2-bit integer: k^2 is charged, and a c_k past
     # the limit on decimal digits is refused, before it is built
     cn.check_budget(cfg.k ** 2, cfg.budget)
@@ -379,8 +386,8 @@ def _check_lemma_3_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Check
     return cn.moment_lift_check(memo.profile(E).values, cfg.k)
 
 
-def _check_theorem_6_1(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
-    return cn.mbad_class_size_check(memo.census(cons.full_plane(cfg.spec), cfg.k))
+def _check_theorem_6_1(cfg: ExperimentConfig, memo: Memo) -> Checked:
+    return cn.mbad_class_size_check(memo.census(memo.points(replace(cfg, construction=FULL)), cfg.k))
 
 
 def rotation_orbits(E: cn.PointSet, rotations, budget: int) -> tuple[bool, int]:
@@ -399,9 +406,8 @@ def rotation_orbits(E: cn.PointSet, rotations, budget: int) -> tuple[bool, int]:
     return closed, min(sizes, default=0)
 
 
-def _check_sharpness(cfg: ExperimentConfig, E: cn.PointSet, memo: Memo) -> Checked:
-    spec = cfg.spec
-    kind = cfg.construction.get("kind")
+def _check_sharpness(cfg: ExperimentConfig, memo: Memo) -> Checked:
+    spec, E, kind = cfg.spec, memo.points(cfg), cfg.construction.get("kind")
     report = memo.census(E, cfg.k)
     bad_tuples = sum(c for m, c in report.tuples_by_level.items() if m >= 1)
     out = {
@@ -450,12 +456,14 @@ CHECK_NAMES = tuple(_CHECKS)
 def run_experiment(cfg: ExperimentConfig, *, memo: Memo | None = None) -> dict:
     """The experiment's report, the one place a verdict is set: each
     check's values with "ok" when all its named conditions hold, and
-    otherwise also "failed", the false ones in order."""
-    E = cfg.point_set()
+    otherwise also "failed", the false ones in order.  It builds nothing
+    itself: the checks ask the memo for what they read, and set_size is
+    read after them, so a check that reads only the ring runs, or refuses,
+    before the construction is built."""
     memo = memo or Memo(cfg.budget)
     results = []
     for name in cfg.checks:
-        values, conditions = _CHECKS[name](cfg, E, memo)
+        values, conditions = _CHECKS[name](cfg, memo)
         failed = [cond for cond, holds in conditions.items() if not holds]
         report = {"check": name, **values, "ok": not failed}
         if failed:
@@ -465,7 +473,7 @@ def run_experiment(cfg: ExperimentConfig, *, memo: Memo | None = None) -> dict:
         "ring": _Echo(cfg.spec.to_json()),
         "construction": _Echo(cfg.construction),
         "k": _Echo(cfg.k),
-        "set_size": len(E),
+        "set_size": len(memo.points(cfg)),
         "checks": results,
         "ok": all(r["ok"] for r in results),
     })
@@ -584,13 +592,11 @@ def cmd_sweep(args) -> int:
             if con.get("kind") == "random-subset":
                 con["seed"] = seed
             cfg = ExperimentConfig.from_json(exp)
-            E = cfg.point_set()
-            classes = memo.census(E, cfg.k).total_classes
-            plane = replace(cfg, construction=FULL).point_set()
-            plane_classes = memo.census(plane, cfg.k).total_classes
+            report = memo.census(memo.points(cfg), cfg.k)
+            plane = memo.census(memo.points(replace(cfg, construction=FULL)), cfg.k)
             rows.append(
-                f"{variable},{value},{seed},{len(E)},{classes},"
-                f"{plane_classes},{Fraction(classes, plane_classes)}"
+                f"{variable},{value},{seed},{report.set_size},{report.total_classes},"
+                f"{plane.total_classes},{Fraction(report.total_classes, plane.total_classes)}"
             )
     _emit("\n".join(rows) + "\n", path)
     return EXIT_OK

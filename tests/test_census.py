@@ -64,6 +64,11 @@ def test_count_classes_empty_set():
     report = count_classes(PointSet(F3, []), 2)
     assert report.total_classes == 0
     assert report.total_tuples == 0
+    # the kernel keys no tuple of an empty set, at one-byte and two-byte keys alike
+    for spec in (F3, galois_field(3, 2), mod_prime_power(7, 3)):
+        for k in (2, 3, 5):
+            report = count_classes(PointSet(spec, []), k)
+            assert (report.total_classes, report.total_tuples, report.size_tally) == (0, 0, {})
 
 
 def test_count_classes_full_plane_f3_k2_free_good_action():

@@ -111,7 +111,17 @@ def test_run_exit_codes_are_distinct():
     assert {EXIT_OK, EXIT_CHECK_FAILED, EXIT_INVALID, EXIT_BUDGET} == {0, 1, 2, 3}
 
 
-def test_sweep_rows(tmp_path, capsys):
+def test_sweep_rows(tmp_path, capsys, monkeypatch):
+    from areal import cli
+
+    built = []
+    construction_from_json = cli.cons.construction_from_json
+
+    def counted(spec, obj):
+        built.append(obj["kind"])
+        return construction_from_json(spec, obj)
+
+    monkeypatch.setattr(cli.cons, "construction_from_json", counted)
     obj = {
         "experiment": {
             "ring": {"family": "prime-field", "p": 3},
@@ -131,6 +141,8 @@ def test_sweep_rows(tmp_path, capsys):
     first = lines[1].split(",")
     assert first[:4] == ["size", "4", "1", "4"]
     assert int(first[5]) == 3  # plane classes at k=1 over F_3
+    # four random subsets and one plane, which every row's census shares
+    assert sorted(built) == ["full-plane"] + ["random-subset"] * 4
 
 
 def test_sweep_bad_variable(tmp_path, capsys):
@@ -462,6 +474,73 @@ def test_verify_all_counts_each_point_sets_areas_at_most_once(tmp_path, monkeypa
     assert len(nu_sets) == 7 and after_nu == [0] * 7
 
 
+def test_verify_all_builds_each_point_set_and_area_table_once(capsys, monkeypatch):
+    # 33 cells over 15 distinct (ring, construction) pairs, the theorem-6.1
+    # planes among them: one construction and one area table each
+    from test_acceptance import VERIFY_ALL_SHA256
+
+    from areal import census as cn
+    from areal import cli
+
+    built, tables = [], []
+    construction_from_json, area_index_table = cli.cons.construction_from_json, cn.area_index_table
+
+    def constructed(spec, obj):
+        built.append((spec, json.dumps(obj, sort_keys=True)))
+        return construction_from_json(spec, obj)
+
+    def tabled(E):
+        tables.append((E.spec, E.points))
+        return area_index_table(E)
+
+    monkeypatch.setattr(cli.cons, "construction_from_json", constructed)
+    monkeypatch.setattr(cn, "area_index_table", tabled)
+    assert main(["verify-all"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_SHA256
+    assert len(built) == len(set(built)) == 15
+    assert len(tables) == len(set(tables)) == 15
+
+
+@pytest.mark.parametrize("check", ["lemma-4.2", "lemma-4.1"])
+def test_a_ring_only_refusal_builds_no_point_set(tmp_path, capsys, monkeypatch, check):
+    # |SL_2(F_1009)| = 1,027,242,720 is past the default budget of 10^9,
+    # which the plane's q^2 = 1,018,081 points pass
+    from areal import cli
+
+    def unbuilt(spec, obj):
+        raise AssertionError("a ring-only check built the point set")
+
+    monkeypatch.setattr(cli.cons, "construction_from_json", unbuilt)
+    obj = {"ring": {"family": "prime-field", "p": 1009}, "checks": [check]}
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
+    assert "1027242720 tuple visits" in capsys.readouterr().err
+
+
+Z27_RING = {"family": "mod-prime-power", "p": 3, "ell": 3}
+
+
+@pytest.mark.parametrize(
+    "ring, k, checks, code",
+    [
+        ({"family": "prime-field", "p": 1009}, 1, ["lemma-4.2"], EXIT_BUDGET),
+        (Z27_RING, 3, ["theorem-6.1", "census"], EXIT_BUDGET),  # the plane's census: 729^4 tuples
+        ({"family": "prime-field", "p": 7}, 1, ["lemma-4.2", "nu"], EXIT_INVALID),
+        ({"family": "prime-field", "p": 7}, 1, ["lemma-4.2"], EXIT_INVALID),
+    ],
+    ids=["ring-check-refuses-first", "plane-check-refuses-first", "E-read-next", "E-read-for-set-size"],
+)
+def test_checks_refuse_in_order_before_a_malformed_construction(tmp_path, capsys, ring, k, checks, code):
+    # the circle r = 5000 is no element of the ring: it is refused when the
+    # point set is first read, by a check or for the report's set_size,
+    # and a check that reads only the ring or the plane, listed first,
+    # refuses for budget before that
+    obj = {"ring": ring, "k": k, "construction": {"kind": "circle", "r": 5000}, "checks": checks}
+    assert main(["run", write_config(tmp_path, obj)]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith("budget exceeded:" if code == EXIT_BUDGET else "invalid config: bad construction")
+
+
 def test_the_memo_holds_no_class_dict():
     """The Z/27Z k=3 sample has 137,851 classes, a 10 MiB class dict;
     the memo keeps only the census's per-level tallies."""
@@ -675,10 +754,10 @@ def test_lemma_2_2_fails_when_a_move_mask_loses_a_bit(monkeypatch):
     from areal import cli
 
     cfg = ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"]))
-    E, memo = cfg.point_set(), cli.Memo(cfg.budget)
-    group_moves = cn.group_moves
+    memo = cli.Memo(cfg.budget)
+    E, group_moves = memo.points(cfg), cn.group_moves
     moves = group_moves(E, list(cli.enumerate_sl2(cfg.spec)))
-    assert cli._check_lemma_2_2(cfg, E, memo)[0]["pairs_checked"] == 1152
+    assert cli._check_lemma_2_2(cfg, memo)[0]["pairs_checked"] == 1152
     cleared = 0
     for i, x in enumerate(E.points):
         if x == (0, 0):  # in no good tuple at k=1
@@ -691,7 +770,7 @@ def test_lemma_2_2_fails_when_a_move_mask_loses_a_bit(monkeypatch):
                     return table
 
                 monkeypatch.setattr(cn, "group_moves", dropped)
-                values, conditions = cli._check_lemma_2_2(cfg, E, memo)
+                values, conditions = cli._check_lemma_2_2(cfg, memo)
                 assert values["pairs_checked"] < 1152
                 assert [name for name, holds in conditions.items() if not holds] == [
                     "pairs_checked == equivalent_good_pairs"
@@ -870,16 +949,16 @@ def test_theorem_6_1_names_each_failed_condition(monkeypatch):
     assert report["ok"] is False and report["failed"] == ["good_free_action_ok"]
     count_classes = cn.count_classes
 
-    def with_a_lone_bad_tuple(E, k, budget):
-        # one more class of one tuple at every bad level: too small a class,
-        # and too many classes for a shape of 1/100
+    def with_lone_bad_tuples(E, k, budget):
+        # 4 * shape + 1 more classes of one tuple at every bad level m: too
+        # small a class, and too many classes for the shape 3^(2(2k-1) + (2-k)m)
         report = count_classes(E, k, budget)
         for m in (1, 2):
-            report.size_tally[m][1] = report.size_tally[m].get(1, 0) + 1
+            shape = 3 ** (2 * (2 * k - 1) + (2 - k) * m)
+            report.size_tally[m][1] = report.size_tally[m].get(1, 0) + 4 * shape + 1
         return report
 
-    monkeypatch.setattr(cn, "count_classes", with_a_lone_bad_tuple)
-    monkeypatch.setattr(cn, "_power", lambda p, exponent: Fraction(1, 100))
+    monkeypatch.setattr(cn, "count_classes", with_lone_bad_tuples)
     report = _one_check(obj)
     assert report["failed"] == [
         "good_free_action_ok",
@@ -997,10 +1076,10 @@ def test_sharpness_charges_its_rotations_before_applying_any(tmp_path, capsys, m
     inside, applied = [], []
     sharpness, apply_mat = cli._CHECKS["sharpness"], ModPrimePower.apply_mat
 
-    def marked(cfg, E, memo):
+    def marked(cfg, memo):
         inside.append(True)
         try:
-            return sharpness(cfg, E, memo)
+            return sharpness(cfg, memo)
         finally:
             inside.pop()
 
@@ -1098,7 +1177,7 @@ def test_every_check_returns_its_values_and_named_conditions(name):
     ring = {"family": "mod-prime-power", "p": 3, "ell": 2} if name == "theorem-6.1" else F3_CENSUS["ring"]
     construction = {"kind": "union-circles", "radii": [1]} if name == "sharpness" else FULL
     cfg = ExperimentConfig.from_json({"ring": ring, "construction": construction, "checks": [name]})
-    values, conditions = cli._CHECKS[name](cfg, cfg.point_set(), Memo(cfg.budget))
+    values, conditions = cli._CHECKS[name](cfg, Memo(cfg.budget))
     assert type(values) is dict and not {"ok", "failed"} & values.keys()
     assert type(conditions) is dict and conditions
     assert all(type(cond) is str and type(holds) is bool for cond, holds in conditions.items())
@@ -1210,9 +1289,9 @@ def test_every_full_plane_census_of_the_matrix_checks_its_closed_forms():
     planes = 0
     for cfg in canonical_matrix(cn.DEFAULT_BUDGET):
         if "census" in cfg.checks:
-            E, memo = cfg.point_set(), Memo(cfg.budget)
-            _, conditions = cli._check_census(cfg, E, memo)
-            forms = cn.plane_closed_forms(memo.census(E, cfg.k))
+            memo = Memo(cfg.budget)
+            _, conditions = cli._check_census(cfg, memo)
+            forms = cn.plane_closed_forms(memo.census(memo.points(cfg), cfg.k))
             full = cfg.construction == FULL
             planes += full
             assert list(conditions)[3:] == (list(forms) if full else [])
@@ -1507,8 +1586,9 @@ def test_lemma_2_2_charges_the_move_table_before_building_it(monkeypatch):
                                       "checks": ["lemma-2.2"], "budget": 648 * 2})
     nine = [(3 * a, 3 * b) for a in range(3) for b in range(3)]
     E = cn.PointSet(cfg.spec, nine + [(1, 0), (0, 1)])
+    monkeypatch.setattr(cfg, "point_set", lambda: E)  # the memo's one build of the point set
     memo = Memo(cfg.budget)
-    assert memo.census(E, 1).equivalent_good_pairs() == 2
+    assert memo.points(cfg) is E and memo.census(E, 1).equivalent_good_pairs() == 2
     applied, apply_mat = [], ModPrimePower.apply_mat
 
     def counted(self, m, v):
@@ -1517,12 +1597,14 @@ def test_lemma_2_2_charges_the_move_table_before_building_it(monkeypatch):
 
     monkeypatch.setattr(ModPrimePower, "apply_mat", counted)
     with pytest.raises(cn.BudgetExceeded) as err:
-        cli._check_lemma_2_2(cfg, E, memo)
+        cli._check_lemma_2_2(cfg, memo)
     assert err.value.required == 648 * 11 and applied == []
-    values, conditions = cli._check_lemma_2_2(replace(cfg, budget=648 * 11), E, memo)
+    values, conditions = cli._check_lemma_2_2(replace(cfg, budget=648 * 11), memo)
     assert values["pairs_checked"] == 2 and all(conditions.values())
     # without (1, 0) and (0, 1) no tuple is good: no group, and no charge past the census's 81
-    values, conditions = cli._check_lemma_2_2(replace(cfg, budget=81), cn.PointSet(cfg.spec, nine), Memo(81))
+    bare = replace(cfg, budget=81)
+    monkeypatch.setattr(bare, "point_set", lambda: cn.PointSet(cfg.spec, nine))
+    values, conditions = cli._check_lemma_2_2(bare, Memo(81))
     assert values["pairs_checked"] == 0 and all(conditions.values())
 
 
