@@ -519,10 +519,8 @@ def count_bad_tuples(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> dict[
 
 def bad_tuple_shape(spec: RingSpec, k: int, set_size: int, m: int) -> int:
     """The shape of the bound on the number of tuples of E^{k+1} at
-    badness level m: p^{(2l - m)(k + 1) + m} over Z/p^l Z and q^k |E|
-    over F_q; at m = 0 it is |E|^{k+1}, every tuple."""
-    if m == 0:
-        return set_size ** (k + 1)
+    badness level m >= 1: p^{(2l - m)(k + 1) + m} over Z/p^l Z and q^k |E|
+    over F_q."""
     if isinstance(spec, ModPrimePower):
         p, ell = spec.p, spec.ell
         return p ** ((2 * ell - m) * (k + 1) + m)
@@ -636,7 +634,7 @@ def f_profile(E: PointSet, budget: int = DEFAULT_BUDGET) -> FProfile:
         group_order=order,
         sum_f=sum_f,
         mean=mean,
-        maximum=max(values) if values else 0,
+        maximum=max(values),
         second_moment_excess=excess,
     )
 

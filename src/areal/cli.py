@@ -163,13 +163,15 @@ class Memo:
     """What one command builds and counts, each at most once and only when
     a check first reads it: the point set of every (ring, construction),
     the census of every (ring, points, k) and the f profile of every (ring,
-    points).  Two rings can share points (the F_9 and Z/9Z planes), so the
-    ring is in every key; a construction is keyed by its canonical JSON, a
-    string, and points by a tuple, so the keys of one dict never meet.  A
-    census is kept as count_classes returns it: a size tally per level."""
+    points).  Every read is asked by config; a census or profile reads the
+    point set first and is built under cfg.budget, which every config of
+    one command shares.  Two rings can share points (the F_9 and Z/9Z
+    planes), so the ring is in every key; a construction is keyed by its
+    canonical JSON, a string, and points by a tuple, so the keys of one
+    dict never meet.  A census is kept as count_classes returns it: a size
+    tally per level."""
 
-    def __init__(self, budget: int):
-        self.budget = budget
+    def __init__(self):
         self._built: dict = {}
 
     def _get(self, key, build):
@@ -180,22 +182,24 @@ class Memo:
     def points(self, cfg: ExperimentConfig) -> cn.PointSet:
         return self._get((cfg.spec, json.dumps(cfg.construction, sort_keys=True)), cfg.point_set)
 
-    def census(self, E: cn.PointSet, k: int) -> cn.CensusReport:
-        return self._get((E.spec, E.points, k), lambda: cn.count_classes(E, k, self.budget))
+    def census(self, cfg: ExperimentConfig) -> cn.CensusReport:
+        E = self.points(cfg)
+        return self._get((E.spec, E.points, cfg.k), lambda: cn.count_classes(E, cfg.k, cfg.budget))
 
-    def profile(self, E: cn.PointSet) -> cn.FProfile:
-        return self._get((E.spec, E.points), lambda: cn.f_profile(E, self.budget))
+    def profile(self, cfg: ExperimentConfig) -> cn.FProfile:
+        E = self.points(cfg)
+        return self._get((E.spec, E.points), lambda: cn.f_profile(E, cfg.budget))
 
 
 # ---------------------------------------------------------------------------
 # Individual checks.  Each takes the experiment's config and memo, asks
-# the memo for what it reads (the point set first, before any charge of
-# its own; lemma-4.1 and lemma-4.2 read only the ring, theorem-6.1 only
-# the plane), and returns (values, conditions): every exact quantity it
-# computed, and its named boolean conditions (the census engines'
-# checkers return the same pair).  run_experiment alone sets each
-# report's verdict from the conditions and spells the values through
-# _report_json.
+# the memo by config for what it reads (the point set first, before any
+# charge of its own; lemma-4.1 and lemma-4.2 read only the ring,
+# theorem-6.1 only the plane), and returns (values, conditions): every
+# exact quantity it computed, and its named boolean conditions (the
+# census engines' checkers return the same pair).  run_experiment alone
+# sets each report's verdict from the conditions and spells the values
+# through _report_json.
 
 Checked = cn.Checked
 
@@ -221,7 +225,7 @@ def _check_lemma_4_1(cfg: ExperimentConfig, memo: Memo) -> Checked:
 def _check_census(cfg: ExperimentConfig, memo: Memo) -> Checked:
     """The census's own sums, and on the whole plane its closed forms
     (cn.plane_closed_forms)."""
-    report = memo.census(memo.points(cfg), cfg.k)
+    report = memo.census(cfg)
     classes = report.classes_by_level.values()
     conditions = {
         "tuples_by_level sums to total_tuples": sum(report.tuples_by_level.values()) == report.total_tuples,
@@ -251,7 +255,7 @@ def _check_nu(cfg: ExperimentConfig, memo: Memo) -> Checked:
 
 def _check_f_moments(cfg: ExperimentConfig, memo: Memo) -> Checked:
     spec, E = cfg.spec, memo.points(cfg)
-    prof = memo.profile(E)
+    prof = memo.profile(cfg)
     ident = identity(spec)
     f_identity = next(
         v for g, v in zip(enumerate_sl2(spec), prof.values) if g == ident
@@ -309,7 +313,7 @@ def _check_lemma_2_2(cfg: ExperimentConfig, memo: Memo) -> Checked:
     times the larger of that sum and |E|, before the group is enumerated;
     without a good tuple neither runs, and nothing is charged."""
     spec, E = cfg.spec, memo.points(cfg)
-    points, census = E.points, memo.census(E, cfg.k)
+    points, census = E.points, memo.census(cfg)
     equivalent_pairs = census.equivalent_good_pairs()
     images = sl2_order(spec) * max(len(E), equivalent_pairs) if equivalent_pairs else 0
     cn.check_budget(images, cfg.budget)
@@ -344,7 +348,7 @@ def _check_lemma_2_2(cfg: ExperimentConfig, memo: Memo) -> Checked:
 
 def _check_lemma_2_3(cfg: ExperimentConfig, memo: Memo) -> Checked:
     spec, E, k = cfg.spec, memo.points(cfg), cfg.k
-    fast = memo.census(E, k).tuples_by_level
+    fast = memo.census(cfg).tuples_by_level
     oracle = cn.count_bad_tuples_naive(E, k, cfg.budget)
     bad_total = sum(c for m, c in fast.items() if m >= 1)
     level_shapes = {
@@ -371,23 +375,22 @@ def _check_lemma_2_3(cfg: ExperimentConfig, memo: Memo) -> Checked:
 
 
 def _check_lemma_2_4(cfg: ExperimentConfig, memo: Memo) -> Checked:
-    E = memo.points(cfg)
-    return cn.flemma_check(memo.census(E, cfg.k), memo.profile(E))
+    return cn.flemma_check(memo.census(cfg), memo.profile(cfg))
 
 
 def _check_lemma_3_1(cfg: ExperimentConfig, memo: Memo) -> Checked:
-    E = memo.points(cfg)
+    memo.points(cfg)  # a malformed construction is refused before the k^2 charge
     # c_k = 2^{k^2} is a k^2-bit integer: k^2 is charged, and a c_k past
     # the limit on decimal digits is refused, before it is built
     cn.check_budget(cfg.k ** 2, cfg.budget)
     limit = sys.get_int_max_str_digits()
     if limit and cfg.k ** 2 >= (10 ** limit).bit_length():
         raise _too_many_digits()
-    return cn.moment_lift_check(memo.profile(E).values, cfg.k)
+    return cn.moment_lift_check(memo.profile(cfg).values, cfg.k)
 
 
 def _check_theorem_6_1(cfg: ExperimentConfig, memo: Memo) -> Checked:
-    return cn.mbad_class_size_check(memo.census(memo.points(replace(cfg, construction=FULL)), cfg.k))
+    return cn.mbad_class_size_check(memo.census(replace(cfg, construction=FULL)))
 
 
 def rotation_orbits(E: cn.PointSet, rotations, budget: int) -> tuple[bool, int]:
@@ -408,7 +411,7 @@ def rotation_orbits(E: cn.PointSet, rotations, budget: int) -> tuple[bool, int]:
 
 def _check_sharpness(cfg: ExperimentConfig, memo: Memo) -> Checked:
     spec, E, kind = cfg.spec, memo.points(cfg), cfg.construction.get("kind")
-    report = memo.census(E, cfg.k)
+    report = memo.census(cfg)
     bad_tuples = sum(c for m, c in report.tuples_by_level.items() if m >= 1)
     out = {
         "kind": kind,
@@ -460,7 +463,7 @@ def run_experiment(cfg: ExperimentConfig, *, memo: Memo | None = None) -> dict:
     itself: the checks ask the memo for what they read, and set_size is
     read after them, so a check that reads only the ring runs, or refuses,
     before the construction is built."""
-    memo = memo or Memo(cfg.budget)
+    memo = memo or Memo()
     results = []
     for name in cfg.checks:
         values, conditions = _CHECKS[name](cfg, memo)
@@ -577,7 +580,7 @@ def cmd_sweep(args) -> int:
     path = _writable(args.output)
 
     rows = ["variable,value,seed,set_size,classes,plane_classes,proportion"]
-    memo = Memo(_json_int(base, "budget", cn.DEFAULT_BUDGET))
+    memo = Memo()
     for value in values:
         for seed in seeds:
             exp = json.loads(json.dumps(base))
@@ -592,8 +595,8 @@ def cmd_sweep(args) -> int:
             if con.get("kind") == "random-subset":
                 con["seed"] = seed
             cfg = ExperimentConfig.from_json(exp)
-            report = memo.census(memo.points(cfg), cfg.k)
-            plane = memo.census(memo.points(replace(cfg, construction=FULL)), cfg.k)
+            report = memo.census(cfg)
+            plane = memo.census(replace(cfg, construction=FULL))
             rows.append(
                 f"{variable},{value},{seed},{report.set_size},{report.total_classes},"
                 f"{plane.total_classes},{Fraction(report.total_classes, plane.total_classes)}"
@@ -671,7 +674,7 @@ def cmd_verify_all(args) -> int:
         return EXIT_BUDGET
     path = _writable(args.output)
     cfgs = canonical_matrix(args.budget)
-    memo = Memo(args.budget)
+    memo = Memo()
     results = [run_experiment(cfg, memo=memo) for cfg in cfgs]
     report = {"experiments": results, "ok": all(r["ok"] for r in results)}
     _emit(_report_text(report, "json"), path)

@@ -37,11 +37,7 @@ from typing import Iterator, NamedTuple
 GF_MAX_ORDER = 1024
 
 
-class RingError(Exception):
-    pass
-
-
-class NotInvertibleError(RingError):
+class NotInvertibleError(Exception):
     """Inversion was requested for an element with no inverse."""
 
 
@@ -206,9 +202,11 @@ class RingSpec:
         raise self._reject(a)
 
     def inv(self, a: int) -> int:
-        if self.is_unit(a):
-            return self._inv(a)
-        raise NotInvertibleError(f"{a} has no inverse in {self.label()}")
+        if type(a) is int and 0 <= a < self._q:
+            if self._is_unit(a):
+                return self._inv(a)
+            raise NotInvertibleError(f"{a} has no inverse in {self.label()}")
+        raise self._reject(a)
 
     def valuation(self, a: int) -> int:
         """Largest m <= max_level with p^m | a (so valuation(0) = max_level)."""

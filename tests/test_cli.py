@@ -207,6 +207,21 @@ def test_run_rejects_non_object_sections(tmp_path, capsys, patch):
 
 
 @pytest.mark.parametrize(
+    "obj, reason",
+    [
+        ([1, 2], "experiment config must be a JSON object"),
+        (3, "experiment config must be a JSON object"),
+        (None, "experiment config must be a JSON object"),
+        (dict(F3_CENSUS, output={"path": 3}), "output path must be a string, got 3"),
+    ],
+    ids=["list", "number", "null", "path-number"],
+)
+def test_run_rejects_a_config_of_the_wrong_shape(tmp_path, capsys, obj, reason):
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"invalid config: {reason}\n")
+
+
+@pytest.mark.parametrize(
     "size", [-1, 10, True, 2.0, "4"], ids=["negative", "past-plane", "bool", "float", "string"]
 )
 def test_run_rejects_bad_random_subset_size(tmp_path, capsys, size):
@@ -245,6 +260,17 @@ def test_census_of_three_points_at_k_10_to_the_8_refuses_without_building_its_ch
     assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err.startswith("budget exceeded: enumeration needs at least 1073741824 ")
+
+
+def test_a_charge_past_the_digit_limit_is_named_by_its_bit_length(tmp_path, capsys):
+    # the census charges 3^13287; from bit lengths alone (3 >= 2^1) it is
+    # not certainly past 2^13288 > 10^4000, so it is built and charged
+    # exactly, but its 6,340 digits pass the limit of 4,300: the refusal
+    # names it by its bit length
+    obj = dict(F3_CENSUS, construction={"kind": "random-subset", "size": 3, "seed": 1},
+               k=13_286, checks=["census"], budget=10 ** 4000)
+    assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("budget exceeded: enumeration needs over 2^21059 tuple visits ")
 
 
 @pytest.mark.parametrize(
@@ -392,13 +418,10 @@ Z9_RING = {"family": "mod-prime-power", "p": 3, "ell": 2}
 
 
 def test_memo_keys_include_the_ring():
-    memo = Memo(10 ** 9)
-    f9, z9 = (
-        ExperimentConfig.from_json({"ring": ring, "checks": ["census"]}).point_set()
-        for ring in (F9_RING, Z9_RING)
-    )
-    assert f9.points == z9.points  # the same pairs of ints 0..8
-    f9_census, z9_census = memo.census(f9, 1), memo.census(z9, 1)
+    memo = Memo()
+    f9, z9 = (ExperimentConfig.from_json({"ring": ring, "checks": ["census"]}) for ring in (F9_RING, Z9_RING))
+    assert memo.points(f9).points == memo.points(z9).points  # the same pairs of ints 0..8
+    f9_census, z9_census = memo.census(f9), memo.census(z9)
     assert 2 not in f9_census.tuples_by_level
     assert z9_census.tuples_by_level[2] > 0
     assert (memo.profile(f9).group_order, memo.profile(z9).group_order) == (720, 648)
@@ -550,14 +573,14 @@ def test_the_memo_holds_no_class_dict():
         "ring": {"family": "mod-prime-power", "p": 3, "ell": 3}, "k": 3,
         "construction": SAMPLE20, "checks": ["census"],
     })
-    memo = Memo(cfg.budget)
+    memo = Memo()
     tracemalloc.start()
     try:
         run_experiment(cfg, memo=memo)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert memo.census(cfg.point_set(), 3).total_classes == 137_851
+    assert memo.census(cfg).total_classes == 137_851
     assert held < 2 ** 20
 
 
@@ -754,7 +777,7 @@ def test_lemma_2_2_fails_when_a_move_mask_loses_a_bit(monkeypatch):
     from areal import cli
 
     cfg = ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"]))
-    memo = cli.Memo(cfg.budget)
+    memo = cli.Memo()
     E, group_moves = memo.points(cfg), cn.group_moves
     moves = group_moves(E, list(cli.enumerate_sl2(cfg.spec)))
     assert cli._check_lemma_2_2(cfg, memo)[0]["pairs_checked"] == 1152
@@ -1177,7 +1200,7 @@ def test_every_check_returns_its_values_and_named_conditions(name):
     ring = {"family": "mod-prime-power", "p": 3, "ell": 2} if name == "theorem-6.1" else F3_CENSUS["ring"]
     construction = {"kind": "union-circles", "radii": [1]} if name == "sharpness" else FULL
     cfg = ExperimentConfig.from_json({"ring": ring, "construction": construction, "checks": [name]})
-    values, conditions = cli._CHECKS[name](cfg, Memo(cfg.budget))
+    values, conditions = cli._CHECKS[name](cfg, Memo())
     assert type(values) is dict and not {"ok", "failed"} & values.keys()
     assert type(conditions) is dict and conditions
     assert all(type(cond) is str and type(holds) is bool for cond, holds in conditions.items())
@@ -1289,9 +1312,9 @@ def test_every_full_plane_census_of_the_matrix_checks_its_closed_forms():
     planes = 0
     for cfg in canonical_matrix(cn.DEFAULT_BUDGET):
         if "census" in cfg.checks:
-            memo = Memo(cfg.budget)
+            memo = Memo()
             _, conditions = cli._check_census(cfg, memo)
-            forms = cn.plane_closed_forms(memo.census(memo.points(cfg), cfg.k))
+            forms = cn.plane_closed_forms(memo.census(cfg))
             full = cfg.construction == FULL
             planes += full
             assert list(conditions)[3:] == (list(forms) if full else [])
@@ -1587,8 +1610,8 @@ def test_lemma_2_2_charges_the_move_table_before_building_it(monkeypatch):
     nine = [(3 * a, 3 * b) for a in range(3) for b in range(3)]
     E = cn.PointSet(cfg.spec, nine + [(1, 0), (0, 1)])
     monkeypatch.setattr(cfg, "point_set", lambda: E)  # the memo's one build of the point set
-    memo = Memo(cfg.budget)
-    assert memo.points(cfg) is E and memo.census(E, 1).equivalent_good_pairs() == 2
+    memo = Memo()
+    assert memo.points(cfg) is E and memo.census(cfg).equivalent_good_pairs() == 2
     applied, apply_mat = [], ModPrimePower.apply_mat
 
     def counted(self, m, v):
@@ -1604,7 +1627,7 @@ def test_lemma_2_2_charges_the_move_table_before_building_it(monkeypatch):
     # without (1, 0) and (0, 1) no tuple is good: no group, and no charge past the census's 81
     bare = replace(cfg, budget=81)
     monkeypatch.setattr(bare, "point_set", lambda: cn.PointSet(cfg.spec, nine))
-    values, conditions = cli._check_lemma_2_2(bare, Memo(81))
+    values, conditions = cli._check_lemma_2_2(bare, Memo())
     assert values["pairs_checked"] == 0 and all(conditions.values())
 
 

@@ -81,6 +81,18 @@ def test_inv_of_nonunit_raises():
         F9.inv(F9.zero)
 
 
+@pytest.mark.parametrize("spec", [F7, F9, galois_field(3, 4), Z27], ids=lambda s: s.label())
+def test_inv_checks_its_operand_once_without_is_unit(spec, monkeypatch):
+    # inv tests the element itself and calls the kernels _is_unit and _inv
+    def no_call(self, a):
+        raise AssertionError("inv called the public is_unit")
+
+    monkeypatch.setattr(RingSpec, "is_unit", no_call)
+    assert spec.mul(2, spec.inv(2)) == spec.one
+    with pytest.raises(NotInvertibleError):
+        spec.inv(spec.zero)
+
+
 def test_huge_ring_ops_build_no_tables():
     # is_unit, inv, neg and add are O(1): none reads the q-entry valuation list
     spec = mod_prime_power(3, 40)

@@ -1,6 +1,9 @@
-"""Every name a module imports is used in it: an AST scan of the package
-and of the tests.  A name counts as used when the module reads it (as a
-name or as the base of an attribute) or lists it in __all__."""
+"""Two AST scans for code that nothing uses.  Every name a module imports
+is used in it, in the package and in the tests: a name counts as used
+when the module reads it (as a name or as the base of an attribute) or
+lists it in __all__.  And every top-level function or class of the
+package is read somewhere in the package or in perfbench/, which names
+what it traces by string, or is listed in areal.__all__."""
 
 import ast
 from pathlib import Path
@@ -48,3 +51,53 @@ def test_the_scan_sees_an_unused_import(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("import os\nimport os.path as osp\nfrom math import gcd, pi\n\nprint(pi, osp)\n")
     assert _unused_imports(module) == ["gcd", "os"]
+
+
+def _reads(path: Path) -> set[str]:
+    """Every name the module reads: names, attributes, imported names and
+    string constants (so every name listed in an __all__)."""
+    reads = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.alias):
+            reads.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
+
+
+def _dead_definitions(defining: list[Path], reading: list[Path]) -> list[str]:
+    """The top-level functions and classes of the defining modules that no
+    reading module reads."""
+    reads = set().union(*map(_reads, reading))
+    return [
+        f"{path.name}: {node.name}"
+        for path in defining
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in reads
+    ]
+
+
+def test_every_definition_of_the_package_is_read():
+    package = sorted((ROOT / "src/areal").glob("*.py"))
+    assert _dead_definitions(package, package + sorted((ROOT / "perfbench").glob("*.py"))) == []
+
+
+def test_the_scan_sees_a_dead_definition(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import os\n\n__all__ = ['exported']\n\n"
+        "def exported(): pass\ndef called(): pass\ndef dead(): pass\n"
+        "class Dead: pass\nclass Attr: pass\ndef traced(): pass\n\n"
+        "called()\nos.Attr\nNAME = 'traced'\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("from module import exported as e\n")
+    assert _dead_definitions([module], [module]) == ["module.py: dead", "module.py: Dead"]
+    assert _dead_definitions([module], [reader]) == [
+        f"module.py: {name}" for name in ("called", "dead", "Dead", "Attr", "traced")
+    ]
