@@ -735,11 +735,12 @@ def flemma_check(census: CensusReport, profile: FProfile) -> Checked:
     return {**values, **conditions}, conditions
 
 
-def group_moves(E: PointSet, group: list) -> list[list[int]]:
-    """moves[i][j] has bit b set iff group[b] sends point x_i of E to
+def group_moves(E: PointSet, group: list) -> list[list[tuple[int, int]]]:
+    """moves[i] lists, in ascending j, the pairs (j, mask) with a nonzero
+    mask, where bit b of mask is set iff group[b] sends point x_i of E to
     point x_j, from len(group) checked apply_mat calls per point.  Each
-    point's hits set bits of one bytearray per target, read as an int
-    once, so building costs O(|group| n + n^2 |group| / 8)."""
+    point's hits set bits of one bytearray per target it reaches, read as
+    an int once, so no mask is built for a target the point never reaches."""
     points, apply = E.points, E.spec.apply_mat
     index = {x: j for j, x in enumerate(points)}
     size = (len(group) + 7) // 8
@@ -749,51 +750,57 @@ def group_moves(E: PointSet, group: list) -> list[list[int]]:
         for b, j in enumerate(map(index.get, map(apply, group, itertools.repeat(x)))):
             if j is not None:
                 hits.setdefault(j, bytearray(size))[b >> 3] |= 1 << (b & 7)
-        row = [0] * len(points)
-        for j, bits in hits.items():
-            row[j] = int.from_bytes(bits, "little")
-        moves.append(row)
+        moves.append([(j, int.from_bytes(bits, "little")) for j, bits in sorted(hits.items())])
     return moves
+
+
+def tuple_moves(moves: list, idx: tuple) -> list:
+    """The images of the points of E at indexes idx under the group, as
+    (js, mask) with mask's bit b set iff group[b] sends point idx[s] to
+    point js[s] for every slot s: a walk over image prefixes, one AND per
+    slot, where moves is group_moves(E, group) and only nonzero masks
+    are kept.  SL_2 keeps areas, so every image is in the class of the
+    tuple; js ascend."""
+    walk = [((), -1)]  # the empty prefix: every group element
+    for i in idx:
+        walk = [(js + (j,), both) for js, mask in walk for j, m in moves[i] if (both := mask & m)]
+    return walk
 
 
 def moment_identity_check(E: PointSet, profile: FProfile, budget: int = DEFAULT_BUDGET) -> Checked:
     """Exact identity sum_g f(g)^2 = sum over quadruples (x1,x2,y1,y2) of
     #{g : gx1 = y1, gx2 = y2}, with the left side read from the f profile
-    of E and the right side counted quadruple by quadruple, as the
-    popcount of moves[x1][y1] & moves[x2][y2] (group_moves, built from
-    apply_mat), and decomposed into the part where (x1, x2) has unit area
-    (each such matched quadruple contributes exactly one g) and the
-    remaining non-unit-area part.  The areas come from perp_dot calls.
-    The matched quadruples are counted for the third condition only."""
-    spec = E.spec
-    n = len(E)
-    order = sl2_order(spec)
-    check_budget(max(n ** 4, order * n * n), budget)
+    of E and the right side counted source pair by source pair, as the
+    popcounts over the tuple_moves walk of (x1, x2) (group_moves, built
+    from apply_mat), and decomposed into the part where (x1, x2) has unit
+    area a (each matched quadruple, one of the nu(a) target pairs of area
+    a, contributes exactly one g) and the remaining non-unit-area part.
+    The areas and nu come from the check's own perp_rows table, not from
+    E's area table, and the matched quadruples are counted for the third
+    condition only.  The charge max(n^4, |SL_2| n^2) covers the at most
+    n^4 second-slot ANDs of the walks and the images of group_moves."""
+    spec, n = E.spec, len(E)
+    check_budget(max(n ** 4, sl2_order(spec) * n * n), budget)
     moves = group_moves(E, list(enumerate_sl2(spec)))
     lhs = profile.sum_power(2)
-    areas = [[spec.perp_dot(x, y) for y in E.points] for x in E.points]
-    units = [list(map(spec.is_unit, row)) for row in areas]
-    stabilizer_sum = 0
-    matched_part = 0
-    collinear_part = 0
-    matched_quads = 0
+    areas = list(spec.perp_rows(E.points, E.points))
+    nu = Counter(itertools.chain.from_iterable(areas))
+    units = set(filter(spec.is_unit, nu))
+    stabilizer_sum = matched_part = collinear_part = matched_quads = 0
     unique_on_good = True
-    for i1 in range(n):
-        for j1 in range(n):
-            first = moves[i1][j1]
-            for i2 in range(n):
-                counts = list(map(int.bit_count, map(first.__and__, moves[i2])))
-                c = sum(counts)
-                stabilizer_sum += c
-                if units[i1][i2]:
-                    matched_part += c
-                    # y2 with perp(y1, y2) == perp(x1, x2): each needs exactly one g
-                    matched = list(itertools.compress(counts, map(areas[i1][i2].__eq__, areas[j1])))
-                    matched_quads += len(matched)
-                    if matched.count(1) != len(matched):
-                        unique_on_good = False
-                else:
-                    collinear_part += c
+    for i1, row in enumerate(areas):
+        for i2, a in enumerate(row):
+            walk = tuple_moves(moves, (i1, i2))
+            c = sum(mask.bit_count() for _, mask in walk)
+            stabilizer_sum += c
+            if a in units:
+                matched_part += c
+                matched_quads += nu[a]
+                # each of the nu(a) target pairs of area a needs exactly one g
+                single = sum(areas[j1][j2] == a and mask.bit_count() == 1 for (j1, j2), mask in walk)
+                unique_on_good = unique_on_good and single == nu[a]
+            else:
+                collinear_part += c
     values = {"f_square_sum": lhs, "stabilizer_sum": stabilizer_sum, "matched_part": matched_part,
               "collinear_part": collinear_part, "unique_on_good": unique_on_good}
     return values, {

@@ -287,25 +287,14 @@ def _check_f_moments(cfg: ExperimentConfig, memo: Memo) -> Checked:
     return out, conditions
 
 
-def _images(reach: list, idx: tuple) -> list:
-    """The images of the points of E at indexes idx under the group, as
-    (js, mask) with mask's bit b set iff group[b] sends point idx[s] to
-    point js[s] for every slot s: a walk over image prefixes, one AND per
-    slot, where reach[i] holds the nonzero (j, moves[i][j]).  SL_2 keeps
-    areas, so every image is in the class of the tuple; js ascend."""
-    walk = [((), -1)]  # the empty prefix: every group element
-    for i in idx:
-        walk = [(js + (j,), both) for js, mask in walk for j, m in reach[i] if (both := mask & m)]
-    return walk
-
-
 def _check_lemma_2_2(cfg: ExperimentConfig, memo: Memo) -> Checked:
     """Every pair of equivalent good tuples is related by exactly one
     group element, found both by the move bitsets and by recover_g.  Each
     tuple xs of E^{k+1}, in product order, gets one recovery, which is
-    None when xs is bad; for a good xs the walk of _images over
-    cn.group_moves gives its images ys, and a pair passes when its mask
-    has exactly one bit and that element is the recovery's g for ys.  The
+    None when xs is bad; for a good xs the walk cn.tuple_moves over the
+    nonzero masks of cn.group_moves gives its images ys, each with the
+    elements that send xs to it, and a pair passes when its mask has
+    exactly one bit and that element is the recovery's g for ys.  The
     check stops at the first pair that does not.  A good class of c tuples
     yields at most c^2 pairs, so every equivalent pair was reached only
     when the pairs checked reach the census's sum of c^2.  The walk and
@@ -318,7 +307,7 @@ def _check_lemma_2_2(cfg: ExperimentConfig, memo: Memo) -> Checked:
     images = sl2_order(spec) * max(len(E), equivalent_pairs) if equivalent_pairs else 0
     cn.check_budget(images, cfg.budget)
     group = list(enumerate_sl2(spec)) if equivalent_pairs else []
-    reach = [[(j, m) for j, m in enumerate(row) if m] for row in cn.group_moves(E, group)]
+    moves = cn.group_moves(E, group)
     recoveries = zip(
         itertools.product(range(len(points)), repeat=cfg.k + 1),
         map(recovery, itertools.repeat(spec), itertools.product(points, repeat=cfg.k + 1)),
@@ -327,7 +316,7 @@ def _check_lemma_2_2(cfg: ExperimentConfig, memo: Memo) -> Checked:
         (recover, js, mask)
         for idx, recover in recoveries
         if recover is not None
-        for js, mask in _images(reach, idx)
+        for js, mask in cn.tuple_moves(moves, idx)
     )
     pairs_checked, matched = 0, True
     for recover, js, mask in scan:
@@ -577,6 +566,10 @@ def cmd_sweep(args) -> int:
     if variable == "size":
         if _json_object(base, "construction", {}).get("kind", "random-subset") != "random-subset":
             raise InvalidConfig("sweeping size needs a random-subset construction")
+    try:  # a construction that ignores its seed would print any value
+        seeds = [checked_int(seed, "seed") for seed in seeds]
+    except ValueError as exc:
+        raise InvalidConfig(str(exc)) from exc
     path = _writable(args.output)
 
     rows = ["variable,value,seed,set_size,classes,plane_classes,proportion"]

@@ -1173,13 +1173,64 @@ def test_moment_identity_sees_a_non_unique_good_quadruple(monkeypatch):
 
     def doubled(E, group):
         moves = group_moves(E, group)
-        moves[1][1] = (1 << len(group)) - 1
+        moves[1] = [(j, (1 << len(group)) - 1 if j == 1 else m) for j, m in moves[1]]
         return moves
 
     monkeypatch.setattr(census, "group_moves", doubled)
     report, conditions = moment_identity_check(PLANE3, f_profile(PLANE3))
     assert not report["unique_on_good"] and report["f_square_sum"] != report["stabilizer_sum"]
     assert not all(conditions.values())
+
+
+@pytest.mark.parametrize("E", [PLANE3, PLANE5], ids=["F3", "F5"])
+def test_moment_identity_sees_masks_swapped_between_targets(monkeypatch, E):
+    # the row of (1, 0) gets the masks of the targets (1, 0) and (0, 1)
+    # swapped: every row total stays, so only per-target uniqueness can fail
+    group_moves = census.group_moves
+    i, j = E.points.index((1, 0)), E.points.index((0, 1))
+
+    def swapped(E, group):
+        moves = group_moves(E, group)
+        row = dict(moves[i])
+        row[i], row[j] = row[j], row[i]
+        moves[i] = sorted(row.items())
+        return moves
+
+    monkeypatch.setattr(census, "group_moves", swapped)
+    report, conditions = moment_identity_check(E, f_profile(E))
+    assert report["f_square_sum"] == report["stabilizer_sum"]
+    assert [name for name, holds in conditions.items() if not holds] == ["unique_on_good"]
+
+
+MOVE_SETS = [
+    PointSet(F3, [(0, 0), (1, 0), (0, 1), (2, 2)]),
+    PointSet(F3, [(1, 0), (2, 0), (1, 1)]),
+    random_subset(galois_field(3, 2), 5, 3),
+    random_subset(Z9, 6, 2),
+    PointSet(Z9, [(0, 0), (3, 0), (0, 3), (1, 2), (2, 1)]),
+]
+
+
+@pytest.mark.parametrize("E", MOVE_SETS, ids=["F3-a", "F3-b", "F9s", "Z9s", "Z9-nonunit"])
+def test_group_moves_and_tuple_moves_match_apply_mat(E):
+    spec, points = E.spec, E.points
+    group = list(enumerate_sl2(spec))
+    moves = census.group_moves(E, group)
+    images = [[spec.apply_mat(g, x) for g in group] for x in points]
+    for i, row in enumerate(moves):
+        assert [j for j, _ in row] == sorted({points.index(y) for y in images[i] if y in E})
+        for j, mask in row:
+            assert mask != 0
+            assert all((mask >> b & 1) == (y == points[j]) for b, y in enumerate(images[i]))
+    for length in (1, 2, 3):
+        for idx in itertools.product(range(len(points)), repeat=length):
+            expected: dict[tuple, int] = {}
+            for b in range(len(group)):
+                ys = tuple(images[i][b] for i in idx)
+                if all(y in E for y in ys):
+                    js = tuple(map(points.index, ys))
+                    expected[js] = expected.get(js, 0) | 1 << b
+            assert census.tuple_moves(moves, idx) == sorted(expected.items())
 
 
 def test_nu_second_moment_equals_k1_equivalent_pairs():

@@ -332,10 +332,16 @@ SWEEP_EXPERIMENT = {"ring": {"family": "prime-field", "p": 3}, "k": 1, "checks":
          "variable": "k", "values": [1, 2]},
         {"experiment": dict(SWEEP_EXPERIMENT, output={"path": "sweep.csv", "format": "csv"}),
          "variable": "k", "values": [1, 2]},
+        # the full plane ignores its seed, so only the sweep can refuse these
+        {"experiment": SWEEP_EXPERIMENT, "variable": "k", "values": [1], "seeds": [[1, 2]]},
+        {"experiment": SWEEP_EXPERIMENT, "variable": "k", "values": [1], "seeds": [None]},
+        {"experiment": SWEEP_EXPERIMENT, "variable": "k", "values": [1], "seeds": ["x,y"]},
+        {"experiment": SWEEP_EXPERIMENT, "variable": "k", "values": [1], "seeds": [True]},
     ],
     ids=[
         "list", "experiment-int", "values-int", "seeds-int", "ring-int", "construction-int",
         "ell-on-a-field", "size-on-the-full-plane", "check-besides-census", "output-section",
+        "seed-list", "seed-null", "seed-with-comma", "seed-bool",
     ],
 )
 def test_sweep_rejects_malformed_configs(tmp_path, capsys, monkeypatch, obj):
@@ -785,11 +791,11 @@ def test_lemma_2_2_fails_when_a_move_mask_loses_a_bit(monkeypatch):
     for i, x in enumerate(E.points):
         if x == (0, 0):  # in no good tuple at k=1
             continue
-        for j, mask in enumerate(moves[i]):
+        for j, mask in moves[i]:
             for b in (b for b in range(mask.bit_length()) if mask >> b & 1):
                 def dropped(E, group, i=i, j=j, b=b):
                     table = group_moves(E, group)
-                    table[i][j] &= ~(1 << b)
+                    table[i] = [(t, m & ~(1 << b) if t == j else m) for t, m in table[i]]
                     return table
 
                 monkeypatch.setattr(cn, "group_moves", dropped)

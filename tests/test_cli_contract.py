@@ -89,8 +89,11 @@ def sweeps(draw):
         "values": draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)),
         "seeds": draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)),
     }
-    odd = draw(st.sampled_from([None, None, "variable", "values", "seeds"]))
-    if odd is not None:
+    odd = draw(st.sampled_from([None, None, "variable", "values", "seeds", "a seed"]))
+    if odd == "a seed":
+        seeds = config["seeds"]
+        seeds.insert(draw(st.integers(0, len(seeds))), draw(ODD))
+    elif odd is not None:
         config[odd] = draw(ODD)
     return config
 
@@ -279,6 +282,11 @@ def test_run_exit_contract(config, flag):
     flag="<missing-dir>",
 )
 @example(
+    config={"experiment": {"ring": F3, "budget": 10 ** 5}, "variable": "k", "values": [1],
+            "seeds": [0, True]},
+    flag=None,
+)
+@example(
     config={"experiment": {"ring": F3, "checks": ["lemma-2.2"], "budget": 10 ** 5},
             "variable": "k", "values": [1, 2]},
     flag=None,
@@ -292,6 +300,9 @@ def test_run_exit_contract(config, flag):
 def test_sweep_exit_contract(config, flag):
     code, err, _ = _invoke("sweep", config, flag)
     _assert_contract(code, err, config["experiment"]["budget"])
+    seeds = config.get("seeds", [0])
+    if isinstance(seeds, list) and any(type(seed) is not int for seed in seeds):
+        assert code == 2, err  # a seed that is not an integer is refused before any work
 
 
 @SETTINGS
@@ -303,5 +314,6 @@ def test_valid_sweep_writes_one_row_per_value_and_seed(config):
     if code == 0:
         header, *rows = out.splitlines()
         assert header == "variable,value,seed,set_size,classes,plane_classes,proportion"
+        assert all(len(row.split(",")) == 7 for row in rows)
         expected = itertools.product([config["variable"]], config["values"], config["seeds"])
         assert [row.split(",")[:3] for row in rows] == [[str(v) for v in e] for e in expected]
