@@ -85,11 +85,23 @@ def check_k(k: int) -> None:
         raise ValueError("k must be >= 1")
 
 
+def plane_orbits(spec: RingSpec) -> list[tuple[Vec2, int]]:
+    """The SL_2 orbits of the plane R^2, as (representative, size) pairs:
+    0 alone, and p^v (1, 0) for 0 <= v < l, whose orbit is the vectors
+    whose coordinates have least valuation v, p^{2(l - v)} - p^{2(l - v -
+    1)} of them.  Over F_q read p^l as q (l = 1): (1, 0) and the q^2 - 1
+    nonzero vectors.  The sizes sum to q^2."""
+    top = spec.max_level
+    p = spec.size() if top == 1 else spec.p
+    return [((0, 0), 1), *(((p ** v, 0), p ** (2 * (top - v)) - p ** (2 * (top - v - 1))) for v in range(top))]
+
+
 class PointSet:
     """A deduplicated, canonically sorted subset of the ring's plane.  Its
     area_table and area_counts are built on first use and kept, so nu and
     the k = 1 census of one experiment read one histogram, and the census
-    at k >= 2 the same table."""
+    at k >= 2 the same table.  On the whole plane area_counts reads one
+    row per SL_2 orbit instead of the table (plane_orbits)."""
 
     def __init__(self, spec: RingSpec, points):
         self.spec = spec
@@ -113,10 +125,25 @@ class PointSet:
     @functools.cached_property
     def area_counts(self) -> dict[int, int]:
         """nu: each area t with nu(t) > 0 -> the number of ordered pairs
-        of points with area t, from area_table: one bytes.count per element over
-        each block of rows joined, about 64 KiB at a time, at one byte per
-        area, one Counter over the area slices of every row at wider keys."""
-        spec, table, width = self.spec, self.area_table, key_width(self.spec)
+        of points with area t.
+
+        On the whole plane, nu(t) = sum over the plane_orbits (r, size) of
+        size * #{y : area(r, y) = t}, from one perp_rows row per orbit and
+        no table: if x = g r with g in SL_2, then y -> g^{-1} y maps the
+        plane onto itself and keeps area(x, y) = area(r, g^{-1} y), as det
+        g = 1, so every x of r's orbit has r's row of areas, permuted.
+
+        Elsewhere it is read from area_table: one bytes.count per element
+        over each block of rows joined, about 64 KiB at a time, at one byte
+        per area, one Counter over the area slices of every row at wider
+        keys."""
+        spec = self.spec
+        if self.is_plane():
+            orbits, nu = plane_orbits(spec), Counter()
+            for (_, size), row in zip(orbits, spec.perp_rows([r for r, _ in orbits], self.points)):
+                nu.update({a: size * c for a, c in Counter(row).items()})
+            return {a: nu[a] for a in spec.elements() if nu[a]}
+        table, width = self.area_table, key_width(spec)
         if width == 1:
             codes, tallies = [_BYTES[a] for a in spec.elements()], itertools.repeat(0)
             rows = max(1, (64 << 10) // max(1, len(self)))
@@ -127,6 +154,10 @@ class PointSet:
         for row in table:
             slices.update(_cut(row, width, width))
         return {int.from_bytes(a, "big"): c for a, c in slices.items()}
+
+    def is_plane(self) -> bool:
+        """Whether the set is the whole plane R^2, its q^2 points."""
+        return len(self) == self.spec.size() ** 2
 
     def __eq__(self, other):
         return (
@@ -162,15 +193,18 @@ def _cut(keys: bytes, step: int, width: int) -> list[bytes]:
     return [keys[i : i + step] for i in range(0, len(keys), step)]
 
 
-def _orderings(same: tuple[bool, ...]) -> Iterator[list[int]]:
+def _orderings(same: tuple) -> Iterator[list[int]]:
     """Each distinct ordering of a nondecreasing tuple t with same[b] iff
     t_b == t_{b+1}, as sigma: slot a of the ordered tuple is slot sigma[a]
     of t, equal points in their order.  The slots' run labels step
-    through their lexicographic next permutations, identity first."""
-    word = list(itertools.accumulate(map(operator.not_, same), initial=0))
-    starts = [word.index(r) for r in range(word[-1] + 1)]
+    through their lexicographic next permutations, identity first.  When
+    same[0] is None, slot 0 holds a root and never moves: only t_1 <= ..
+    are ordered."""
+    fixed = int(same[:1] == (None,))
+    word = list(itertools.accumulate(map(operator.not_, same[fixed:]), initial=0))
+    starts = [fixed + word.index(r) for r in range(word[-1] + 1)]
     while True:
-        free, sigma = starts[:], []
+        free, sigma = starts[:], list(range(fixed))
         for r in word:
             sigma.append(free[r])
             free[r] += 1
@@ -187,13 +221,17 @@ def _orderings(same: tuple[bool, ...]) -> Iterator[list[int]]:
         word[i + 1 :] = reversed(word[i + 1 :])
 
 
-def _nondecreasing_counts(E: PointSet, k: int, width: int) -> Iterator[dict[tuple, Counter]]:
+def _nondecreasing_counts(
+    E: PointSet, k: int, width: int, root: int | None = None
+) -> Iterator[dict[tuple, Counter]]:
     """Census keys, for k >= 2, of the nondecreasing tuples t_0 <= .. <=
     t_k of E^{k+1} by point index, one Counter per equality pattern (see
     _orderings), handed on at the end of a prefix group once they hold
-    _FLUSH keys.  The tuples sharing (t_0 .. t_{k-2}), the last of them
-    lo, form a block of keys for lo <= u <= v, written into one bytearray
-    with one extended-slice assignment per key byte: the pairs u < v row
+    _FLUSH keys.  Given a root, the tuples are instead (root, t_1 <= .. <=
+    t_k): slot 0 never moves, so each pattern starts with None, and the
+    first u is 0 at k = 2.  The tuples sharing (t_0 .. t_{k-2}), the last
+    of them lo, form a block of keys for lo <= u <= v, written into one
+    bytearray with one extended-slice assignment per key byte: the pairs u < v row
     by row, then the pairs u = v.  An area is fixed over the block, or repeated
     over v, or a table row from column u + 1 on, or taken at u.  The
     first row (u = lo) is cut alone; the later rows share their pattern
@@ -212,8 +250,10 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> Iterator[dict[tupl
     sources = [(i, j, planes[b]) for i, j in pair_indices(k) for b in range(width)]
     inner, sep = k - 1, int(width == 1)
     among = [(i, j, plane) for i, j, plane in sources if j < inner]  # the areas of a prefix
+    fixed = root is not None
+    prefixes = itertools.combinations_with_replacement(range(n), k - 1 - fixed)
     groups: dict[bytes, list[tuple]] = defaultdict(list)
-    for t in itertools.combinations_with_replacement(range(n), k - 1):
+    for t in ((root, *c) for c in prefixes) if fixed else prefixes:
         groups[bytes([plane[t[i]][t[j]] for i, j, plane in among])].append(t)
     stride = len(sources) + sep  # one-byte-per-area keys end in the separator
     block = bytearray(_SEPARATOR * (n * (n + 1) // 2 * stride))
@@ -222,7 +262,7 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> Iterator[dict[tupl
     patterns: dict[tuple, Counter] = defaultdict(Counter)
     for group in groups.values():
         for t in group:
-            lo = t[-1]
+            lo = 0 if len(t) == fixed else t[-1]  # a lone root bounds no u
             m = n - lo
             end = m * (m + 1) // 2 * stride
             for o, (i, j, plane) in enumerate(sources):
@@ -239,6 +279,8 @@ def _nondecreasing_counts(E: PointSet, k: int, width: int) -> Iterator[dict[tupl
                 block[o:end:stride] = fill
             same = tuple(map(operator.eq, t, t[1:]))
             first, rest = same + (True,), same + (False,)  # u == lo or not
+            if fixed:  # slot 0 is compared with nothing
+                first, rest = (None, *first[1:]), (None, *rest[1:])
             first_row, diagonal = (m - 1) * stride, (m - 1) * m // 2 * stride
             if first_row:
                 patterns[first + (False,)].update(_cut(bytes(view[: first_row - sep]), stride, width))
@@ -333,7 +375,7 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     K's orbit, and the least is its rep.  The orbit gains count(K) * |D|
     tuples and holds |D| / (the orderings giving the rep) classes,
     whichever key reaches it.  So at most n^{k+1} keys are re-keyed, each
-    distinct (pattern, key) once.
+    distinct (pattern, key) once (on the plane, once per root).
 
     Each key leaves one fixed-width record: its rep, the orbit's classes
     (at most (k+1)!) and the tuples it adds (at most n^{k+1}), appended to
@@ -344,7 +386,18 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     level is its rep's, which key_badness reads once per orbit, and each
     orbit then adds its classes to the tally at their size.  The charge
     is at least 2^{k+1}, which passes the k(k+1)/2 areas of a key, so a
-    set of one point or none cannot ask for keys longer than its budget."""
+    set of one point or none cannot ask for keys longer than its budget.
+
+    On the whole plane the kernel runs once per root r of plane_orbits,
+    over the tuples (r, t_1 <= .. <= t_k) only, and each record's tuples
+    are multiplied by the size of r's SL_2 orbit.  That is exact: if x_0
+    = g r with g in SL_2, then (x_0, .., x_k) -> (g^{-1} x_0, .., g^{-1}
+    x_k) maps the tuples whose first point is x_0 one to one onto those
+    whose first point is r and keeps every key, as det g = 1 and g^{-1}
+    maps the plane onto itself.  Slot 0 never moves, so a rep is the
+    least key of an orbit under the S_k relabelings of slots 1 .. k;
+    the merge, both checks and the tally are the same.  The charge stays
+    max(n, 2)^{k+1}, which overcounts this rooted work."""
     n = len(E)
     check_k(k)
     check_power_budget(max(n, 2), k + 1, budget)
@@ -362,7 +415,11 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     shift, repeat = (step - head) * 8, itertools.repeat
     written, read = struct.Struct(f"{rep_end}s{step - rep_end}s"), struct.Struct(f"{head}s{step - head}s")
     buckets = [bytearray() for _ in range(256)]
-    for patterns in _nondecreasing_counts(E, k, rekeyer.width):
+    # (root, its orbit's size) on the plane, else one run of every nondecreasing tuple
+    runs = [(E.points.index(r), size) for r, size in plane_orbits(E.spec)] if E.is_plane() else [(None, 1)]
+    batches = ((weight, patterns) for root, weight in runs
+               for patterns in _nondecreasing_counts(E, k, rekeyer.width, root))
+    for weight, patterns in batches:
         while patterns:
             same, pattern = patterns.popitem()
             sigmas = list(_orderings(same))
@@ -375,7 +432,7 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
                 rows = list(zip(*rekeyer.rekey(keys[c : c + _CHUNK], sigmas)))
                 reps = list(map(min, rows))
                 fields = map(operator.add, map(classes.__getitem__, map(tuple.count, rows, reps)),
-                             map(operator.mul, sizes[c : c + _CHUNK], repeat(d)))
+                             map(operator.mul, sizes[c : c + _CHUNK], repeat(d * weight)))
                 records = map(written.pack, reps, map(int.to_bytes, fields, repeat(step - rep_end), repeat("big")))
                 lasts = b"".join(reps)[rep_end - 1 :: rep_end]
                 deque(map(bytearray.extend, map(buckets.__getitem__, lasts), records), maxlen=0)

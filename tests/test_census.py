@@ -45,6 +45,25 @@ PLANE3 = full_plane(F3)
 PLANE5 = full_plane(F5)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [F3, F5, prime_field(7), galois_field(3, 2), Z9, mod_prime_power(5, 2), mod_prime_power(3, 3)],
+    ids=lambda spec: spec.label(),
+)
+def test_plane_orbits_partition_the_plane(spec):
+    # each root's SL_2 orbit, listed by enumerate_sl2, has the stated size;
+    # the orbits are disjoint and cover the plane
+    group, plane, covered = list(enumerate_sl2(spec)), set(full_plane(spec).points), set()
+    orbits = census.plane_orbits(spec)
+    assert len(orbits) == spec.max_level + 1
+    for root, size in orbits:
+        orbit = set(map(spec.apply_mat, group, itertools.repeat(root)))
+        assert len(orbit) == size
+        assert not orbit & covered
+        covered |= orbit
+    assert covered == plane
+
+
 def test_pointset_dedupes_and_sorts():
     E = PointSet(F3, [(2, 2), (0, 1), (2, 2), (1, 0)])
     assert E.points == ((0, 1), (1, 0), (2, 2))
@@ -174,9 +193,12 @@ def _key_level(spec, key):
         (random_subset(galois_field(3, 2), 9, 4), 3),
         (full_plane(Z9), 1),
         (full_plane(Z9), 2),
+        (full_plane(prime_field(7)), 2),
+        (PLANE5, 3),
         (random_subset(mod_prime_power(7, 3), 14, 2), 2),  # two-byte keys
     ],
-    ids=["F3-k1", "F3-k2", "F3-k3", "F9s-k1", "F9s-k2", "F9s-k3", "Z9-k1", "Z9-k2", "Z343s-k2"],
+    ids=["F3-k1", "F3-k2", "F3-k3", "F9s-k1", "F9s-k2", "F9s-k3", "Z9-k1", "Z9-k2", "F7-k2", "F5-k3",
+         "Z343s-k2"],
 )
 def test_count_classes_matches_signature_oracle(E, k):
     report = count_classes(E, k)
@@ -651,12 +673,20 @@ def test_census_rekeys_each_distinct_pattern_key_once(monkeypatch, E, k, flush):
     monkeypatch.setattr(census._Rekeyer, "rekey", counted)
     monkeypatch.setattr(census, "_FLUSH", flush)
     signature_counts(E, k)
-    table, width = census.area_index_table(E), key_width(E.spec)
-    distinct = {
-        (tuple(map(operator.eq, t, t[1:])),
-         b"".join(table[t[i]][t[j] * width : (t[j] + 1) * width] for j in range(1, k + 1) for i in range(j)))
-        for t in itertools.combinations_with_replacement(range(len(E)), k + 1)
-    }
+    table, width, n = census.area_index_table(E), key_width(E.spec), len(E)
+
+    def key(t):
+        return b"".join(table[t[i]][t[j] * width : (t[j] + 1) * width] for j in range(1, k + 1) for i in range(j))
+
+    if E.is_plane():  # the plane is keyed root by root, slot 0 fixed: once per root
+        roots = [E.points.index(r) for r, _ in census.plane_orbits(E.spec)]
+        rooted = [(r, *t) for r in roots for t in itertools.combinations_with_replacement(range(n), k)]
+        distinct = {(t[0], tuple(map(operator.eq, t[1:], t[2:])), key(t)) for t in rooted}
+    else:
+        distinct = {
+            (tuple(map(operator.eq, t, t[1:])), key(t))
+            for t in itertools.combinations_with_replacement(range(n), k + 1)
+        }
     assert len(seen) == len(distinct)
 
 
@@ -837,8 +867,9 @@ def test_nu_histogram_f3():
         random_subset(mod_prime_power(3, 3), 60, 3),
         random_subset(mod_prime_power(7, 3), 40, 3),  # two-byte keys
         random_subset(galois_field(3, 4), 300, 3),  # rows counted in two blocks
+        full_plane(mod_prime_power(3, 3)),  # one row per SL_2 orbit
     ],
-    ids=["F9s", "Z27s", "Z343s", "F81s"],
+    ids=["F9s", "Z27s", "Z343s", "F81s", "Z27"],
 )
 def test_nu_histogram_matches_pairwise_loop(E):
     spec = E.spec

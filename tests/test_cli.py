@@ -505,7 +505,9 @@ def test_verify_all_counts_each_point_sets_areas_at_most_once(tmp_path, monkeypa
 
 def test_verify_all_builds_each_point_set_and_area_table_once(capsys, monkeypatch):
     # 33 cells over 15 distinct (ring, construction) pairs, the theorem-6.1
-    # planes among them: one construction and one area table each
+    # planes among them: one construction each, and one area table each
+    # but the Z/27Z and Z/25Z planes, which only nu and the k = 1 census
+    # read, from one row per SL_2 orbit
     from test_acceptance import VERIFY_ALL_SHA256
 
     from areal import census as cn
@@ -527,7 +529,33 @@ def test_verify_all_builds_each_point_set_and_area_table_once(capsys, monkeypatc
     assert main(["verify-all"]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_SHA256
     assert len(built) == len(set(built)) == 15
-    assert len(tables) == len(set(tables)) == 15
+    assert len(tables) == len(set(tables)) == 13
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        # q^2 for the q^2 - 1 nonzero vectors of an F_q plane
+        lambda orbits, spec: [(r, size + (size == spec.size() ** 2 - 1)) for r, size in orbits],
+        # the orbit of p^(l-1) (1, 0) left out of a Z/p^l Z plane
+        lambda orbits, spec: orbits[:-1] if spec.max_level > 1 else orbits,
+    ],
+    ids=["field-weight", "missing-level"],
+)
+def test_verify_all_fails_with_a_wrong_plane_orbit_table(tmp_path, monkeypatch, mutant):
+    # the orbit table weights every plane census and nu: a wrong weight
+    # must fail the census's closed forms and lemma-2.3's oracle
+    from areal import census as cn
+
+    plane_orbits = cn.plane_orbits
+    monkeypatch.setattr(cn, "plane_orbits", lambda spec: mutant(plane_orbits(spec), spec))
+    dest = tmp_path / "report.json"
+    assert main(["verify-all", "--output", str(dest)]) == EXIT_CHECK_FAILED
+    checks = [c for e in json.loads(dest.read_text())["experiments"] for c in e["checks"]]
+    own_sums = {"tuples_by_level sums to total_tuples", "classes_by_level sums to total_classes",
+                "every level has a class"}
+    assert any(set(c.get("failed", ())) - own_sums for c in checks if c["check"] == "census")
+    assert any("fast == oracle" in c.get("failed", ()) for c in checks if c["check"] == "lemma-2.3")
 
 
 @pytest.mark.parametrize("check", ["lemma-4.2", "lemma-4.1"])
@@ -880,6 +908,7 @@ def test_lemma_2_2_holds_one_recovery_per_good_tuple(monkeypatch):
 
 
 def test_nu_and_census_build_one_area_table_per_experiment(monkeypatch):
+    # on the plane nu reads one row per SL_2 orbit and builds no table
     from areal import census as cn
 
     calls = []
@@ -890,10 +919,12 @@ def test_nu_and_census_build_one_area_table_per_experiment(monkeypatch):
         return area_index_table(E)
 
     monkeypatch.setattr(cn, "area_index_table", counted)
-    obj = {"ring": {"family": "mod-prime-power", "p": 3, "ell": 3}, "construction": FULL,
-           "k": 1, "checks": ["nu", "census"]}
-    assert run_experiment(ExperimentConfig.from_json(obj))["ok"] is True
-    assert calls == [27 ** 2]
+    for construction, tables in ((FULL, []), ({"kind": "random-subset", "size": 200, "seed": 1}, [200])):
+        calls.clear()
+        obj = {"ring": {"family": "mod-prime-power", "p": 3, "ell": 3}, "construction": construction,
+               "k": 1, "checks": ["nu", "census"]}
+        assert run_experiment(ExperimentConfig.from_json(obj))["ok"] is True
+        assert calls == tables
 
 
 def test_lemma_2_2_fails_when_the_group_misses_an_element(monkeypatch):
