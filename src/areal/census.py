@@ -98,10 +98,10 @@ def plane_orbits(spec: RingSpec) -> list[tuple[Vec2, int]]:
 
 class PointSet:
     """A deduplicated, canonically sorted subset of the ring's plane.  Its
-    area_table and area_counts are built on first use and kept, so nu and
-    the k = 1 census of one experiment read one histogram, and the census
-    at k >= 2 the same table.  On the whole plane area_counts reads one
-    row per SL_2 orbit instead of the table (plane_orbits)."""
+    area_counts and area_table are built on first use and kept, so nu and
+    the k = 1 census of one experiment read one histogram, and the
+    censuses at k >= 2 of one set one table.  area_counts is counted from
+    perp_rows rows and never reads the table."""
 
     def __init__(self, spec: RingSpec, points):
         self.spec = spec
@@ -124,36 +124,24 @@ class PointSet:
 
     @functools.cached_property
     def area_counts(self) -> dict[int, int]:
-        """nu: each area t with nu(t) > 0 -> the number of ordered pairs
-        of points with area t.
+        """nu: each area t with nu(t) > 0, in element order -> the number
+        of ordered pairs of points with area t.
 
-        On the whole plane, nu(t) = sum over the plane_orbits (r, size) of
-        size * #{y : area(r, y) = t}, from one perp_rows row per orbit and
-        no table: if x = g r with g in SL_2, then y -> g^{-1} y maps the
-        plane onto itself and keeps area(x, y) = area(r, g^{-1} y), as det
-        g = 1, so every x of r's orbit has r's row of areas, permuted.
-
-        Elsewhere it is read from area_table: one bytes.count per element
-        over each block of rows joined, about 64 KiB at a time, at one byte
-        per area, one Counter over the area slices of every row at wider
-        keys."""
+        nu(t) = sum over roots r of weight w of w * #{y : area(r, y) = t},
+        from one perp_rows row per root, each run of rows of one weight
+        counted at once.  Off the plane every point is a root of weight
+        1.  On the whole plane the roots are the plane_orbits (r, size):
+        if x = g r with g in SL_2, then y -> g^{-1} y maps the plane onto
+        itself and keeps area(x, y) = area(r, g^{-1} y), as det g = 1, so
+        every x of r's orbit has r's row of areas, permuted."""
         spec = self.spec
-        if self.is_plane():
-            orbits, nu = plane_orbits(spec), Counter()
-            for (_, size), row in zip(orbits, spec.perp_rows([r for r, _ in orbits], self.points)):
-                nu.update({a: size * c for a, c in Counter(row).items()})
-            return {a: nu[a] for a in spec.elements() if nu[a]}
-        table, width = self.area_table, key_width(spec)
-        if width == 1:
-            codes, tallies = [_BYTES[a] for a in spec.elements()], itertools.repeat(0)
-            rows = max(1, (64 << 10) // max(1, len(self)))
-            for r in range(0, len(table), rows):
-                tallies = list(map(operator.add, tallies, map(b"".join(table[r : r + rows]).count, codes)))
-            return {a: c for a, c in zip(spec.elements(), tallies) if c}
-        slices: Counter = Counter()
-        for row in table:
-            slices.update(_cut(row, width, width))
-        return {int.from_bytes(a, "big"): c for a, c in slices.items()}
+        roots = plane_orbits(spec) if self.is_plane() else [(x, 1) for x in self.points]
+        rows = zip([w for _, w in roots], spec.perp_rows([r for r, _ in roots], self.points))
+        nu: Counter = Counter()
+        for weight, weighted in itertools.groupby(rows, key=operator.itemgetter(0)):
+            for a, c in Counter(itertools.chain.from_iterable(row for _, row in weighted)).items():
+                nu[a] += weight * c
+        return {a: nu[a] for a in spec.elements() if nu[a]}
 
     def is_plane(self) -> bool:
         """Whether the set is the whole plane R^2, its q^2 points."""
@@ -629,7 +617,7 @@ class NuHistogram:
 
 def nu_histogram(E: PointSet, budget: int = DEFAULT_BUDGET) -> NuHistogram:
     """nu(t) = #{(x, y) in E x E : x . y^perp = t}; sums to |E|^2.  A copy
-    of E.area_counts, charged |E|^2 before the table is built."""
+    of E.area_counts, charged |E|^2 before any area row."""
     check_budget(len(E) ** 2, budget)
     return NuHistogram(E.spec, dict(E.area_counts))
 

@@ -232,7 +232,7 @@ def _check_census(cfg: ExperimentConfig, memo: Memo) -> Checked:
         "classes_by_level sums to total_classes": sum(classes) == report.total_classes,
         "every level has a class": all(c >= 1 for c in classes),
     }
-    if report.set_size == cfg.spec.size() ** 2:
+    if memo.points(cfg).is_plane():
         conditions.update(cn.plane_closed_forms(report))
     return {
         "ring": _Echo(cfg.spec.to_json()), "k": _Echo(cfg.k), "set_size": report.set_size,

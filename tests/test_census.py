@@ -338,14 +338,16 @@ def test_budget_is_checked_before_the_area_table(monkeypatch):
         count_classes(PLANE5, 3, budget=10)
 
 
-def test_nu_histogram_checks_its_budget_before_the_area_table(monkeypatch):
-    def no_table(E):
-        raise AssertionError("area table built before the budget check")
+def test_nu_histogram_checks_its_budget_before_any_area_row(monkeypatch):
+    def no_rows(*args, **kwargs):
+        raise AssertionError("areas computed before the budget check")
 
-    monkeypatch.setattr(census, "area_index_table", no_table)
-    E = full_plane(F5)  # a fresh set, with no table built yet
-    with pytest.raises(BudgetExceeded):
-        nu_histogram(E, budget=len(E) ** 2 - 1)
+    monkeypatch.setattr(census, "area_index_table", no_rows)
+    for ring_class in (rings._Residues, rings.GaloisField):
+        monkeypatch.setattr(ring_class, "perp_rows", no_rows)
+    for E in (full_plane(F5), random_subset(F5, 9, 2)):  # fresh sets, no histogram counted yet
+        with pytest.raises(BudgetExceeded):
+            nu_histogram(E, budget=len(E) ** 2 - 1)
 
 
 def _over_budget_calls():
@@ -866,10 +868,12 @@ def test_nu_histogram_f3():
         random_subset(galois_field(3, 2), 30, 3),
         random_subset(mod_prime_power(3, 3), 60, 3),
         random_subset(mod_prime_power(7, 3), 40, 3),  # two-byte keys
-        random_subset(galois_field(3, 4), 300, 3),  # rows counted in two blocks
+        random_subset(galois_field(3, 4), 300, 3),
         full_plane(mod_prime_power(3, 3)),  # one row per SL_2 orbit
+        full_plane(galois_field(3, 2)),  # one root for the nonzero vectors
+        PointSet(F3, []),
     ],
-    ids=["F9s", "Z27s", "Z343s", "F81s", "Z27"],
+    ids=["F9s", "Z27s", "Z343s", "F81s", "Z27", "F9", "empty"],
 )
 def test_nu_histogram_matches_pairwise_loop(E):
     spec = E.spec
@@ -881,9 +885,9 @@ def test_nu_histogram_matches_pairwise_loop(E):
     assert nu_histogram(E).counts == expected
 
 
-def test_nu_histogram_peak_memory_is_near_the_table_it_keeps():
-    # the rows are counted a block at a time: joining the whole table
-    # first peaked at twice what the call holds afterwards
+def test_nu_histogram_keeps_no_area_table():
+    # the rows are counted as perp_rows yields them: nu holds its counts,
+    # never the n^2 table of areas (4,000,000 bytes here)
     E = random_subset(galois_field(3, 4), 2000, 1)
     tracemalloc.start()
     try:
@@ -891,8 +895,8 @@ def test_nu_histogram_peak_memory_is_near_the_table_it_keeps():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert held >= len(E) ** 2  # the area table, kept on the point set
-    assert peak <= 1.25 * held
+    assert held <= 64 << 10
+    assert peak <= 1 << 20
 
 
 def test_nu_histogram_origin_only():

@@ -506,8 +506,8 @@ def test_verify_all_counts_each_point_sets_areas_at_most_once(tmp_path, monkeypa
 def test_verify_all_builds_each_point_set_and_area_table_once(capsys, monkeypatch):
     # 33 cells over 15 distinct (ring, construction) pairs, the theorem-6.1
     # planes among them: one construction each, and one area table each
-    # but the Z/27Z and Z/25Z planes, which only nu and the k = 1 census
-    # read, from one row per SL_2 orbit
+    # but the Z/27Z and Z/25Z planes and the F_3 union of circles, which
+    # only nu and the k = 1 census read, from area rows
     from test_acceptance import VERIFY_ALL_SHA256
 
     from areal import census as cn
@@ -529,7 +529,7 @@ def test_verify_all_builds_each_point_set_and_area_table_once(capsys, monkeypatc
     assert main(["verify-all"]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_SHA256
     assert len(built) == len(set(built)) == 15
-    assert len(tables) == len(set(tables)) == 13
+    assert len(tables) == len(set(tables)) == 12
 
 
 @pytest.mark.parametrize(
@@ -908,7 +908,8 @@ def test_lemma_2_2_holds_one_recovery_per_good_tuple(monkeypatch):
 
 
 def test_nu_and_census_build_one_area_table_per_experiment(monkeypatch):
-    # on the plane nu reads one row per SL_2 orbit and builds no table
+    # nu and the k = 1 census read area rows and build no table; the
+    # census at k = 2 builds one
     from areal import census as cn
 
     calls = []
@@ -919,10 +920,11 @@ def test_nu_and_census_build_one_area_table_per_experiment(monkeypatch):
         return area_index_table(E)
 
     monkeypatch.setattr(cn, "area_index_table", counted)
-    for construction, tables in ((FULL, []), ({"kind": "random-subset", "size": 200, "seed": 1}, [200])):
+    subset = {"kind": "random-subset", "size": 200, "seed": 1}
+    for construction, k, tables in ((FULL, 1, []), (subset, 1, []), (subset, 2, [200])):
         calls.clear()
         obj = {"ring": {"family": "mod-prime-power", "p": 3, "ell": 3}, "construction": construction,
-               "k": 1, "checks": ["nu", "census"]}
+               "k": k, "checks": ["nu", "census"]}
         assert run_experiment(ExperimentConfig.from_json(obj))["ok"] is True
         assert calls == tables
 
