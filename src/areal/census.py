@@ -14,6 +14,7 @@ import itertools
 import math
 import operator
 import struct
+from array import array
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -157,28 +158,48 @@ class PointSet:
 
 def area_index_table(E: PointSet) -> list[bytes]:
     """Row i holds the area of (point i, point j) for every j, each as its
-    canonical index in key_width bytes big-endian, from one perp_rows."""
+    canonical index in a native word of key_width bytes, from one
+    perp_rows."""
     rows, width = E.spec.perp_rows(E.points, E.points), key_width(E.spec)
-    if width == 1:
-        return list(map(bytes, rows))
-    return [b"".join([a.to_bytes(width, "big") for a in row]) for row in rows]
+    return list(map(bytes, rows)) if width == 1 else [array(_WORDS[width], row).tobytes() for row in rows]
 
 
-# Ends every one-byte-per-area key in a census block and in a chunk's
-# joined keys.  Such keys hold indexes below q, and q is odd, so q <= 255
-# and no area is this byte.
-_SEPARATOR = b"\xff"
+# array/memoryview codes by word size: census keys are native words
+_WORDS = {array(code).itemsize: code for code in "BHIQ"}
 _BYTES = [bytes((v,)) for v in range(256)]
 _CHUNK = 512  # keys re-keyed at once under every ordering
 _FLUSH = 4096  # pattern keys held before the census re-keys them
 
 
-def _cut(keys: bytes, step: int, width: int) -> list[bytes]:
-    """The keys held every step bytes: split on the separator at one byte
-    per area (none follows the last key), sliced at wider keys."""
-    if width == 1:
-        return keys.split(_SEPARATOR)
-    return [keys[i : i + step] for i in range(0, len(keys), step)]
+def _stride(size: int) -> int:
+    """Bytes per key of size bytes: the least of 1, 2, 4 and 8 holding it,
+    else whole 8-byte lanes."""
+    return 1 << (size - 1).bit_length() if size <= 8 else -(-size // 8) * 8
+
+
+def _lanes(keys: list[int], count: int) -> list:
+    """Bits 64 j to 64 j + 63 of the keys for each lane j < count."""
+    return [keys] if count == 1 else [[key >> 64 * j & 2 ** 64 - 1 for key in keys] for j in range(count)]
+
+
+def _unlanes(lanes) -> list[int]:
+    """_lanes undone."""
+    return lanes[0] if len(lanes) == 1 else [sum(w << 64 * j for j, w in enumerate(ws)) for ws in zip(*lanes)]
+
+
+def _pack(keys: list[int], stride: int) -> bytes:
+    """The keys as native words, stride bytes each."""
+    if stride <= 8:
+        return array(_WORDS[stride], keys).tobytes()
+    return array("Q", itertools.chain.from_iterable(zip(*_lanes(keys, stride // 8)))).tobytes()
+
+
+def _ints(buf, stride: int) -> Iterator[int]:
+    """The keys cast from native words, stride bytes each: _pack undone."""
+    if stride <= 8:
+        return memoryview(buf).cast(_WORDS[stride])
+    words, count = memoryview(buf).cast("Q"), stride // 8
+    return _unlanes([words[j::count] for j in range(count)])
 
 
 def _orderings(same: tuple) -> Iterator[list[int]]:
@@ -212,41 +233,40 @@ def _orderings(same: tuple) -> Iterator[list[int]]:
 def _nondecreasing_counts(
     E: PointSet, k: int, width: int, root: int | None = None
 ) -> Iterator[dict[tuple, Counter]]:
-    """Census keys, for k >= 2, of the nondecreasing tuples t_0 <= .. <=
-    t_k of E^{k+1} by point index, one Counter per equality pattern (see
-    _orderings), handed on at the end of a prefix group once they hold
-    _FLUSH keys.  Given a root, the tuples are instead (root, t_1 <= .. <=
-    t_k): slot 0 never moves, so each pattern starts with None, and the
-    first u is 0 at k = 2.  The tuples sharing (t_0 .. t_{k-2}), the last
-    of them lo, form a block of keys for lo <= u <= v, written into one
-    bytearray with one extended-slice assignment per key byte: the pairs u < v row
-    by row, then the pairs u = v.  An area is fixed over the block, or repeated
-    over v, or a table row from column u + 1 on, or taken at u.  The
-    first row (u = lo) is cut alone; the later rows share their pattern
-    and are cut in spans of whole keys, about 64 KiB each.
+    """Census keys, k >= 2, of the nondecreasing tuples t_0 <= .. <= t_k
+    of E^{k+1} by point index, one Counter per equality pattern
+    (_orderings), handed on after a prefix group once they hold _FLUSH.
+    Given a root, the tuples are (root, t_1 <= .. <= t_k): slot 0 never
+    moves, so each pattern starts with None, and the first u is 0 at k =
+    2.  The tuples sharing (t_0 .. t_{k-2}), the last of them lo, form a
+    block of keys for lo <= u <= v in one zeroed bytearray, one
+    extended-slice assignment per key byte: the pairs u < v row by row,
+    then u = v.  Of the P = k(k+1)/2 area slots, slot o fills bytes (P -
+    1 - o) width on; the rest of the stride stays zero.  An area is fixed
+    over the block, or repeated over v, or a table row from column u + 1
+    on, or taken at u.  The first row (u = lo), the later rows and the
+    diagonal are each counted by one Counter.update of the block cast to
+    ints (_ints), so no key is an object before it is counted.
 
-    The prefixes (t_0 .. t_{k-2}) are grouped by the areas among them.
-    Every key of a block holds those areas, so two groups share no key,
-    and each distinct (pattern, key) is yielded once, whenever the
-    Counters are handed on.  At k = 2 a prefix has no areas, and there
-    is one group."""
+    The prefixes are grouped by the areas among them, which every key of
+    their blocks holds, so two groups share no key and each distinct
+    (pattern, key) is yielded once.  At k = 2 there is one group."""
     n = len(E)
     T = E.area_table
     # planes[b][x][y]: byte b of the area of (x, y); at width 1 the table
     planes = [T] if width == 1 else [[row[b::width] for row in T] for b in range(width)]
-    # each key byte's pair (i, j) and plane; t_inner = u and t_k = v
-    sources = [(i, j, planes[b]) for i, j in pair_indices(k) for b in range(width)]
-    inner, sep = k - 1, int(width == 1)
+    # each key byte's pair (i, j) and plane, last pair first; t_inner = u and t_k = v
+    sources = [(i, j, planes[b]) for i, j in reversed(pair_indices(k)) for b in range(width)]
+    inner = k - 1
     among = [(i, j, plane) for i, j, plane in sources if j < inner]  # the areas of a prefix
     fixed = root is not None
     prefixes = itertools.combinations_with_replacement(range(n), k - 1 - fixed)
     groups: dict[bytes, list[tuple]] = defaultdict(list)
     for t in ((root, *c) for c in prefixes) if fixed else prefixes:
         groups[bytes([plane[t[i]][t[j]] for i, j, plane in among])].append(t)
-    stride = len(sources) + sep  # one-byte-per-area keys end in the separator
-    block = bytearray(_SEPARATOR * (n * (n + 1) // 2 * stride))
+    stride = _stride(len(sources))
+    block = bytearray(n * (n + 1) // 2 * stride)
     view, tails = memoryview(block), [slice(u, None) for u in range(n + 1)]
-    span = max(1, (64 << 10) // stride) * stride  # about 64 KiB of whole keys
     patterns: dict[tuple, Counter] = defaultdict(Counter)
     for group in groups.values():
         for t in group:
@@ -271,10 +291,10 @@ def _nondecreasing_counts(
                 first, rest = (None, *first[1:]), (None, *rest[1:])
             first_row, diagonal = (m - 1) * stride, (m - 1) * m // 2 * stride
             if first_row:
-                patterns[first + (False,)].update(_cut(bytes(view[: first_row - sep]), stride, width))
-            for a in range(first_row, diagonal, span):  # the later rows, a span of keys at a time
-                patterns[rest + (False,)].update(_cut(bytes(view[a : min(a + span, diagonal) - sep]), stride, width))
-            lo_key, *others = _cut(bytes(view[diagonal : end - sep]), stride, width)
+                patterns[first + (False,)].update(_ints(view[:first_row], stride))
+            if diagonal > first_row:
+                patterns[rest + (False,)].update(_ints(view[first_row:diagonal], stride))
+            lo_key, *others = _ints(view[diagonal:end], stride)
             patterns[first + (True,)][lo_key] += 1
             if others:  # an empty pattern would still have its orderings listed
                 patterns[rest + (True,)].update(others)
@@ -293,27 +313,25 @@ class _Rekeyer:
     def __init__(self, spec: RingSpec, k: int):
         self.width = width = key_width(spec)
         pairs = pair_indices(k)
-        self._slot = {pair: o * width for o, pair in enumerate(pairs)}
-        self._step = len(pairs) * width + (width == 1)
+        self._slot = {pair: o * width for o, pair in enumerate(reversed(pairs))}
+        self.stride = _stride(len(pairs) * width)
         if width == 1:
-            table = bytes(map(spec.neg, spec.elements())).ljust(256, _SEPARATOR)
+            table = bytes(map(spec.neg, spec.elements())).ljust(256, b"\0")
             self._negate = lambda keys: keys.translate(table)
         else:
-            codes = {a.to_bytes(width, "big"): spec.neg(a).to_bytes(width, "big")
-                     for a in spec.elements()}
-            self._negate = lambda keys: b"".join(map(codes.__getitem__, _cut(keys, width, width)))
+            negs = list(map(spec.neg, spec.elements()))
+            self._negate = lambda keys: _pack(map(negs.__getitem__, _ints(keys, width)), width)
 
-    def rekey(self, keys: list[bytes], sigmas) -> list[list[bytes]]:
+    def rekey(self, keys: list[int], sigmas) -> list[list[int]]:
         """The keys of the tuples of keys reordered by each sigma, one list
         per sigma: slot (a, b) of the tuple ordered by sigma is slot
         (min(sigma a, sigma b), max(sigma a, sigma b)) of its key, negated
-        when sigma a > sigma b, as y . x^perp = -x . y^perp.  An ordering is
-        one bulk pass over the joined keys: one extended-slice assignment
-        per key byte from them or from their negation, made once by
-        bytes.translate at one byte per area and through a map of the q
-        area encodings at wider keys."""
-        width, step, slot = self.width, self._step, self._slot
-        joined = (_SEPARATOR if width == 1 else b"").join(keys)
+        when sigma a > sigma b, as y . x^perp = -x . y^perp: one
+        extended-slice assignment per key byte from the packed keys or
+        their negation, then one cast back.  A pad byte, the zero area,
+        negates to itself."""
+        width, stride, slot = self.width, self.stride, self._slot
+        joined = _pack(keys, stride)
         negated, out = self._negate(joined), []
         for sigma in sigmas:
             if sigma == sorted(sigma):
@@ -324,8 +342,8 @@ class _Rekeyer:
                 s, t = sigma[a], sigma[b]
                 src, p = (joined, slot[s, t]) if s < t else (negated, slot[t, s])
                 for c in range(width):
-                    ordered[o + c :: step] = src[p + c :: step]
-            out.append(_cut(bytes(ordered), step, width))
+                    ordered[o + c :: stride] = src[p + c :: stride]
+            out.append(list(_ints(ordered, stride)))
         return out
 
 
@@ -354,38 +372,33 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
     class per area t, of nu(t) tuples, at the level of t.  The kernel
     described next serves k >= 2.
 
-    A tuple's key is its configs.signature, each area's index in
-    key_width bytes big-endian.  Only the nondecreasing tuples are keyed,
-    one Counter per equality pattern, handed on one prefix group at a
-    time (_nondecreasing_counts).  Up to
-    _CHUNK pattern keys K at a time are re-keyed by _Rekeyer under the
-    pattern's distinct orderings D (_orderings): these are the keys of
-    K's orbit, and the least is its rep.  The orbit gains count(K) * |D|
-    tuples and holds |D| / (the orderings giving the rep) classes,
-    whichever key reaches it.  So at most n^{k+1} keys are re-keyed, each
-    distinct (pattern, key) once (on the plane, once per root).
+    A key is an int whose digits, key_width bytes each, are the area
+    indexes of configs.signature, the first most significant
+    (_nondecreasing_counts keys the nondecreasing tuples).  Up to _CHUNK
+    pattern keys K at a time are re-keyed (_Rekeyer) under the pattern's
+    distinct orderings D (_orderings): K's orbit, whose least key is its
+    rep.  The orbit gains count(K) |D| tuples and holds |D| / (orderings
+    giving the rep) classes, whichever key reaches it; each distinct
+    (pattern, key) is re-keyed once (on the plane, once per root).
 
-    Each key leaves one fixed-width record: its rep, the orbit's classes
-    (at most (k+1)!) and the tuples it adds (at most n^{k+1}), appended to
-    one of 256 bytearrays by the rep's last byte.  At the end each
-    bytearray is merged alone, one total per rep: two records of a rep
-    must agree on its classes, and its classes must share its tuples
-    evenly, both checked.  Reordering keeps every valuation, so an orbit's
-    level is its rep's, which key_badness reads once per orbit, and each
-    orbit then adds its classes to the tally at their size.  The charge
-    is at least 2^{k+1}, which passes the k(k+1)/2 areas of a key, so a
-    set of one point or none cannot ask for keys longer than its budget.
+    Each key leaves a record, appended to one of 256 bytearrays by the
+    rep's lowest byte: its head, the orbit's classes (at most (k+1)!)
+    above its rep, in native words, then the tuples it adds (at most
+    n^{k+1}), big-endian.  Each bytearray is merged alone, one total per
+    head: two records of a rep must agree on its classes, and its classes
+    must share its tuples evenly, both checked.  Reordering keeps every
+    valuation, so an orbit's level is its rep's (key_badness).  The
+    charge is at least 2^{k+1}, which passes the k(k+1)/2 areas of a key,
+    so a set of one point or none cannot ask for keys past its budget.
 
     On the whole plane the kernel runs once per root r of plane_orbits,
-    over the tuples (r, t_1 <= .. <= t_k) only, and each record's tuples
-    are multiplied by the size of r's SL_2 orbit.  That is exact: if x_0
-    = g r with g in SL_2, then (x_0, .., x_k) -> (g^{-1} x_0, .., g^{-1}
-    x_k) maps the tuples whose first point is x_0 one to one onto those
-    whose first point is r and keeps every key, as det g = 1 and g^{-1}
-    maps the plane onto itself.  Slot 0 never moves, so a rep is the
-    least key of an orbit under the S_k relabelings of slots 1 .. k;
-    the merge, both checks and the tally are the same.  The charge stays
-    max(n, 2)^{k+1}, which overcounts this rooted work."""
+    over (r, t_1 <= .. <= t_k) only, each record's tuples multiplied by
+    the size of r's SL_2 orbit: for x_0 = g r with g in SL_2, (x_0, ..,
+    x_k) -> (g^{-1} x_0, .., g^{-1} x_k) maps the tuples that start at x_0
+    one to one onto those that start at r and keeps every key (det g =
+    1).  Slot 0 never moves, so a rep is least under the S_k relabelings
+    of slots 1 .. k.  The charge stays max(n, 2)^{k+1}, which overcounts
+    this rooted work."""
     n = len(E)
     check_k(k)
     check_power_budget(max(n, 2), k + 1, budget)
@@ -396,12 +409,11 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
             sizes[size] = sizes.get(size, 0) + 1
         return counts
     rekeyer = _Rekeyer(E.spec, k)
-    # record fields: the rep ends at rep_end, the classes at head, the tuples at step
-    rep_end = k * (k + 1) // 2 * rekeyer.width
-    head = rep_end + (math.factorial(k + 1).bit_length() + 7) // 8
-    step = head + ((n ** (k + 1)).bit_length() + 7) // 8
-    shift, repeat = (step - head) * 8, itertools.repeat
-    written, read = struct.Struct(f"{rep_end}s{step - rep_end}s"), struct.Struct(f"{head}s{step - head}s")
+    # a record: its head (the orbit's classes above the rep) in native words, then the tuples added
+    top, repeat = 8 * len(pair_indices(k)) * rekeyer.width, itertools.repeat
+    stride = _stride(top // 8 + (math.factorial(k + 1).bit_length() + 7) // 8)
+    lanes, tail = max(1, stride // 8), ((n ** (k + 1)).bit_length() + 7) // 8
+    record = struct.Struct(f"={lanes}{_WORDS[min(stride, 8)]}{tail}s")
     buckets = [bytearray() for _ in range(256)]
     # (root, its orbit's size) on the plane, else one run of every nondecreasing tuple
     runs = [(E.points.index(r), size) for r, size in plane_orbits(E.spec)] if E.is_plane() else [(None, 1)]
@@ -414,29 +426,31 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
             keys, sizes = list(pattern), list(pattern.values())
             del pattern
             d = len(sigmas)
-            # the classes field, shifted past the tuples field, by how many orderings give the rep
-            classes = [0, *(d // hits << shift for hits in range(1, d + 1))]
+            # the classes, shifted above the rep, by how many orderings give the rep
+            classes = [0, *(d // hits << top for hits in range(1, d + 1))]
             for c in range(0, len(keys), _CHUNK):
                 rows = list(zip(*rekeyer.rekey(keys[c : c + _CHUNK], sigmas)))
                 reps = list(map(min, rows))
-                fields = map(operator.add, map(classes.__getitem__, map(tuple.count, rows, reps)),
-                             map(operator.mul, sizes[c : c + _CHUNK], repeat(d * weight)))
-                records = map(written.pack, reps, map(int.to_bytes, fields, repeat(step - rep_end), repeat("big")))
-                lasts = b"".join(reps)[rep_end - 1 :: rep_end]
-                deque(map(bytearray.extend, map(buckets.__getitem__, lasts), records), maxlen=0)
+                heads = list(map(operator.or_, reps, map(classes.__getitem__, map(tuple.count, rows, reps))))
+                tuples = map(operator.mul, sizes[c : c + _CHUNK], repeat(d * weight))
+                records = map(record.pack, *_lanes(heads, lanes), map(int.to_bytes, tuples, repeat(tail), repeat("big")))
+                spread = map(buckets.__getitem__, map(operator.and_, reps, repeat(255)))
+                deque(map(bytearray.extend, spread, records), maxlen=0)
+                del rows, reps, heads, records  # before the next chunk is re-keyed
     classes_at: dict[tuple, int] = {}  # (level, class size) -> classes
     for bucket in filter(None, buckets):
-        heads, tails = zip(*read.iter_unpack(bucket))
+        *words, tails = zip(*record.iter_unpack(bucket))
         bucket.clear()
+        heads = list(_unlanes(words))
         weights = map(int.from_bytes, tails, repeat("big"))
-        totals: dict[bytes, int] = {}  # rep and classes -> the orbit's tuples
+        totals: dict[int, int] = {}  # head -> the orbit's tuples
         # update stores each total before it reads the next head's
         totals.update(zip(heads, map(operator.add, map(totals.get, heads, repeat(0)), weights)))
-        del heads, tails
-        reps = list(map(operator.itemgetter(slice(rep_end)), totals))
+        del heads, words, tails
+        reps = list(map(operator.and_, totals, repeat((1 << top) - 1)))
         if len(set(reps)) < len(reps):
             raise ArithmeticError("two records of one orbit disagree on its number of classes")
-        orbits = list(map(int.from_bytes, map(operator.itemgetter(slice(rep_end, None)), totals), repeat("big")))
+        orbits = list(map(operator.rshift, totals, repeat(top)))
         tuples = list(totals.values())
         if any(map(operator.mod, tuples, orbits)):
             raise ArithmeticError("the classes of an orbit do not split its tuples evenly")
@@ -449,25 +463,22 @@ def signature_counts(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) -> Class
 
 def key_badness(spec: RingSpec, keys) -> list[int]:
     """The badness levels of census keys, in key order: the least
-    valuation of a key's areas.  A width-1 key's is the least byte of
-    key.translate(vt), where vt maps each area index to its valuation;
-    wider keys are decoded area by area."""
-    width, vals = key_width(spec), _valuation_codes(spec)
-    if width == 1:
-        return list(map(min, map(bytes.translate, keys, itertools.repeat(vals))))
-    return [min(map(vals.__getitem__, _cut(key, width, width))) for key in keys]
+    valuation of a key's areas, read through the ring's table from the
+    keys packed at the widest one's stride.  A zero pad, the zero area,
+    is at the top level."""
+    width, vals, keys = key_width(spec), _valuation_codes(spec), list(keys)
+    stride = _stride(max(width, (max(keys, default=0).bit_length() + 7) // 8))
+    packed = _pack(keys, stride)
+    levels = packed.translate(vals) if width == 1 else bytes(map(vals.__getitem__, _ints(packed, width)))
+    per = stride // width
+    return list(map(min, *(levels[a::per] for a in range(per)))) if per > 1 else list(levels)
 
 
 @functools.lru_cache(maxsize=1)
-def _valuation_codes(spec: RingSpec):
-    """key_badness's table of the ring's valuations: a translate table at
-    one byte per area, else a map from each area's encoding.  The census
-    reads it once per bucket of orbits, all of one ring, so the last one
-    is kept."""
-    width = key_width(spec)
-    if width == 1:
-        return bytes(map(spec.valuation, spec.elements())).ljust(256, b"\0")
-    return {a.to_bytes(width, "big"): spec.valuation(a) for a in spec.elements()}
+def _valuation_codes(spec: RingSpec) -> bytes:
+    """key_badness's valuations by area index, a translate table at one
+    byte per area; kept for the census's next bucket."""
+    return bytes(map(spec.valuation, spec.elements())).ljust(256, b"\0")
 
 
 @dataclass

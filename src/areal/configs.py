@@ -32,8 +32,9 @@ def pair_indices(k: int) -> tuple[tuple[int, int], ...]:
 
 
 def key_width(spec: RingSpec) -> int:
-    """Bytes per area in a signature key: just enough for the ring size."""
-    return max(1, ((spec.size() - 1).bit_length() + 7) // 8)
+    """Bytes per area in a census key: the least of 1, 2, 4 and 8 that
+    holds every element index, so an area is one native word."""
+    return 1 << (((spec.size() - 1).bit_length() + 7) // 8 - 1).bit_length()
 
 
 def signature(spec: RingSpec, points: tuple[Vec2, ...]) -> tuple:

@@ -32,7 +32,7 @@ from areal.census import (
     signature_counts,
     transitivity_constant,
 )
-from areal.configs import badness_level, key_width, signature
+from areal.configs import badness_level, key_width, pair_indices, signature
 from areal.constructions import full_plane, line_through_origin, mod_sharpness_set, random_subset
 from areal.linalg import enumerate_sl2, identity, sl2_order
 from areal.rings import galois_field, mod_prime_power, prime_field
@@ -176,9 +176,11 @@ def _signature_oracle(E, k):
 
 
 def _key_level(spec, key):
-    """The badness level of a census key, decoded area by area."""
-    width = key_width(spec)
-    areas = [int.from_bytes(key[o : o + width], "big") for o in range(0, len(key), width)]
+    """The badness level of a census key, decoded area by area, w =
+    key_width bytes each from its lowest digit; the zero areas in front
+    of its first nonzero digit are at the top level."""
+    bits = 8 * key_width(spec)
+    areas = [key >> o & (1 << bits) - 1 for o in range(0, key.bit_length(), bits)]
     return min([spec.max_level, *map(spec.valuation, areas)])
 
 
@@ -311,13 +313,14 @@ def test_count_classes_peak_memory_is_the_signature_counts():
 
 
 def test_signature_counts_peak_memory_is_a_few_bytes_per_block_key():
-    # the first block at k = 2 holds n(n + 1)/2 keys of three areas and a
-    # separator: the byte table and the block take 3 n^2 bytes, and the
-    # later rows are cut 64 KiB at a time, so at most 16,384 keys (0.7
-    # MiB as bytes objects and their list) are held cut at once.  Every
-    # area of the set is divisible by 3, so its 729 classes keep the
-    # Counters and the records small; cutting all 29,161 later-row keys
-    # of the first block at once peaked 0.5 MiB higher
+    # the first block at k = 2 holds n(n + 1)/2 keys of three one-byte
+    # areas, each in a 4-byte word: the byte table and the block take 3
+    # n^2 bytes and a block's fills about 2 n^2 more, and Counter.update
+    # reads the block cast to ints, so no key is an object until it is
+    # counted.  Every area of the set is divisible by 3, so its 729
+    # classes keep the Counters and the records small.  The peak was
+    # 455-470 KiB (n = 243; the bound, 10 n^2, is 577 KiB), against 1,169
+    # KiB when every key of a 64 KiB span was cut into a bytes object
     E = mod_sharpness_set(3, 3)
     tracemalloc.start()
     try:
@@ -326,7 +329,7 @@ def test_signature_counts_peak_memory_is_a_few_bytes_per_block_key():
     finally:
         tracemalloc.stop()
     assert len(counts) == 729
-    assert peak <= 8 * len(E) ** 2 + 2 ** 20
+    assert peak <= 10 * len(E) ** 2
 
 
 def test_budget_is_checked_before_the_area_table(monkeypatch):
@@ -404,13 +407,19 @@ def test_census_independent_of_point_order():
 
 def _signature_keys(E, k):
     """The key of every ordered tuple of E^{k+1}: its configs.signature,
-    each area's index in key_width bytes big-endian."""
+    packed by _encoded_signature."""
     width = key_width(E.spec)
     return Counter(_encoded_signature(E.spec, t, width) for t in itertools.product(E.points, repeat=k + 1))
 
 
 def _encoded_signature(spec, t, width):
-    return b"".join(a.to_bytes(width, "big") for a in signature(spec, t))
+    """The census key of t: its signature, each area's index in width
+    bytes big-endian, zero bytes in front up to a stride of 1, 2, 4 or 8
+    bytes or of whole 8-byte lanes, read as one big-endian int (so the
+    last area is its lowest digit)."""
+    key = b"".join(a.to_bytes(width, "big") for a in signature(spec, t))
+    stride = min(s for s in (1, 2, 4, 8, -(-len(key) // 8) * 8) if s >= len(key))
+    return int.from_bytes(key.rjust(stride, b"\0"), "big")
 
 
 _KEYED_SETS = [
@@ -426,11 +435,15 @@ _KEYED_SETS = [
 def test_census_keys_are_the_encoded_signatures(E, k):
     # the kernel keys each nondecreasing tuple by its signature, pattern by
     # pattern, and the re-keyer gives each of its orderings that
-    # ordering's signature
+    # ordering's signature, every key an int: one word of 3 or 6 areas at
+    # one byte (k = 2, 3) or 3 areas at two (Z/343Z, k = 2), two 8-byte
+    # lanes at k = 4 or 6 two-byte areas (Z/343Z, k = 3), three lanes for
+    # 10 two-byte areas (Z/343Z, k = 4)
     width = key_width(E.spec)
     kernel = Counter()
     for patterns in census._nondecreasing_counts(E, k, width):
         for same, keys in patterns.items():
+            assert all(type(key) is int for key in keys)
             kernel.update({(same, key): c for key, c in keys.items()})
     reference = Counter()
     rekeyer = census._Rekeyer(E.spec, k)
@@ -440,8 +453,10 @@ def test_census_keys_are_the_encoded_signatures(E, k):
         reference[same, key] += 1
         sigmas = list(census._orderings(same))
         images = [_encoded_signature(E.spec, tuple(t[s] for s in sigma), width) for sigma in sigmas]
-        assert [keys[0] for keys in rekeyer.rekey([key], sigmas)] == images
+        rekeyed = [keys[0] for keys in rekeyer.rekey([key], sigmas)]
+        assert rekeyed == images and all(type(image) is int for image in rekeyed)
     assert kernel == reference
+    assert any(key >> 64 for _, key in kernel) == (len(pair_indices(k)) * width > 8)
 
 
 _DRAWN_RINGS = (
@@ -453,10 +468,12 @@ _DRAWN_RINGS = (
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_census_matches_both_references_on_drawn_subsets(data):
+    # k = 4 keys take 10 areas, past one 8-byte lane on every ring; its
+    # sets stay at 6 points, as the oracles visit every tuple
     spec = data.draw(st.sampled_from(_DRAWN_RINGS), label="ring")
     element = st.integers(0, spec.size() - 1)
-    points = data.draw(st.sets(st.tuples(element, element), max_size=10), label="points")
-    k = data.draw(st.integers(1, 3), label="k")
+    k = data.draw(st.integers(1, 4), label="k")
+    points = data.draw(st.sets(st.tuples(element, element), max_size=6 if k == 4 else 10), label="points")
     E = PointSet(spec, points)
     _assert_tally_of_keys(E, signature_counts(E, k), _signature_keys(E, k))
     report = count_classes(E, k)
@@ -510,7 +527,7 @@ def test_orbit_with_a_nontrivial_stabiliser():
     keys = {perm: _encoded_signature(F5, perm, 1) for perm in itertools.permutations(t)}
     assert keys[tuple(t)] == keys[tuple(t[1:] + t[:1])] == keys[tuple(t[2:] + t[:2])]
     assert len(set(keys.values())) == 2
-    assert all(E.spec.is_unit(a) for a in keys[tuple(t)])
+    assert all(E.spec.is_unit(a) for a in signature(F5, tuple(t)))
     assert all(reference[key] == 3 for key in keys.values())
     others = [key for key in reference if key not in keys.values() and _key_level(F5, key) == 0]
     assert counts.tally[0][3] == 2 + [reference[key] for key in others].count(3)
@@ -526,9 +543,11 @@ def test_orbit_with_a_nontrivial_stabiliser():
         (random_subset(F5, 4, 1), 4),
         (random_subset(Z9, 4, 2), 4),
         (random_subset(mod_prime_power(7, 3), 8, 3), 3),  # two-byte keys
+        # four-byte areas, three 8-byte lanes per key
+        (PointSet(mod_prime_power(3, 11), [(0, 0), (1, 0), (0, 1), (3, 9), (9, 27), (5, 7), (177146, 2)]), 3),
     ],
     ids=["F5-unit-3-cycle-k2", "F5-zero-areas-k3", "F3-one-point-k4", "F5s-k4", "Z9s-k4",
-         "Z343s-k3"],
+         "Z343s-k3", "Z177147-k3"],
 )
 def test_class_sizes_keep_the_mapping_contract(E, k):
     # the tally stands for the mapping of every signature key to the
@@ -695,18 +714,21 @@ def test_census_rekeys_each_distinct_pattern_key_once(monkeypatch, E, k, flush):
 @pytest.mark.parametrize(
     "size, seed, mib, classes",
     [
-        (20, 1, 2, 137851),
+        (20, 1, 1.1, 137851),
         # the 29-point cell of the benchmark's census workload at seed 0
         (29, int.from_bytes(hashlib.sha256(b"areal-bench:0:census-2").digest()[:8], "big"),
-         2.5, 614223),
+         1.4, 614223),
     ],
     ids=["Z27-s20-k3", "Z27-s29-k3"],
 )
 def test_count_classes_peak_memory_is_a_few_mib(size, seed, mib, classes):
-    # one fixed-width record per re-keyed key and one prefix group's keys
-    # at a time (6,943 and 28,613 orbits); one entry per class peaked at
-    # 11.0 and 43.8 MiB on these two inputs, and one dict entry per orbit
-    # beside every nondecreasing key at 2.4 and 7.0 MiB
+    # one fixed-width record per re-keyed key, one prefix group's keys and
+    # one chunk's re-keyed keys at a time (6,943 and 28,613 orbits).  Int
+    # keys peaked at 0.86-0.92 and 1.16 MiB, the bounds about 20% above;
+    # a bytes object per key, with the last chunk's keys held while the
+    # next was re-keyed, at 1.62 and 1.82 MiB; one entry per class at
+    # 11.0 and 43.8 MiB, and one dict entry per orbit beside every
+    # nondecreasing key at 2.4 and 7.0 MiB
     E = random_subset(mod_prime_power(3, 3), size, seed)
     tracemalloc.start()
     try:
