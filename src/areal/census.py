@@ -16,9 +16,8 @@ import operator
 import struct
 from array import array
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .configs import key_width, pair_indices, signature
 from .linalg import Vec2, enumerate_sl2, sl2_blocks, sl2_order
@@ -136,8 +135,10 @@ class PointSet:
         itself and keeps area(x, y) = area(r, g^{-1} y), as det g = 1, so
         every x of r's orbit has r's row of areas, permuted."""
         spec = self.spec
-        roots = plane_orbits(spec) if self.is_plane() else [(x, 1) for x in self.points]
-        rows = zip([w for _, w in roots], spec.perp_rows([r for r, _ in roots], self.points))
+        roots, weights = self.points, itertools.repeat(1)
+        if self.is_plane():
+            roots, weights = zip(*plane_orbits(spec))
+        rows = zip(weights, spec.perp_rows(roots, self.points))
         nu: Counter = Counter()
         for weight, weighted in itertools.groupby(rows, key=operator.itemgetter(0)):
             for a, c in Counter(itertools.chain.from_iterable(row for _, row in weighted)).items():
@@ -347,12 +348,12 @@ class _Rekeyer:
         return out
 
 
-@dataclass
 class ClassSizes:
     """The census of E^{k+1} as its size tally: tally[level][size] is the
     number of classes of that badness level with size tuples each."""
 
-    tally: dict[int, dict[int, int]] = field(default_factory=dict)
+    def __init__(self):
+        self.tally: dict[int, dict[int, int]] = {}
 
     def __len__(self) -> int:
         return sum(sum(sizes.values()) for sizes in self.tally.values())
@@ -481,8 +482,7 @@ def _valuation_codes(spec: RingSpec) -> bytes:
     return bytes(map(spec.valuation, spec.elements())).ljust(256, b"\0")
 
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     """The census of E^{k+1}.  Unreported: class_sizes, the ClassSizes
     that signature_counts gives, whose size_tally (level -> {class size ->
     classes}) gives the per-level counts and the composite checks' class
@@ -495,7 +495,7 @@ class CensusReport:
     tuples_by_level: dict[int, int]
     classes_by_level: dict[int, int]
     total_classes: int
-    class_sizes: ClassSizes = field(repr=False)
+    class_sizes: ClassSizes
 
     @property
     def size_tally(self) -> dict[int, dict[int, int]]:
@@ -617,8 +617,7 @@ def count_bad_tuples_naive(E: PointSet, k: int, budget: int = DEFAULT_BUDGET) ->
     return {m: c for m, c in enumerate(tally) if c}
 
 
-@dataclass
-class NuHistogram:
+class NuHistogram(NamedTuple):
     spec: RingSpec
     counts: dict  # ring element -> number of ordered pairs with that area
 
@@ -633,14 +632,13 @@ def nu_histogram(E: PointSet, budget: int = DEFAULT_BUDGET) -> NuHistogram:
     return NuHistogram(E.spec, dict(E.area_counts))
 
 
-@dataclass
-class FProfile:
+class FProfile(NamedTuple):
     """f(g) = #{x in E : gx in E} for each g, in enumerate_sl2 order,
     with the exact moment data of the lifting lemma: mean A, max M, and
     R = sum f^2 - A^2 |S| (= sum (f - A)^2, hence nonnegative)."""
 
     spec: RingSpec
-    values: tuple[int, ...] = field(repr=False)
+    values: tuple[int, ...]
     group_order: int
     sum_f: int
     mean: Fraction

@@ -14,8 +14,8 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import census as cn
 from . import constructions as cons
@@ -34,8 +34,7 @@ class InvalidConfig(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class _Echo:
+class _Echo(NamedTuple):
     """A config value that a report repeats as the config spelled it."""
 
     value: object
@@ -98,8 +97,7 @@ def _budget_huge_modulus(ring, budget: int) -> None:
         cn.check_power_budget(p, 2 * ell, budget)
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     spec: RingSpec
     construction: dict
     k: int
@@ -151,7 +149,9 @@ class ExperimentConfig:
 
     def point_set(self) -> cn.PointSet:
         """The construction's points.  A construction scans up to the
-        q^2 points of the plane, so q^2 is budgeted before it runs."""
+        q^2 points of the plane, so q^2 is budgeted before it runs;
+        random-subset draws its points without a scan but is charged the
+        same q^2, so no exit code depends on the kind."""
         cn.check_budget(self.spec.size() ** 2, self.budget)
         try:
             return cons.construction_from_json(self.spec, self.construction)
@@ -379,7 +379,7 @@ def _check_lemma_3_1(cfg: ExperimentConfig, memo: Memo) -> Checked:
 
 
 def _check_theorem_6_1(cfg: ExperimentConfig, memo: Memo) -> Checked:
-    return cn.mbad_class_size_check(memo.census(replace(cfg, construction=FULL)))
+    return cn.mbad_class_size_check(memo.census(cfg._replace(construction=FULL)))
 
 
 def rotation_orbits(E: cn.PointSet, rotations, budget: int) -> tuple[bool, int]:
@@ -589,7 +589,7 @@ def cmd_sweep(args) -> int:
                 con["seed"] = seed
             cfg = ExperimentConfig.from_json(exp)
             report = memo.census(cfg)
-            plane = memo.census(replace(cfg, construction=FULL))
+            plane = memo.census(cfg._replace(construction=FULL))
             rows.append(
                 f"{variable},{value},{seed},{report.set_size},{report.total_classes},"
                 f"{plane.total_classes},{Fraction(report.total_classes, plane.total_classes)}"

@@ -84,16 +84,20 @@ class McgStream:
 
 def random_subset(spec: RingSpec, size: int, seed: int) -> PointSet:
     """Seed-deterministic uniform subset without replacement, chosen by
-    a partial Fisher-Yates shuffle over the canonically ordered plane."""
-    plane_size = spec.size() ** 2
+    a partial Fisher-Yates shuffle over the canonically ordered plane,
+    whose index v is the point divmod(v, q).  The plane is never listed:
+    moved holds only the positions that a swap has filled, so the work
+    and memory are O(size)."""
+    q = spec.size()
+    plane_size = q * q
     if not 0 <= size <= plane_size:
         raise ValueError(f"random-subset size must be in [0, {plane_size}], got {size}")
-    plane = list(full_plane_points(spec))
-    rng = McgStream(seed)
+    rng, moved, pts = McgStream(seed), {}, []
     for i in range(size):
-        j = i + rng.below(len(plane) - i)
-        plane[i], plane[j] = plane[j], plane[i]
-    return PointSet(spec, plane[:size])
+        j = i + rng.below(plane_size - i)
+        pts.append(divmod(moved.get(j, j), q))
+        moved[j] = moved.get(i, i)
+    return PointSet(spec, pts)
 
 
 def construction_from_json(spec: RingSpec, obj: dict) -> PointSet:

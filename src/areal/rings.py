@@ -28,7 +28,6 @@ small.  JSON still spells F_{p^e} elements as coefficient lists.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterator, NamedTuple
 
@@ -155,13 +154,30 @@ class RingSpec:
     otherwise, and then calls the family's unchecked kernel (_add, _sub,
     _mul, _neg, _is_unit, _inv, _perp, _apply, _rows and the _valuations
     table).  Construct via prime_field / galois_field / mod_prime_power
-    or ring_from_json.  Each family's __post_init__ sets _q, the ring
-    size, and each family defines max_level, label, to_json,
-    element_to_json and element_from_json."""
+    or ring_from_json.  Each family's __init__ checks its parameters and
+    sets them once through _set_params, with _q, the ring size; a spec
+    compares and hashes by (family, parameters), and assigning to it
+    raises AttributeError.  Each family defines max_level, label,
+    to_json, element_to_json and element_from_json."""
 
     family: str = ""
     zero = 0
     one = 1
+
+    def _set_params(self, q: int, **params) -> None:
+        # set one by one, not through __dict__, which would cost the spec
+        # its specialised method calls (a materialised dict defeats them)
+        for name, value in {**params, "_q": q, "_params": (self.family, *params.values())}.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RingSpec) and self._params == other._params
+
+    def __hash__(self) -> int:
+        return hash(self._params)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a ring spec is immutable")
 
     def size(self) -> int:
         return self._q
@@ -343,16 +359,13 @@ class _Residues(RingSpec):
         return a
 
 
-@dataclass(frozen=True)
 class PrimeField(_Residues):
-    p: int
-
     family = "prime-field"
     max_level = 1
 
-    def __post_init__(self):
-        _check_odd_prime(self.p)
-        object.__setattr__(self, "_q", self.p)
+    def __init__(self, p: int):
+        _check_odd_prime(p)
+        self._set_params(p, p=p)
 
     def label(self) -> str:
         return f"F_{self.p}"
@@ -361,18 +374,14 @@ class PrimeField(_Residues):
         return {"family": self.family, "p": self.p}
 
 
-@dataclass(frozen=True)
 class ModPrimePower(_Residues):
-    p: int
-    ell: int
-
     family = "mod-prime-power"
 
-    def __post_init__(self):
-        _check_odd_prime(self.p)
-        if self.ell < 1:
+    def __init__(self, p: int, ell: int):
+        _check_odd_prime(p)
+        if ell < 1:
             raise ValueError("ell must be >= 1")
-        object.__setattr__(self, "_q", self.p ** self.ell)
+        self._set_params(p ** ell, p=p, ell=ell)
 
     @property
     def max_level(self) -> int:
@@ -410,27 +419,23 @@ class _GFTables(NamedTuple):
     inv: tuple[int, ...]  # inv[0] is a placeholder; inv() refuses 0 first
 
 
-@dataclass(frozen=True)
 class GaloisField(RingSpec):
-    p: int
-    e: int
-    modulus: tuple[int, ...]  # ascending coefficients, length e+1, monic
-
     family = "galois-field"
     max_level = 1
 
-    def __post_init__(self):
-        q = _galois_order(self.p, self.e)
-        m = self.modulus
+    def __init__(self, p: int, e: int, modulus: tuple[int, ...]):
+        """modulus: ascending coefficients, length e+1, monic."""
+        q = _galois_order(p, e)
+        m = modulus
         if (
-            len(m) != self.e + 1
+            len(m) != e + 1
             or m[-1] != 1
-            or any(type(c) is not int or not 0 <= c < self.p for c in m)
+            or any(type(c) is not int or not 0 <= c < p for c in m)
         ):
-            raise ValueError(f"modulus must be monic of degree {self.e} over F_{self.p}")
-        if not is_irreducible(m, self.p):
-            raise ValueError(f"modulus {m} is reducible over F_{self.p}")
-        object.__setattr__(self, "_q", q)
+            raise ValueError(f"modulus must be monic of degree {e} over F_{p}")
+        if not is_irreducible(m, p):
+            raise ValueError(f"modulus {m} is reducible over F_{p}")
+        self._set_params(q, p=p, e=e, modulus=m)
 
     # -- table-driven arithmetic on indexes --------------------------------
 

@@ -911,6 +911,7 @@ def test_nu_histogram_keeps_no_area_table():
     # the rows are counted as perp_rows yields them: nu holds its counts,
     # never the n^2 table of areas (4,000,000 bytes here)
     E = random_subset(galois_field(3, 4), 2000, 1)
+    E.spec.mul(1, 1)  # builds F_81's tables, which every F_81 spec shares, before the trace
     tracemalloc.start()
     try:
         nu_histogram(E)

@@ -2,7 +2,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -183,6 +182,17 @@ def test_experiment_config_validate_direct():
         )
     with pytest.raises(InvalidConfig):
         ExperimentConfig.from_json(dict(F3_CENSUS, budget=0))
+
+
+def test_experiment_config_replace_keeps_the_other_fields():
+    cfg = ExperimentConfig.from_json(dict(
+        F3_CENSUS, k=2, construction=SAMPLE20, budget=12345, output={"path": "out.csv", "format": "csv"}
+    ))
+    full = cfg._replace(construction=FULL)
+    assert full.construction == FULL and cfg.construction == SAMPLE20
+    assert (full.spec, full.k, full.checks, full.budget, full.output, full.fmt) == (
+        cfg.spec, 2, ["census", "nu", "lemma-4.2"], 12345, "out.csv", "csv"
+    )
 
 
 def test_run_experiment_flags_failing_check():
@@ -1047,8 +1057,7 @@ def test_sharpness_names_each_failed_condition(monkeypatch):
 
     def one_more_tuple(E, k, budget):
         report = count_classes(E, k, budget)
-        report.total_tuples += 1
-        return report
+        return report._replace(total_tuples=report.total_tuples + 1)
 
     monkeypatch.setattr(cn, "count_classes", one_more_tuple)
     report = _one_check(mod_sharpness)
@@ -1178,8 +1187,8 @@ def test_f_moments_names_each_failed_condition(monkeypatch):
     def one_more_everywhere(E, budget):
         # f + 1 keeps the excess but breaks every other identity and bound
         prof = f_profile(E, budget)
-        return replace(prof, values=tuple(v + 1 for v in prof.values),
-                       sum_f=prof.sum_f + prof.group_order, maximum=prof.maximum + 1)
+        return prof._replace(values=tuple(v + 1 for v in prof.values),
+                             sum_f=prof.sum_f + prof.group_order, maximum=prof.maximum + 1)
 
     monkeypatch.setattr(cn, "f_profile", one_more_everywhere)
     report = _one_check(obj)
@@ -1188,8 +1197,8 @@ def test_f_moments_names_each_failed_condition(monkeypatch):
         "f_identity == set_size", "max <= set_size",
         "sum_f_times_orbit == order_times_size_sq", "moment_identity.f_square_sum == stabilizer_sum",
     ]
-    monkeypatch.setattr(cn, "f_profile", lambda E, budget: replace(
-        f_profile(E, budget), second_moment_excess=Fraction(-1)))
+    monkeypatch.setattr(cn, "f_profile", lambda E, budget: f_profile(E, budget)._replace(
+        second_moment_excess=Fraction(-1)))
     assert _one_check(obj)["failed"] == ["excess >= 0"]
 
 
@@ -1309,7 +1318,7 @@ def test_nu_names_its_failed_condition(monkeypatch):
 
     def one_pair_dropped(E, budget):
         hist = nu_histogram(E, budget)
-        return replace(hist, counts={**hist.counts, 0: hist.counts[0] - 1})
+        return hist._replace(counts={**hist.counts, 0: hist.counts[0] - 1})
 
     monkeypatch.setattr(cn, "nu_histogram", one_pair_dropped)
     report = _one_check(obj)
@@ -1648,7 +1657,7 @@ def test_lemma_2_2_charges_the_move_table_before_building_it(monkeypatch):
                                       "checks": ["lemma-2.2"], "budget": 648 * 2})
     nine = [(3 * a, 3 * b) for a in range(3) for b in range(3)]
     E = cn.PointSet(cfg.spec, nine + [(1, 0), (0, 1)])
-    monkeypatch.setattr(cfg, "point_set", lambda: E)  # the memo's one build of the point set
+    monkeypatch.setattr(ExperimentConfig, "point_set", lambda self: E)  # the memo's one build of E
     memo = Memo()
     assert memo.points(cfg) is E and memo.census(cfg).equivalent_good_pairs() == 2
     applied, apply_mat = [], ModPrimePower.apply_mat
@@ -1661,11 +1670,11 @@ def test_lemma_2_2_charges_the_move_table_before_building_it(monkeypatch):
     with pytest.raises(cn.BudgetExceeded) as err:
         cli._check_lemma_2_2(cfg, memo)
     assert err.value.required == 648 * 11 and applied == []
-    values, conditions = cli._check_lemma_2_2(replace(cfg, budget=648 * 11), memo)
+    values, conditions = cli._check_lemma_2_2(cfg._replace(budget=648 * 11), memo)
     assert values["pairs_checked"] == 2 and all(conditions.values())
     # without (1, 0) and (0, 1) no tuple is good: no group, and no charge past the census's 81
-    bare = replace(cfg, budget=81)
-    monkeypatch.setattr(bare, "point_set", lambda: cn.PointSet(cfg.spec, nine))
+    bare = cfg._replace(budget=81)
+    monkeypatch.setattr(ExperimentConfig, "point_set", lambda self: cn.PointSet(cfg.spec, nine))
     values, conditions = cli._check_lemma_2_2(bare, Memo())
     assert values["pairs_checked"] == 0 and all(conditions.values())
 

@@ -1,8 +1,9 @@
 import itertools
+import tracemalloc
 
 import pytest
 
-from areal.census import count_classes
+from areal.census import count_classes, full_plane_points
 from areal.configs import badness_level
 from areal.constructions import (
     McgStream,
@@ -146,6 +147,41 @@ def test_random_subset_deterministic():
 def test_random_subset_pinned_sample():
     # frozen so cross-version drift in the generator is caught
     assert random_subset(F3, 4, 1).points == ((0, 1), (0, 2), (2, 1), (2, 2))
+
+
+def listed_shuffle(spec, size, seed):
+    # oracle: the partial Fisher-Yates shuffle over the listed plane
+    plane = list(full_plane_points(spec))
+    rng = McgStream(seed)
+    for i in range(size):
+        j = i + rng.below(len(plane) - i)
+        plane[i], plane[j] = plane[j], plane[i]
+    return sorted(plane[:size])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [F3, prime_field(7), galois_field(3, 2), mod_prime_power(3, 3), galois_field(3, 4), mod_prime_power(5, 2)],
+    ids=lambda spec: spec.label(),
+)
+def test_random_subset_matches_the_listed_shuffle(spec):
+    plane_size = spec.size() ** 2
+    for size in sorted({s for s in (0, 1, 6, 20, 150, plane_size // 2, plane_size) if s <= plane_size}):
+        for seed in (0, 1, 7, 2 ** 63):
+            assert list(random_subset(spec, size, seed)) == listed_shuffle(spec, size, seed)
+
+
+def test_random_subset_never_lists_the_plane():
+    # Z/3^11Z: a plane of 3^22 (about 3.1e10) points, of which six are drawn
+    spec = mod_prime_power(3, 11)
+    tracemalloc.start()
+    try:
+        E = random_subset(spec, 6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(E) == 6 and all(0 <= c < spec.size() for x in E for c in x)
+    assert peak <= 64 << 10
 
 
 def test_construction_from_json():

@@ -45,6 +45,28 @@ def test_rejects_characteristic_two():
         prime_field(9)
 
 
+def test_ring_specs_compare_and_hash_by_family_and_parameters():
+    for make in (lambda: prime_field(7), lambda: galois_field(3, 2), lambda: mod_prime_power(3, 2)):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "first"}[b] == "first"
+    assert galois_field(3, 2) != mod_prime_power(3, 2)
+    assert prime_field(3) != mod_prime_power(3, 1) and prime_field(3) != galois_field(3, 2)
+    assert mod_prime_power(3, 2) != mod_prime_power(3, 3)
+    assert galois_field(3, 2, (1, 0, 1)) != galois_field(3, 2, (2, 1, 1))
+    assert len({F9: 9, Z9: 9, galois_field(3, 2): 9, mod_prime_power(3, 2): 9}) == 2
+
+
+@pytest.mark.parametrize("spec", [F7, F9, Z27], ids=lambda s: s.label())
+def test_ring_specs_refuse_assignment(spec):
+    p, q = spec.p, spec.size()
+    with pytest.raises(AttributeError):
+        spec.p = 5
+    with pytest.raises(AttributeError):
+        spec._q = 5
+    assert (spec.p, spec.size()) == (p, q)
+
+
 def test_mod_examples():
     assert Z9.add(7, 5) == 3
     assert F3.mul(2, 2) == 1

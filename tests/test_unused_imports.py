@@ -3,9 +3,14 @@ is used in it, in the package and in the tests: a name counts as used
 when the module reads it (as a name or as the base of an attribute) or
 lists it in __all__.  And every top-level function or class of the
 package is read somewhere in the package or in perfbench/, which names
-what it traces by string, or is listed in areal.__all__."""
+what it traces by string, or is listed in areal.__all__.  Besides, a
+fresh interpreter that imports the package loads none of the stdlib's
+introspection modules, which every run would pay for at start."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +50,24 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == []
     # and the one allowed name is still imported and still unused
     assert all(name in _unused_imports(ROOT / path) for path, name in ALLOWED)
+
+
+# dataclasses and the stdlib modules that only it loads; areal needs none
+INTROSPECTION_MODULES = {
+    "dataclasses", "inspect", "ast", "_ast", "dis", "opcode", "_opcode",
+    "token", "tokenize", "linecache", "copy", "importlib.machinery",
+}
+
+
+def test_importing_the_package_loads_no_introspection_module():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import areal, areal.cli, sys; print(areal.__file__); print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    origin, loaded = proc.stdout.splitlines()
+    assert Path(origin) == ROOT / "src" / "areal" / "__init__.py"
+    assert sorted(INTROSPECTION_MODULES.intersection(loaded.split())) == []
 
 
 def test_the_scan_sees_an_unused_import(tmp_path):
