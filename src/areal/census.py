@@ -633,17 +633,9 @@ def nu_histogram(E: PointSet, budget: int = DEFAULT_BUDGET) -> NuHistogram:
 
 
 class FProfile(NamedTuple):
-    """f(g) = #{x in E : gx in E} for each g, in enumerate_sl2 order,
-    with the exact moment data of the lifting lemma: mean A, max M, and
-    R = sum f^2 - A^2 |S| (= sum (f - A)^2, hence nonnegative)."""
+    """f(g) = #{x in E : gx in E} for each g, in enumerate_sl2 order."""
 
-    spec: RingSpec
     values: tuple[int, ...]
-    group_order: int
-    sum_f: int
-    mean: Fraction
-    maximum: int
-    second_moment_excess: Fraction
 
     def sum_power(self, exp: int) -> int:
         return sum(v ** exp for v in self.values)
@@ -662,8 +654,7 @@ def f_profile(E: PointSet, budget: int = DEFAULT_BUDGET) -> FProfile:
     row r = (c, d) of the plane, at index c q + d.  bottom(r) is kept for
     every row; top(r) is made once, for the block with top row r."""
     spec = E.spec
-    order = sl2_order(spec)
-    check_budget(order * max(1, len(E)), budget)
+    check_budget(sl2_order(spec) * max(1, len(E)), budget)
     q, points = spec.size(), E.points
     field_bytes = (q + 7) // 8
     columns = [0] * q  # columns[u]: bit v set iff (u, v) in E
@@ -679,39 +670,36 @@ def f_profile(E: PointSet, budget: int = DEFAULT_BUDGET) -> FProfile:
     for a, b, cs, ds in sl2_blocks(spec):
         top = int.from_bytes(b"".join(map(tops.__getitem__, images[a * q + b])), "little")
         values += map(int.bit_count, map(top.__and__, map(operator.getitem, map(by_row.__getitem__, cs), ds)))
-    sum_f = sum(values)
-    mean = Fraction(sum_f, order)
-    excess = sum(v * v for v in values) - mean * mean * order
-    return FProfile(
-        spec=spec,
-        values=tuple(values),
-        group_order=order,
-        sum_f=sum_f,
-        mean=mean,
-        maximum=max(values),
-        second_moment_excess=excess,
-    )
+    return FProfile(tuple(values))
+
+
+def moments(values) -> tuple:
+    """The moment data of the lifting lemma for a nonempty table of
+    nonnegative values (ints or Fractions), as (sum, A, M, R): the sum,
+    the mean A, the max M and R = sum v^2 - A^2 |S| (= sum (v - A)^2,
+    hence nonnegative), where |S| is the table's size."""
+    vals = list(values)
+    if not vals:
+        raise ValueError("the table must be nonempty")
+    if any(v < 0 for v in vals):
+        raise ValueError("values must be nonnegative")
+    total, size = sum(vals), len(vals)
+    mean = Fraction(total) / size
+    return total, mean, max(vals), sum(v * v for v in vals) - mean * mean * size
 
 
 def moment_lift_check(values, k: int) -> Checked:
     """Exact check of the lifting inequality
     sum F^{k+1} <= c_k (M^{k-1} R + A^{k+1} |S|) with c_k = 2^{k^2},
     for any finite table of nonnegative values (ints or Fractions), as
-    (values, conditions).  The sums are taken over the values as given,
-    one Fraction made per sum."""
+    (values, conditions), with A, M and R from moments.  The sums are
+    taken over the values as given, one Fraction made per sum."""
     vals = list(values)
-    if not vals:
-        raise ValueError("the table must be nonempty")
-    if any(v < 0 for v in vals):
-        raise ValueError("values must be nonnegative")
+    _, mean, maximum, excess = moments(vals)
     check_k(k)
-    size = len(vals)
-    mean = Fraction(sum(vals)) / size
-    maximum = Fraction(max(vals))
-    excess = Fraction(sum(v * v for v in vals)) - mean * mean * size
     c_k = 2 ** (k * k)
     lhs = Fraction(sum(v ** (k + 1) for v in vals))
-    rhs = c_k * (maximum ** (k - 1) * excess + mean ** (k + 1) * size)
+    rhs = c_k * (maximum ** (k - 1) * excess + mean ** (k + 1) * len(vals))
     values = {"c_k": c_k, "lhs": lhs, "rhs": rhs, "mean": mean, "max": maximum, "excess": excess}
     return values, {"lhs <= rhs": lhs <= rhs, "excess >= 0": excess >= 0}
 

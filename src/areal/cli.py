@@ -260,21 +260,22 @@ def _check_f_moments(cfg: ExperimentConfig, memo: Memo) -> Checked:
     f_identity = next(
         v for g, v in zip(enumerate_sl2(spec), prof.values) if g == ident
     )
+    sum_f, mean, maximum, excess = cn.moments(prof.values)
     conditions = {
         "f_identity == set_size": f_identity == len(E),
-        "max <= set_size": prof.maximum <= len(E),
-        "excess >= 0": prof.second_moment_excess >= 0,
+        "max <= set_size": maximum <= len(E),
+        "excess >= 0": excess >= 0,
     }
     out = {
         "f_identity": f_identity,
         "set_size": len(E),
-        "sum_f": prof.sum_f,
-        "mean": prof.mean,
-        "max": prof.maximum,
-        "excess": prof.second_moment_excess,
+        "sum_f": sum_f,
+        "mean": mean,
+        "max": maximum,
+        "excess": excess,
     }
     if all(spec.is_unit(a) or spec.is_unit(b) for a, b in E.points):  # E lies in the orbit X
-        orbit_sum = prof.sum_f * cn.designated_orbit_size(spec)
+        orbit_sum = sum_f * cn.designated_orbit_size(spec)
         expected = sl2_order(spec) * len(E) ** 2
         conditions["sum_f_times_orbit == order_times_size_sq"] = orbit_sum == expected
         out["sum_f_times_orbit"] = orbit_sum

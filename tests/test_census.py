@@ -3,7 +3,6 @@ import itertools
 import math
 import operator
 import time
-import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -27,6 +26,7 @@ from areal.census import (
     mbad_class_size_check,
     moment_identity_check,
     moment_lift_check,
+    moments,
     nu_histogram,
     plane_closed_forms,
     signature_counts,
@@ -36,6 +36,7 @@ from areal.configs import badness_level, key_width, pair_indices, signature
 from areal.constructions import full_plane, line_through_origin, mod_sharpness_set, random_subset
 from areal.linalg import enumerate_sl2, identity, sl2_order
 from areal.rings import galois_field, mod_prime_power, prime_field
+from traced_child import traced
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -298,18 +299,15 @@ def test_count_classes_peak_memory_is_the_signature_counts():
     # the per-level tally adds nothing that grows with the number of
     # classes; one unmeasured call first, as whichever function is measured
     # first in a fresh process peaks 160-220 KB higher
-    E = random_subset(mod_prime_power(3, 3), 20, 1)
-    count_classes(E, 3)
-
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            fn(E, 3)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(count_classes) <= 1.05 * peak(signature_counts)
+    setup = (
+        "from areal.census import count_classes, signature_counts\n"
+        "from areal.constructions import random_subset\n"
+        "from areal.rings import mod_prime_power\n"
+        "E = random_subset(mod_prime_power(3, 3), 20, 1)\n"
+        "count_classes(E, 3)"
+    )
+    peak = {fn: traced(setup, f"{fn}(E, 3)")[1] for fn in ("count_classes", "signature_counts")}
+    assert peak["count_classes"] <= 1.05 * peak["signature_counts"]
 
 
 def test_signature_counts_peak_memory_is_a_few_bytes_per_block_key():
@@ -321,15 +319,15 @@ def test_signature_counts_peak_memory_is_a_few_bytes_per_block_key():
     # classes keep the Counters and the records small.  The peak was
     # 455-470 KiB (n = 243; the bound, 10 n^2, is 577 KiB), against 1,169
     # KiB when every key of a 64 KiB span was cut into a bytes object
-    E = mod_sharpness_set(3, 3)
-    tracemalloc.start()
-    try:
-        counts = signature_counts(E, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(counts) == 729
-    assert peak <= 10 * len(E) ** 2
+    _, peak, (classes, n) = traced(
+        "from areal.census import signature_counts\n"
+        "from areal.constructions import mod_sharpness_set\n"
+        "E = mod_sharpness_set(3, 3)",
+        "counts = signature_counts(E, 2)",
+        "(len(counts), len(E))",
+    )
+    assert classes == 729
+    assert peak <= 10 * n ** 2
 
 
 def test_budget_is_checked_before_the_area_table(monkeypatch):
@@ -729,14 +727,15 @@ def test_count_classes_peak_memory_is_a_few_mib(size, seed, mib, classes):
     # next was re-keyed, at 1.62 and 1.82 MiB; one entry per class at
     # 11.0 and 43.8 MiB, and one dict entry per orbit beside every
     # nondecreasing key at 2.4 and 7.0 MiB
-    E = random_subset(mod_prime_power(3, 3), size, seed)
-    tracemalloc.start()
-    try:
-        report = count_classes(E, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.total_classes == len(report.class_sizes) == classes
+    _, peak, (total, distinct) = traced(
+        "from areal.census import count_classes\n"
+        "from areal.constructions import random_subset\n"
+        "from areal.rings import mod_prime_power\n"
+        f"E = random_subset(mod_prime_power(3, 3), {size}, {seed})",
+        "report = count_classes(E, 3)",
+        "(report.total_classes, len(report.class_sizes))",
+    )
+    assert total == distinct == classes
     assert peak <= mib * 2 ** 20
 
 
@@ -910,14 +909,14 @@ def test_nu_histogram_matches_pairwise_loop(E):
 def test_nu_histogram_keeps_no_area_table():
     # the rows are counted as perp_rows yields them: nu holds its counts,
     # never the n^2 table of areas (4,000,000 bytes here)
-    E = random_subset(galois_field(3, 4), 2000, 1)
-    E.spec.mul(1, 1)  # builds F_81's tables, which every F_81 spec shares, before the trace
-    tracemalloc.start()
-    try:
-        nu_histogram(E)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    held, peak, _ = traced(
+        "from areal.census import nu_histogram\n"
+        "from areal.constructions import random_subset\n"
+        "from areal.rings import galois_field\n"
+        "E = random_subset(galois_field(3, 4), 2000, 1)\n"
+        "E.spec.mul(1, 1)  # builds F_81's tables, which every F_81 spec shares, before the trace",
+        "nu_histogram(E)",
+    )
     assert held <= 64 << 10
     assert peak <= 1 << 20
 
@@ -936,15 +935,16 @@ def test_nu_total_is_square_of_size():
 def test_f_profile_full_plane_is_constant():
     prof = f_profile(PLANE3)
     assert set(prof.values) == {9}
-    assert prof.maximum == 9 and prof.sum_f == 24 * 9
+    sum_f, _, maximum, _ = moments(prof.values)
+    assert maximum == 9 and sum_f == 24 * 9
 
 
 def test_f_profile_punctured_plane_matches_orbit_counting():
     E = PointSet(F3, [p for p in PLANE3.points if p != (0, 0)])
-    prof = f_profile(E)
-    assert prof.sum_f == 3 * 64  # (|G|/|X|) |E|^2 with |G|=24, |X|=8
-    assert prof.maximum <= len(E)
-    assert prof.second_moment_excess >= 0
+    sum_f, _, maximum, excess = moments(f_profile(E).values)
+    assert sum_f == 3 * 64  # (|G|/|X|) |E|^2 with |G|=24, |X|=8
+    assert maximum <= len(E)
+    assert excess >= 0
 
 
 def test_f_identity_is_set_size():
@@ -1003,6 +1003,34 @@ def test_moment_lift_rejects_bad_input():
         moment_lift_check([1, -1], 2)
     with pytest.raises(ValueError):
         moment_lift_check([1, 2], 0)
+
+
+@pytest.mark.parametrize("s", [1, 2, 10])
+def test_moments_of_hand_tables(s):
+    # (sum, mean A, max M, excess R = sum (v - A)^2)
+    assert moments([5] * 12) == (60, 5, 5, 0)
+    assert moments([1] + [0] * (s - 1)) == (1, Fraction(1, s), 1, 1 - Fraction(1, s))
+
+
+def test_moments_reject_an_empty_or_negative_table():
+    with pytest.raises(ValueError):
+        moments([])
+    with pytest.raises(ValueError):
+        moments([1, -1])
+
+
+@pytest.mark.parametrize("spec", [F3, galois_field(3, 2)], ids=lambda spec: spec.label())
+def test_moments_are_what_lemma_3_1_reports(spec):
+    from areal.cli import ExperimentConfig, run_experiment
+
+    values = f_profile(full_plane(spec)).values
+    _, mean, maximum, excess = moments(values)
+    # every g maps the plane onto itself: f = q^2 everywhere, so R = 0
+    assert (mean, maximum, excess) == (spec.size() ** 2, spec.size() ** 2, 0)
+    assert excess == sum((v - mean) ** 2 for v in values)
+    cfg = ExperimentConfig.from_json({"ring": spec.to_json(), "checks": ["lemma-3.1"]})
+    (check,) = run_experiment(cfg)["checks"]
+    assert [check["mean"], check["max"], check["excess"]] == [str(mean), str(maximum), str(excess)]
 
 
 @settings(max_examples=200)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -21,6 +22,8 @@ from areal.cli import (
     main,
     run_experiment,
 )
+from areal.rings import galois_field
+from traced_child import traced
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -440,7 +443,7 @@ def test_memo_keys_include_the_ring():
     f9_census, z9_census = memo.census(f9), memo.census(z9)
     assert 2 not in f9_census.tuples_by_level
     assert z9_census.tuples_by_level[2] > 0
-    assert (memo.profile(f9).group_order, memo.profile(z9).group_order) == (720, 648)
+    assert (len(memo.profile(f9).values), len(memo.profile(z9).values)) == (720, 648)
 
 
 def test_verify_all_computes_each_quantity_once(tmp_path, monkeypatch):
@@ -611,20 +614,18 @@ def test_checks_refuse_in_order_before_a_malformed_construction(tmp_path, capsys
 def test_the_memo_holds_no_class_dict():
     """The Z/27Z k=3 sample has 137,851 classes, a 10 MiB class dict;
     the memo keeps only the census's per-level tallies."""
-    import tracemalloc
-
-    cfg = ExperimentConfig.from_json({
+    obj = {
         "ring": {"family": "mod-prime-power", "p": 3, "ell": 3}, "k": 3,
         "construction": SAMPLE20, "checks": ["census"],
-    })
-    memo = Memo()
-    tracemalloc.start()
-    try:
-        run_experiment(cfg, memo=memo)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert memo.census(cfg).total_classes == 137_851
+    }
+    held, _, classes = traced(
+        "from areal.cli import ExperimentConfig, Memo, run_experiment\n"
+        f"cfg = ExperimentConfig.from_json({obj!r})\n"
+        "memo = Memo()",
+        "run_experiment(cfg, memo=memo)",
+        "memo.census(cfg).total_classes",
+    )
+    assert classes == 137_851
     assert held < 2 ** 20
 
 
@@ -1182,13 +1183,11 @@ def test_f_moments_names_each_failed_condition(monkeypatch):
     passing = _one_check(obj)
     assert passing["ok"] is True and "failed" not in passing
     assert "sum_f_times_orbit" in passing and "unique_on_good" in passing["moment_identity"]
-    f_profile = cn.f_profile
+    f_profile, moments = cn.f_profile, cn.moments
 
     def one_more_everywhere(E, budget):
         # f + 1 keeps the excess but breaks every other identity and bound
-        prof = f_profile(E, budget)
-        return prof._replace(values=tuple(v + 1 for v in prof.values),
-                             sum_f=prof.sum_f + prof.group_order, maximum=prof.maximum + 1)
+        return cn.FProfile(tuple(v + 1 for v in f_profile(E, budget).values))
 
     monkeypatch.setattr(cn, "f_profile", one_more_everywhere)
     report = _one_check(obj)
@@ -1197,8 +1196,8 @@ def test_f_moments_names_each_failed_condition(monkeypatch):
         "f_identity == set_size", "max <= set_size",
         "sum_f_times_orbit == order_times_size_sq", "moment_identity.f_square_sum == stabilizer_sum",
     ]
-    monkeypatch.setattr(cn, "f_profile", lambda E, budget: f_profile(E, budget)._replace(
-        second_moment_excess=Fraction(-1)))
+    monkeypatch.setattr(cn, "f_profile", f_profile)
+    monkeypatch.setattr(cn, "moments", lambda values: (*moments(values)[:3], Fraction(-1)))
     assert _one_check(obj)["failed"] == ["excess >= 0"]
 
 
@@ -1747,3 +1746,35 @@ def test_a_value_past_the_digit_limit_is_refused_in_one_line(tmp_path, capsys):
     assert out == ""
     assert err.startswith("invalid config: a report value has more than")
     assert len(err.splitlines()) == 1
+
+
+def _moduli(p: int, e: int) -> list[tuple[int, ...]]:
+    """Every monic irreducible modulus of degree e over F_p, ascending
+    coefficients: the ones galois_field accepts."""
+    moduli = []
+    for low in itertools.product(range(p), repeat=e):
+        try:
+            moduli.append(galois_field(p, e, (*low, 1)).modulus)
+        except ValueError:  # reducible
+            pass
+    return moduli
+
+
+@pytest.mark.parametrize("p, count", [(3, 3), (5, 10)], ids=["F9", "F25"])
+def test_full_plane_reports_do_not_depend_on_the_modulus(p, count):
+    # F_{p^2} is one field under each of its moduli, so every full-plane
+    # report is the same once the ring it names is removed; a table that
+    # only one modulus builds wrong shows up here
+    moduli = _moduli(p, 2)
+    assert len(moduli) == count
+    runs = [(1, ["census", "nu", "lemma-4.2", "lemma-3.1"] + ["lemma-4.1"] * (p == 3)), (2, ["census", "nu"])]
+    for k, checks in runs:
+        reports = set()
+        for modulus in moduli:
+            ring = {"family": "galois-field", "p": p, "e": 2, "modulus": list(modulus)}
+            report = run_experiment(ExperimentConfig.from_json({"ring": ring, "k": k, "checks": checks}))
+            assert report.pop("ring") == ring
+            census, *_ = report["checks"]
+            assert census.pop("ring") == ring
+            reports.add(json.dumps(report, sort_keys=True))
+        assert len(reports) == 1, (k, checks)

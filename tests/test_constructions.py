@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import pytest
 
@@ -18,6 +17,7 @@ from areal.constructions import (
 )
 from areal.linalg import apply_mat, det, identity, perp_dot
 from areal.rings import galois_field, mod_prime_power, prime_field
+from traced_child import traced
 
 F3 = prime_field(3)
 F5 = prime_field(5)
@@ -173,14 +173,14 @@ def test_random_subset_matches_the_listed_shuffle(spec):
 
 def test_random_subset_never_lists_the_plane():
     # Z/3^11Z: a plane of 3^22 (about 3.1e10) points, of which six are drawn
-    spec = mod_prime_power(3, 11)
-    tracemalloc.start()
-    try:
-        E = random_subset(spec, 6, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(E) == 6 and all(0 <= c < spec.size() for x in E for c in x)
+    _, peak, (size, in_ring) = traced(
+        "from areal.constructions import random_subset\n"
+        "from areal.rings import mod_prime_power\n"
+        "spec = mod_prime_power(3, 11)",
+        "E = random_subset(spec, 6, 1)",
+        "(len(E), all(0 <= c < spec.size() for x in E for c in x))",
+    )
+    assert size == 6 and in_ring
     assert peak <= 64 << 10
 
 

@@ -3,8 +3,9 @@ is used in it, in the package and in the tests: a name counts as used
 when the module reads it (as a name or as the base of an attribute) or
 lists it in __all__.  And every top-level function or class of the
 package is read somewhere in the package or in perfbench/, which names
-what it traces by string, or is listed in areal.__all__.  Besides, a
-fresh interpreter that imports the package loads none of the stdlib's
+what it traces by string, or is listed in areal.__all__.  Every field
+of a NamedTuple of the package is read as an attribute in the package or
+in perfbench/.  Besides, a fresh interpreter that imports the package loads none of the stdlib's
 introspection modules, which every run would pay for at start."""
 
 import ast
@@ -123,4 +124,52 @@ def test_the_scan_sees_a_dead_definition(tmp_path):
     assert _dead_definitions([module], [module]) == ["module.py: dead", "module.py: Dead"]
     assert _dead_definitions([module], [reader]) == [
         f"module.py: {name}" for name in ("called", "dead", "Dead", "Attr", "traced")
+    ]
+
+
+def _dead_fields(defining: list[Path], reading: list[Path]) -> list[str]:
+    """The fields of the defining modules' NamedTuple classes that no
+    reading module reads as an attribute.  A name read on any object
+    counts, so a field that shares its name with an attribute read
+    elsewhere (such as spec) is never reported."""
+    attrs = {
+        node.attr
+        for path in reading
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+    }
+    return [
+        f"{path.name}: {node.name}.{field.target.id}"
+        for path in defining
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple" for base in node.bases)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in attrs
+    ]
+
+
+def test_every_record_field_of_the_package_is_read():
+    package = sorted((ROOT / "src/areal").glob("*.py"))
+    assert _dead_fields(package, package + sorted((ROOT / "perfbench").glob("*.py"))) == []
+
+
+def test_the_scan_sees_a_dead_field(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import typing\nfrom typing import NamedTuple\n\n"
+        "class Record(NamedTuple):\n    read: int\n    dead: int\n    named: int = 0\n\n"
+        "    def total(self):\n        return self.read\n\n"
+        "class Plain:\n    unread: int\n\n"
+        "class Other(typing.NamedTuple):\n    spec: int\n\n"
+        "NAME = 'named'\nprint(Record(1, 2).total(), object().spec)\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("import module\n\nprint(module.Record(1, 2).dead)\n")
+    # a string does not read a field, and a plain class has no fields
+    assert _dead_fields([module], [module]) == ["module.py: Record.dead", "module.py: Record.named"]
+    assert _dead_fields([module], [module, reader]) == ["module.py: Record.named"]
+    assert _dead_fields([module], [reader]) == [
+        "module.py: Record.read", "module.py: Record.named", "module.py: Other.spec",
     ]
