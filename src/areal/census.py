@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .configs import key_width, pair_indices, signature
-from .linalg import Vec2, enumerate_sl2, sl2_blocks, sl2_order
+from .linalg import Vec2, enumerate_sl2, plane_orbits, sl2_blocks, sl2_order
 from .rings import ModPrimePower, RingSpec
 
 DEFAULT_BUDGET = 10 ** 9
@@ -47,8 +47,8 @@ class BudgetExceeded(Exception):
 class NotTransitive(Exception):
     """The supplied action is not transitive; carries a counterexample pair."""
 
-    def __init__(self, pair, message="action is not transitive"):
-        super().__init__(f"{message}: counterexample pair {pair}")
+    def __init__(self, pair):
+        super().__init__(f"action is not transitive: counterexample pair {pair}")
         self.pair = pair
 
 
@@ -83,17 +83,6 @@ def check_k(k: int) -> None:
     calls it before its budget charge."""
     if k < 1:
         raise ValueError("k must be >= 1")
-
-
-def plane_orbits(spec: RingSpec) -> list[tuple[Vec2, int]]:
-    """The SL_2 orbits of the plane R^2, as (representative, size) pairs:
-    0 alone, and p^v (1, 0) for 0 <= v < l, whose orbit is the vectors
-    whose coordinates have least valuation v, p^{2(l - v)} - p^{2(l - v -
-    1)} of them.  Over F_q read p^l as q (l = 1): (1, 0) and the q^2 - 1
-    nonzero vectors.  The sizes sum to q^2."""
-    top = spec.max_level
-    p = spec.size() if top == 1 else spec.p
-    return [((0, 0), 1), *(((p ** v, 0), p ** (2 * (top - v)) - p ** (2 * (top - v - 1))) for v in range(top))]
 
 
 class PointSet:
@@ -558,7 +547,7 @@ def plane_closed_forms(census: CensusReport) -> dict[str, bool]:
         bad = (q + 1) * (q ** (k + 1) - 1) + 1
         conditions["size_tally[1] == {(q+1)(q^(k+1) - 1) + 1: 1}"] = tally.get(1) == {bad: 1}
         conditions["good classes == (q^(2(k+1)) - (q+1)(q^(k+1) - 1) - 1) / (q^3 - q)"] = (
-            classes[0] * (q ** 3 - q) == q ** (2 * k + 2) - bad)
+            classes[0] * sl2_order(spec) == q ** (2 * k + 2) - bad)
     if k <= 2:
         n = k * (k + 1) // 2
         for m in range(top):
@@ -656,14 +645,15 @@ def f_profile(E: PointSet, budget: int = DEFAULT_BUDGET) -> FProfile:
     spec = E.spec
     check_budget(sl2_order(spec) * max(1, len(E)), budget)
     q, points = spec.size(), E.points
+    # the checked ring ops read every point before columns indexes one
+    turned = [(spec.neg(x2), x1) for x1, x2 in points]
+    images = list(spec.perp_rows(list(full_plane_points(spec)), turned))
     field_bytes = (q + 7) // 8
     columns = [0] * q  # columns[u]: bit v set iff (u, v) in E
     for u, v in points:
         columns[u] |= 1 << v
     tops = [c.to_bytes(field_bytes, "little") for c in columns]
     bottoms = [(1 << u).to_bytes(field_bytes, "little") for u in range(q)]
-    turned = [(spec.neg(x2), x1) for x1, x2 in points]
-    images = list(spec.perp_rows(list(full_plane_points(spec)), turned))
     bottom_bits = [int.from_bytes(b"".join(map(bottoms.__getitem__, row)), "little") for row in images]
     by_row = [bottom_bits[c * q : c * q + q] for c in range(q)]  # by_row[c][d]: bottom((c, d))
     values: list[int] = []
@@ -712,16 +702,10 @@ def designated_orbit(spec: RingSpec) -> list[Vec2]:
     return [x for x in full_plane_points(spec) if unit(x[0]) or unit(x[1])]
 
 
-def designated_orbit_size(spec: RingSpec) -> int:
-    """|X| for the designated orbit X, from q is_unit tests: every point
-    but those with two non-unit coordinates, q^2 - (q - #units)^2."""
-    q = spec.size()
-    return q * q - (q - sum(map(spec.is_unit, spec.elements()))) ** 2
-
-
 def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Verifies phi(x, y) = #{g : gx = y} is the same for every pair of
-    the designated orbit X and returns its value |G| / |X|.
+    the designated orbit X and returns its value |G| / |X|, which is q,
+    the size of the stabilizer of (1, 0) (sl2_order).
 
     The group is listed once, as the indexes c q + d of its rows (c, d).
     For each x, one perp_rows row gives r . x = perp_dot((x_2, -x_1), r)
@@ -729,19 +713,11 @@ def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     the code (r . x) q + (s . x) for g with rows r and s.  One Counter of
     the codes of every g is read at each y of X in order, so the first
     pair that differs is named, and an image outside X is never read.
-    Memory is O(q^2 + |G|) at a time.  |G| |X| is charged before X is
-    listed, with |X| from designated_orbit_size.  Counting the units
-    takes q <= |G| tests and |X| >= 1, so |G| alone is charged first, as
-    a lower bound."""
-    q, order = spec.size(), sl2_order(spec)
-    if order > budget:
-        raise BudgetExceeded(order, budget, exact=False)
-    size = designated_orbit_size(spec)
-    check_budget(order * size, budget)
+    Memory is O(q^2 + |G|) at a time.  |G| |X| is charged exactly before
+    X is listed, with |X| from plane_orbits."""
+    q = spec.size()
+    check_budget(sl2_order(spec) * plane_orbits(spec)[1][1], budget)
     X = designated_orbit(spec)
-    expected, rem = divmod(order, size)
-    if rem != 0:
-        raise NotTransitive((X[0], X[0]), "group order is not divisible by orbit size")
     plane = list(full_plane_points(spec))
     tops, bottoms = [], []
     for a, b, c, d in enumerate_sl2(spec):
@@ -753,9 +729,9 @@ def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
         scaled = [u * q for u in images]
         phi = Counter(map(operator.add, map(scaled.__getitem__, tops), map(images.__getitem__, bottoms)))
         for y, count in zip(X, map(phi.__getitem__, codes)):
-            if count != expected:
+            if count != q:
                 raise NotTransitive((x, y))
-    return expected
+    return q
 
 
 def flemma_check(census: CensusReport, profile: FProfile) -> Checked:

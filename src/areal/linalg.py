@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .rings import ModPrimePower, RingSpec
+from .rings import RingSpec
 
 Vec2 = tuple
 Mat2 = tuple
@@ -43,13 +43,23 @@ def apply_mat(spec: RingSpec, m: Mat2, v: Vec2) -> Vec2:
     return spec.apply_mat(m, v)
 
 
+def plane_orbits(spec: RingSpec) -> list[tuple[Vec2, int]]:
+    """The SL_2 orbits of the plane R^2, as (representative, size) pairs:
+    0 alone, and p^v (1, 0) for 0 <= v < l, whose orbit is the vectors
+    whose coordinates have least valuation v, p^{2(l - v)} - p^{2(l - v -
+    1)} of them.  Over F_q read p^l as q (l = 1): (1, 0) and the q^2 - 1
+    nonzero vectors.  The sizes sum to q^2."""
+    top = spec.max_level
+    p = spec.size() if top == 1 else spec.p
+    return [((0, 0), 1), *(((p ** v, 0), p ** (2 * (top - v)) - p ** (2 * (top - v - 1))) for v in range(top))]
+
+
 def sl2_order(spec: RingSpec) -> int:
-    """|SL_2|: q^3 - q for a field of size q, p^{3l} - p^{3l-2} for Z/p^l Z."""
-    if isinstance(spec, ModPrimePower):
-        p, ell = spec.p, spec.ell
-        return p ** (3 * ell) - p ** (3 * ell - 2)
-    q = spec.size()
-    return q ** 3 - q
+    """|SL_2| by orbit-stabilizer at (1, 0), whose stabilizer [[1, b],
+    [0, 1]] has q elements: q times the size of plane_orbits(spec)[1],
+    the orbit of (1, 0).  That is q^3 - q for a field of size q and
+    p^{3l} - p^{3l-2} for Z/p^l Z."""
+    return spec.size() * plane_orbits(spec)[1][1]
 
 
 def sl2_blocks(spec: RingSpec) -> Iterator[tuple]:

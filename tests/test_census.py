@@ -34,7 +34,7 @@ from areal.census import (
 )
 from areal.configs import badness_level, key_width, pair_indices, signature
 from areal.constructions import full_plane, line_through_origin, mod_sharpness_set, random_subset
-from areal.linalg import enumerate_sl2, identity, sl2_order
+from areal.linalg import enumerate_sl2, identity, plane_orbits, sl2_order
 from areal.rings import galois_field, mod_prime_power, prime_field
 from traced_child import traced
 
@@ -48,14 +48,15 @@ PLANE5 = full_plane(F5)
 
 @pytest.mark.parametrize(
     "spec",
-    [F3, F5, prime_field(7), galois_field(3, 2), Z9, mod_prime_power(5, 2), mod_prime_power(3, 3)],
+    [F3, F5, prime_field(7), galois_field(3, 2), Z9, mod_prime_power(5, 2), mod_prime_power(3, 3),
+     galois_field(5, 2), galois_field(3, 3), mod_prime_power(7, 2)],
     ids=lambda spec: spec.label(),
 )
 def test_plane_orbits_partition_the_plane(spec):
     # each root's SL_2 orbit, listed by enumerate_sl2, has the stated size;
     # the orbits are disjoint and cover the plane
     group, plane, covered = list(enumerate_sl2(spec)), set(full_plane(spec).points), set()
-    orbits = census.plane_orbits(spec)
+    orbits = plane_orbits(spec)
     assert len(orbits) == spec.max_level + 1
     for root, size in orbits:
         orbit = set(map(spec.apply_mat, group, itertools.repeat(root)))
@@ -979,6 +980,16 @@ def test_f_profile_matches_pointwise_count(E):
         assert value == sum(spec.apply_mat(g, x) in E.members for x in E.points)
 
 
+@pytest.mark.parametrize("points", [[(5, 0)], [(1, 2), (2, -1)]], ids=["past-q", "negative"])
+def test_f_profile_refuses_a_non_element_point(points):
+    # the checked ring ops read every point before a bitset is indexed or
+    # shifted, so a point outside F_3 is a TypeError, as in nu and the census
+    E = PointSet(F3, points)
+    for engine in (f_profile, nu_histogram, lambda E: count_classes(E, 1)):
+        with pytest.raises(TypeError):
+            engine(E)
+
+
 def test_moment_lift_constant_table():
     res, conditions = moment_lift_check([5] * 12, 3)
     assert res["excess"] == 0
@@ -1090,8 +1101,8 @@ def test_transitivity_charges_the_orbit_before_listing_it(monkeypatch):
     # Z/3^7Z: X holds 4,251,528 of the 4,782,969 points of the plane,
     # which took 1.6 s and 424 MiB to list before the budget refused them;
     # counting the 3^15 units of Z/3^15Z for |X| then took about 2 s.
-    # |SL_2| alone passes the budget, so it is refused at that lower bound
-    # before a unit is tested
+    # |SL_2| |X| is charged exactly, from the closed form, before X is
+    # listed or a unit is tested
     def not_before_the_charge(*args):
         raise AssertionError("the orbit was listed or a unit tested before the budget check")
 
@@ -1103,7 +1114,10 @@ def test_transitivity_charges_the_orbit_before_listing_it(monkeypatch):
         with pytest.raises(BudgetExceeded) as err:
             transitivity_constant(spec, budget=1000)
         assert time.perf_counter() - start < 0.01
-        assert err.value.required == sl2_order(spec) and err.value.exact is False
+        size = plane_orbits(spec)[1][1]
+        assert err.value.required == sl2_order(spec) * size and err.value.exact is True
+        if ell == 7:
+            assert err.value.required == 39_531_097_362_172_608
 
 
 def _pointwise_transitivity(spec, group):
@@ -1154,9 +1168,27 @@ def test_designated_orbit_is_the_orbit_of_1_0(spec):
     else:
         expected = [x for x in plane if x != (spec.zero, spec.zero)]
     assert designated_orbit(spec) == expected
-    assert census.designated_orbit_size(spec) == len(expected)
+    assert len(designated_orbit(spec)) == plane_orbits(spec)[1][1]
     one_zero = (spec.one, spec.zero)
     assert {spec.apply_mat(g, one_zero) for g in enumerate_sl2(spec)} == set(expected)
+
+
+# every odd p <= 13: Z/p^l Z for l <= 3 and F_{p^e} for e <= 3, each of at
+# most GF_MAX_ORDER elements (listing X of Z/13^3 Z would hold 4.8M points)
+CLOSED_FORM_RINGS = [
+    *(prime_field(p) for p in (3, 5, 7, 11, 13)),
+    *(galois_field(p, e) for p in (3, 5, 7, 11, 13) for e in (2, 3) if p ** e <= rings.GF_MAX_ORDER),
+    *(mod_prime_power(p, ell) for p in (3, 5, 7, 11, 13) for ell in (1, 2, 3) if p ** ell <= rings.GF_MAX_ORDER),
+]
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_RINGS, ids=lambda spec: spec.label())
+def test_the_orbit_of_1_0_has_the_closed_form_size(spec):
+    # orbit-stabilizer at (1, 0): |X| is plane_orbits' size of its orbit,
+    # and |SL_2| is q |X|, as the stabilizer [[1, b], [0, 1]] has q elements
+    size = plane_orbits(spec)[1][1]
+    assert size == len(designated_orbit(spec))
+    assert sl2_order(spec) == spec.size() * size
 
 
 def flemma(E, k):

@@ -571,10 +571,13 @@ def test_verify_all_fails_with_a_wrong_plane_orbit_table(tmp_path, monkeypatch, 
     assert any("fast == oracle" in c.get("failed", ()) for c in checks if c["check"] == "lemma-2.3")
 
 
-@pytest.mark.parametrize("check", ["lemma-4.2", "lemma-4.1"])
-def test_a_ring_only_refusal_builds_no_point_set(tmp_path, capsys, monkeypatch, check):
+@pytest.mark.parametrize(
+    "check,required", [("lemma-4.2", 1027242720), ("lemma-4.1", 1045815268377600)], ids=["lemma-4.2", "lemma-4.1"]
+)
+def test_a_ring_only_refusal_builds_no_point_set(tmp_path, capsys, monkeypatch, check, required):
     # |SL_2(F_1009)| = 1,027,242,720 is past the default budget of 10^9,
-    # which the plane's q^2 = 1,018,081 points pass
+    # which the plane's q^2 = 1,018,081 points pass; lemma-4.1 charges
+    # |SL_2| |X|, with the q^2 - 1 points of the orbit X
     from areal import cli
 
     def unbuilt(spec, obj):
@@ -583,7 +586,7 @@ def test_a_ring_only_refusal_builds_no_point_set(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(cli.cons, "construction_from_json", unbuilt)
     obj = {"ring": {"family": "prime-field", "p": 1009}, "checks": [check]}
     assert main(["run", write_config(tmp_path, obj)]) == EXIT_BUDGET
-    assert "1027242720 tuple visits" in capsys.readouterr().err
+    assert f"{required} tuple visits" in capsys.readouterr().err
 
 
 Z27_RING = {"family": "mod-prime-power", "p": 3, "ell": 3}
@@ -1439,7 +1442,7 @@ def test_lemma_4_1_names_each_failed_condition(monkeypatch):
 
 
 def test_lemma_4_1_and_f_moments_list_the_orbit_only_inside_transitivity(monkeypatch):
-    # |X| comes from the ring's units, and f-moments tests E against X
+    # |X| comes from the closed form, and f-moments tests E against X
     # point by point, so only transitivity_constant lists X
     from areal import census as cn
 

@@ -122,6 +122,9 @@ def test_det_bilinear_is_bilinear_exhaustive_f3():
         (Z9, 648),
         (mod_prime_power(3, 3), 17496),
         (mod_prime_power(5, 2), 15000),
+        (galois_field(5, 2), 15600),
+        (galois_field(3, 3), 19656),
+        (mod_prime_power(7, 2), 115248),
     ],
     ids=lambda x: x.label() if hasattr(x, "label") else str(x),
 )
