@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from .configs import key_width, pair_indices, signature
-from .linalg import Vec2, enumerate_sl2, plane_orbits, sl2_blocks, sl2_order
+from .linalg import Vec2, enumerate_sl2, orbit_size, plane_orbits, sl2_blocks, sl2_order
 from .rings import ModPrimePower, RingSpec
 
 DEFAULT_BUDGET = 10 ** 9
@@ -704,8 +704,10 @@ def designated_orbit(spec: RingSpec) -> list[Vec2]:
 
 def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     """Verifies phi(x, y) = #{g : gx = y} is the same for every pair of
-    the designated orbit X and returns its value |G| / |X|, which is q,
-    the size of the stabilizer of (1, 0) (sl2_order).
+    the designated orbit X and returns that value, phi(x_0, x_0) for the
+    first x_0 of X.  On correct code it is |G| / |X|, which is q, the
+    size of the stabilizer of (1, 0) (sl2_order); it is not assumed, so
+    lemma-4.1's phi * |X| == |G| can fail.
 
     The group is listed once, as the indexes c q + d of its rows (c, d).
     For each x, one perp_rows row gives r . x = perp_dot((x_2, -x_1), r)
@@ -714,9 +716,9 @@ def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
     the codes of every g is read at each y of X in order, so the first
     pair that differs is named, and an image outside X is never read.
     Memory is O(q^2 + |G|) at a time.  |G| |X| is charged exactly before
-    X is listed, with |X| from plane_orbits."""
+    X is listed, with |X| from orbit_size."""
     q = spec.size()
-    check_budget(sl2_order(spec) * plane_orbits(spec)[1][1], budget)
+    check_budget(sl2_order(spec) * orbit_size(spec, 0), budget)
     X = designated_orbit(spec)
     plane = list(full_plane_points(spec))
     tops, bottoms = [], []
@@ -725,13 +727,15 @@ def transitivity_constant(spec: RingSpec, budget: int = DEFAULT_BUDGET) -> int:
         bottoms.append(c * q + d)
     codes = [u * q + v for u, v in X]
     turned = [(x2, spec.neg(x1)) for x1, x2 in X]
+    first = None
     for x, images in zip(X, spec.perp_rows(turned, plane)):
         scaled = [u * q for u in images]
         phi = Counter(map(operator.add, map(scaled.__getitem__, tops), map(images.__getitem__, bottoms)))
+        first = phi[codes[0]] if first is None else first
         for y, count in zip(X, map(phi.__getitem__, codes)):
-            if count != q:
+            if count != first:
                 raise NotTransitive((x, y))
-    return q
+    return first
 
 
 def flemma_check(census: CensusReport, profile: FProfile) -> Checked:

@@ -21,7 +21,7 @@ from . import census as cn
 from . import constructions as cons
 # cli calls no apply_config; perfbench's traced matrix run patches cli.apply_config
 from .configs import NotEquivalent, apply_config, recovery
-from .linalg import enumerate_sl2, identity, plane_orbits, sl2_order
+from .linalg import enumerate_sl2, identity, orbit_size, sl2_order
 from .rings import ModPrimePower, RingSpec, checked_int, prime_field, ring_from_json
 
 EXIT_OK = 0
@@ -217,7 +217,7 @@ def _check_lemma_4_1(cfg: ExperimentConfig, memo: Memo) -> Checked:
         phi = cn.transitivity_constant(spec, cfg.budget)
     except cn.NotTransitive as exc:
         return {"counterexample": repr(exc.pair)}, {"transitive": False}
-    order, size = sl2_order(spec), plane_orbits(spec)[1][1]
+    order, size = sl2_order(spec), orbit_size(spec, 0)
     values = {"phi": phi, "group_order": order, "orbit_size": size}
     return values, {"phi * orbit_size == group_order": phi * size == order}
 
@@ -275,7 +275,7 @@ def _check_f_moments(cfg: ExperimentConfig, memo: Memo) -> Checked:
         "excess": excess,
     }
     if all(spec.is_unit(a) or spec.is_unit(b) for a, b in E.points):  # E lies in the orbit X
-        orbit_sum = sum_f * plane_orbits(spec)[1][1]
+        orbit_sum = sum_f * orbit_size(spec, 0)
         expected = sl2_order(spec) * len(E) ** 2
         conditions["sum_f_times_orbit == order_times_size_sq"] = orbit_sum == expected
         out["sum_f_times_orbit"] = orbit_sum

@@ -29,11 +29,6 @@ def identity(spec: RingSpec) -> Mat2:
     return (spec.one, spec.zero, spec.zero, spec.one)
 
 
-def col_matrix(x: Vec2, y: Vec2) -> Mat2:
-    """Matrix with columns x and y."""
-    return (x[0], y[0], x[1], y[1])
-
-
 def det(spec: RingSpec, m: Mat2):
     a, b, c, d = m
     return spec.sub(spec.mul(a, d), spec.mul(b, c))
@@ -43,23 +38,29 @@ def apply_mat(spec: RingSpec, m: Mat2, v: Vec2) -> Vec2:
     return spec.apply_mat(m, v)
 
 
-def plane_orbits(spec: RingSpec) -> list[tuple[Vec2, int]]:
-    """The SL_2 orbits of the plane R^2, as (representative, size) pairs:
-    0 alone, and p^v (1, 0) for 0 <= v < l, whose orbit is the vectors
+def orbit_size(spec: RingSpec, v: int) -> int:
+    """The size of the SL_2 orbit of p^v (1, 0), 0 <= v < l: the vectors
     whose coordinates have least valuation v, p^{2(l - v)} - p^{2(l - v -
-    1)} of them.  Over F_q read p^l as q (l = 1): (1, 0) and the q^2 - 1
-    nonzero vectors.  The sizes sum to q^2."""
+    1)} of them.  Over F_q read p^l as q (l = 1), so the orbit of (1, 0)
+    is the q^2 - 1 nonzero vectors.  O(l) bits of arithmetic."""
     top = spec.max_level
     p = spec.size() if top == 1 else spec.p
-    return [((0, 0), 1), *(((p ** v, 0), p ** (2 * (top - v)) - p ** (2 * (top - v - 1))) for v in range(top))]
+    return p ** (2 * (top - v)) - p ** (2 * (top - v - 1))
+
+
+def plane_orbits(spec: RingSpec) -> list[tuple[Vec2, int]]:
+    """The SL_2 orbits of the plane R^2, as (representative, size) pairs:
+    0 alone, and p^v (1, 0) for 0 <= v < l with its orbit_size.  The
+    sizes sum to q^2."""
+    return [((0, 0), 1), *(((spec.p ** v, 0), orbit_size(spec, v)) for v in range(spec.max_level))]
 
 
 def sl2_order(spec: RingSpec) -> int:
     """|SL_2| by orbit-stabilizer at (1, 0), whose stabilizer [[1, b],
-    [0, 1]] has q elements: q times the size of plane_orbits(spec)[1],
-    the orbit of (1, 0).  That is q^3 - q for a field of size q and
+    [0, 1]] has q elements: q times orbit_size(spec, 0), the size of the
+    orbit of (1, 0).  That is q^3 - q for a field of size q and
     p^{3l} - p^{3l-2} for Z/p^l Z."""
-    return spec.size() * plane_orbits(spec)[1][1]
+    return spec.size() * orbit_size(spec, 0)
 
 
 def sl2_blocks(spec: RingSpec) -> Iterator[tuple]:

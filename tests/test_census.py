@@ -34,7 +34,7 @@ from areal.census import (
 )
 from areal.configs import badness_level, key_width, pair_indices, signature
 from areal.constructions import full_plane, line_through_origin, mod_sharpness_set, random_subset
-from areal.linalg import enumerate_sl2, identity, plane_orbits, sl2_order
+from areal.linalg import enumerate_sl2, identity, orbit_size, plane_orbits, sl2_order
 from areal.rings import galois_field, mod_prime_power, prime_field
 from traced_child import traced
 
@@ -1083,12 +1083,13 @@ def test_designated_orbit_sizes():
 def test_transitivity_names_the_first_pair_whose_count_differs(monkeypatch):
     X, group = designated_orbit(F3), list(enumerate_sl2(F3))
     assert transitivity_constant(F3) * len(X) == len(group)  # the whole group passes
-    # without the identity, X[0] reaches itself one time too few
+    # without the identity, X[0] reaches itself one time too few, and the
+    # counts are compared with that first one, so X[0] -> X[1] differs
     others = [g for g in group if g != identity(F3)]
     monkeypatch.setattr(census, "enumerate_sl2", lambda spec: iter(others))
     with pytest.raises(NotTransitive) as err:
         transitivity_constant(F3)
-    assert err.value.pair == (X[0], X[0])
+    assert err.value.pair == (X[0], X[1])
     # one element twice: X[0] reaches its image under it one time too often
     g = next(g for g in group if F3.apply_mat(g, X[0]) == X[-1])
     monkeypatch.setattr(census, "enumerate_sl2", lambda spec: iter(group + [g]))
@@ -1114,18 +1115,17 @@ def test_transitivity_charges_the_orbit_before_listing_it(monkeypatch):
         with pytest.raises(BudgetExceeded) as err:
             transitivity_constant(spec, budget=1000)
         assert time.perf_counter() - start < 0.01
-        size = plane_orbits(spec)[1][1]
-        assert err.value.required == sl2_order(spec) * size and err.value.exact is True
+        assert err.value.required == sl2_order(spec) * orbit_size(spec, 0) and err.value.exact is True
         if ell == 7:
             assert err.value.required == 39_531_097_362_172_608
 
 
 def _pointwise_transitivity(spec, group):
-    """The constant |SL_2| / |X| when every pair of the designated orbit X
+    """The count phi(X[0], X[0]) when every pair of the designated orbit X
     is reached by that many g of group, else the first pair that is not,
     from one apply_mat per (g, x)."""
     X = designated_orbit(spec)
-    expected = sl2_order(spec) // len(X)
+    expected = Counter(spec.apply_mat(g, X[0]) for g in group)[X[0]]
     for x in X:
         phi = Counter(spec.apply_mat(g, x) for g in group)
         for y in X:

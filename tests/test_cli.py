@@ -749,8 +749,9 @@ def test_lemma_2_2_builds_its_move_table_once_and_applies_nothing_per_tuple(monk
     from areal import cli, configs
     from areal.rings import PrimeField
 
-    applied, config_calls, table_calls = [], [], []
+    applied, config_calls, table_calls, signatures = [], [], [], []
     apply_mat, group_moves, apply_config = PrimeField.apply_mat, cn.group_moves, cli.apply_config
+    signature = configs.signature
 
     def counted_apply(self, m, v):
         applied.append(m)
@@ -766,13 +767,14 @@ def test_lemma_2_2_builds_its_move_table_once_and_applies_nothing_per_tuple(monk
         config_calls.append(points)
         return apply_config(spec, g, points)
 
-    def no_signature(spec, points):
-        raise AssertionError("recover_g compares one area, not a signature")
+    def counted_signature(spec, points):
+        signatures.append(points)
+        return signature(spec, points)
 
     monkeypatch.setattr(PrimeField, "apply_mat", counted_apply)
     monkeypatch.setattr(cn, "group_moves", counted_moves)
     monkeypatch.setattr(cli, "apply_config", counted_config)
-    monkeypatch.setattr(configs, "signature", no_signature)
+    monkeypatch.setattr(configs, "signature", counted_signature)
     report = run_experiment(ExperimentConfig.from_json(dict(F3_CENSUS, checks=["lemma-2.2"], k=2)))
     (check,) = report["checks"]
     assert check == {"check": "lemma-2.2", "good_classes": "26", "pairs_checked": "14976", "ok": True}
@@ -781,6 +783,9 @@ def test_lemma_2_2_builds_its_move_table_once_and_applies_nothing_per_tuple(monk
     # the other applications are recover_g's: two columns, and the one
     # point outside the base pair, per pair; g sends the pair by construction
     assert len(applied) - 24 * 9 == 14976 * 3
+    # one signature per tuple, read by its recovery; none per pair, since
+    # recover_g compares one area
+    assert len(signatures) == 9 ** 3
 
 
 @pytest.mark.parametrize("case", ["F7-subset4-k1", "Z9-subset12-k1", "F9-subset12-k1"])
@@ -1439,6 +1444,20 @@ def test_lemma_4_1_names_each_failed_condition(monkeypatch):
     monkeypatch.setattr(cn, "transitivity_constant", not_transitive)
     assert _one_check(obj) == {"check": "lemma-4.1", "counterexample": "((1, 0), (0, 1))",
                                "ok": False, "failed": ["transitive"]}
+
+
+def test_lemma_4_1_fails_when_the_group_is_listed_twice(monkeypatch):
+    # phi is the first count, phi(x_0, x_0), not an assumed q: a group that
+    # yields each element twice reaches every pair 2q times, so the orbit
+    # is still transitive and orbit-stabilizer fails
+    from areal import census as cn
+
+    enumerate_sl2 = cn.enumerate_sl2
+    monkeypatch.setattr(cn, "enumerate_sl2", lambda spec: (g for g in enumerate_sl2(spec) for _ in range(2)))
+    assert _one_check(dict(F3_CENSUS, checks=["lemma-4.1"])) == {
+        "check": "lemma-4.1", "phi": "6", "group_order": "24", "orbit_size": "8",
+        "ok": False, "failed": ["phi * orbit_size == group_order"],
+    }
 
 
 def test_lemma_4_1_and_f_moments_list_the_orbit_only_inside_transitivity(monkeypatch):

@@ -15,7 +15,7 @@ from areal.configs import (
     recovery,
     signature,
 )
-from areal.linalg import col_matrix, enumerate_sl2, identity
+from areal.linalg import enumerate_sl2, identity
 from areal.rings import galois_field, mod_prime_power, prime_field
 from test_linalg import mat_mul
 
@@ -38,6 +38,69 @@ def test_signature_examples():
 def test_signature_needs_two_points():
     with pytest.raises(ValueError):
         signature(F3, ((1, 0),))
+
+
+@pytest.mark.parametrize("read", [badness_level, first_unit_pair, recovery])
+@pytest.mark.parametrize("xs", [(), ((1, 0),)], ids=["0-points", "1-point"])
+def test_every_reader_of_the_signature_needs_two_points(read, xs):
+    # signature's ValueError, not a level, None or BothBad
+    with pytest.raises(ValueError, match="at least 2 points"):
+        read(F3, xs)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        recover_g(F3, xs, xs)
+
+
+@pytest.mark.parametrize("read", [badness_level, first_unit_pair, recovery])
+def test_badness_first_unit_pair_and_recovery_read_one_signature_per_tuple(monkeypatch, read):
+    # signature is the only code that computes the tuple's areas
+    import areal.configs as configs
+    from areal.rings import RingSpec
+
+    calls, areas, perp_dot = [], [], RingSpec.perp_dot
+
+    def counted(spec, points):
+        calls.append(points)
+        return signature(spec, points)
+
+    def counted_area(self, x, y):
+        areas.append((x, y))
+        return perp_dot(self, x, y)
+
+    monkeypatch.setattr(configs, "signature", counted)
+    monkeypatch.setattr(RingSpec, "perp_dot", counted_area)
+    # good, bad at level 1, and good only at the last pair
+    for spec, xs in ((F3, ((1, 0), (0, 1), (1, 2))), (Z9, ((3, 0), (0, 3), (6, 6))), (Z9, ((3, 0), (1, 0), (0, 1)))):
+        calls.clear()
+        areas.clear()
+        read(spec, xs)
+        assert calls == [xs] and areas == [(xs[i], xs[j]) for i, j in pair_indices(len(xs) - 1)]
+
+
+def test_recover_compares_one_area_per_ys_and_reads_no_signature(monkeypatch):
+    import areal.configs as configs
+    from areal.rings import RingSpec
+
+    xs = ((1, 0), (0, 1), (1, 2), (2, 2))
+    recover, areas, perp_dot = recovery(F3, xs), [], RingSpec.perp_dot
+
+    def counted(self, x, y):
+        areas.append((x, y))
+        return perp_dot(self, x, y)
+
+    def no_signature(spec, points):
+        raise AssertionError("a recovery compares one area per ys, not a signature")
+
+    monkeypatch.setattr(RingSpec, "perp_dot", counted)
+    monkeypatch.setattr(configs, "signature", no_signature)
+    for g in enumerate_sl2(F3):
+        ys = apply_config(F3, g, xs)
+        areas.clear()
+        assert recover(ys) == g and areas == [ys[:2]]
+    for ys in (((1, 0), (0, 2), (1, 2), (2, 2)), ((1, 0), (0, 1), (1, 2), (0, 0))):
+        areas.clear()
+        with pytest.raises(NotEquivalent):
+            recover(ys)
+        assert areas == [ys[:2]]
 
 
 def test_signature_invariant_under_sl2():
@@ -115,17 +178,19 @@ def _configurations(draw):
 
 @given(_configurations())
 def test_recovery_base_inverts_the_first_unit_pair(case):
-    # the pair, its one area and the base inverse; no signature of xs is kept
+    # the size, the pair, its one area, the base inverse's two columns and
+    # the points off the pair; no signature of xs is kept
     spec, xs = case
     recover, pair = recovery(spec, xs), first_unit_pair(spec, xs)
     if pair is None:
         assert recover is None
         return
-    (i, j), area, inverse = recover.args[2:]
+    size, (i, j), area, ((a, c), (b, d)), off = recover.args[1:]
+    assert size == len(xs) and off == [(s, x) for s, x in enumerate(xs) if s not in (i, j)]
     assert (i, j) == pair and area == spec.perp_dot(xs[i], xs[j])
     assert area == signature(spec, xs)[pair_indices(len(xs) - 1).index(pair)]
-    b = col_matrix(xs[i], xs[j])
-    assert mat_mul(spec, inverse, b) == mat_mul(spec, b, inverse) == identity(spec)
+    base, inverse = (xs[i][0], xs[j][0], xs[i][1], xs[j][1]), (a, b, c, d)
+    assert mat_mul(spec, inverse, base) == mat_mul(spec, base, inverse) == identity(spec)
     assert recover(xs) == identity(spec)
 
 

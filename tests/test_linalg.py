@@ -4,10 +4,10 @@ import pytest
 
 from areal.linalg import (
     apply_mat,
-    col_matrix,
     det,
     enumerate_sl2,
     identity,
+    orbit_size,
     perp_dot,
     sl2_blocks,
     sl2_order,
@@ -67,7 +67,7 @@ def test_perp_dot_antisymmetric_and_equals_column_det():
     for x in all_vecs(F3):
         for y in all_vecs(F3):
             assert perp_dot(F3, x, y) == F3.neg(perp_dot(F3, y, x))
-            assert perp_dot(F3, x, y) == det(F3, col_matrix(x, y))
+            assert perp_dot(F3, x, y) == det(F3, (x[0], y[0], x[1], y[1]))
 
 
 def test_det_identity_and_apply():
@@ -135,6 +135,19 @@ def test_sl2_order_matches_enumeration(spec, expected):
     assert len(set(group)) == expected
     for g in group[:50]:
         assert is_sl2(spec, g)
+
+
+def test_sl2_order_reads_one_orbit_size_not_the_list_of_orbits(monkeypatch):
+    # Z/3^7100 Z: the orbit of (1, 0) has its own closed form, so sl2_order
+    # does O(l) bits of arithmetic where building all l + 1 orbit sizes
+    # was O(l^2)
+    import areal.linalg as linalg
+
+    spec = mod_prime_power(3, 7_100)
+    monkeypatch.setattr(linalg, "plane_orbits", None)
+    assert orbit_size(spec, 0) == 3 ** 14_200 - 3 ** 14_198
+    assert orbit_size(spec, 7_099) == 3 ** 2 - 1
+    assert sl2_order(spec) == 3 ** 21_300 - 3 ** 21_298
 
 
 def test_enumerate_sl2_exactly_det_one_matrices():
